@@ -28,18 +28,29 @@ stats::Histogram make_latency_histogram() {
 
 /// Quantile from exact histogram bins: center of the bin holding the
 /// rank-ceil(q*N) sample (same convention as
-/// stats::StreamingSummary::histogram_quantile).
-double histogram_quantile(const stats::Histogram& h, std::size_t n, double q) {
+/// stats::StreamingSummary::histogram_quantile), clamped to the exact
+/// sample range [min, max]. A bin center (or the lo/hi edge for
+/// under/overflow) can lie outside the samples it stands for — a
+/// single 1.06 s span would otherwise report p95 = 1.33 s.
+double histogram_quantile(const stats::Histogram& h, std::size_t n, double q,
+                          double min, double max) {
   if (n == 0) return 0.0;
   auto rank = static_cast<std::uint64_t>(
       std::max<double>(1.0, std::ceil(q * static_cast<double>(n))));
+  double estimate = h.hi();
   std::uint64_t seen = h.underflow();
-  if (seen >= rank) return h.lo();
-  for (std::size_t b = 0; b < h.bin_count(); ++b) {
-    seen += h.count(b);
-    if (seen >= rank) return h.bin_center(b);
+  if (seen >= rank) {
+    estimate = h.lo();
+  } else {
+    for (std::size_t b = 0; b < h.bin_count(); ++b) {
+      seen += h.count(b);
+      if (seen >= rank) {
+        estimate = h.bin_center(b);
+        break;
+      }
+    }
   }
-  return h.hi();
+  return std::clamp(estimate, min, max);
 }
 
 }  // namespace
@@ -285,9 +296,9 @@ Snapshot Registry::snapshot() const {
     s.min_s = m.min;
     s.max_s = m.max;
     std::size_t n = m.moments.count();
-    s.p50_s = histogram_quantile(m.hist, n, 0.50);
-    s.p95_s = histogram_quantile(m.hist, n, 0.95);
-    s.p99_s = histogram_quantile(m.hist, n, 0.99);
+    s.p50_s = histogram_quantile(m.hist, n, 0.50, m.min, m.max);
+    s.p95_s = histogram_quantile(m.hist, n, 0.95, m.min, m.max);
+    s.p99_s = histogram_quantile(m.hist, n, 0.99, m.min, m.max);
     snap.latency.push_back(std::move(s));
   }
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };

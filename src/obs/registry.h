@@ -132,7 +132,8 @@ struct LatencySummary {
   double total_s = 0.0;
   double min_s = 0.0;
   double max_s = 0.0;
-  double p50_s = 0.0;  ///< histogram-bin quantiles (log-binned)
+  /// Histogram-bin quantiles (log-binned), clamped to [min_s, max_s].
+  double p50_s = 0.0;
   double p95_s = 0.0;
   double p99_s = 0.0;
 };

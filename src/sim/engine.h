@@ -12,12 +12,19 @@
 //
 // Cancellation is lazy: the heap entry stays behind, but releasing the
 // slot bumps its generation, so popping skips it. When dead entries
-// outnumber live ones the heap is compacted in place, so churn-heavy
-// workloads (schedule/cancel loops like flow rescheduling) keep the
-// calendar bounded by the live event count instead of growing
-// monotonically. Events at equal times fire in scheduling order (FIFO
-// tie-break via a monotone sequence number carried in the heap entry —
-// recycled EventIds are not monotone), which keeps runs deterministic.
+// outnumber live ones the heap is compacted in place, so schedule/
+// cancel churn keeps the calendar bounded by the live event count
+// instead of growing monotonically. Events at equal times fire in
+// scheduling order (FIFO tie-break via a monotone sequence number
+// carried in the heap entry — recycled EventIds are not monotone),
+// which keeps runs deterministic.
+//
+// Keyed events: a component that keeps its own timer queue (the fluid
+// network's flow completions) takes sequence numbers with
+// reserve_seq() at the moment it would have scheduled, and arms one
+// event for its earliest timer with schedule_keyed() under that
+// timer's own (time, seq) key. Ties against every other event then
+// resolve exactly as if each timer were its own calendar event.
 //
 // Generation counters are 32-bit and wrap modularly: an id could alias
 // a later event in the same slot only after 2^32 reuses of that slot
@@ -55,6 +62,9 @@ class Engine {
   using Action = InlineFunction<void(), kActionCapacity>;
 
   Engine() = default;
+  /// Flushes the run's cancel count to obs (sim.calendar_cancels) once,
+  /// so cancel() itself never touches an atomic.
+  ~Engine() { OBS_COUNTER_ADD("sim.calendar_cancels", cancels_); }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -64,28 +74,26 @@ class Engine {
   /// Schedule `action` to run at absolute time `when` (>= now).
   /// Returns a handle that can be passed to cancel().
   EventId schedule_at(Seconds when, Action action) {
-    EIO_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
-                                                                  << " now=" << now_);
-    std::uint32_t slot;
-    if (free_head_ != kNoSlot) {
-      slot = free_head_;
-      free_head_ = slots_[slot].next_free;
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    Slot& s = slots_[slot];
-    s.action = std::move(action);
-    EventId id = pack(slot, s.generation);
-    heap_.push_back(Entry{when, ++next_seq_, id});
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    ++live_count_;
-    return id;
+    check_not_past(when);
+    return insert(when, ++next_seq_, std::move(action));
   }
 
   /// Schedule `action` to run `delay` seconds from now.
   EventId schedule_in(Seconds delay, Action action) {
     return schedule_at(now_ + delay, std::move(action));
+  }
+
+  /// Take the next FIFO sequence number without scheduling anything.
+  /// The number orders a later schedule_keyed() exactly where a
+  /// schedule_at() made now would have been ordered.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept { return ++next_seq_; }
+
+  /// Schedule `action` at `when` under a sequence number previously
+  /// returned by reserve_seq(). Does not advance the sequence counter.
+  EventId schedule_keyed(Seconds when, std::uint64_t seq, Action action) {
+    check_not_past(when);
+    EIO_CHECK_MSG(seq != 0 && seq <= next_seq_, "unreserved sequence number " << seq);
+    return insert(when, seq, std::move(action));
   }
 
   /// Cancel a previously scheduled event. Returns true if the event was
@@ -94,6 +102,7 @@ class Engine {
     if (!pending(id)) return false;
     release_slot(slot_of(id));
     --live_count_;
+    ++cancels_;
     maybe_compact();
     return true;
   }
@@ -202,6 +211,29 @@ class Engine {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
+  void check_not_past(Seconds when) const {
+    EIO_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
+                                                                  << " now=" << now_);
+  }
+
+  EventId insert(Seconds when, std::uint64_t seq, Action action) {
+    std::uint32_t slot;
+    if (free_head_ != kNoSlot) {
+      slot = free_head_;
+      free_head_ = slots_[slot].next_free;
+    } else {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    s.action = std::move(action);
+    EventId id = pack(slot, s.generation);
+    heap_.push_back(Entry{when, seq, id});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    ++live_count_;
+    return id;
+  }
+
   /// Return a slot to the free list; the generation bump invalidates
   /// every outstanding id (and stale heap entry) pointing at it.
   void release_slot(std::uint32_t slot) {
@@ -238,6 +270,7 @@ class Engine {
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_run_ = 0;
+  std::uint64_t cancels_ = 0;
   std::size_t live_count_ = 0;
   // Min-heap via std::*_heap with std::greater (see Entry::operator>).
   std::vector<Entry> heap_;

@@ -54,6 +54,12 @@ FluidNetwork::FluidNetwork(Engine& engine, Config config)
   }
 }
 
+FluidNetwork::~FluidNetwork() {
+  engine_.cancel(wake_);
+  OBS_COUNTER_ADD("fluid.refreshes", refreshes_);
+  OBS_COUNTER_ADD("fluid.reschedules", reschedules_);
+}
+
 std::uint32_t FluidNetwork::acquire_flow_slot() {
   std::uint32_t slot;
   if (flow_free_head_ != kNoIndex) {
@@ -127,7 +133,7 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   f.rate = 0.0;
   f.last_update = engine_.now();
   f.visit_epoch = 0;
-  f.completion = kInvalidEvent;
+  f.heap_pos = kNoIndex;
   f.on_complete = std::move(spec.on_complete);
 
   if (f.remaining <= 0.0) {
@@ -151,6 +157,7 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   if (can_grant) {
     grant(f);
     recompute_touching(f.node, f.osts);
+    arm_wake();
   } else {
     n.waiting.push_back(id);
   }
@@ -278,25 +285,105 @@ Rate FluidNetwork::compute_rate(const Flow& f) const {
 }
 
 void FluidNetwork::reschedule(Flow& f) {
-  if (f.completion != kInvalidEvent) {
-    engine_.cancel(f.completion);
-    f.completion = kInvalidEvent;
+  ++reschedules_;
+  if (f.rate <= 0.0) {  // a flow with no rate is never due
+    if (f.heap_pos != kNoIndex) due_erase(f);
+    return;
   }
-  if (f.rate <= 0.0) return;  // waiting flows have no completion event
+  // The same arithmetic and sequence draw a per-flow
+  // schedule_in(remaining / rate) would make, so keys tie identically.
   Seconds eta = f.remaining / f.rate;
-  FlowId id = f.id;
-  f.completion = engine_.schedule_in(eta, [this, id] { complete_flow(id); });
+  due_set(f, Due{engine_.now() + eta, engine_.reserve_seq(), slot_of(f.id)});
 }
 
 void FluidNetwork::refresh(Flow& f) {
+  ++refreshes_;
   settle(f);
   Rate rate = compute_rate(f);
-  // If the rate is unchanged, the pending completion event is still
-  // exact (settle advanced last_update by exactly rate*dt), so the
-  // cancel+reschedule churn can be skipped.
-  if (rate == f.rate && f.completion != kInvalidEvent) return;
+  // If the rate is unchanged, the flow's due key is still exact
+  // (settle advanced last_update by exactly rate*dt), so it keeps it.
+  if (rate == f.rate && f.heap_pos != kNoIndex) return;
   f.rate = rate;
   reschedule(f);
+}
+
+void FluidNetwork::due_place(std::uint32_t pos, const Due& d) {
+  due_[pos] = d;
+  flow_slots_[d.slot].f.heap_pos = pos;
+}
+
+void FluidNetwork::sift_up(std::uint32_t pos) {
+  const Due d = due_[pos];
+  while (pos > 0) {
+    std::uint32_t parent = (pos - 1) / 2;
+    if (!d.before(due_[parent])) break;
+    due_place(pos, due_[parent]);
+    pos = parent;
+  }
+  due_place(pos, d);
+}
+
+void FluidNetwork::sift_down(std::uint32_t pos) {
+  const Due d = due_[pos];
+  const auto n = static_cast<std::uint32_t>(due_.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && due_[child + 1].before(due_[child])) ++child;
+    if (!due_[child].before(d)) break;
+    due_place(pos, due_[child]);
+    pos = child;
+  }
+  due_place(pos, d);
+}
+
+void FluidNetwork::due_set(Flow& f, const Due& d) {
+  if (f.heap_pos == kNoIndex) {
+    due_.push_back(d);
+    sift_up(static_cast<std::uint32_t>(due_.size() - 1));
+    return;
+  }
+  std::uint32_t pos = f.heap_pos;
+  bool earlier = d.before(due_[pos]);
+  due_[pos] = d;
+  if (earlier) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+}
+
+void FluidNetwork::due_erase(Flow& f) {
+  std::uint32_t pos = f.heap_pos;
+  f.heap_pos = kNoIndex;
+  const Due last = due_.back();
+  due_.pop_back();
+  if (pos == due_.size()) return;  // f was the last entry
+  due_place(pos, last);
+  if (pos > 0 && last.before(due_[(pos - 1) / 2])) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
+  }
+}
+
+void FluidNetwork::arm_wake() {
+  if (engine_.pending(wake_)) {
+    if (!due_.empty() && due_.front().seq == wake_seq_) return;
+    engine_.cancel(wake_);
+  }
+  if (due_.empty()) return;
+  // Reserved sequence numbers are unique, so the seq alone names the
+  // head's key.
+  wake_seq_ = due_.front().seq;
+  wake_ = engine_.schedule_keyed(due_.front().when, wake_seq_, [this] { wake(); });
+}
+
+void FluidNetwork::wake() {
+  Flow& f = flow_slots_[due_.front().slot].f;
+  due_erase(f);
+  complete_flow(f.id);
+  arm_wake();
 }
 
 void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& osts) {
@@ -308,8 +395,8 @@ void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& ost
   if (touched >= granted_count_) {
     // Canonical refresh order: flow creation order, i.e. the active
     // list front to back. The order flows are refreshed in fixes the
-    // FIFO sequence of any completion events rescheduled to equal
-    // times, so it is part of the determinism contract — it must be a
+    // sequence numbers reserved for completions due at equal times, so
+    // it is part of the determinism contract — it must be a
     // defined order, not an accident of hash-map iteration.
     for (std::uint32_t s = active_head_; s != kNoIndex; s = flow_slots_[s].next) {
       Flow& f = flow_slots_[s].f;
@@ -343,9 +430,10 @@ void FluidNetwork::complete_flow(FlowId id) {
             flow_slots_[slot].generation == gen_of(id));
   Flow& f = flow_slots_[slot].f;
   settle(f);
-  // The completion event fires exactly at remaining/rate; any residue
-  // is floating-point noise.
+  // The wake fires exactly at remaining/rate; any residue is
+  // floating-point noise.
   EIO_DCHECK(f.remaining < 1.0);
+  EIO_DCHECK(f.heap_pos == kNoIndex);
   bytes_completed_ += f.total_bytes;
 
   NodeId node = f.node;
@@ -397,6 +485,7 @@ void FluidNetwork::set_ost_capacity(OstId ost, Rate capacity) {
   EIO_CHECK(capacity > 0.0);
   osts_[ost].capacity = capacity;
   recompute_touching_ost(ost);
+  arm_wake();
 }
 
 void FluidNetwork::recompute_touching_ost(OstId ost) {

@@ -33,6 +33,20 @@
 // by node id, replacing the previous hash map; recomputes walk groups
 // in ascending node order (canonical) and released slots retain their
 // vector capacities for reuse.
+//
+// Completions (keyed wake): a granted flow's completion is not a
+// calendar event. It is an entry in the network's due-heap, an indexed
+// binary min-heap of flow slots keyed by (due, seq): `due` is
+// now + remaining/rate, computed exactly as a per-flow schedule_in
+// would, and `seq` is reserved from the engine's FIFO counter at the
+// same moment (Engine::reserve_seq). A rate change re-keys the flow in
+// place — no cancel, no dead calendar entry, no action to build. The
+// engine holds one wake event per network, armed with
+// Engine::schedule_keyed under the head's own (due, seq) and re-armed
+// only when the head's key changes; the wake pops the head and
+// completes it. Every completion therefore fires at the same time and
+// in the same order, relative to every other event, as one calendar
+// event per flow would.
 #pragma once
 
 #include <cstdint>
@@ -130,6 +144,8 @@ class FluidNetwork {
   };
 
   FluidNetwork(Engine& engine, Config config);
+  /// Cancels a pending wake and flushes the fluid.* obs counters once.
+  ~FluidNetwork();
 
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
@@ -194,7 +210,7 @@ class FluidNetwork {
     Rate rate = 0.0;
     Seconds last_update = 0.0;
     std::uint64_t visit_epoch = 0;
-    EventId completion = kInvalidEvent;
+    std::uint32_t heap_pos = kNoIndex;  ///< index in due_, or kNoIndex
     FlowCallback on_complete;
   };
 
@@ -222,6 +238,18 @@ class FluidNetwork {
     NodeId node = 0;
     std::vector<FlowId> ids;
     std::uint32_t next_free = kNoIndex;
+  };
+
+  /// Due-heap entry: when a granted flow drains at its current rate,
+  /// and the engine sequence number reserved when that was computed.
+  struct Due {
+    Seconds when = 0.0;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    [[nodiscard]] bool before(const Due& o) const noexcept {
+      if (when != o.when) return when < o.when;
+      return seq < o.seq;
+    }
   };
 
   struct Ost {
@@ -276,11 +304,23 @@ class FluidNetwork {
   /// phantom node walk or the temp OST vector. (Not an overload of
   /// recompute_touching: NodeId and OstId are both std::uint32_t.)
   void recompute_touching_ost(OstId ost);
-  /// Settle one flow, recompute its rate and reschedule completion.
+  /// Settle one flow, recompute its rate and re-key its completion.
   void refresh(Flow& f);
   void settle(Flow& f);
   [[nodiscard]] Rate compute_rate(const Flow& f) const;
+  /// Re-key the flow in the due-heap at its current rate (a flow with
+  /// no rate leaves the heap).
   void reschedule(Flow& f);
+  void due_set(Flow& f, const Due& d);
+  void due_erase(Flow& f);
+  void due_place(std::uint32_t pos, const Due& d);
+  void sift_up(std::uint32_t pos);
+  void sift_down(std::uint32_t pos);
+  /// Point the engine's wake at the due-heap head (no-op if it already
+  /// carries the head's key).
+  void arm_wake();
+  /// The wake event: complete the head flow, then re-arm.
+  void wake();
   void maybe_start_burst(Node& n);
   void pump_waiting(Node& n);
 
@@ -297,6 +337,11 @@ class FluidNetwork {
   Bytes bytes_completed_ = 0;
   std::size_t granted_count_ = 0;
   std::uint64_t epoch_ = 0;  ///< visitation stamp for recompute dedup
+  std::vector<Due> due_;     ///< min-heap of granted flows by (when, seq)
+  EventId wake_ = kInvalidEvent;
+  std::uint64_t wake_seq_ = 0;  ///< key the pending wake was armed under
+  std::uint64_t refreshes_ = 0;    ///< obs fluid.refreshes, flushed once
+  std::uint64_t reschedules_ = 0;  ///< obs fluid.reschedules, flushed once
 };
 
 }  // namespace eio::sim

@@ -8,7 +8,6 @@
 // gtest ever initializes, exactly like the installed eiotrace binary.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -20,6 +19,7 @@
 #include "campaign/store.h"
 #include "campaign/worker.h"
 #include "cli/eiotrace.h"
+#include "support/temp_path.h"
 #include "workloads/sweep.h"
 
 namespace eio::campaign {
@@ -37,12 +37,8 @@ std::string slurp(const std::string& path) {
 class CampaignTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("campaign_test_" +
-            std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
+    dir_ = test::temp_dir();
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   std::string write(const std::string& name, const std::string& content) {
     std::string path = (dir_ / name).string();

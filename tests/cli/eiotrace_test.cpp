@@ -16,6 +16,7 @@
 #include "ipm/trace_stream.h"
 #include "ipm/trace_v3.h"
 #include "obs/registry.h"
+#include "support/temp_path.h"
 
 namespace eio::cli {
 namespace {
@@ -62,7 +63,7 @@ class EiotraceTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/eiotrace_test.tsv";
+    path_ = test::temp_path("eiotrace_test.tsv");
     fixture_trace().save(path_);
   }
 
@@ -72,8 +73,7 @@ class EiotraceTest : public ::testing::Test {
   /// this little trace gives the chunk counters something to count.
   static std::string write_chunked(bool v3, const std::string& tag) {
     const ipm::Trace t = fixture_trace();
-    std::string path = ::testing::TempDir() + "/eiotrace_" + tag +
-                       (v3 ? ".v3" : ".v2");
+    std::string path = test::temp_path("eiotrace_" + tag + (v3 ? ".v3" : ".v2"));
     std::ofstream out(path, std::ios::binary);
     if (v3) {
       ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(),
@@ -216,7 +216,7 @@ TEST_F(EiotraceTest, CompareNeedsTwoFiles) {
 }
 
 TEST_F(EiotraceTest, ConvertRoundTripsThroughBinary) {
-  std::string bin = ::testing::TempDir() + "/eiotrace_test.bin";
+  std::string bin = test::temp_path("eiotrace_test.bin");
   auto [rc, out, err] = run({"convert", path_, bin});
   EXPECT_EQ(rc, 0);
   // The binary file is analyzable like the original.
@@ -227,8 +227,8 @@ TEST_F(EiotraceTest, ConvertRoundTripsThroughBinary) {
 }
 
 TEST_F(EiotraceTest, ConvertFormatFlagRoundTripsThroughV3) {
-  std::string v3 = ::testing::TempDir() + "/eiotrace_test.v3";
-  std::string back = ::testing::TempDir() + "/eiotrace_test_back.tsv";
+  std::string v3 = test::temp_path("eiotrace_test.v3");
+  std::string back = test::temp_path("eiotrace_test_back.tsv");
   auto [rc, out, err] = run({"convert", path_, v3, "--format=v3"});
   EXPECT_EQ(rc, 0) << err;
 
@@ -250,8 +250,8 @@ TEST_F(EiotraceTest, ConvertFormatFlagRoundTripsThroughV3) {
 }
 
 TEST_F(EiotraceTest, ConvertToSameFormatIsACheckedByteCopy) {
-  std::string v3 = ::testing::TempDir() + "/eiotrace_test_noop.v3";
-  std::string copy = ::testing::TempDir() + "/eiotrace_test_noop_copy.v3";
+  std::string v3 = test::temp_path("eiotrace_test_noop.v3");
+  std::string copy = test::temp_path("eiotrace_test_noop_copy.v3");
   auto [rc, out, err] = run({"convert", path_, v3, "--format=v3"});
   ASSERT_EQ(rc, 0) << err;
 
@@ -272,7 +272,7 @@ TEST_F(EiotraceTest, ConvertToSameFormatIsACheckedByteCopy) {
 }
 
 TEST_F(EiotraceTest, ConvertRejectsConflictingAndUnknownFormats) {
-  std::string out_path = ::testing::TempDir() + "/eiotrace_test_bad.bin";
+  std::string out_path = test::temp_path("eiotrace_test_bad.bin");
   auto [rc, out, err] = run({"convert", path_, out_path, "--format=v9"});
   EXPECT_NE(rc, 0);
   auto [rc2, out2, err2] =
@@ -290,7 +290,7 @@ TEST_F(EiotraceTest, SimulateRunsAnEnsembleWithoutATraceFile) {
 }
 
 TEST_F(EiotraceTest, SimulateSavesTraces) {
-  std::string dir = ::testing::TempDir();
+  std::string dir = test::temp_dir();
   auto [rc, out, err] =
       run({"simulate", "--runs=2", "--tasks=8", "--block-mib=8",
            "--segments=1", "--save-dir=" + dir});
@@ -364,7 +364,7 @@ TEST_F(EiotraceTest, HelpWithCommandShowsItsFlagTable) {
 }
 
 TEST_F(EiotraceTest, SimulateScenarioFileEndToEnd) {
-  std::string scen = ::testing::TempDir() + "/scenario.json";
+  std::string scen = test::temp_path("scenario.json");
   {
     std::ofstream f(scen);
     f << R"({
@@ -401,7 +401,7 @@ TEST_F(EiotraceTest, SlowOstScenarioDiagnosesTheDegradedOst) {
   // and fed back through diagnose, names the injected OST.
   std::string scen =
       std::string(EIO_SOURCE_DIR) + "/examples/scenarios/slow_ost.json";
-  std::string dir = ::testing::TempDir();
+  std::string dir = test::temp_dir();
   auto [rc, out, err] =
       run({"simulate", "--scenario=" + scen, "--runs=1", "--save-dir=" + dir});
   ASSERT_EQ(rc, 0) << err;

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "ipm/trace.h"
+#include "support/temp_path.h"
 
 namespace eio::cli {
 namespace {
@@ -62,7 +63,7 @@ class JsonOutputTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/json_output_test.tsv";
+    path_ = test::temp_path("json_output_test.tsv");
     fixture_trace().save(path_);
   }
   void TearDown() override { std::remove(path_.c_str()); }

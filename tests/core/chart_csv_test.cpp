@@ -8,6 +8,7 @@
 #include "common/units.h"
 #include "core/ascii_chart.h"
 #include "core/csv.h"
+#include "support/temp_path.h"
 
 namespace eio::analysis {
 namespace {
@@ -106,7 +107,7 @@ TEST(CsvTest, RaggedColumnsRejected) {
 TEST(CsvTest, SaveToFile) {
   CsvWriter w;
   w.column("x", {1.0, 2.0, 3.0});
-  std::string path = ::testing::TempDir() + "/eio_csv_test.csv";
+  std::string path = test::temp_path("eio_csv_test.csv");
   w.save(path);
   std::ifstream in(path);
   std::string line;

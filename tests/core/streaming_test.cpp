@@ -23,6 +23,7 @@
 #include "core/trace_diagram.h"
 #include "ipm/report.h"
 #include "ipm/trace_source.h"
+#include "support/temp_path.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
 #include "workloads/madbench.h"
@@ -257,8 +258,7 @@ TEST(StreamingEquivalenceTest, V2FileRoundTripPreservesAnalysisInputs) {
   // streaming filter must yield the very vector the in-memory batch
   // path computes.
   for (const ipm::Trace& t : seed_traces()) {
-    std::string path = ::testing::TempDir() + "/eio_equiv_" + t.experiment() +
-                       ".bin";
+    std::string path = test::temp_path("eio_equiv_" + t.experiment() + ".bin");
     t.save_binary_v2(path);
     ipm::FileTraceSource source(path);
     EventFilter f{.op = posix::OpType::kWrite};

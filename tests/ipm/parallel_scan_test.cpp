@@ -24,6 +24,7 @@
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
+#include "support/temp_path.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
 #include "workloads/madbench.h"
@@ -79,7 +80,7 @@ const std::vector<ipm::Trace>& seed_traces() {
 /// to get wrong.
 std::string write_v2_chunked(const ipm::Trace& t, std::size_t chunk_events,
                              const std::string& tag) {
-  std::string path = ::testing::TempDir() + "/eio_pscan_" + tag + ".bin";
+  std::string path = test::temp_path("eio_pscan_" + tag + ".bin");
   std::ofstream out(path, std::ios::binary);
   ipm::TraceWriterV2 writer(out, t.experiment(), t.ranks(),
                             {.chunk_events = chunk_events});
@@ -92,7 +93,7 @@ std::string write_v2_chunked(const ipm::Trace& t, std::size_t chunk_events,
 /// columnar encoding.
 std::string write_v3_chunked(const ipm::Trace& t, std::size_t chunk_events,
                              const std::string& tag) {
-  std::string path = ::testing::TempDir() + "/eio_pscan_" + tag + "_v3.bin";
+  std::string path = test::temp_path("eio_pscan_" + tag + "_v3.bin");
   std::ofstream out(path, std::ios::binary);
   ipm::TraceWriterV3 writer(out, t.experiment(), t.ranks(),
                             {.chunk_events = chunk_events});
@@ -129,7 +130,7 @@ stats::StreamingSummary serial_summary(const ipm::TraceSource& source,
 
 TEST(ParallelScanTest, ScannerRejectsNonV2Files) {
   const ipm::Trace t = monotonic_trace(100);
-  std::string path = ::testing::TempDir() + "/eio_pscan_tsv.trace";
+  std::string path = test::temp_path("eio_pscan_tsv.trace");
   t.save(path);
   EXPECT_THROW(ipm::ParallelTraceScanner scanner(path), std::runtime_error);
   std::remove(path.c_str());

@@ -1,5 +1,6 @@
 // Unit tests for trace containers and serialization round-trips.
 #include "ipm/trace.h"
+#include "support/temp_path.h"
 
 #include <gtest/gtest.h>
 
@@ -102,7 +103,7 @@ TEST(TraceTest, SortByStartIsStable) {
 TEST(TraceTest, SaveLoadFileRoundTrip) {
   Trace t("file-io", 2);
   t.add(make_event(0.5, 0.25, posix::OpType::kFsync, 1, 0));
-  std::string path = ::testing::TempDir() + "/eio_trace_test.tsv";
+  std::string path = test::temp_path("eio_trace_test.tsv");
   t.save(path);
   Trace back = Trace::load(path);
   EXPECT_EQ(back.size(), 1u);
@@ -163,8 +164,8 @@ TEST(TraceTest, BinaryRejectsGarbageAndTruncation) {
 TEST(TraceTest, LoadAutoDetectsBothFormats) {
   Trace t("autodetect", 2);
   t.add(make_event(1.0, 2.0, posix::OpType::kFsync, 1, 0));
-  std::string tsv_path = ::testing::TempDir() + "/eio_auto.tsv";
-  std::string bin_path = ::testing::TempDir() + "/eio_auto.bin";
+  std::string tsv_path = test::temp_path("eio_auto.tsv");
+  std::string bin_path = test::temp_path("eio_auto.bin");
   t.save(tsv_path);
   t.save_binary(bin_path);
   Trace from_tsv = Trace::load(tsv_path);

@@ -11,6 +11,7 @@
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
+#include "support/temp_path.h"
 
 namespace eio::ipm {
 namespace {
@@ -70,7 +71,7 @@ TEST(TraceV2Test, EmptyTraceRoundTrips) {
 
 TEST(TraceV2Test, LoadAutoDetectsV2) {
   Trace t = sample_trace(5);
-  std::string path = ::testing::TempDir() + "/eio_v2_auto.bin";
+  std::string path = test::temp_path("eio_v2_auto.bin");
   t.save_binary_v2(path);
   Trace back = Trace::load(path);
   EXPECT_EQ(back.size(), 5u);
@@ -137,7 +138,7 @@ TEST(TraceV2Test, HintedScanSkipsNonMatchingChunks) {
     t.add(make_event(i, 0.5, posix::OpType::kWrite,
                      static_cast<RankId>(i % 4), 64, i < 8 ? 1 : 2));
   }
-  std::string path = ::testing::TempDir() + "/eio_v2_hint.bin";
+  std::string path = test::temp_path("eio_v2_hint.bin");
   {
     std::ofstream file(path, std::ios::binary);
     TraceWriterV2 writer(file, t.experiment(), t.ranks(),
@@ -253,9 +254,9 @@ TEST(TraceV2Test, SniffRejectsUnknownMagic) {
 
 TEST(TraceV2Test, FileTraceSourceReportsMetaForAllFormats) {
   Trace t = sample_trace(9);
-  std::string tsv = ::testing::TempDir() + "/eio_src.tsv";
-  std::string v1 = ::testing::TempDir() + "/eio_src_v1.bin";
-  std::string v2 = ::testing::TempDir() + "/eio_src_v2.bin";
+  std::string tsv = test::temp_path("eio_src.tsv");
+  std::string v1 = test::temp_path("eio_src_v1.bin");
+  std::string v2 = test::temp_path("eio_src_v2.bin");
   t.save(tsv);
   t.save_binary(v1);
   t.save_binary_v2(v2);

@@ -18,6 +18,7 @@
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 #include "ipm/wire.h"
+#include "support/temp_path.h"
 
 namespace eio::ipm {
 namespace {
@@ -86,7 +87,7 @@ TEST(TraceV3Test, EmptyTraceRoundTrips) {
 
 TEST(TraceV3Test, LoadAutoDetectsV3) {
   Trace t = sample_trace(5);
-  std::string path = ::testing::TempDir() + "/eio_v3_auto.bin";
+  std::string path = test::temp_path("eio_v3_auto.bin");
   t.save_binary_v3(path);
   Trace back = Trace::load(path);
   EXPECT_EQ(back.size(), 5u);
@@ -358,10 +359,10 @@ TEST(TraceV3Test, CorruptCompressionHeaderThrows) {
 }
 
 TEST(TraceV3Test, MappedFileRejectsEmptyAndMissingFiles) {
-  const std::string missing = ::testing::TempDir() + "/eio_v3_nonexistent";
+  const std::string missing = test::temp_path("eio_v3_nonexistent");
   EXPECT_THROW(MappedFile map(missing), std::runtime_error);
 
-  const std::string empty = ::testing::TempDir() + "/eio_v3_empty";
+  const std::string empty = test::temp_path("eio_v3_empty");
   { std::ofstream out(empty, std::ios::binary); }
   EXPECT_THROW(MappedFile map(empty), std::runtime_error);
   // The sniffer also refuses a zero-length trace outright.
@@ -371,7 +372,7 @@ TEST(TraceV3Test, MappedFileRejectsEmptyAndMissingFiles) {
 
 TEST(TraceV3Test, MappedFileContentsMatchStreamRead) {
   Trace t = sample_trace(20);
-  const std::string path = ::testing::TempDir() + "/eio_v3_map.bin";
+  const std::string path = test::temp_path("eio_v3_map.bin");
   t.save_binary_v3(path);
   std::string bytes = v3_bytes(t);
   MappedFile map(path);
@@ -382,8 +383,8 @@ TEST(TraceV3Test, MappedFileContentsMatchStreamRead) {
 
 TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
   Trace t = sample_trace(40);
-  const std::string v2 = ::testing::TempDir() + "/eio_v3_src_v2.bin";
-  const std::string v3 = ::testing::TempDir() + "/eio_v3_src_v3.bin";
+  const std::string v2 = test::temp_path("eio_v3_src_v2.bin");
+  const std::string v3 = test::temp_path("eio_v3_src_v3.bin");
   t.save_binary_v2(v2);
   t.save_binary_v3(v3);
 
@@ -410,7 +411,7 @@ TEST(TraceV3Test, HintedScanSkipsNonMatchingChunks) {
     t.add(make_event(i, 0.5, posix::OpType::kWrite,
                      static_cast<RankId>(i % 4), 64, i < 8 ? 1 : 2));
   }
-  std::string path = ::testing::TempDir() + "/eio_v3_hint.bin";
+  std::string path = test::temp_path("eio_v3_hint.bin");
   {
     std::ofstream file(path, std::ios::binary);
     TraceWriterV3 writer(file, t.experiment(), t.ranks(),

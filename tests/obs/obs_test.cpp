@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "cli/eiotrace.h"
+#include "common/rng.h"
 #include "obs/export.h"
+#include "support/temp_path.h"
 
 namespace eio::obs {
 namespace {
@@ -87,13 +89,10 @@ std::string counters_section(const std::string& json) {
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/obs_test";
-    std::filesystem::create_directories(dir_);
+    dir_ = test::temp_dir();
   }
 
   void TearDown() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
     // run_eiotrace toggles the global registry; leave it quiescent for
     // whatever test runs next in this process.
     set_enabled(false);
@@ -238,6 +237,60 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   // The scanner counters must actually be present, not vacuously equal.
   EXPECT_NE(sections[0].find("scan.chunks_scanned"), std::string::npos);
   EXPECT_NE(sections[0].find("v2.events_decoded"), std::string::npos);
+
+  // Simulation counters, flushed once per run from plain members, are
+  // just as independent of how runs are spread over threads.
+  std::vector<std::string> sim_sections;
+  for (const char* jobs : {"--jobs=1", "--jobs=2", "--jobs=4"}) {
+    std::string metrics = dir_ + "/sim_metrics_" + (jobs + 7) + ".json";
+    auto [rc, out, err] = run({"simulate", "--runs=4", "--tasks=16",
+                               "--block-mib=4", jobs, "--metrics", metrics});
+    ASSERT_EQ(rc, 0) << err;
+    sim_sections.push_back(counters_section(read_file(metrics)));
+  }
+  EXPECT_EQ(sim_sections[0], sim_sections[1]) << "sim counters differ, jobs 1 vs 2";
+  EXPECT_EQ(sim_sections[0], sim_sections[2]) << "sim counters differ, jobs 1 vs 4";
+  for (const char* name : {"\"fluid.refreshes\"", "\"fluid.reschedules\"",
+                           "\"sim.calendar_cancels\"", "\"sim.events_run\""}) {
+    EXPECT_NE(sim_sections[0].find(name), std::string::npos) << name;
+  }
+}
+
+TEST_F(ObsTest, SpanQuantilesLieWithinMinAndMax) {
+  // Bin-center quantile estimates must never leave the exact sample
+  // range: min <= p50 <= p95 <= p99 <= max for every span, whatever
+  // its sample count. Durations span under- and overflow of the fixed
+  // 1 ns .. 1000 s binning, and include single-sample spans.
+  Registry& reg = Registry::instance();
+  reg.reset();
+  rng::Stream r(2024);
+  for (int i = 0; i < 64; ++i) {
+    std::string name = "test.quantile_";
+    name += std::to_string(i);
+    MetricId id = reg.span_id(name);
+    const std::size_t samples = i < 16 ? 1 : 1 + r.index(200);
+    for (std::size_t k = 0; k < samples; ++k) {
+      reg.span_end(id, 0.0, std::pow(10.0, r.uniform(-10.5, 3.5)), 0);
+    }
+  }
+  // The reported case: one 1.06 s sample sits in a bin centred at 1.33 s.
+  reg.span_end(reg.span_id("test.quantile_single"), 0.0, 1.06, 0);
+
+  Snapshot snap = reg.snapshot();
+  std::size_t checked = 0;
+  for (const LatencySummary& s : snap.latency) {
+    if (s.name.rfind("test.quantile_", 0) != 0) continue;
+    ++checked;
+    EXPECT_LE(s.min_s, s.p50_s) << s.name;
+    EXPECT_LE(s.p50_s, s.p95_s) << s.name;
+    EXPECT_LE(s.p95_s, s.p99_s) << s.name;
+    EXPECT_LE(s.p99_s, s.max_s) << s.name;
+    if (s.moments.count == 1) {
+      EXPECT_EQ(s.p50_s, s.max_s) << s.name;
+      EXPECT_EQ(s.p99_s, s.min_s) << s.name;
+    }
+  }
+  EXPECT_EQ(checked, 65u);
 }
 
 TEST_F(ObsTest, MetricsTsvAndVersionCommand) {

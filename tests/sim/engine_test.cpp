@@ -317,5 +317,49 @@ TEST(EngineTest, CompactionObsCountersAccurateUnderFreelist) {
   EXPECT_EQ(e.live_events(), 50u);
 }
 
+TEST(EngineTest, KeyedEventFiresWhereItsReservationWasMade) {
+  // A keyed event armed late, under a sequence number reserved early,
+  // runs where a schedule_at() made at reservation time would have.
+  Engine e;
+  std::vector<int> order;
+  e.schedule_at(1.0, [&] { order.push_back(1); });
+  std::uint64_t reserved = e.reserve_seq();
+  e.schedule_at(1.0, [&] { order.push_back(3); });
+  e.schedule_keyed(1.0, reserved, [&] { order.push_back(2); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EngineTest, ScheduleKeyedRejectsUnreservedSeqAndPast) {
+  Engine e;
+  EXPECT_THROW(e.schedule_keyed(1.0, 0, [] {}), std::logic_error);
+  EXPECT_THROW(e.schedule_keyed(1.0, 5, [] {}), std::logic_error);
+  std::uint64_t seq = e.reserve_seq();
+  e.schedule_at(2.0, [] {});
+  e.run();
+  EXPECT_THROW(e.schedule_keyed(1.0, seq, [] {}), std::logic_error);
+}
+
+TEST(EngineTest, CancelCountIsFlushedOncePerEngine) {
+  obs::set_enabled(true);
+  obs::Registry::instance().reset();
+  {
+    Engine e;
+    for (int i = 0; i < 10; ++i) {
+      EventId id = e.schedule_at(1.0 + i, [] {});
+      if (i % 2 == 0) e.cancel(id);
+    }
+    e.cancel(kInvalidEvent);  // not pending: not a cancel
+    e.run();
+  }
+  obs::Snapshot snap = obs::Registry::instance().snapshot();
+  obs::set_enabled(false);
+  std::uint64_t cancels = 0;
+  for (const auto& c : snap.counters) {
+    if (c.name == "sim.calendar_cancels") cancels = c.value;
+  }
+  EXPECT_EQ(cancels, 5u);
+}
+
 }  // namespace
 }  // namespace eio::sim

@@ -15,6 +15,7 @@
 
 #include "common/json.h"
 #include "common/json_writer.h"
+#include "support/temp_path.h"
 
 namespace eio::workloads {
 namespace {
@@ -39,13 +40,8 @@ json::Value sweep_doc(const std::string& axes,
 class SweepDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("sweep_test_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-            "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
-    fs::create_directories(dir_);
+    dir_ = test::temp_dir();
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
   std::string write(const std::string& name, const std::string& content) {
     std::string path = (dir_ / name).string();
