@@ -69,7 +69,7 @@ constexpr OptionSpec kMonitorSpecs[] = {
     {"drift-d", OptKind::kDouble, "0",
      "KS D threshold for the distribution-drift detector (0 = off; "
      "phase-structured workloads legitimately drift)"},
-    {"incidents", OptKind::kString, "",
+    {"incidents", OptKind::kOutFile, "",
      "write the incident log as JSONL to this path"},
 };
 
@@ -102,7 +102,8 @@ constexpr OptionSpec kSimulateSpecs[] = {
     {"segments", OptKind::kSize, "2", "IOR barrier-separated segments"},
     {"runs", OptKind::kSize, "4", "ensemble size (scenario files set their own)"},
     {"seed", OptKind::kSize, "", "override the machine seed"},
-    {"save-dir", OptKind::kString, "", "write each run's trace as DIR/runN.*"},
+    {"save-dir", OptKind::kOutDir, "",
+     "write each run's trace as DIR/runN.* (DIR must exist)"},
     {"format", OptKind::kString, "tsv",
      "trace format for --save-dir files: tsv|v2|v3"},
     {"monitor", OptKind::kFlag, "",
@@ -234,6 +235,8 @@ std::string usage_for(const std::string& command) {
         case OptKind::kString: left += "=S"; break;
         case OptKind::kDouble: left += "=X"; break;
         case OptKind::kSize: left += "=N"; break;
+        case OptKind::kOutFile: left += "=FILE"; break;
+        case OptKind::kOutDir: left += "=DIR"; break;
       }
       os << "  " << left;
       if (left.size() >= 20) os << ' ';

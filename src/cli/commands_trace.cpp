@@ -418,6 +418,10 @@ int cmd_convert(CommandContext& ctx) {
     err << "eiotrace: unknown --format '" << fmt << "' (tsv|v1|v2|v3)\n";
     return 1;
   }
+  if (std::string why = unwritable_reason(target, false); !why.empty()) {
+    err << "eiotrace: cannot write '" << target << "': " << why << "\n";
+    return 1;
+  }
 
   // Converting a file to the format it is already in is a checked
   // no-op: decode every event once to prove the file is intact, then

@@ -126,6 +126,9 @@ int dispatch(const std::vector<std::string>& args, std::ostream& out,
                            usage_for(cmd->name))) {
     return *rc;
   }
+  // Output paths are checked before any work, so a typo'd directory
+  // fails in milliseconds instead of after the whole run.
+  if (auto rc = check_output_paths(cmd->groups, ctx.args, err)) return *rc;
   if (!cmd->needs_trace) {  // the command owns its operands
     try {
       return cmd->run(ctx);
@@ -156,6 +159,19 @@ int run_eiotrace(const std::vector<std::string>& raw_args, std::ostream& out,
                  std::ostream& err) {
   std::vector<std::string> args = raw_args;
   ObsRequest obs_req = extract_obs_flags(args);
+  auto unwritable = [&err](const char* flag, const std::string& path) {
+    if (path.empty()) return false;
+    const std::string why = unwritable_reason(path, false);
+    if (!why.empty()) {
+      err << "eiotrace: cannot write --" << flag << " '" << path << "': "
+          << why << "\n";
+    }
+    return !why.empty();
+  };
+  if (unwritable("chrome-trace", obs_req.chrome_trace) ||
+      unwritable("metrics", obs_req.metrics)) {
+    return 1;
+  }
   if (obs_req.any()) {
     if (!obs::kCompiledIn) {
       err << "eiotrace: warning: observability was compiled out "

@@ -1,5 +1,10 @@
 #include "cli/options.h"
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <system_error>
+
 namespace eio::cli {
 
 const OptionSpec* find_spec(std::span<const OptionGroup> groups,
@@ -18,6 +23,8 @@ bool valid_value(OptKind kind, const std::string& value) {
   switch (kind) {
     case OptKind::kFlag:
     case OptKind::kString:
+    case OptKind::kOutFile:
+    case OptKind::kOutDir:
       return true;
     case OptKind::kDouble:
       std::strtod(value.c_str(), &end);
@@ -72,6 +79,50 @@ std::optional<int> parse_args(const std::string& command,
       return 1;
     }
     out.values_[std::move(name)] = std::move(value);
+  }
+  return std::nullopt;
+}
+
+std::string unwritable_reason(const std::string& path, bool directory) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (directory) {
+    if (!fs::is_directory(path, ec)) return "no such directory";
+    if (::access(path.c_str(), W_OK | X_OK) != 0) {
+      return "directory not writable";
+    }
+    return {};
+  }
+  if (fs::is_directory(path, ec)) return "is a directory";
+  fs::path dir = fs::path(path).parent_path();
+  if (dir.empty()) dir = ".";
+  if (!fs::is_directory(dir, ec)) {
+    return "no such directory '" + dir.string() + "'";
+  }
+  if (::access(dir.c_str(), W_OK | X_OK) != 0) {
+    return "directory '" + dir.string() + "' not writable";
+  }
+  if (fs::exists(path, ec) && ::access(path.c_str(), W_OK) != 0) {
+    return "file not writable";
+  }
+  return {};
+}
+
+std::optional<int> check_output_paths(std::span<const OptionGroup> groups,
+                                      const Parsed& args, std::ostream& err) {
+  for (const OptionGroup& g : groups) {
+    for (const OptionSpec& s : g.options) {
+      if (s.kind != OptKind::kOutFile && s.kind != OptKind::kOutDir) continue;
+      if (!args.has(s.name)) continue;
+      const std::string path = args.get(s.name, "");
+      const std::string why =
+          unwritable_reason(path, s.kind == OptKind::kOutDir);
+      if (!why.empty()) {
+        err << "eiotrace: cannot write --" << s.name << " '" << path
+            << "': " << why << "\n";
+        return 1;
+      }
+    }
   }
   return std::nullopt;
 }

@@ -26,6 +26,8 @@ enum class OptKind : std::uint8_t {
   kString,  ///< free-form value
   kDouble,  ///< numeric value (validated at parse time)
   kSize,    ///< non-negative integer (validated at parse time)
+  kOutFile, ///< output file: its directory must exist and be writable
+  kOutDir,  ///< output directory: must exist and be writable
 };
 
 struct OptionSpec {
@@ -86,5 +88,21 @@ class Parsed {
                                             std::size_t skip, Parsed& out,
                                             std::ostream& err,
                                             const std::string& usage);
+
+/// Why `path` cannot be written as an output file (`directory` false:
+/// the file's directory must exist and be writable, and the file, if
+/// present, must be a writable non-directory) or output directory
+/// (`directory` true: an existing writable directory); empty when it
+/// can. Checks without creating or touching anything.
+[[nodiscard]] std::string unwritable_reason(const std::string& path,
+                                            bool directory);
+
+/// Check every kOutFile/kOutDir value in `args` before any work runs:
+/// on the first unwritable path, print one error line to `err` and
+/// yield exit code 1 (wrapped in the optional); nullopt means all can
+/// be written.
+[[nodiscard]] std::optional<int> check_output_paths(
+    std::span<const OptionGroup> groups, const Parsed& args,
+    std::ostream& err);
 
 }  // namespace eio::cli

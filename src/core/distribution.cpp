@@ -42,6 +42,24 @@ double EmpiricalDistribution::quantile(double q) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
+double select_quantile(std::vector<double> samples, double q) {
+  EIO_CHECK(!samples.empty());
+  EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
+  if (samples.size() == 1) return samples[0];
+  // The same interpolation as EmpiricalDistribution::quantile; the two
+  // order statistics it reads come from one nth_element (everything
+  // after `mid` is >= it, so the next one is their minimum).
+  double pos = q * static_cast<double>(samples.size() - 1);
+  auto lo = static_cast<std::size_t>(pos);
+  std::size_t hi = std::min(lo + 1, samples.size() - 1);
+  double frac = pos - static_cast<double>(lo);
+  auto mid = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), mid, samples.end());
+  const double a = *mid;
+  const double b = hi == lo ? a : *std::min_element(mid + 1, samples.end());
+  return a * (1.0 - frac) + b * frac;
+}
+
 double EmpiricalDistribution::cdf(double x) const {
   if (sorted_.empty()) return 0.0;
   auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);

@@ -29,6 +29,12 @@ struct Moments {
 /// Compute moments of a sample in one pass.
 [[nodiscard]] Moments compute_moments(std::span<const double> samples);
 
+/// EmpiricalDistribution(samples).quantile(q), value for value, by
+/// selection instead of a full sort: O(n) rather than O(n log n) plus
+/// a moments pass, for callers that want a few quantiles of a large
+/// sample. Takes the sample by value (selection reorders it).
+[[nodiscard]] double select_quantile(std::vector<double> samples, double q);
+
 /// A sorted copy of a sample supporting quantile/CDF queries.
 class EmpiricalDistribution {
  public:

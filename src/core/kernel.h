@@ -11,6 +11,8 @@
 // them — the fused pass that collapses eiotrace's historical
 // N-scans-per-bundle (and the histogram's extrema+fill double scan)
 // into a single scan whose column mask is the union of its members'.
+// Its members merge as independent lanes, so the scanner can run one
+// member's merge chain beside another's.
 #pragma once
 
 #include <concepts>
@@ -59,10 +61,21 @@ class KernelSet {
     std::apply([&](auto&... k) { (k.add_batch(b), ...); }, kernels_);
   }
 
-  /// Member-wise merge; `other` must come from the same factory so the
-  /// tuples pair up.
+  /// Each member is its own merge lane (ipm::MergeLanes): the chunk
+  /// scanner merges lanes independently, each in chunk order.
+  static constexpr std::size_t kLanes = sizeof...(Ks);
+
+  /// Merge member `lane` of `other` — a later partial from the same
+  /// factory, so the tuples pair up — into member `lane`, consuming
+  /// only that member. Members share no state, so distinct lanes may
+  /// merge concurrently.
+  void merge_lane(std::size_t lane, KernelSet& other) {
+    merge_lane_impl(lane, other, std::index_sequence_for<Ks...>{});
+  }
+
+  /// Member-wise merge: every lane, in member order.
   void merge(KernelSet&& other) {
-    merge_impl(std::move(other), std::index_sequence_for<Ks...>{});
+    for (std::size_t lane = 0; lane < kLanes; ++lane) merge_lane(lane, other);
   }
 
   /// Union of the members' masks — the single decode each chunk needs.
@@ -85,8 +98,13 @@ class KernelSet {
 
  private:
   template <std::size_t... Is>
-  void merge_impl(KernelSet&& other, std::index_sequence<Is...>) {
-    (std::get<Is>(kernels_).merge(std::move(std::get<Is>(other.kernels_))), ...);
+  void merge_lane_impl(std::size_t lane, KernelSet& other,
+                       std::index_sequence<Is...>) {
+    ((lane == Is
+          ? (void)std::get<Is>(kernels_).merge(
+                std::move(std::get<Is>(other.kernels_)))
+          : void()),
+     ...);
   }
 
   std::tuple<Ks...> kernels_;

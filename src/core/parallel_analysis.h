@@ -36,6 +36,10 @@ namespace eio::analysis {
   return per_chunk;
 }
 
+// A KernelSet must keep exposing its members as merge lanes, or the
+// scanner would silently merge the whole set as one lane.
+static_assert(ipm::MergeLanes<KernelSet<SummarySink, HistogramKernel>>);
+
 /// Run a kernel factory over a trace in ONE pass: chunk-parallel via
 /// the scanner when the trace is indexed, a single serial columnar
 /// pass (as the factory's chunk-0 kernel) otherwise. Either way every

@@ -221,7 +221,7 @@ double StreamingSummary::max() const {
 
 double StreamingSummary::quantile(double q) const {
   EIO_CHECK(!empty());
-  return reservoir_.distribution().quantile(q);
+  return select_quantile(reservoir_.samples(), q);
 }
 
 double StreamingSummary::histogram_quantile(double q) const {

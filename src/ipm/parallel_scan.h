@@ -5,10 +5,12 @@
 // indexed chunks: every chunk folds into a bounded partial (moments,
 // histogram bins, reservoir, rate bins), and partials merge. The
 // ParallelTraceScanner partitions a file's TraceIndex across a worker
-// pool (the same claim-by-atomic-index pattern as
+// pool (the same claim-by-index pattern as
 // workloads::ParallelEnsembleRunner), decodes chunks concurrently,
-// folds each chunk into its own partial, and merges partials on the
-// calling thread in ascending chunk order.
+// folds each chunk into its own partial, and merges partials in
+// ascending chunk order — lane by lane: a KernelSet merges each member
+// as its own ordered lane, so the pass is bounded by the slowest
+// member's merge chain rather than the sum of all of them.
 //
 // Format seam: row-oriented v2 chunks are decoded through per-thread
 // ifstreams with single sized reads; columnar v3 chunks are decoded
@@ -21,21 +23,27 @@
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
-// the merge sequence is always chunk 0, 1, 2, ... regardless of which
-// worker folded what first. A scan is therefore byte-identical for
-// every jobs value, including jobs=1 — "--jobs 1 == serial" holds by
+// every merge lane consumes partials strictly in chunk order 0, 1, 2,
+// ... regardless of which worker folded what first or which thread
+// runs the merge. A lane is one KernelSet member (or the whole partial
+// for any other type), and members share no state, so each member
+// sees exactly the merge sequence of a serial pass no matter how far
+// the lanes drift apart. A scan is therefore byte-identical for every
+// jobs value, including jobs=1 — "--jobs 1 == serial" holds by
 // construction, not by tolerance. Column order equals event order, so
 // the same holds across scan()/scan_columns() and across v2/v3 copies
 // of the same trace.
 //
 // Memory contract: workers may run at most merge_window chunks ahead
-// of the merge frontier, so at most O(jobs + merge_window) partials
-// and O(jobs) chunk buffers are live — peak memory stays O(chunk),
-// never O(events). The v3 mmap adds address space, not resident
-// memory; pages are faulted in as decoded and evictable at any time.
+// of the slowest lane's frontier (a partial leaves the window once
+// every lane has consumed it and it is freed), so at most merge_window + 1
+// partials — the result included — and O(jobs) chunk buffers are
+// live: peak memory stays O(chunk), never O(events). The v3 mmap adds
+// address space, not resident memory; pages are faulted in as decoded
+// and evictable at any time.
 #pragma once
 
-#include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -62,11 +70,22 @@
 
 namespace eio::ipm {
 
+/// A partial that merges as independent lanes: `kLanes` of them, each
+/// folded by merge_lane(lane, later) — which consumes only that lane
+/// of `later` and touches only that lane of the receiver, so distinct
+/// lanes may merge concurrently (analysis::KernelSet: one lane per
+/// member). Any other partial type merges as a single lane.
+template <typename P>
+concept MergeLanes = requires(P& into, P& from, std::size_t lane) {
+  { P::kLanes } -> std::convertible_to<std::size_t>;
+  into.merge_lane(lane, from);
+};
+
 struct ScanOptions {
   /// Worker threads. 0 = default (EIO_JOBS env or hardware concurrency).
   std::size_t jobs = 0;
-  /// How many chunks workers may run ahead of the in-order merge
-  /// frontier before throttling (bounds live partials). 0 = default
+  /// How many chunks workers may run ahead of the slowest merge lane
+  /// before throttling (bounds live partials). 0 = default
   /// (max(2 * jobs, 8)).
   std::size_t merge_window = 0;
 };
@@ -204,7 +223,11 @@ class ParallelTraceScanner {
           OBS_SPAN("scan.fold_chunk");
           fold(p, reader.read(index_, chunk));
         },
-        merge, hint);
+        1,
+        [&merge](Partial& into, Partial& from, std::size_t) {
+          merge(into, std::move(from));
+        },
+        hint);
   }
 
   /// Columnar map-reduce: same shape and determinism contract as
@@ -226,33 +249,63 @@ class ParallelTraceScanner {
           OBS_SPAN("scan.fold_chunk");
           fold(p, reader.read_columns(index_, chunk, mask));
         },
-        merge, hint);
+        1,
+        [&merge](Partial& into, Partial& from, std::size_t) {
+          merge(into, std::move(from));
+        },
+        hint);
   }
 
   /// Kernel-set fold path: make(chunk_index) builds anything modeling
   /// the analysis::Kernel concept (one kernel or a whole KernelSet);
   /// ONE decode of each admitted chunk — restricted to the union
-  /// column mask the set reports — feeds every kernel in it, and
-  /// partials merge member-wise in chunk order. This is the fused
-  /// single-pass driver behind every eiotrace analysis subcommand.
+  /// column mask the set reports — feeds every kernel in it. A
+  /// KernelSet merges as one lane per member (see MergeLanes), so the
+  /// slowest member's merge chain, not the sum of all of them, bounds
+  /// the pass. This is the fused single-pass driver behind every
+  /// eiotrace analysis subcommand.
   template <typename Make>
   [[nodiscard]] auto scan_kernels(const Make& make,
                                   const ChunkHint* hint = nullptr) const
       -> std::invoke_result_t<Make, std::size_t> {
     using Set = std::invoke_result_t<Make, std::size_t>;
     const ColumnMask mask = make(std::size_t{0}).required_columns();
-    return scan_columns(
-        make,
-        [](Set& set, const ColumnBatch& batch) { set.add_batch(batch); },
-        [](Set& into, Set&& from) { into.merge(std::move(from)); }, hint, mask);
+    auto produce = [this, mask](ChunkReader& reader, Set& set,
+                                std::size_t chunk) {
+      OBS_SPAN("scan.fold_chunk");
+      set.add_batch(reader.read_columns(index_, chunk, mask));
+    };
+    if constexpr (MergeLanes<Set>) {
+      return scan_impl(make, produce, Set::kLanes,
+                       [](Set& into, Set& from, std::size_t lane) {
+                         into.merge_lane(lane, from);
+                       },
+                       hint);
+    } else {
+      return scan_impl(make, produce, 1,
+                       [](Set& into, Set& from, std::size_t) {
+                         into.merge(std::move(from));
+                       },
+                       hint);
+    }
   }
 
  private:
-  /// The shared pool/merge machinery: produce(reader, partial, chunk)
-  /// decodes + folds one chunk however the public entry point decided.
-  template <typename Make, typename Produce, typename Merge>
+  /// The shared pool/merge machinery. produce(reader, partial, chunk)
+  /// decodes + folds one chunk however the public entry point decided;
+  /// merge_lane(into, from, lane) folds lane `lane` of a later partial
+  /// into the result, consuming only that lane of `from`.
+  ///
+  /// Every lane keeps its own merge frontier and consumes partials
+  /// strictly in slot order 0, 1, 2, ...; a lane is merged by at most
+  /// one thread at a time, and distinct lanes by any threads at once.
+  /// There is no dedicated merger: the calling thread and the workers
+  /// all run one loop (see `participate`), and a partial is freed
+  /// outside the lock by whichever thread consumes its last lane.
+  template <typename Make, typename Produce, typename MergeLane>
   [[nodiscard]] auto scan_impl(const Make& make, const Produce& produce,
-                               const Merge& merge, const ChunkHint* hint) const
+                               std::size_t lanes, const MergeLane& merge_lane,
+                               const ChunkHint* hint) const
       -> std::invoke_result_t<Make, std::size_t> {
     using Partial = std::invoke_result_t<Make, std::size_t>;
     OBS_SPAN("scan.scan");
@@ -263,54 +316,138 @@ class ParallelTraceScanner {
     OBS_COUNTER_ADD("scan.chunks_skipped", index_.chunks.size() - picks.size());
     if (picks.empty()) return make(std::size_t{0});
 
-    std::size_t workers = std::min(jobs_, picks.size());
+    const std::size_t n = picks.size();
+    const std::size_t workers = std::min(jobs_, n);
     if (workers <= 1) {
-      // Same per-chunk partial + ordered merge as the parallel path,
-      // on one thread — the determinism contract's base case.
+      // Same per-chunk partial + ordered lane merges as the parallel
+      // path, on one thread — the determinism contract's base case.
       ChunkReader reader = make_reader();
       Partial result = make(picks[0]);
       produce(reader, result, picks[0]);
-      for (std::size_t k = 1; k < picks.size(); ++k) {
+      for (std::size_t k = 1; k < n; ++k) {
         Partial p = make(picks[k]);
         produce(reader, p, picks[k]);
         OBS_SPAN("scan.merge_partial");
-        merge(result, std::move(p));
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          merge_lane(result, p, lane);
+        }
       }
       return result;
     }
 
+    struct Slot {
+      Partial partial;
+      std::size_t pending;  ///< lanes that have not consumed it yet
+    };
     std::mutex mu;
     std::condition_variable cv;
-    std::map<std::size_t, Partial> ready;  // slot -> folded partial
-    std::size_t merge_pos = 0;             // next slot to merge
+    std::map<std::size_t, Slot> ready;  // slot -> folded partial
+    std::vector<std::size_t> frontier(lanes, 1);  // next slot, per lane
+    std::vector<char> busy(lanes, 0);    // a thread is merging the lane
+    Partial* result = nullptr;           // slot 0's partial, merged into
+    std::size_t claimed = 0;             // slots handed to folders
+    std::size_t retired = 0;             // slots out of the window
     std::exception_ptr error;
-    std::atomic<std::size_t> next{0};
 
-    auto worker = [&] {
-      try {
-        ChunkReader reader = make_reader();
-        for (;;) {
-          std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-          if (k >= picks.size()) return;
-          {
-            // Throttle: stay within merge_window of the merge frontier
-            // so un-merged partials stay bounded. The worker holding
-            // slot merge_pos is never throttled, so the frontier
-            // always advances.
-            OBS_SPAN("scan.merge_wait");
-            std::unique_lock<std::mutex> lock(mu);
-            cv.wait(lock,
-                    [&] { return error || k < merge_pos + merge_window_; });
-            if (error) return;
+    // Under mu: the lane a participant should merge next, or `lanes`
+    // when it should not merge now. The calling thread takes the
+    // runnable lane nearest the fold frontier, so cheap lanes keep up
+    // and stay on one thread; a worker helps only the lane furthest
+    // behind — the critical path — and only while it is free and
+    // runnable. (Growth of the result's members then happens mostly on
+    // one thread, which keeps allocator arenas from each holding a
+    // copy of it.)
+    auto runnable = [&](std::size_t lane) {
+      return !busy[lane] && frontier[lane] < n &&
+             ready.count(frontier[lane]) > 0;
+    };
+    auto pick_lane = [&](bool worker) {
+      std::size_t best = lanes;
+      if (result == nullptr) return best;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        if (worker) {
+          if (frontier[lane] < n &&
+              (best == lanes || frontier[lane] < frontier[best])) {
+            best = lane;
           }
-          Partial p = make(picks[k]);
-          produce(reader, p, picks[k]);
-          std::lock_guard<std::mutex> lock(mu);
-          ready.emplace(k, std::move(p));
-          cv.notify_all();
+        } else if (runnable(lane) &&
+                   (best == lanes || frontier[lane] > frontier[best])) {
+          best = lane;
+        }
+      }
+      return best < lanes && runnable(best) ? best : lanes;
+    };
+
+    auto finished = [&] { return result != nullptr && retired == n; };
+    // Throttle: stay within merge_window of the slowest lane's frontier
+    // (counted once the partials behind it are freed), so live
+    // partials stay bounded.
+    auto may_fold = [&] {
+      return claimed < n && claimed < retired + merge_window_;
+    };
+
+    // One participant: a worker folds whenever the throttle admits a
+    // chunk and merges only while it cannot (throttled, or no chunks
+    // left); the calling thread only merges. A thread keeps merging
+    // its lane slot after slot for as long as it would pick that lane
+    // again. Sleepers are woken when a fold makes lanes runnable, a
+    // freed partial opens the throttle, or a lane is let go with a
+    // folded slot still pending.
+    auto participate = [&](bool worker) {
+      std::unique_lock<std::mutex> lock(mu, std::defer_lock);
+      try {
+        std::optional<ChunkReader> reader;
+        if (worker) reader.emplace(make_reader());
+        lock.lock();
+        while (!error && !finished()) {
+          if (worker && may_fold()) {
+            const std::size_t k = claimed++;
+            lock.unlock();
+            Partial p = make(picks[k]);
+            produce(*reader, p, picks[k]);
+            lock.lock();
+            auto it = ready.emplace(k, Slot{std::move(p), lanes}).first;
+            if (k == 0) {
+              result = &it->second.partial;
+              ++retired;
+            }
+            cv.notify_all();
+          } else if (const std::size_t lane = pick_lane(worker);
+                     lane < lanes) {
+            busy[lane] = 1;
+            for (;;) {
+              const std::size_t k = frontier[lane];
+              Slot& slot = ready.find(k)->second;
+              lock.unlock();
+              {
+                OBS_SPAN("scan.merge_partial");
+                merge_lane(*result, slot.partial, lane);
+              }
+              lock.lock();
+              ++frontier[lane];
+              if (--slot.pending == 0) {
+                auto node = ready.extract(k);
+                lock.unlock();
+                node = {};  // free the consumed partial outside the lock
+                lock.lock();
+                ++retired;
+                cv.notify_all();
+              }
+              busy[lane] = 0;
+              if (error || pick_lane(worker) != lane) break;
+              busy[lane] = 1;
+            }
+            if (runnable(lane)) cv.notify_all();
+          } else {
+            OBS_SPAN("scan.merge_wait");
+            cv.wait(lock, [&] {
+              return error || finished() || (worker && may_fold()) ||
+                     pick_lane(worker) < lanes;
+            });
+          }
         }
       } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
+        if (!lock.owns_lock()) lock.lock();
         if (!error) error = std::current_exception();
         cv.notify_all();
       }
@@ -318,31 +455,10 @@ class ParallelTraceScanner {
 
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-
-    // The calling thread is the merger: consume partials strictly in
-    // slot order, merging outside the lock.
-    std::optional<Partial> result;
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      while (merge_pos < picks.size()) {
-        cv.wait(lock, [&] { return error || ready.count(merge_pos) > 0; });
-        if (error) break;
-        auto it = ready.find(merge_pos);
-        Partial p = std::move(it->second);
-        ready.erase(it);
-        lock.unlock();
-        if (result) {
-          OBS_SPAN("scan.merge_partial");
-          merge(*result, std::move(p));
-        } else {
-          result.emplace(std::move(p));
-        }
-        lock.lock();
-        ++merge_pos;
-        cv.notify_all();
-      }
+    for (std::size_t w = 0; w < workers; ++w) {
+      pool.emplace_back(participate, true);
     }
+    participate(false);
     for (std::thread& t : pool) t.join();
     if (error) std::rethrow_exception(error);
     return std::move(*result);

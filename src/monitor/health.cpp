@@ -5,8 +5,10 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
+#include "common/check.h"
 #include "core/ks.h"
 #include "fault/plan.h"
 #include "obs/registry.h"
@@ -14,6 +16,9 @@
 
 namespace eio::monitor {
 namespace {
+
+// A buffered marker row keeps its fault::Kind in one byte.
+static_assert(std::is_same_v<std::underlying_type_t<fault::Kind>, std::uint8_t>);
 
 /// %.9g matches the binary formats' value fidelity: two streams that
 /// carry the same doubles serialize to the same bytes.
@@ -77,7 +82,7 @@ void HealthKernel::add(const ipm::TraceEvent& e) {
   if (rooted_) {
     process(e, idx);
   } else {
-    buffered_.emplace_back(idx, e);
+    buffer(e.start, e.duration, e.op, e.rank, e.file, e.offset, e.phase);
   }
 }
 
@@ -85,7 +90,8 @@ void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
   if (!options_.enabled) return;
   // Columnar fast path: the admission filter reads only op and bytes,
   // so rejected rows (the common case on mixed traces) never
-  // materialize a row view. Same admission + indexing as add().
+  // materialize a row view, and buffered rows copy only the columns
+  // the replay reads. Same admission + indexing as add().
   const Bytes admit = options_.admission_bytes();
   for (std::size_t i = 0; i < b.size(); ++i) {
     const auto op = static_cast<posix::OpType>(b.op[i]);
@@ -96,19 +102,48 @@ void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
     if (rooted_) {
       process(b.event_at(i), idx);
     } else {
-      buffered_.emplace_back(idx, b.event_at(i));
+      buffer(b.start[i], b.duration[i], op, b.rank[i], b.file[i], b.offset[i],
+             b.phase[i]);
     }
   }
+}
+
+void HealthKernel::buffer(double start, double duration, posix::OpType op,
+                          RankId rank, FileId file, Bytes offset,
+                          std::int32_t phase) {
+  // consumed_ already counts this row.
+  const std::uint64_t gap = consumed_ - 1 - buffered_end_;
+  EIO_CHECK_MSG(gap <= std::numeric_limits<std::uint32_t>::max(),
+                "health monitor: more than 2^32 unadmitted rows in a row");
+  // A marker's offset is its fault::Kind, whose underlying type is
+  // one byte, so the narrowing keeps the value on_marker() decodes.
+  buffered_.push_back({start, duration, file, rank,
+                       static_cast<std::uint32_t>(gap), phase, op,
+                       static_cast<std::uint8_t>(offset)});
+  buffered_end_ = consumed_;
 }
 
 void HealthKernel::merge(HealthKernel&& rhs) {
   if (!options_.enabled) return;
   const std::uint64_t base = consumed_;
   if (rooted_) {
-    for (const auto& [idx, e] : rhs.buffered_) process(e, base + idx);
-  } else {
-    buffered_.reserve(buffered_.size() + rhs.buffered_.size());
-    for (auto& [idx, e] : rhs.buffered_) buffered_.emplace_back(base + idx, e);
+    std::uint64_t next = base;
+    for (const Pending& p : rhs.buffered_) {
+      const std::uint64_t idx = next + p.gap;
+      process({p.start, p.duration, p.op, p.rank, p.file, p.marker, 0, p.phase},
+              idx);
+      next = idx + 1;
+    }
+  } else if (!rhs.buffered_.empty()) {
+    // Appending: the first rhs row's gap also spans our unbuffered tail.
+    const std::uint64_t gap = base - buffered_end_ + rhs.buffered_.front().gap;
+    EIO_CHECK_MSG(gap <= std::numeric_limits<std::uint32_t>::max(),
+                  "health monitor: more than 2^32 unadmitted rows in a row");
+    const std::size_t first = buffered_.size();
+    buffered_.insert(buffered_.end(), rhs.buffered_.begin(),
+                     rhs.buffered_.end());
+    buffered_[first].gap = static_cast<std::uint32_t>(gap);
+    buffered_end_ = base + rhs.buffered_end_;
   }
   consumed_ = base + rhs.consumed_;
 }

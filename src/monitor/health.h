@@ -240,9 +240,31 @@ class HealthKernel {
   std::uint64_t since_eval_ = 0;
   double last_time_ = 0.0;
 
-  /// Buffered admissible events of an unrooted partial: (local index,
-  /// event) pairs replayed on merge.
-  std::vector<std::pair<std::uint64_t, ipm::TraceEvent>> buffered_;
+  /// One admissible row of an unrooted partial, reduced to the fields
+  /// process() and on_marker() read (no bytes, and the stream index as
+  /// a 32-bit gap instead of a 64-bit position): 40 bytes instead of
+  /// 64 per row.
+  struct Pending {
+    double start;
+    double duration;
+    FileId file;
+    RankId rank;
+    std::uint32_t gap;  ///< rows consumed since the previous buffered row
+    std::int32_t phase;
+    posix::OpType op;
+    std::uint8_t marker;  ///< fault::Kind of a marker row (its offset)
+  };
+  static_assert(sizeof(Pending) == 40);
+
+  /// Buffer an admitted row of an unrooted partial.
+  void buffer(double start, double duration, posix::OpType op, RankId rank,
+              FileId file, Bytes offset, std::int32_t phase);
+
+  /// Buffered admissible rows of an unrooted partial, replayed in
+  /// stream order on merge.
+  std::vector<Pending> buffered_;
+  /// consumed_ just after the last buffered row (the gap's origin).
+  std::uint64_t buffered_end_ = 0;
 
   // --- degraded-OST sliding window (class id, duration); class
   // UINT32_MAX = admitted bulk event without a file id (counted for

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -302,6 +304,43 @@ TEST_F(EiotraceTest, SimulateSavesTraces) {
   EXPECT_NE(out2.find("write"), std::string::npos);
   std::remove(saved.c_str());
   std::remove((dir + "/run1.tsv").c_str());
+}
+
+/// One clean line on stderr, nothing on stdout: the fail-fast shape.
+void expect_one_line_error(const std::string& out, const std::string& err,
+                           const std::string& needle) {
+  EXPECT_TRUE(out.empty()) << out;
+  EXPECT_NE(err.find(needle), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+}
+
+TEST_F(EiotraceTest, SimulateIntoMissingSaveDirFailsBeforeSimulating) {
+  const std::string missing = test::temp_path("missing");
+  // Large enough that simulating first would print a run table.
+  auto [rc, out, err] = run({"simulate", "--runs=2", "--tasks=64",
+                             "--save-dir=" + missing});
+  EXPECT_EQ(rc, 1);
+  expect_one_line_error(out, err, "cannot write --save-dir");
+  EXPECT_FALSE(std::filesystem::exists(missing));
+}
+
+TEST_F(EiotraceTest, AnalyzeIncidentsIntoMissingDirFailsBeforeScanning) {
+  const std::string log = test::temp_path("missing") + "/x.jsonl";
+  for (const char* cmd : {"analyze", "monitor"}) {
+    std::vector<std::string> args = {cmd, path_, "--incidents=" + log};
+    if (std::string(cmd) == "analyze") args.push_back("--monitor");
+    auto [rc, out, err] = run(args);
+    EXPECT_EQ(rc, 1) << cmd;
+    expect_one_line_error(out, err, "cannot write --incidents");
+  }
+  // The same guard covers the obs exports and convert's target.
+  auto [rc, out, err] = run({"summary", path_, "--metrics", log});
+  EXPECT_EQ(rc, 1);
+  expect_one_line_error(out, err, "cannot write --metrics");
+  auto [rc2, out2, err2] = run({"convert", path_, log});
+  EXPECT_EQ(rc2, 1);
+  expect_one_line_error(out2, err2, "cannot write");
+  EXPECT_FALSE(std::filesystem::exists(log));
 }
 
 TEST_F(EiotraceTest, SimulateRejectsUnknownMachine) {

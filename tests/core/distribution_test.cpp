@@ -121,6 +121,26 @@ TEST(DistributionTest, ExpectedMaxLargeNApproachesSampleMax) {
   EXPECT_NEAR(d.expected_max_of(100000), 3.0, 1e-6);
 }
 
+TEST(DistributionTest, SelectQuantileMatchesSortedQuantileExactly) {
+  // Selection must return the sorted path's value bit for bit — ties,
+  // interpolation, both ends — since summaries print it.
+  rng::Stream r(13);
+  for (std::size_t n : {1u, 2u, 3u, 7u, 64u, 1001u}) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Half coarse values, so samples tie; half continuous.
+      xs.push_back(i % 2 == 0 ? std::round(r.uniform() * 20.0) / 8.0
+                              : r.lognormal(0.0, 1.0));
+    }
+    const EmpiricalDistribution d(xs);
+    for (double q : {0.0, 0.01, 0.25, 0.5, 0.95, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(select_quantile(xs, q), d.quantile(q)) << n << " q=" << q;
+    }
+  }
+  EXPECT_THROW((void)select_quantile({}, 0.5), std::exception);
+  EXPECT_THROW((void)select_quantile({1.0}, 1.5), std::exception);
+}
+
 TEST(DistributionTest, QuantileOutOfRangeThrows) {
   EmpiricalDistribution d({1.0});
   EXPECT_THROW((void)d.quantile(-0.1), std::logic_error);

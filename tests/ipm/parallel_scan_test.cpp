@@ -4,17 +4,23 @@
 // value, and exactly (not statistically) wherever the underlying
 // kernel merges exactly. Also covers hinted (selective) parallel
 // scans, the time-window chunk pre-filter, batch dispatch, and error
-// propagation out of the worker pool.
+// propagation out of the worker pool, and the per-member merge lanes
+// (chunk order per lane, the live-partial bound, throwing merges).
 #include "ipm/parallel_scan.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_analysis.h"
@@ -657,6 +663,107 @@ TEST(ParallelScanTest, FusedKernelSetIsJobsInvariant) {
   std::remove(path.c_str());
 }
 
+/// Live-partial accounting for the lane tests: a kernel holding a
+/// token counts as live until it is destroyed (a moved-from kernel has
+/// handed its token on).
+struct LiveCount {
+  std::atomic<int> live{0};
+  std::atomic<int> peak{0};
+};
+
+class LiveToken {
+ public:
+  explicit LiveToken(LiveCount* count) : count_(count) {
+    if (count_ == nullptr) return;
+    const int now = ++count_->live;
+    int peak = count_->peak.load();
+    while (now > peak && !count_->peak.compare_exchange_weak(peak, now)) {
+    }
+  }
+  LiveToken(LiveToken&& other) noexcept
+      : count_(std::exchange(other.count_, nullptr)) {}
+  LiveToken& operator=(LiveToken&& other) noexcept {
+    release();
+    count_ = std::exchange(other.count_, nullptr);
+    return *this;
+  }
+  LiveToken(const LiveToken&) = delete;
+  LiveToken& operator=(const LiveToken&) = delete;
+  ~LiveToken() { release(); }
+
+ private:
+  void release() {
+    if (count_ != nullptr) --count_->live;
+    count_ = nullptr;
+  }
+  LiveCount* count_;
+};
+
+/// A kernel that records the chunk order of the partials merged into
+/// it. `delay` makes every merge slow; `throw_at` makes the merge of
+/// that chunk's partial throw.
+class OrderKernel {
+ public:
+  OrderKernel(std::size_t chunk, std::chrono::microseconds delay,
+              LiveCount* live = nullptr,
+              std::size_t throw_at = static_cast<std::size_t>(-1))
+      : order_{chunk}, delay_(delay), throw_at_(throw_at), token_(live) {}
+
+  void add(const ipm::TraceEvent&) {}
+  void add_batch(const ipm::ColumnBatch&) {}
+  void merge(OrderKernel&& rhs) {
+    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+    if (rhs.order_.front() == throw_at_) {
+      throw std::runtime_error("member merge failed");
+    }
+    order_.insert(order_.end(), rhs.order_.begin(), rhs.order_.end());
+  }
+  [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
+    return ipm::kColStart;
+  }
+  [[nodiscard]] const std::vector<std::size_t>& order() const noexcept {
+    return order_;
+  }
+
+ private:
+  std::vector<std::size_t> order_;
+  std::chrono::microseconds delay_;
+  std::size_t throw_at_;
+  LiveToken token_;
+};
+
+TEST(ParallelScanTest, MergeLanesSeeChunkOrderAndStayWithinTheWindow) {
+  // One deliberately slow member beside a fast one: each lane must
+  // still merge chunks 0..n-1 strictly in order, and the throttle must
+  // follow the slow lane so live partials stay bounded.
+  const ipm::Trace t = monotonic_trace(2000);
+  const std::string path = write_v3_chunked(t, 32, "lanes");
+  std::vector<std::size_t> all(
+      ipm::ParallelTraceScanner(path).index().chunks.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  ASSERT_GT(all.size(), 50u);
+  for (std::size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
+    for (std::size_t window : {1u, 2u, 0u}) {
+      LiveCount live;
+      ipm::ParallelTraceScanner scanner(path,
+                                        {.jobs = jobs, .merge_window = window});
+      auto merged = scanner.scan_kernels([&](std::size_t chunk) {
+        return KernelSet(
+            OrderKernel(chunk, std::chrono::microseconds(200), &live),
+            OrderKernel(chunk, std::chrono::microseconds(0)));
+      });
+      EXPECT_EQ(merged.get<0>().order(), all) << jobs << "/" << window;
+      EXPECT_EQ(merged.get<1>().order(), all) << jobs << "/" << window;
+      // The window plus the result (within jobs + window for any jobs).
+      const std::size_t w =
+          window > 0 ? window : std::max<std::size_t>(2 * jobs, 8);
+      EXPECT_LE(static_cast<std::size_t>(live.peak.load()), w + 1)
+          << jobs << "/" << window;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ParallelScanTest, WorkerExceptionsPropagateToCaller) {
   const ipm::Trace t = monotonic_trace(1000);
   const std::string path = write_v2_chunked(t, 64, "error_path");
@@ -673,6 +780,34 @@ TEST(ParallelScanTest, WorkerExceptionsPropagateToCaller) {
             [](int& a, int&& b) { a += b; });
       },
       std::runtime_error);
+
+  // A throwing merge reaches the caller too — for a single-lane
+  // partial and for one lane of a KernelSet while the other lane keeps
+  // merging — and the pool drains instead of hanging.
+  for (std::size_t jobs : {1u, 2u, 4u}) {
+    for (std::size_t window : {1u, 0u}) {
+      ipm::ParallelTraceScanner s(path, {.jobs = jobs, .merge_window = window});
+      EXPECT_THROW(
+          {
+            (void)s.scan(
+                [](std::size_t chunk) { return static_cast<int>(chunk); },
+                [](int&, std::span<const ipm::TraceEvent>) {},
+                [](int&, int&& b) {
+                  if (b == 7) throw std::runtime_error("merge failed");
+                });
+          },
+          std::runtime_error);
+      EXPECT_THROW(
+          {
+            (void)s.scan_kernels([](std::size_t chunk) {
+              return KernelSet(
+                  OrderKernel(chunk, std::chrono::microseconds(0), nullptr, 5),
+                  OrderKernel(chunk, std::chrono::microseconds(100)));
+            });
+          },
+          std::runtime_error);
+    }
+  }
   std::remove(path.c_str());
 }
 

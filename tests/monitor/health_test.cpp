@@ -153,7 +153,10 @@ TEST(HealthKernelTest, InjectedMarkersOpenAndClear) {
 
 /// The merge contract: split any stream into chunks, merge partials in
 /// chunk order, and the incident log is byte-identical to one serial
-/// pass — this is what makes --jobs=N deterministic.
+/// pass — this is what makes --jobs=N deterministic. Unadmitted rows
+/// between buffered ones and markers inside later chunks check the
+/// stream indices a replay recovers; merging later partials into each
+/// other before the root (right to left) checks appending buffers.
 TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
   std::vector<TraceEvent> stream;
   stream.push_back(marker(0.0, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.2));
@@ -162,32 +165,55 @@ TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
     double d = file == 6 ? 0.055 : 0.011;
     stream.push_back(
         bulk(0.01 * i, d, OpType::kWrite, i % 8, file, i / 100));
+    if (i % 3 == 0) {  // below the admission threshold
+      TraceEvent small = stream.back();
+      small.bytes = 4 * KiB;
+      stream.push_back(small);
+    }
+    if (i == 250) {
+      stream.push_back(marker(2.5, fault::Kind::kStall, 0, 3, 0.1));
+      stream.push_back(
+          marker(2.5, fault::Kind::kOstRestored, 5, kInvalidRank, 0.0));
+    }
   }
 
   HealthOptions opt = small_options();
   HealthKernel serial(opt, 0);
   for (const TraceEvent& e : stream) serial.add(e);
   serial.finish();
+  ASSERT_GE(serial.incidents().size(), 3u);
 
   for (std::size_t chunks : {2u, 4u, 7u}) {
-    std::vector<HealthKernel> parts;
-    for (std::size_t c = 0; c < chunks; ++c) parts.emplace_back(opt, c);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      parts[i * chunks / stream.size()].add(stream[i]);
-    }
-    HealthKernel merged = std::move(parts[0]);
-    for (std::size_t c = 1; c < chunks; ++c) {
-      merged.merge(std::move(parts[c]));
-    }
-    merged.finish();
+    for (bool right_to_left : {false, true}) {
+      std::vector<HealthKernel> parts;
+      for (std::size_t c = 0; c < chunks; ++c) parts.emplace_back(opt, c);
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        parts[i * chunks / stream.size()].add(stream[i]);
+      }
+      HealthKernel merged = std::move(parts[0]);
+      if (right_to_left) {
+        for (std::size_t c = chunks - 1; c > 1; --c) {
+          parts[c - 1].merge(std::move(parts[c]));
+        }
+        merged.merge(std::move(parts[1]));
+      } else {
+        for (std::size_t c = 1; c < chunks; ++c) {
+          merged.merge(std::move(parts[c]));
+        }
+      }
+      merged.finish();
 
-    std::ostringstream a, b;
-    write_incidents_jsonl(a, serial.incidents());
-    write_incidents_jsonl(b, merged.incidents());
-    EXPECT_EQ(a.str(), b.str()) << "chunks=" << chunks;
-    EXPECT_EQ(serial.counts().incidents_opened,
-              merged.counts().incidents_opened);
-    EXPECT_EQ(serial.events_consumed(), merged.events_consumed());
+      std::ostringstream a, b;
+      write_incidents_jsonl(a, serial.incidents());
+      write_incidents_jsonl(b, merged.incidents());
+      EXPECT_EQ(a.str(), b.str())
+          << "chunks=" << chunks << " right_to_left=" << right_to_left;
+      EXPECT_EQ(serial.counts().incidents_opened,
+                merged.counts().incidents_opened);
+      EXPECT_EQ(serial.counts().windows_evaluated,
+                merged.counts().windows_evaluated);
+      EXPECT_EQ(serial.events_consumed(), merged.events_consumed());
+    }
   }
 }
 
