@@ -81,7 +81,9 @@ int cmd_simulate(CommandContext& ctx) {
   analysis::EventFilter write_filter{.op = posix::OpType::kWrite,
                                      .min_bytes = MiB};
   const bool monitored = args.has("monitor");
-  monitor::HealthOptions mopt = monitor_options_from(args);
+  auto monitor_options = monitor_options_from(args, err);
+  if (!monitor_options) return 1;
+  monitor::HealthOptions& mopt = *monitor_options;
   if (!args.has("ost-count")) {
     mopt.ost_count = scenario.machine_config().ost_count;
   }

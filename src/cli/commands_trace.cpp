@@ -221,7 +221,9 @@ int cmd_diagnose(CommandContext& ctx) {
 
 int cmd_monitor(CommandContext& ctx) {
   const Parsed& args = ctx.args;
-  monitor::HealthOptions opt = monitor_options_from(args);
+  const auto options = monitor_options_from(args, ctx.es());
+  if (!options) return 1;
+  const monitor::HealthOptions& opt = *options;
   auto scanner = scanner_for(*ctx.source, args);
   // Deliberately the default (admit-everything) chunk hint: fault
   // markers (OpType::kFault) must reach the detectors, so chunks can
@@ -282,7 +284,9 @@ int cmd_analyze(CommandContext& ctx) {
   auto rate_bins = args.get_size("rate-bins", 100);
   stats::BinScale scale =
       log ? stats::BinScale::kLog10 : stats::BinScale::kLinear;
-  monitor::HealthOptions mopt = monitor_options_from(args);
+  auto monitor_options = monitor_options_from(args, ctx.es());
+  if (!monitor_options) return 1;
+  monitor::HealthOptions& mopt = *monitor_options;
   mopt.enabled = args.has("monitor");
   auto scanner = scanner_for(source, args);
   const double span = scanner ? scanner->time_span() : source.time_span();

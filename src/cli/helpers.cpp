@@ -96,13 +96,19 @@ void print_rate_chart(std::ostream& out, const analysis::TimeSeries& series) {
        .y_label = "aggregate MiB/s"});
 }
 
-monitor::HealthOptions monitor_options_from(const Parsed& args) {
+std::optional<monitor::HealthOptions> monitor_options_from(
+    const Parsed& args, std::ostream& err) {
   monitor::HealthOptions opt;
   opt.ost_count =
       static_cast<std::uint32_t>(args.get_size("ost-count", 48));
   opt.window = args.get_size("window", 2048);
   opt.stride = args.get_size("stride", 1024);
   opt.drift_d = args.get_double("drift-d", 0.0);
+  if (opt.window == 0 || opt.stride == 0) {
+    err << "eiotrace: --" << (opt.window == 0 ? "window" : "stride")
+        << " must be at least 1\n";
+    return std::nullopt;
+  }
   return opt;
 }
 

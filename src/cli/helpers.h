@@ -45,8 +45,10 @@ void print_histogram_chart(std::ostream& out, const stats::Histogram& h,
 void print_rate_chart(std::ostream& out, const analysis::TimeSeries& series);
 
 /// Monitor options from the --ost-count/--window/--stride/--drift-d
-/// flags (defaults match the monitor command's table).
-[[nodiscard]] monitor::HealthOptions monitor_options_from(const Parsed& args);
+/// flags (defaults match the monitor command's table); nullopt, after
+/// one error line on `err`, when --window or --stride is 0.
+[[nodiscard]] std::optional<monitor::HealthOptions> monitor_options_from(
+    const Parsed& args, std::ostream& err);
 
 /// Write the incident log named by --incidents (0 = ok, 1 = I/O error,
 /// no-op when the flag is absent). `runs` is a parallel run-id vector

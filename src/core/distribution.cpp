@@ -43,20 +43,27 @@ double EmpiricalDistribution::quantile(double q) const {
 }
 
 double select_quantile(std::vector<double> samples, double q) {
+  return select_quantile_inplace(samples, q);
+}
+
+double select_quantile_inplace(std::span<double> samples, double q) {
   EIO_CHECK(!samples.empty());
   EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
-  if (samples.size() == 1) return samples[0];
   // The same interpolation as EmpiricalDistribution::quantile; the two
-  // order statistics it reads come from one nth_element (everything
-  // after `mid` is >= it, so the next one is their minimum).
-  double pos = q * static_cast<double>(samples.size() - 1);
-  auto lo = static_cast<std::size_t>(pos);
-  std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  auto mid = samples.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(samples.begin(), mid, samples.end());
-  const double a = *mid;
-  const double b = hi == lo ? a : *std::min_element(mid + 1, samples.end());
+  // order statistics it reads come from one selection (everything
+  // after `lo` is >= it, so the next one is their minimum).
+  const std::size_t n = samples.size();
+  const double pos = q * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  select_kth(samples.data(), n, lo);
+  const double a = samples[lo];
+  // A whole pos puts no weight on the next order statistic (the
+  // sorted path's a * 1 + b * 0 is a again for finite samples, short
+  // of the sign of a zero); otherwise lo + 1 < n.
+  if (frac == 0.0) return a;
+  const auto next = samples.begin() + static_cast<std::ptrdiff_t>(lo) + 1;
+  const double b = *std::min_element(next, samples.end());
   return a * (1.0 - frac) + b * frac;
 }
 

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "core/distribution.h"
 #include "core/ks.h"
 #include "fault/plan.h"
 #include "obs/registry.h"
@@ -38,22 +39,6 @@ void append_double(std::string& s, double v) {
   return op == posix::OpType::kRead || op == posix::OpType::kWrite;
 }
 
-/// Exact mirror of EmpiricalDistribution::median() — the interpolated
-/// quantile at q = 0.5 — via selection instead of a full sort.
-/// Reorders `v`.
-[[nodiscard]] double median_inplace(std::vector<double>& v) {
-  if (v.size() == 1) return v[0];
-  const double pos = 0.5 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  auto mid = v.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(v.begin(), mid, v.end());
-  const double a = v[lo];
-  if (frac == 0.0) return a;
-  const double b = *std::min_element(mid + 1, v.end());
-  return a * (1.0 - frac) + b * frac;
-}
-
 }  // namespace
 
 const char* incident_name(IncidentKind kind) noexcept {
@@ -70,7 +55,10 @@ const char* incident_name(IncidentKind kind) noexcept {
 }
 
 HealthKernel::HealthKernel(HealthOptions options, std::size_t chunk)
-    : options_(std::move(options)), rooted_(chunk == 0) {}
+    : options_(std::move(options)), rooted_(chunk == 0) {
+  EIO_CHECK_MSG(options_.window >= 1, "health monitor: window must be >= 1");
+  EIO_CHECK_MSG(options_.stride >= 1, "health monitor: stride must be >= 1");
+}
 
 void HealthKernel::add(const ipm::TraceEvent& e) {
   if (!options_.enabled) return;
@@ -79,48 +67,60 @@ void HealthKernel::add(const ipm::TraceEvent& e) {
       e.op == posix::OpType::kFault ||
       (is_data_op(e.op) && e.bytes >= options_.admission_bytes());
   if (!interesting) return;
-  if (rooted_) {
-    process(e, idx);
-  } else {
-    buffer(e.start, e.duration, e.op, e.rank, e.file, e.offset, e.phase);
-  }
+  admit(e.start, e.duration, e.op, e.rank, e.file, e.offset, e.phase, idx);
 }
 
 void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
   if (!options_.enabled) return;
   // Columnar fast path: the admission filter reads only op and bytes,
-  // so rejected rows (the common case on mixed traces) never
-  // materialize a row view, and buffered rows copy only the columns
-  // the replay reads. Same admission + indexing as add().
-  const Bytes admit = options_.admission_bytes();
-  for (std::size_t i = 0; i < b.size(); ++i) {
+  // so rejected rows (the common case on mixed traces) cost two column
+  // reads, and admitted rows pass on only the columns the detectors
+  // read. Same admission + indexing as add().
+  const Bytes admit_bytes = options_.admission_bytes();
+  auto interesting = [&b, admit_bytes](std::size_t i) {
     const auto op = static_cast<posix::OpType>(b.op[i]);
-    const bool interesting =
-        op == posix::OpType::kFault || (is_data_op(op) && b.bytes[i] >= admit);
-    const std::uint64_t idx = consumed_++;
-    if (!interesting) continue;
-    if (rooted_) {
-      process(b.event_at(i), idx);
-    } else {
-      buffer(b.start[i], b.duration[i], op, b.rank[i], b.file[i], b.offset[i],
-             b.phase[i]);
+    return op == posix::OpType::kFault ||
+           (is_data_op(op) && b.bytes[i] >= admit_bytes);
+  };
+  if (!rooted_) {
+    // Size the replay buffer for the batch's admitted rows once (for a
+    // partial's first batch, exactly) instead of regrowing it.
+    std::size_t rows = buffered_.size();
+    for (std::size_t i = 0; i < b.size(); ++i) rows += interesting(i) ? 1 : 0;
+    if (rows > buffered_.capacity()) {
+      buffered_.reserve(std::max(rows, 2 * buffered_.capacity()));
     }
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    const std::uint64_t idx = consumed_++;
+    if (!interesting(i)) continue;
+    admit(b.start[i], b.duration[i], static_cast<posix::OpType>(b.op[i]),
+          b.rank[i], b.file[i], b.offset[i], b.phase[i], idx);
   }
 }
 
-void HealthKernel::buffer(double start, double duration, posix::OpType op,
-                          RankId rank, FileId file, Bytes offset,
-                          std::int32_t phase) {
-  // consumed_ already counts this row.
-  const std::uint64_t gap = consumed_ - 1 - buffered_end_;
-  EIO_CHECK_MSG(gap <= std::numeric_limits<std::uint32_t>::max(),
-                "health monitor: more than 2^32 unadmitted rows in a row");
+void HealthKernel::admit(double start, double duration, posix::OpType op,
+                         RankId rank, FileId file, Bytes offset,
+                         std::int32_t phase, std::uint64_t idx) {
+  const bool is_marker = op == posix::OpType::kFault;
   // A marker's offset is its fault::Kind, whose underlying type is
   // one byte, so the narrowing keeps the value on_marker() decodes.
-  buffered_.push_back({start, duration, file, rank,
-                       static_cast<std::uint32_t>(gap), phase, op,
-                       static_cast<std::uint8_t>(offset)});
-  buffered_end_ = consumed_;
+  const auto kind = static_cast<std::uint8_t>(offset);
+  if (rooted_) {
+    if (is_marker) {
+      on_marker(kind, file, rank, start, duration, idx);
+    } else {
+      observe(start, duration, op, rank, phase, class_of(file), idx);
+    }
+    return;
+  }
+  const std::uint64_t gap = idx - buffered_end_;
+  EIO_CHECK_MSG(gap <= std::numeric_limits<std::uint32_t>::max(),
+                "health monitor: more than 2^32 unadmitted rows in a row");
+  buffered_.push_back({start, duration, is_marker ? file : class_of(file),
+                       rank, static_cast<std::uint32_t>(gap), phase, op,
+                       kind});
+  buffered_end_ = idx + 1;
 }
 
 void HealthKernel::merge(HealthKernel&& rhs) {
@@ -130,8 +130,12 @@ void HealthKernel::merge(HealthKernel&& rhs) {
     std::uint64_t next = base;
     for (const Pending& p : rhs.buffered_) {
       const std::uint64_t idx = next + p.gap;
-      process({p.start, p.duration, p.op, p.rank, p.file, p.marker, 0, p.phase},
-              idx);
+      if (p.op == posix::OpType::kFault) {
+        on_marker(p.marker, p.subject, p.rank, p.start, p.duration, idx);
+      } else {
+        observe(p.start, p.duration, p.op, p.rank, p.phase,
+                static_cast<std::uint32_t>(p.subject), idx);
+      }
       next = idx + 1;
     }
   } else if (!rhs.buffered_.empty()) {
@@ -148,60 +152,57 @@ void HealthKernel::merge(HealthKernel&& rhs) {
   consumed_ = base + rhs.consumed_;
 }
 
-void HealthKernel::process(const ipm::TraceEvent& e, std::uint64_t idx) {
-  last_time_ = e.start;
-  if (e.op == posix::OpType::kFault) {
-    on_marker(e, idx);
-    return;
-  }
+void HealthKernel::observe(double start, double duration, posix::OpType op,
+                           RankId rank, std::int32_t phase, std::uint32_t cls,
+                           std::uint64_t idx) {
+  last_time_ = start;
+  const double end_time = start + duration;
 
   // Phase bookkeeping first: an admitted event with a later phase
   // proves every earlier phase is barrier-complete, so close them.
   // The close + map lookup only run on a phase transition; within a
   // phase the cached pointer is current (transitions are the only
   // place aggs are created, so no lower phase can appear in between).
-  if (cur_agg_ == nullptr || e.phase != cur_phase_) {
-    close_phases_below(e.phase, idx, e.start);
-    cur_agg_ = &phases_[e.phase];
-    cur_phase_ = e.phase;
+  if (cur_agg_ == nullptr || phase != cur_phase_) {
+    close_phases_below(phase, idx, start);
+    cur_agg_ = &phases_[phase];
+    cur_phase_ = phase;
   }
   PhaseAgg& agg = *cur_agg_;
-  if (!agg.any || e.start < agg.start) agg.start = e.start;
+  if (!agg.any || start < agg.start) agg.start = start;
   agg.any = true;
-  if (agg.end_by_rank.size() <= e.rank) {
-    agg.end_by_rank.resize(static_cast<std::size_t>(e.rank) + 1, -1.0);
+  if (agg.end_by_rank.size() <= rank) {
+    agg.end_by_rank.resize(static_cast<std::size_t>(rank) + 1, -1.0);
   }
-  double& end = agg.end_by_rank[e.rank];
+  double& end = agg.end_by_rank[rank];
   if (end < 0.0) {
     ++agg.ranks;
-    end = e.end();
+    end = end_time;
   } else {
-    end = std::max(end, e.end());
+    end = std::max(end, end_time);
   }
   ++phase_events_;
 
   // Degraded-OST sliding window.
   if (options_.ost_count != 0) {
-    const std::uint32_t cls =
-        e.file != kInvalidFile
-            ? static_cast<std::uint32_t>((e.file - 1) % options_.ost_count)
-            : ~std::uint32_t{0};
-    if (class_ring_.size() < options_.window) {
-      class_ring_.emplace_back(cls, e.duration);
+    if (ring_class_.size() < options_.window) {
+      ring_class_.push_back(cls);
+      ring_duration_.push_back(duration);
     } else {
-      class_ring_[ring_next_] = {cls, e.duration};
+      ring_class_[ring_next_] = cls;
+      ring_duration_[ring_next_] = duration;
       if (++ring_next_ == options_.window) ring_next_ = 0;
     }
   }
 
   // Drift: per-op warm-up baseline, then a sliding current window.
   if (options_.drift_d > 0.0) {
-    DriftState& d = drift_[static_cast<std::uint8_t>(e.op)];
+    DriftState& d = drift_[static_cast<std::uint8_t>(op)];
     if (!d.frozen) {
-      d.baseline.push_back(e.duration);
+      d.baseline.push_back(duration);
       if (d.baseline.size() >= options_.drift_window) d.frozen = true;
     } else {
-      d.recent.push_back(e.duration);
+      d.recent.push_back(duration);
       if (d.recent.size() > options_.drift_window) d.recent.pop_front();
       ++d.since_freeze;
     }
@@ -210,27 +211,28 @@ void HealthKernel::process(const ipm::TraceEvent& e, std::uint64_t idx) {
   ++admitted_;
   if (++since_eval_ >= options_.stride) {
     since_eval_ = 0;
-    evaluate_windows(idx, e.start);
+    evaluate_windows(idx, start);
   }
 }
 
-void HealthKernel::on_marker(const ipm::TraceEvent& e, std::uint64_t idx) {
-  // Marker encoding (fault/plan.h): file = component, offset = kind,
-  // duration = detail seconds.
-  const auto kind = static_cast<fault::Kind>(e.offset);
+void HealthKernel::on_marker(std::uint8_t kind_code, std::uint64_t component,
+                             RankId rank, double time, double detail,
+                             std::uint64_t idx) {
+  last_time_ = time;
+  const auto kind = static_cast<fault::Kind>(kind_code);
   switch (kind) {
     case fault::Kind::kOstDegraded: {
       Track& t = tracks_[{static_cast<std::uint8_t>(
                               IncidentKind::kInjectedOstDegraded),
-                          e.file}];
+                          component}];
       if (t.open >= 0) return;  // window already open for this OST
-      Incident& inc = open_incident(IncidentKind::kInjectedOstDegraded, e.file,
-                                    t, idx, e.start);
-      const double factor = e.duration;
+      Incident& inc = open_incident(IncidentKind::kInjectedOstDegraded,
+                                    component, t, idx, time);
+      const double factor = detail;
       inc.severity = std::clamp(1.0 - factor, 0.0, 1.0);
       inc.statistic = factor;
       inc.threshold = 1.0;
-      inc.evidence = "OST " + std::to_string(e.file) +
+      inc.evidence = "OST " + std::to_string(component) +
                      " bandwidth degraded to " + fmt(factor) + "x (injected)";
       ++counts_.injected;
       break;
@@ -238,9 +240,9 @@ void HealthKernel::on_marker(const ipm::TraceEvent& e, std::uint64_t idx) {
     case fault::Kind::kOstRestored: {
       auto it = tracks_.find({static_cast<std::uint8_t>(
                                   IncidentKind::kInjectedOstDegraded),
-                              e.file});
+                              component});
       if (it != tracks_.end() && it->second.open >= 0) {
-        clear_incident(it->second, idx, e.start);
+        clear_incident(it->second, idx, time);
       }
       break;
     }
@@ -252,12 +254,12 @@ void HealthKernel::on_marker(const ipm::TraceEvent& e, std::uint64_t idx) {
                               : kind == fault::Kind::kRetry
                                   ? IncidentKind::kInjectedRetry
                                   : IncidentKind::kInjectedStraggler;
-      const std::uint64_t subject = e.rank;
+      const std::uint64_t subject = rank;
       Track& t = tracks_[{static_cast<std::uint8_t>(ik), subject}];
       ++t.count;
-      t.seconds += e.duration;
+      t.seconds += detail;
       if (t.open < 0) {
-        open_incident(ik, subject, t, idx, e.start);
+        open_incident(ik, subject, t, idx, time);
         ++counts_.injected;
       }
       Incident& inc = incidents_[static_cast<std::size_t>(t.open)];
@@ -350,30 +352,40 @@ void HealthKernel::evaluate_degraded(std::uint64_t idx, double time) {
   double statistic = 0.0;
   double severity = 0.0;
   std::string evidence;
-  if (class_ring_.size() >= options_.min_events) {
+  const std::size_t rows = ring_class_.size();
+  if (rows >= options_.min_events) {
     // The diagnose rule over the sliding window: per-class medians for
     // classes with >= 6 events, baseline = median of class medians,
-    // fire on a lone dominant outlier class. All buffers are reused
-    // scratch; the medians come from selection, not full sorts.
-    if (by_class_scratch_.size() != options_.ost_count) {
-      by_class_scratch_.assign(options_.ost_count, {});
-    }
-    for (auto& ds : by_class_scratch_) ds.clear();
-    for (const auto& [cls, dur] : class_ring_) {
-      if (cls == ~std::uint32_t{0}) continue;
-      by_class_scratch_[cls].push_back(dur);
-    }
+    // fire on a lone dominant outlier class. One counting sort buckets
+    // the ring by class into reused scratch (each class in ring
+    // order); the medians come from selection, not full sorts.
+    const std::uint32_t osts = options_.ost_count;
+    const std::uint32_t* cls = ring_class_.data();
+    const double* dur = ring_duration_.data();
+    auto bucket = [osts](std::uint32_t c) -> std::size_t {
+      return std::min(c, osts);  // kNoClass -> the last bucket
+    };
+    class_start_.assign(std::size_t{osts} + 2, 0);
+    std::size_t* start = class_start_.data();
+    for (std::size_t i = 0; i < rows; ++i) ++start[bucket(cls[i]) + 1];
+    for (std::size_t b = 0; b <= osts; ++b) start[b + 1] += start[b];
+    by_class_.resize(rows);
+    class_fill_.assign(class_start_.begin(), class_start_.end() - 1);
+    std::size_t* fill = class_fill_.data();
+    for (std::size_t i = 0; i < rows; ++i) by_class_[fill[bucket(cls[i])]++] = dur[i];
     medians_scratch_.clear();
-    for (std::uint32_t ost = 0; ost < options_.ost_count; ++ost) {
-      std::vector<double>& ds = by_class_scratch_[ost];
-      if (ds.size() < 6) continue;
-      medians_scratch_.emplace_back(ost, median_inplace(ds));
+    for (std::uint32_t ost = 0; ost < osts; ++ost) {
+      const std::size_t n = class_start_[ost + 1] - class_start_[ost];
+      if (n < 6) continue;
+      medians_scratch_.emplace_back(
+          ost, stats::select_quantile_inplace(
+                   {by_class_.data() + class_start_[ost], n}, 0.5));
     }
     const auto& class_medians = medians_scratch_;
     if (class_medians.size() >= 3) {
       meds_scratch_.clear();
       for (const auto& [ost, m] : class_medians) meds_scratch_.push_back(m);
-      double baseline = median_inplace(meds_scratch_);
+      double baseline = stats::select_quantile_inplace(meds_scratch_, 0.5);
       if (baseline > 0.0) {
         const std::pair<std::uint32_t, double>* top = nullptr;
         double second_ratio = 0.0;
@@ -397,9 +409,10 @@ void HealthKernel::evaluate_degraded(std::uint64_t idx, double time) {
           evidence = "OST " + std::to_string(top->first) +
                      ": class median runs " + fmt(top_ratio) +
                      "x the fleet median over the last " +
-                     std::to_string(class_ring_.size()) +
+                     std::to_string(rows) +
                      " bulk transfers (" +
-                     std::to_string(by_class_scratch_[top->first].size()) +
+                     std::to_string(class_start_[top->first + 1] -
+                                    class_start_[top->first]) +
                      " events; runner-up at " + fmt(second_ratio) + "x)";
         }
       }

@@ -215,8 +215,31 @@ class HealthKernel {
     double seconds = 0.0;        ///< injected-marker accumulator
   };
 
-  void process(const ipm::TraceEvent& e, std::uint64_t idx);
-  void on_marker(const ipm::TraceEvent& e, std::uint64_t idx);
+  /// Class of a row without a file id, and of every row while the
+  /// degraded-OST detector is off: counted for min_events, never
+  /// classed (mirrors diagnose).
+  static constexpr std::uint32_t kNoClass = ~std::uint32_t{0};
+  /// OST class of a data row's file, the diagnose convention
+  /// `(file - 1) % ost_count`.
+  [[nodiscard]] std::uint32_t class_of(FileId file) const noexcept {
+    return file != kInvalidFile && options_.ost_count != 0
+               ? static_cast<std::uint32_t>((file - 1) % options_.ost_count)
+               : kNoClass;
+  }
+
+  /// Route one admitted row: detectors now (rooted) or the replay
+  /// buffer (unrooted). `idx` is its stream index.
+  void admit(double start, double duration, posix::OpType op, RankId rank,
+             FileId file, Bytes offset, std::int32_t phase, std::uint64_t idx);
+  /// Feed an admitted data row to the detectors.
+  void observe(double start, double duration, posix::OpType op, RankId rank,
+               std::int32_t phase, std::uint32_t cls, std::uint64_t idx);
+  /// Feed a fault marker to the detectors. Marker encoding
+  /// (fault/plan.h): file = component, offset = kind, duration =
+  /// detail seconds; `kind` is the offset narrowed to fault::Kind's
+  /// one-byte underlying type.
+  void on_marker(std::uint8_t kind, std::uint64_t component, RankId rank,
+                 double time, double detail, std::uint64_t idx);
   void close_phases_below(std::int32_t phase, std::uint64_t idx, double time);
   void evaluate_straggler(std::uint64_t idx, double time);
   void evaluate_windows(std::uint64_t idx, double time);
@@ -241,13 +264,13 @@ class HealthKernel {
   double last_time_ = 0.0;
 
   /// One admissible row of an unrooted partial, reduced to the fields
-  /// process() and on_marker() read (no bytes, and the stream index as
-  /// a 32-bit gap instead of a 64-bit position): 40 bytes instead of
-  /// 64 per row.
+  /// observe() and on_marker() read (no bytes, the OST class computed
+  /// in the parallel fold, and the stream index as a 32-bit gap
+  /// instead of a 64-bit position): 40 bytes instead of 64 per row.
   struct Pending {
     double start;
     double duration;
-    FileId file;
+    std::uint64_t subject;  ///< data row: OST class; marker: its file
     RankId rank;
     std::uint32_t gap;  ///< rows consumed since the previous buffered row
     std::int32_t phase;
@@ -256,26 +279,28 @@ class HealthKernel {
   };
   static_assert(sizeof(Pending) == 40);
 
-  /// Buffer an admitted row of an unrooted partial.
-  void buffer(double start, double duration, posix::OpType op, RankId rank,
-              FileId file, Bytes offset, std::int32_t phase);
-
   /// Buffered admissible rows of an unrooted partial, replayed in
   /// stream order on merge.
   std::vector<Pending> buffered_;
   /// consumed_ just after the last buffered row (the gap's origin).
   std::uint64_t buffered_end_ = 0;
 
-  // --- degraded-OST sliding window (class id, duration); class
-  // UINT32_MAX = admitted bulk event without a file id (counted for
-  // min_events, never classed — mirrors diagnose). Fixed-capacity
-  // ring: order never matters to the per-class medians, so eviction
-  // is an overwrite at the wrap cursor.
-  std::vector<std::pair<std::uint32_t, double>> class_ring_;
+  // --- degraded-OST sliding window: class id and duration per
+  // admitted row, as two parallel arrays (kNoClass rows count toward
+  // min_events only). Fixed-capacity ring: order never matters to the
+  // per-class medians, so eviction is an overwrite at the wrap cursor.
+  std::vector<std::uint32_t> ring_class_;
+  std::vector<double> ring_duration_;
   std::size_t ring_next_ = 0;
   // Evaluation scratch, reused so the stride-periodic evaluation
-  // allocates only while a buffer is still growing.
-  std::vector<std::vector<double>> by_class_scratch_;
+  // allocates only while a buffer is still growing: the ring's
+  // durations counting-sorted by class (class c owns
+  // by_class_[class_start_[c], class_start_[c + 1]), in ring order;
+  // kNoClass rows fill a last bucket no median reads), the per-class
+  // medians, and the medians alone.
+  std::vector<double> by_class_;
+  std::vector<std::size_t> class_start_;
+  std::vector<std::size_t> class_fill_;
   std::vector<std::pair<std::uint32_t, double>> medians_scratch_;
   std::vector<double> meds_scratch_;
 

@@ -343,6 +343,31 @@ TEST_F(EiotraceTest, AnalyzeIncidentsIntoMissingDirFailsBeforeScanning) {
   EXPECT_FALSE(std::filesystem::exists(log));
 }
 
+/// Every monitored command line, with one extra flag.
+std::vector<std::vector<std::string>> monitored_commands(
+    const std::string& trace, const std::string& flag) {
+  return {{"monitor", trace, flag},
+          {"analyze", trace, "--monitor", flag},
+          // Large enough that simulating first would print a run table.
+          {"simulate", "--monitor", "--runs=2", "--tasks=64", flag}};
+}
+
+TEST_F(EiotraceTest, ZeroMonitorWindowFailsBeforeWork) {
+  for (const auto& args : monitored_commands(path_, "--window=0")) {
+    auto [rc, out, err] = run(args);
+    EXPECT_EQ(rc, 1) << args[0];
+    expect_one_line_error(out, err, "--window must be at least 1");
+  }
+}
+
+TEST_F(EiotraceTest, ZeroMonitorStrideFailsBeforeWork) {
+  for (const auto& args : monitored_commands(path_, "--stride=0")) {
+    auto [rc, out, err] = run(args);
+    EXPECT_EQ(rc, 1) << args[0];
+    expect_one_line_error(out, err, "--stride must be at least 1");
+  }
+}
+
 TEST_F(EiotraceTest, SimulateRejectsUnknownMachine) {
   auto [rc, out, err] = run({"simulate", "--machine=bluegene"});
   EXPECT_EQ(rc, 1);

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -125,7 +129,7 @@ TEST(DistributionTest, SelectQuantileMatchesSortedQuantileExactly) {
   // Selection must return the sorted path's value bit for bit — ties,
   // interpolation, both ends — since summaries print it.
   rng::Stream r(13);
-  for (std::size_t n : {1u, 2u, 3u, 7u, 64u, 1001u}) {
+  for (std::size_t n : {1u, 2u, 3u, 7u, 64u, 1001u, 65536u}) {
     std::vector<double> xs;
     for (std::size_t i = 0; i < n; ++i) {
       // Half coarse values, so samples tie; half continuous.
@@ -139,6 +143,130 @@ TEST(DistributionTest, SelectQuantileMatchesSortedQuantileExactly) {
   }
   EXPECT_THROW((void)select_quantile({}, 0.5), std::exception);
   EXPECT_THROW((void)select_quantile({1.0}, 1.5), std::exception);
+}
+
+/// McIlroy's adversary ("A Killer Adversary for Quicksort", 1999),
+/// played against select_kth: every element starts as "gas", above
+/// every solid value, and a comparison of two gas elements freezes
+/// one of them to the next solid value — preferring the last gas
+/// element seen, the likely pivot. Pivots therefore freeze low, each
+/// partition peels off a value or two, and the routine runs through
+/// its depth budget. Frozen values replayed as plain doubles drive
+/// the double instantiation down the same path.
+struct Adversary {
+  std::vector<std::size_t> value;  ///< per element id; `gas` = unfrozen
+  std::size_t gas = 0;
+  std::size_t solid = 0;
+  std::size_t candidate = 0;
+  std::size_t comparisons = 0;
+
+  bool less(std::size_t x, std::size_t y) {
+    ++comparisons;
+    if (value[x] == gas && value[y] == gas) {
+      value[x == candidate ? x : y] = solid++;
+    }
+    if (value[x] == gas) {
+      candidate = x;
+    } else if (value[y] == gas) {
+      candidate = y;
+    }
+    return value[x] < value[y];
+  }
+};
+
+Adversary* g_adversary = nullptr;
+
+struct GasElement {
+  std::size_t id;
+  friend bool operator<(const GasElement& a, const GasElement& b) {
+    return g_adversary->less(a.id, b.id);
+  }
+};
+
+/// An input of size n built against select_kth(v, n, k).
+std::vector<double> adversarial_input(std::size_t n, std::size_t k,
+                                      std::size_t* comparisons) {
+  Adversary adv;
+  adv.gas = n;
+  adv.candidate = n;
+  adv.value.assign(n, n);
+  std::vector<GasElement> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i].id = i;
+  g_adversary = &adv;
+  select_kth(v.data(), n, k);
+  g_adversary = nullptr;
+  *comparisons = adv.comparisons;
+  return {adv.value.begin(), adv.value.end()};
+}
+
+void expect_selects(std::vector<double> v, std::size_t k,
+                    const std::vector<double>& sorted,
+                    const std::string& what) {
+  select_kth(v.data(), v.size(), k);
+  ASSERT_EQ(v[k], sorted[k]) << what << " k=" << k;
+  for (std::size_t i = 0; i < k; ++i) {
+    ASSERT_LE(v[i], v[k]) << what << " k=" << k << " i=" << i;
+  }
+  for (std::size_t i = k + 1; i < v.size(); ++i) {
+    ASSERT_GE(v[i], v[k]) << what << " k=" << k << " i=" << i;
+  }
+  std::sort(v.begin(), v.end());
+  ASSERT_EQ(v, sorted) << what << ": not a permutation of the input";
+}
+
+TEST(DistributionTest, SelectKthMatchesSortedOrderStatistic) {
+  rng::Stream r(17);
+  auto inputs = [&r](std::size_t n) {
+    std::vector<std::pair<std::string, std::vector<double>>> out;
+    std::vector<double> v(n);
+    for (double& x : v) x = r.lognormal(0.0, 1.0);
+    out.emplace_back("random", v);
+    out.emplace_back("all-equal", std::vector<double>(n, 0.25));
+    for (double& x : v) x = std::floor(r.uniform() * 3.0);
+    out.emplace_back("few-distinct", v);
+    for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<double>(i);
+    out.emplace_back("sorted", v);
+    std::reverse(v.begin(), v.end());
+    out.emplace_back("reverse-sorted", v);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<double>(std::min(i, n - 1 - i));
+    }
+    out.emplace_back("organ-pipe", v);
+    return out;
+  };
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (const auto& [what, v] : inputs(n)) {
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      for (std::size_t k = 0; k < n; ++k) {
+        expect_selects(v, k, sorted, what + " n=" + std::to_string(n));
+      }
+    }
+  }
+  for (std::size_t n : {65u, 100u, 1000u, 4097u, 65536u, 70000u}) {
+    for (const auto& [what, v] : inputs(n)) {
+      std::vector<double> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      for (std::size_t k : {std::size_t{0}, std::size_t{1}, n / 4, (n - 1) / 2,
+                            n / 2, n - 2, n - 1,
+                            static_cast<std::size_t>(r.uniform() * n)}) {
+        expect_selects(v, k, sorted, what + " n=" + std::to_string(n));
+      }
+    }
+  }
+  // Built against the routine itself: partitions degenerate until the
+  // depth budget hands the rest to std::nth_element.
+  for (std::size_t n : {1000u, 4096u}) {
+    const std::size_t k = n / 2;
+    std::size_t comparisons = 0;
+    const std::vector<double> v = adversarial_input(n, k, &comparisons);
+    EXPECT_GT(comparisons, 8 * n) << "n=" << n << ": the adversary lost";
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    expect_selects(v, k, sorted, "adversarial n=" + std::to_string(n));
+  }
+  EXPECT_THROW(select_kth(static_cast<double*>(nullptr), 0, 0),
+               std::exception);
 }
 
 TEST(DistributionTest, QuantileOutOfRangeThrows) {

@@ -217,6 +217,133 @@ TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
   }
 }
 
+/// Counts line + incident JSONL of a serial pass over `stream`, after
+/// checking that a 3-chunk partial merge (the replay path) gives the
+/// same bytes.
+std::string monitored(const HealthOptions& opt,
+                      const std::vector<TraceEvent>& stream) {
+  auto render = [](const HealthKernel& k) {
+    const Counts& c = k.counts();
+    std::ostringstream out;
+    out << c.windows_evaluated << ' ' << c.phases_evaluated << ' '
+        << c.incidents_opened << ' ' << c.incidents_cleared << ' '
+        << c.degraded_ost << ' ' << c.straggler_rank << ' ' << c.drift << ' '
+        << c.injected << '\n';
+    write_incidents_jsonl(out, k.incidents());
+    return out.str();
+  };
+  HealthKernel serial(opt, 0);
+  for (const TraceEvent& e : stream) serial.add(e);
+  serial.finish();
+  std::vector<HealthKernel> parts;
+  for (std::size_t c = 0; c < 3; ++c) parts.emplace_back(opt, c);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    parts[i * 3 / stream.size()].add(stream[i]);
+  }
+  parts[1].merge(std::move(parts[2]));
+  parts[0].merge(std::move(parts[1]));
+  parts[0].finish();
+  const std::string bytes = render(serial);
+  EXPECT_EQ(bytes, render(parts[0])) << "chunked merge differs";
+  return bytes;
+}
+
+/// A fixed, library-independent duration jitter in [0, 1).
+double jitter(std::size_t i) {
+  return static_cast<double>((i * 2654435761u) % 1000u) / 1000.0;
+}
+
+// The evaluation pins below are exact: whatever selection routine
+// computes the medians must reproduce them byte for byte.
+
+TEST(HealthKernelTest, OneClassWindowPinned) {
+  // A shared file puts every row in one class (the GCRM/MADbench
+  // pattern): each evaluation selects over the whole 2,048-row ring
+  // and finds fewer than 3 classes. The stream then fans out over 8
+  // files with file 6 slow, and the class medians take over.
+  HealthOptions opt;
+  opt.ost_count = 48;
+  std::vector<TraceEvent> stream;
+  for (std::size_t i = 0; i < 8192; ++i) {
+    const FileId file = i < 4096 ? 1 : 1 + i % 8;
+    const double d = (file == 6 ? 0.04 : 0.01) * (1.0 + jitter(i));
+    stream.push_back(bulk(0.001 * static_cast<double>(i), d, OpType::kWrite,
+                          static_cast<RankId>(i % 16), file,
+                          static_cast<std::int32_t>(i / 2048)));
+  }
+  EXPECT_EQ(monitored(opt, stream),
+            "8 4 1 0 1 0 0 0\n"
+            "{\"run\":0,\"kind\":\"degraded-ost\",\"subject\":5,"
+            "\"onset_event\":5119,\"clear_event\":-1,\"onset_time\":5.119,"
+            "\"clear_time\":-1,\"severity\":1,\"statistic\":4.01333333,"
+            "\"threshold\":2.5,\"evidence\":\"OST 5: class median runs "
+            "4.01333x the fleet median over the last 2048 bulk transfers "
+            "(256 events; runner-up at 1.00533x)\"}\n");
+}
+
+TEST(HealthKernelTest, RowsWithoutFileIdPinned) {
+  // Every third admitted row has no file id: it fills the ring and
+  // counts toward min_events, but never joins a class.
+  std::vector<TraceEvent> stream;
+  stream.push_back(marker(0.0, fault::Kind::kOstDegraded, 2, kInvalidRank, 0.3));
+  for (std::size_t i = 0; i < 1200; ++i) {
+    const FileId file = i % 3 == 0 ? kInvalidFile : 1 + i % 8;
+    const double d = (file == 3 ? 0.03 : 0.01) * (1.0 + jitter(i));
+    stream.push_back(bulk(0.01 * static_cast<double>(i), d, OpType::kRead,
+                          static_cast<RankId>(i % 8), file));
+    if (i == 700) {
+      stream.push_back(
+          marker(7.0, fault::Kind::kOstRestored, 2, kInvalidRank, 0.0));
+    }
+  }
+  EXPECT_EQ(monitored(small_options(), stream),
+            "38 1 2 1 1 0 0 1\n"
+            "{\"run\":0,\"kind\":\"injected-ost-degraded\",\"subject\":2,"
+            "\"onset_event\":0,\"clear_event\":702,\"onset_time\":0,"
+            "\"clear_time\":7,\"severity\":0.7,\"statistic\":0.3,"
+            "\"threshold\":1,\"evidence\":\"OST 2 bandwidth degraded to "
+            "0.3x (injected)\"}\n"
+            "{\"run\":0,\"kind\":\"degraded-ost\",\"subject\":2,"
+            "\"onset_event\":96,\"clear_event\":-1,\"onset_time\":0.95,"
+            "\"clear_time\":-1,\"severity\":0.78847435,"
+            "\"statistic\":3.1538974,\"threshold\":2.5,\"evidence\":\"OST "
+            "2: class median runs 3.1539x the fleet median over the last 224 "
+            "bulk transfers (19 events; runner-up at 1.04064x)\"}\n");
+}
+
+TEST(HealthKernelTest, TiedDurationsPinned) {
+  // Three duration levels only, so every class median interpolates
+  // between (or lands on) tied values; class 3 sits on the slow level
+  // for a stretch, then recovers.
+  std::vector<TraceEvent> stream;
+  const double levels[] = {0.010, 0.012, 0.030};
+  for (std::size_t i = 0; i < 1500; ++i) {
+    const FileId file = 1 + i % 8;
+    const bool slow = file == 4 && i >= 300 && i < 900;
+    const double d = slow ? levels[2] : levels[(i / 8) % 2];
+    stream.push_back(bulk(0.01 * static_cast<double>(i), d, OpType::kWrite,
+                          static_cast<RankId>(i % 8), file,
+                          static_cast<std::int32_t>(i / 250)));
+  }
+  EXPECT_EQ(monitored(small_options(), stream),
+            "47 6 1 1 1 0 0 0\n"
+            "{\"run\":0,\"kind\":\"degraded-ost\",\"subject\":3,"
+            "\"onset_event\":447,\"clear_event\":1087,\"onset_time\":4.47,"
+            "\"clear_time\":10.87,\"severity\":0.681818182,"
+            "\"statistic\":2.72727273,\"threshold\":2.5,\"evidence\":\"OST "
+            "3: class median runs 2.72727x the fleet median over the last 256 "
+            "bulk transfers (32 events; runner-up at 1x)\"}\n");
+}
+
+TEST(HealthKernelTest, ZeroWindowOrStrideIsRejected) {
+  HealthOptions opt = small_options();
+  opt.window = 0;
+  EXPECT_THROW(HealthKernel{opt}, std::exception);
+  opt = small_options();
+  opt.stride = 0;
+  EXPECT_THROW(HealthKernel{opt}, std::exception);
+}
+
 TEST(HealthKernelTest, DisabledKernelConsumesNothing) {
   HealthOptions opt = small_options();
   opt.enabled = false;
