@@ -33,7 +33,7 @@ int main() {
   bench::section("storage footprint");
   std::ostringstream tsv, bin;
   result.trace.write(tsv);
-  result.trace.write_binary(bin);
+  result.trace.write_binary_v3(bin);
   // The profile stores (op, size-bucket) cells x fixed bins.
   std::size_t profile_bytes =
       result.profile.cells().size() *
@@ -41,7 +41,7 @@ int main() {
        ipm::DurationBins::kBinCount * sizeof(std::uint64_t));
   std::printf("  full trace (TSV)     %10zu bytes  (%zu events)\n",
               tsv.str().size(), result.trace.size());
-  std::printf("  full trace (binary)  %10zu bytes\n", bin.str().size());
+  std::printf("  full trace (v3)      %10zu bytes\n", bin.str().size());
   std::printf("  in-situ profile      %10zu bytes  (%zu cells)\n",
               profile_bytes, result.profile.cells().size());
   std::printf("  compression vs TSV: %.0fx\n",

@@ -1,22 +1,19 @@
-// Analysis-path throughput and memory: materialized vs streaming vs
-// batched vs chunk-parallel.
+// Analysis-path throughput and memory: materialized vs serial
+// columnar vs chunk-parallel.
 //
 // Builds synthetic traces at two sizes (N and 4N events), saves them
-// as indexed binary v2, and runs the same analysis bundle — per-op
-// write summary (count/median/p95/moments), histogram bins, rate
-// series — through each path:
+// as binary v3, and runs the same analysis bundle — per-op write
+// summary (count/median/p95/moments), histogram bins, rate series —
+// through each path:
 //
 //  * materialized: Trace::load + the batch helpers over the full
 //    event vector (memory O(N));
-//  * streaming: the PR-2 shape — per-event std::function visitors over
-//    FileTraceSource, plus the extra full pass rates used to need for
-//    the span (memory O(reservoir));
-//  * batched: the serial span-per-chunk API (for_each_batch_hinted),
-//    extrema reused from the summary pass, span from the index;
-//  * parallel jN: the same bundle through ParallelTraceScanner with N
-//    worker threads (three scans, one per analysis);
-//  * fused jN / fused_v3 jN: the whole bundle as ONE KernelSet pass —
-//    the scan_kernels path every eiotrace subcommand now uses.
+//  * batched_v3: the serial columnar API (for_each_columns_hinted),
+//    three passes, extrema reused from the summary pass, span from the
+//    index;
+//  * fused_v3 jN: the whole bundle as ONE KernelSet pass through
+//    ParallelTraceScanner with N worker threads — the scan_kernels
+//    path every eiotrace subcommand uses.
 //
 // Separate kernel_* rows run the statistics kernels on an in-memory
 // value stream (no decode), isolating per-event kernel cost: the
@@ -84,12 +81,11 @@ double now_seconds() {
       .count();
 }
 
-/// Deterministic synthetic trace: a bimodal write population plus a
-/// read population, spread over ranks and phases like an IOR run.
-/// The same event stream is written through `writer` for every format,
-/// so v2 and v3 files hold identical chunking and values.
-template <typename Writer>
-void write_synthetic(Writer& writer, std::size_t events) {
+/// Deterministic synthetic v3 trace: a bimodal write population plus
+/// a read population, spread over ranks and phases like an IOR run.
+void write_synthetic(const std::string& path, std::size_t events) {
+  std::ofstream file(path, std::ios::binary);
+  ipm::TraceWriterV3 writer(file, "micro-analysis", /*ranks=*/256);
   std::uint64_t state = 0x243F6A8885A308D3ULL;
   auto next_u01 = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -111,18 +107,6 @@ void write_synthetic(Writer& writer, std::size_t events) {
     writer.add(e);
   }
   writer.finish();
-}
-
-void write_synthetic_v2(const std::string& path, std::size_t events) {
-  std::ofstream file(path, std::ios::binary);
-  ipm::TraceWriterV2 writer(file, "micro-analysis", /*ranks=*/256);
-  write_synthetic(writer, events);
-}
-
-void write_synthetic_v3(const std::string& path, std::size_t events) {
-  std::ofstream file(path, std::ios::binary);
-  ipm::TraceWriterV3 writer(file, "micro-analysis", /*ranks=*/256);
-  write_synthetic(writer, events);
 }
 
 struct PathResult {
@@ -199,91 +183,6 @@ PathResult run_materialized(const std::string& path, std::size_t events) {
   return r;
 }
 
-/// The pre-batch streaming shape: per-event std::function dispatch on
-/// every pass, plus the extra unfiltered pass rates needed for the
-/// span. Kept as the baseline the batch API is measured against.
-PathResult run_streaming(const std::string& path, std::size_t events) {
-  double t0 = now_seconds();
-  ipm::FileTraceSource source(path);
-
-  analysis::SummarySink summary(kWrites);
-  source.for_each_hinted(
-      analysis::hint_for(kWrites),
-      [&summary](const ipm::TraceEvent& e) { summary.on_event(e); });
-
-  double lo = 0.0, hi = 0.0;
-  std::size_t n = 0;
-  analysis::for_each_matching(source, kWrites, [&](const ipm::TraceEvent& e) {
-    lo = n == 0 ? e.duration : std::min(lo, e.duration);
-    hi = n == 0 ? e.duration : std::max(hi, e.duration);
-    ++n;
-  });
-  auto range = stats::Histogram::padded_range(lo, hi, stats::BinScale::kLinear);
-  stats::Histogram hist(stats::BinScale::kLinear, range.lo, range.hi, 40);
-  analysis::for_each_matching(source, kWrites, [&hist](const ipm::TraceEvent& e) {
-    hist.add(e.duration);
-  });
-
-  double span = 0.0;
-  source.for_each(
-      [&span](const ipm::TraceEvent& e) { span = std::max(span, e.end()); });
-  analysis::RateSeriesBuilder rates(span, 100);
-  analysis::for_each_matching(
-      source, kWrites, [&rates](const ipm::TraceEvent& e) { rates.add(e); });
-
-  PathResult r;
-  r.seconds = now_seconds() - t0;
-  r.events_per_sec = static_cast<double>(events) / r.seconds;
-  r.mean = summary.summary().moments().mean;
-  r.median = summary.summary().median();
-  // Keep the results observable so the passes cannot be elided.
-  if (hist.total() == 0 || rates.series().values.empty()) std::abort();
-  return r;
-}
-
-/// Serial batch API: one span per decoded chunk, histogram extrema
-/// reused from the summary pass, rate span from the index — three
-/// event passes total, none of them per-event-dispatched.
-PathResult run_batched(const std::string& path, std::size_t events) {
-  double t0 = now_seconds();
-  ipm::FileTraceSource source(path);
-  const ipm::ChunkHint hint = analysis::hint_for(kWrites);
-
-  analysis::SummarySink summary(kWrites);
-  source.for_each_batch_hinted(
-      hint, [&summary](std::span<const ipm::TraceEvent> span) {
-        summary.on_batch(span);
-      });
-  const stats::StreamingSummary& s = summary.summary();
-  if (s.empty()) std::abort();
-
-  auto range = stats::Histogram::padded_range(s.min(), s.max(),
-                                              stats::BinScale::kLinear);
-  stats::Histogram hist(stats::BinScale::kLinear, range.lo, range.hi, 40);
-  source.for_each_batch_hinted(
-      hint, [&hist](std::span<const ipm::TraceEvent> span) {
-        for (const ipm::TraceEvent& e : span) {
-          if (kWrites.matches(e)) hist.add(e.duration);
-        }
-      });
-
-  analysis::RateSeriesBuilder rates(source.time_span(), 100);
-  source.for_each_batch_hinted(
-      hint, [&rates](std::span<const ipm::TraceEvent> span) {
-        for (const ipm::TraceEvent& e : span) {
-          if (kWrites.matches(e)) rates.add(e);
-        }
-      });
-
-  PathResult r;
-  r.seconds = now_seconds() - t0;
-  r.events_per_sec = static_cast<double>(events) / r.seconds;
-  r.mean = s.moments().mean;
-  r.median = s.median();
-  if (hist.total() == 0 || rates.series().values.empty()) std::abort();
-  return r;
-}
-
 /// The same three-pass bundle through the columnar batch API: each
 /// pass names the columns it reads, so a v3 source decodes only those
 /// (zero-copy from the mmap when available) and never materializes
@@ -296,7 +195,7 @@ PathResult run_batched_columns(const std::string& path, std::size_t events) {
   analysis::SummarySink summary(kWrites);
   source.for_each_columns_hinted(
       hint, summary.required_columns(),
-      [&summary](const ipm::ColumnBatch& b) { summary.on_columns(b); });
+      [&summary](const ipm::ColumnBatch& b) { summary.add_batch(b); });
   const stats::StreamingSummary& s = summary.summary();
   if (s.empty()) std::abort();
 
@@ -336,15 +235,11 @@ PathResult run_batched_columns(const std::string& path, std::size_t events) {
 
 /// Selective columnar analytics: per-rank byte totals, the imbalance
 /// question the paper's ensemble view asks of every run. Reads two of
-/// the eight columns (rank, bytes) through the same for_each_columns
-/// entry point for both formats — a v2 file must decode every field of
-/// every event to answer it, a v3 file touches only the two column
-/// streams (both typically run-length-compressed). This is the access
-/// pattern the columnar layout exists for, so the v2-vs-v3 gap here is
-/// the format-level speedup with the per-event statistics floor
+/// the eight columns (rank, bytes): a v3 file touches only those two
+/// column streams (both typically run-length-compressed), so the row
+/// prices the decode itself with the per-event statistics floor
 /// removed. PathResult.mean carries a rank-weighted checksum (exact in
-/// doubles at bench scale) and median the event count, so main() can
-/// assert the two formats computed identical answers.
+/// doubles at bench scale) and median the event count.
 PathResult run_rank_bytes(const std::string& path, std::size_t events) {
   double t0 = now_seconds();
   ipm::FileTraceSource source(path);
@@ -376,8 +271,7 @@ PathResult run_rank_bytes(const std::string& path, std::size_t events) {
 
 /// The fused bundle: summary + histogram + rates folded by ONE
 /// KernelSet pass — the trace is decoded once, filters are evaluated
-/// once per kernel, and no kernel waits on another pass. This is the
-/// row the three-scan `parallel` bundle above is measured against.
+/// once per kernel, and no kernel waits on another pass.
 PathResult run_fused(const std::string& path, std::size_t events,
                      std::size_t jobs) {
   double t0 = now_seconds();
@@ -414,7 +308,7 @@ PathResult run_fused(const std::string& path, std::size_t events,
 /// fourth kernel — what `eiotrace analyze --monitor` runs. The hint
 /// widens to all-chunks (the monitor must see fault-marker chunks), so
 /// the row prices both the kernel itself and the lost chunk pruning;
-/// compare against fused_jN for the monitor's relative overhead.
+/// compare against fused_v3_jN for the monitor's relative overhead.
 PathResult run_fused_monitored(const std::string& path, std::size_t events,
                                std::size_t jobs) {
   double t0 = now_seconds();
@@ -546,41 +440,6 @@ PathResult run_kernel_hist_fill_batched(std::size_t n) {
   });
 }
 
-/// The same three-pass bundle through the chunk-parallel scanner.
-PathResult run_parallel(const std::string& path, std::size_t events,
-                        std::size_t jobs) {
-  double t0 = now_seconds();
-  ipm::ParallelTraceScanner scanner(path, {.jobs = jobs});
-  const ipm::ChunkHint hint = analysis::hint_for(kWrites);
-
-  stats::StreamingSummary s = analysis::scan_summary(scanner, kWrites);
-  if (s.empty()) std::abort();
-
-  auto range = stats::Histogram::padded_range(s.min(), s.max(),
-                                              stats::BinScale::kLinear);
-  stats::Histogram hist = scanner.scan(
-      [&](std::size_t) {
-        return stats::Histogram(stats::BinScale::kLinear, range.lo, range.hi,
-                                40);
-      },
-      [&](stats::Histogram& h, std::span<const ipm::TraceEvent> span) {
-        for (const ipm::TraceEvent& e : span) {
-          if (kWrites.matches(e)) h.add(e.duration);
-        }
-      },
-      [](stats::Histogram& a, stats::Histogram&& b) { a.merge(b); }, &hint);
-
-  analysis::TimeSeries rates = analysis::scan_rate(scanner, kWrites, 100);
-
-  PathResult r;
-  r.seconds = now_seconds() - t0;
-  r.events_per_sec = static_cast<double>(events) / r.seconds;
-  r.mean = s.moments().mean;
-  r.median = s.median();
-  if (hist.total() == 0 || rates.values.empty()) std::abort();
-  return r;
-}
-
 void check_against_reference(const char* path_name, const PathResult& r,
                              const PathResult& ref) {
   if (std::abs(r.mean - ref.mean) > 1e-12 * ref.mean) {
@@ -642,61 +501,24 @@ int main(int argc, char** argv) {
   };
 
   for (std::size_t events : sizes) {
-    std::string path = "micro_analysis_tmp.v2";
-    std::string path_v3 = "micro_analysis_tmp.v3";
-    write_synthetic_v2(path, events);
-    write_synthetic_v3(path_v3, events);
+    std::string path = "micro_analysis_tmp.v3";
+    write_synthetic(path, events);
 
     PathResult materialized =
         measure([&] { return run_materialized(path, events); });
     emit(events, "materialized", materialized);
 
-    PathResult streaming =
-        measure([&] { return run_streaming(path, events); });
-    check_against_reference("streaming", streaming, materialized);
-    emit(events, "streaming", streaming);
-
-    PathResult batched = measure([&] { return run_batched(path, events); });
-    check_against_reference("batched", batched, materialized);
-    emit(events, "batched", batched);
-
     PathResult batched_v3 =
-        measure([&] { return run_batched_columns(path_v3, events); });
+        measure([&] { return run_batched_columns(path, events); });
     check_against_reference("batched_v3", batched_v3, materialized);
     emit(events, "batched_v3", batched_v3);
 
-    PathResult rank_bytes = measure([&] { return run_rank_bytes(path, events); });
-    PathResult rank_bytes_v3 =
-        measure([&] { return run_rank_bytes(path_v3, events); });
-    if (rank_bytes.mean != rank_bytes_v3.mean ||
-        rank_bytes.median != rank_bytes_v3.median) {
-      std::fprintf(stderr, "rank_bytes v2/v3 disagree: %.17g vs %.17g\n",
-                   rank_bytes.mean, rank_bytes_v3.mean);
-      return 1;
-    }
-    emit(events, "rank_bytes", rank_bytes);
-    emit(events, "rank_bytes_v3", rank_bytes_v3);
+    emit(events, "rank_bytes_v3",
+         measure([&] { return run_rank_bytes(path, events); }));
 
     for (std::size_t jobs : job_counts) {
-      PathResult parallel =
-          measure([&] { return run_parallel(path, events, jobs); });
-      std::string name = "parallel_j" + std::to_string(jobs);
-      check_against_reference(name.c_str(), parallel, materialized);
-      emit(events, std::move(name), parallel, jobs);
-
-      PathResult parallel_v3 =
-          measure([&] { return run_parallel(path_v3, events, jobs); });
-      std::string name_v3 = "parallel_v3_j" + std::to_string(jobs);
-      check_against_reference(name_v3.c_str(), parallel_v3, materialized);
-      emit(events, std::move(name_v3), parallel_v3, jobs);
-
-      PathResult fused = measure([&] { return run_fused(path, events, jobs); });
-      std::string fused_name = "fused_j" + std::to_string(jobs);
-      check_against_reference(fused_name.c_str(), fused, materialized);
-      emit(events, std::move(fused_name), fused, jobs);
-
       PathResult fused_v3 =
-          measure([&] { return run_fused(path_v3, events, jobs); });
+          measure([&] { return run_fused(path, events, jobs); });
       std::string fused_v3_name = "fused_v3_j" + std::to_string(jobs);
       check_against_reference(fused_v3_name.c_str(), fused_v3, materialized);
       emit(events, std::move(fused_v3_name), fused_v3, jobs);
@@ -708,7 +530,6 @@ int main(int argc, char** argv) {
       emit(events, std::move(mon_name), monitored, jobs);
     }
     std::remove(path.c_str());
-    std::remove(path_v3.c_str());
   }
 
   // Kernel-in-isolation rows (per-event cost, no I/O). The two
@@ -748,14 +569,14 @@ int main(int argc, char** argv) {
           "peak_rss_kib is per-path VmHWM, not a shared high-water mark; "
           "rows with meaningful=false ran with scarce cores "
           "(hardware_concurrency <= jobs) and say nothing about scaling; "
-          "batched/batched_v3 run the full summary+histogram+rates "
-          "bundle (per-event statistics dominate both), while "
-          "rank_bytes/rank_bytes_v3 run a two-column selective pass "
-          "where the decode cost itself is the workload; parallel rows "
-          "run the bundle as three scans, fused rows as one KernelSet "
-          "scan; monitor_overhead rows run the fused bundle with the "
-          "online health monitor as a fourth kernel and an all-chunks "
-          "hint, so (fused_jN - monitor_overhead_jN) / fused_jN is the "
+          "batched_v3 runs the full summary+histogram+rates bundle "
+          "serially (per-event statistics dominate), while "
+          "rank_bytes_v3 runs a two-column selective pass where the "
+          "decode cost itself is the workload; fused_v3 rows run the "
+          "bundle as one KernelSet scan; monitor_overhead rows run the "
+          "fused bundle with the online health monitor as a fourth "
+          "kernel and an all-chunks hint, so "
+          "(fused_v3_jN - monitor_overhead_jN) / fused_v3_jN is the "
           "monitor's relative cost; kernel_* rows time the statistics "
           "kernels alone on an in-memory stream with no decode\",\n"
        << "  \"hardware_concurrency\": " << cores << ",\n";

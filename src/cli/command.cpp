@@ -86,10 +86,9 @@ constexpr OptionSpec kDiagnoseSpecs[] = {
 };
 
 constexpr OptionSpec kConvertSpecs[] = {
-    {"format", OptKind::kString, "v2",
-     "output format: tsv|v1|v2|v3 (v3 = columnar, compressed)"},
+    {"format", OptKind::kString, "v3",
+     "output format: tsv|v3 (v3 = columnar, compressed, indexed)"},
     {"tsv", OptKind::kFlag, "", "alias for --format=tsv"},
-    {"v1", OptKind::kFlag, "", "alias for --format=v1"},
 };
 
 constexpr OptionSpec kSimulateSpecs[] = {
@@ -105,7 +104,7 @@ constexpr OptionSpec kSimulateSpecs[] = {
     {"save-dir", OptKind::kOutDir, "",
      "write each run's trace as DIR/runN.* (DIR must exist)"},
     {"format", OptKind::kString, "tsv",
-     "trace format for --save-dir files: tsv|v2|v3"},
+     "trace format for --save-dir files: tsv|v3"},
     {"monitor", OptKind::kFlag, "",
      "attach the online health monitor to every run's event stream"},
 };
@@ -190,7 +189,7 @@ const std::vector<Command>& commands() {
       {"compare", "<traceA> <traceB>", "A vs B medians + KS distance",
        {{"filter", kFilterSpecs}}, true, cmd_compare},
       {"convert", "<trace> <out>",
-       "rewrite as --format=tsv|v1|v2|v3 (default v2; same format = "
+       "rewrite as --format=tsv|v3 (default v3; same format = "
        "checked copy)",
        {{"convert", kConvertSpecs}}, true, cmd_convert},
       {"simulate", "",
@@ -287,9 +286,9 @@ std::string usage_text() {
         "--json\n"
      << "parallelism: summary/analyze/histogram/modes/rates/phases/simulate "
         "take --jobs=N\n"
-     << "             (default: hardware concurrency; indexed v2/v3 traces "
-        "scan\n"
-     << "             chunk-parallel, other formats stream serially)\n";
+     << "             (default: hardware concurrency; v3 traces scan "
+        "chunk-parallel,\n"
+     << "             TSV traces stream serially)\n";
   return os.str();
 }
 

@@ -70,8 +70,8 @@ int cmd_simulate(CommandContext& ctx) {
   std::size_t runs = args.get_size("runs", scenario.run_count());
   bool save = args.has("save-dir");
   std::string save_fmt = args.get("format", "tsv");
-  if (save_fmt != "tsv" && save_fmt != "v2" && save_fmt != "v3") {
-    err << "eiotrace: unknown --format '" << save_fmt << "' (tsv|v2|v3)\n";
+  if (save_fmt != "tsv" && save_fmt != "v3") {
+    err << "eiotrace: unknown --format '" << save_fmt << "' (tsv|v3)\n";
     return 1;
   }
 
@@ -210,10 +210,7 @@ int cmd_simulate(CommandContext& ctx) {
     std::string dir = args.get("save-dir", ".");
     for (std::size_t i = 0; i < results.size(); ++i) {
       std::string path = dir + "/run" + std::to_string(i);
-      if (save_fmt == "v2") {
-        path += ".v2";
-        results[i].trace.save_binary_v2(path);
-      } else if (save_fmt == "v3") {
+      if (save_fmt == "v3") {
         path += ".v3";
         results[i].trace.save_binary_v3(path);
       } else {

@@ -6,7 +6,7 @@
 //
 // Each analysis subcommand builds a kernel (or KernelSet) factory and
 // hands it to analysis::run_kernels: exactly ONE trace scan per
-// invocation — chunk-parallel on indexed (v2/v3) files, one serial
+// invocation — chunk-parallel on indexed (v3) files, one serial
 // columnar pass otherwise — no matter how many statistics it fuses.
 //
 // Commands on the machine-readable contract (summary, analyze,
@@ -411,15 +411,13 @@ int cmd_convert(CommandContext& ctx) {
   }
   const std::string& target = args.positional()[1];
   std::string fmt = args.get("format", "");
-  if (!fmt.empty() && (args.has("tsv") || args.has("v1"))) {
-    err << "eiotrace: --format conflicts with --tsv/--v1\n";
+  if (!fmt.empty() && args.has("tsv")) {
+    err << "eiotrace: --format conflicts with --tsv\n";
     return 1;
   }
-  if (fmt.empty()) {
-    fmt = args.has("tsv") ? "tsv" : args.has("v1") ? "v1" : "v2";
-  }
-  if (fmt != "tsv" && fmt != "v1" && fmt != "v2" && fmt != "v3") {
-    err << "eiotrace: unknown --format '" << fmt << "' (tsv|v1|v2|v3)\n";
+  if (fmt.empty()) fmt = args.has("tsv") ? "tsv" : "v3";
+  if (fmt != "tsv" && fmt != "v3") {
+    err << "eiotrace: unknown --format '" << fmt << "' (tsv|v3)\n";
     return 1;
   }
   if (std::string why = unwritable_reason(target, false); !why.empty()) {
@@ -463,24 +461,10 @@ int cmd_convert(CommandContext& ctx) {
       ipm::write_tsv_event(outfile, e);
       ++written;
     });
-  } else if (fmt == "v1") {
-    ipm::write_binary_v1_header(outfile, source.meta().experiment,
-                                source.meta().ranks, source.event_count());
-    source.for_each([&](const ipm::TraceEvent& e) {
-      ipm::write_binary_v1_event(outfile, e);
-      ++written;
-    });
-  } else if (fmt == "v3") {
-    // Columnar v3 — a single streaming pass, no up-front event count.
-    ipm::TraceWriterV3 writer(outfile, source.meta().experiment,
-                              source.meta().ranks);
-    source.for_each([&writer](const ipm::TraceEvent& e) { writer.add(e); });
-    writer.finish();
-    written = writer.events_written();
   } else {
-    // Default: chunked v2 with the footer index — a single streaming
-    // pass, no up-front event count needed.
-    ipm::TraceWriterV2 writer(outfile, source.meta().experiment,
+    // Columnar v3 with the footer index — a single streaming pass, no
+    // up-front event count needed.
+    ipm::TraceWriterV3 writer(outfile, source.meta().experiment,
                               source.meta().ranks);
     source.for_each([&writer](const ipm::TraceEvent& e) { writer.add(e); });
     writer.finish();

@@ -46,8 +46,7 @@ std::optional<ipm::ParallelTraceScanner> scanner_for(
     const ipm::TraceSource& source, const Parsed& args) {
   const auto* file = dynamic_cast<const ipm::FileTraceSource*>(&source);
   if (!file || !file->index()) return std::nullopt;
-  return ipm::ParallelTraceScanner(file->path(), file->format(),
-                                   *file->index(),
+  return ipm::ParallelTraceScanner(file->path(), *file->index(),
                                    {.jobs = args.get_size("jobs", 0)});
 }
 
@@ -137,8 +136,6 @@ int write_incident_log(const Parsed& args,
 const char* format_label(ipm::TraceFormat format) {
   switch (format) {
     case ipm::TraceFormat::kTsv: return "tsv";
-    case ipm::TraceFormat::kBinaryV1: return "v1";
-    case ipm::TraceFormat::kBinaryV2: return "v2";
     case ipm::TraceFormat::kBinaryV3: return "v3";
   }
   return "?";

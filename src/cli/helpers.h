@@ -26,9 +26,9 @@ namespace eio::cli {
                                                 std::ostream& err);
 
 /// The chunk-parallel engine for this invocation, when the source is
-/// an indexed (v2/v3) file: borrows the already-read footer index, so
-/// construction is free. TSV/v1 sources return nullopt and commands
-/// fall back to serial batched streaming.
+/// an indexed (v3) file: borrows the already-read footer index, so
+/// construction is free. TSV sources return nullopt and commands fall
+/// back to one serial columnar pass.
 [[nodiscard]] std::optional<ipm::ParallelTraceScanner> scanner_for(
     const ipm::TraceSource& source, const Parsed& args);
 
@@ -58,7 +58,7 @@ int write_incident_log(const Parsed& args,
                        const std::vector<std::uint64_t>& runs,
                        std::ostream& out, std::ostream& err);
 
-/// Short name of a trace format ("tsv", "v1", ...).
+/// Short name of a trace format ("tsv" or "v3").
 [[nodiscard]] const char* format_label(ipm::TraceFormat format);
 
 }  // namespace eio::cli

@@ -1,9 +1,10 @@
-// Chunk-parallel analysis kernels over indexed (v2/v3) traces.
+// Running analysis kernels over a trace in one pass: chunk-parallel
+// over an indexed (v3) trace, serial over anything else.
 //
-// Each helper runs one ParallelTraceScanner kernel-set map-reduce: a
-// bounded kernel (summary sink, streaming histogram, rate builder — or
-// a KernelSet fusing several) per chunk, folded by worker threads and
-// merged in chunk order. Results are deterministic in the scanner
+// run_kernels hands a kernel factory (a summary sink, streaming
+// histogram, rate builder — or a KernelSet fusing several) to the
+// ParallelTraceScanner: one kernel per chunk, folded by worker threads
+// and merged in chunk order. Results are deterministic in the scanner
 // contract's sense — identical for every --jobs value — and match the
 // serial streaming path exactly wherever the underlying kernel merges
 // exactly (counts, extrema, histogram bins, rate bins, reservoirs
@@ -12,14 +13,11 @@
 // (see StreamingSummary::histogram_quantile).
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <optional>
 
 #include "common/rng.h"
 #include "core/kernel.h"
-#include "core/rate_series.h"
-#include "core/samples.h"
 #include "core/streaming.h"
 #include "ipm/parallel_scan.h"
 
@@ -56,32 +54,5 @@ template <typename MakeKernel>
       [&kernel](const ipm::ColumnBatch& batch) { kernel.add_batch(batch); });
   return kernel;
 }
-
-/// Filter-matched duration summary (count/extrema/moments/reservoir)
-/// across all admitted chunks.
-[[nodiscard]] stats::StreamingSummary scan_summary(
-    const ipm::ParallelTraceScanner& scanner, const EventFilter& filter,
-    const stats::SummaryOptions& options = {});
-
-/// Per-phase duration summaries (the streaming durations_by_phase).
-[[nodiscard]] std::map<std::int32_t, stats::StreamingSummary>
-scan_phase_summaries(const ipm::ParallelTraceScanner& scanner,
-                     const EventFilter& filter,
-                     const stats::SummaryOptions& options = {});
-
-/// Histogram of matched durations in ONE scan (StreamingHistogram:
-/// identical to the historical two-pass padded-range + fill binning
-/// while the matched count fits the exact buffer, a deterministic
-/// power-of-two lattice beyond it). nullopt when nothing matches.
-[[nodiscard]] std::optional<stats::Histogram> scan_histogram(
-    const ipm::ParallelTraceScanner& scanner, const EventFilter& filter,
-    stats::BinScale scale, std::size_t bins);
-
-/// Aggregate data rate of matched events; the span comes from the
-/// chunk index (no extra event pass), matching aggregate_rate's batch
-/// semantics.
-[[nodiscard]] TimeSeries scan_rate(const ipm::ParallelTraceScanner& scanner,
-                                   const EventFilter& filter,
-                                   std::size_t bins);
 
 }  // namespace eio::analysis

@@ -133,14 +133,6 @@ void PhaseSummarySink::add_batch(const ipm::ColumnBatch& batch) {
 
 void PhaseSummarySink::on_event(const ipm::TraceEvent& event) { add(event); }
 
-void PhaseSummarySink::on_batch(std::span<const ipm::TraceEvent> events) {
-  for (const ipm::TraceEvent& e : events) add(e);
-}
-
-void PhaseSummarySink::on_columns(const ipm::ColumnBatch& batch) {
-  add_batch(batch);
-}
-
 void PhaseSummarySink::merge(const PhaseSummarySink& other) {
   for (const auto& [phase, summary] : other.by_phase_) {
     auto it = by_phase_.try_emplace(phase, options_).first;

@@ -7,7 +7,6 @@
 
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/streaming.h"
@@ -158,7 +157,7 @@ struct EventFilter {
 // Streaming counterparts: visit a TraceSource instead of materializing.
 
 /// The chunk-index pre-filter a filter implies (op/phase/rank pins
-/// become hints; indexed v2 sources skip chunks that cannot match).
+/// become hints; indexed v3 sources skip chunks that cannot match).
 [[nodiscard]] ipm::ChunkHint hint_for(const EventFilter& filter);
 
 /// Visit every matching event of the source, in stored order.
@@ -201,15 +200,6 @@ class SummarySink final : public ipm::EventSink {
 
   void on_event(const ipm::TraceEvent& event) override { add(event); }
 
-  /// Fold a whole decoded chunk per virtual call — the hot path; the
-  /// per-event filter+add loop runs without any per-event indirection.
-  void on_batch(std::span<const ipm::TraceEvent> events) override {
-    for (const ipm::TraceEvent& e : events) add(e);
-  }
-
-  /// Columnar twin of on_batch (see add_batch).
-  void on_columns(const ipm::ColumnBatch& batch) { add_batch(batch); }
-
   /// Columns add_batch reads: the filter's plus the duration samples.
   [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
     return filter_.required_columns() | ipm::kColDuration;
@@ -247,13 +237,9 @@ class PhaseSummarySink final : public ipm::EventSink {
   void add_batch(const ipm::ColumnBatch& batch);
 
   void on_event(const ipm::TraceEvent& event) override;
-  void on_batch(std::span<const ipm::TraceEvent> events) override;
 
-  /// Columnar twin of on_batch (needs required_columns() decoded).
-  void on_columns(const ipm::ColumnBatch& batch);
-
-  /// Columns on_columns reads: the filter's, the phase labels it
-  /// groups by, and the duration samples.
+  /// Columns add_batch reads: the filter's, the phase labels it groups
+  /// by, and the duration samples.
   [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
     return filter_.required_columns() | ipm::kColPhase | ipm::kColDuration;
   }

@@ -55,82 +55,6 @@ Moments StreamingMoments::moments() const {
   return m;
 }
 
-P2Quantile::P2Quantile(double q) : q_(q) {
-  EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
-  rates_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-}
-
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    if (count_ == 5) {
-      std::sort(heights_.begin(), heights_.end());
-      positions_ = {1.0, 2.0, 3.0, 4.0, 5.0};
-      desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-    }
-    return;
-  }
-  ++count_;
-
-  // Locate the cell and absorb extrema into the end markers.
-  std::size_t k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-
-  for (std::size_t i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (std::size_t i = 0; i < 5; ++i) desired_[i] += rates_[i];
-
-  // Adjust the interior markers toward their desired positions with
-  // the piecewise-parabolic (P²) prediction, falling back to linear
-  // when the parabola would break marker monotonicity.
-  for (std::size_t i = 1; i <= 3; ++i) {
-    double d = desired_[i] - positions_[i];
-    double below = positions_[i] - positions_[i - 1];
-    double above = positions_[i + 1] - positions_[i];
-    if ((d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0)) {
-      double s = d >= 0.0 ? 1.0 : -1.0;
-      double np = positions_[i] + s;
-      double parabolic =
-          heights_[i] +
-          s / (positions_[i + 1] - positions_[i - 1]) *
-              ((below + s) * (heights_[i + 1] - heights_[i]) / above +
-               (above - s) * (heights_[i] - heights_[i - 1]) / below);
-      if (heights_[i - 1] < parabolic && parabolic < heights_[i + 1]) {
-        heights_[i] = parabolic;
-      } else {
-        std::size_t j = d >= 0.0 ? i + 1 : i - 1;
-        heights_[i] += s * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] = np;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  EIO_CHECK_MSG(count_ >= 1, "P2Quantile::value() on empty stream");
-  if (count_ < 5) {
-    std::array<double, 5> sorted = heights_;
-    std::sort(sorted.begin(), sorted.begin() + count_);
-    if (count_ == 1) return sorted[0];
-    double pos = q_ * static_cast<double>(count_ - 1);
-    auto lo = static_cast<std::size_t>(pos);
-    std::size_t hi = std::min(lo + 1, count_ - 1);
-    double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-  }
-  return heights_[2];
-}
-
 ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)
     : capacity_(capacity), rng_(seed) {
   EIO_CHECK_MSG(capacity >= 1, "reservoir needs capacity >= 1");

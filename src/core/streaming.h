@@ -7,8 +7,6 @@
 //
 //  * StreamingMoments: mean/variance/skewness/kurtosis via the
 //    Welford/Pébay incremental central-moment updates;
-//  * P2Quantile: the Jain-Chlamtac P² estimator — one quantile in
-//    five markers, O(1) memory, no samples retained;
 //  * ReservoirSampler: Vitter's Algorithm X — a uniform sample of
 //    bounded size, *exact* (every value retained) until the capacity
 //    is exceeded, so quantiles/CDFs/KS inputs computed from it are
@@ -25,7 +23,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -83,28 +80,6 @@ class StreamingMoments {
   double m2_ = 0.0;
   double m3_ = 0.0;
   double m4_ = 0.0;
-};
-
-/// P² single-quantile estimator (Jain & Chlamtac 1985): five markers
-/// track the target quantile with parabolic adjustment. Exact for the
-/// first five observations, O(1) memory forever after.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  /// Current estimate (exact while count() <= 5; requires count() >= 1).
-  [[nodiscard]] double value() const;
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    ///< marker values
-  std::array<double, 5> positions_{};  ///< actual marker positions (1-based)
-  std::array<double, 5> desired_{};    ///< desired marker positions
-  std::array<double, 5> rates_{};      ///< desired-position increments
 };
 
 /// Uniform bounded-size sample of a stream (Vitter's Algorithm X with

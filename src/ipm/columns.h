@@ -7,9 +7,10 @@
 // bytes + duration reads three dense arrays instead of striding
 // through 64-byte TraceEvent structs), and the decoder can skip
 // columns a scan never reads via a ColumnMask. shred()/unshred()
-// convert between the row and columnar views so every format can serve
-// both APIs: v2 chunks shred into columns for the columnar kernels,
-// v3 chunks unshred into rows for the legacy per-event visitors.
+// convert between the row and columnar views so every source can serve
+// both APIs: TSV and in-memory rows shred into columns for the
+// columnar kernels, v3 chunks unshred into rows for the per-event
+// visitors.
 //
 // Determinism contract: column order is event order. A kernel that
 // walks a ColumnBatch index 0..events-1 performs the identical

@@ -13,7 +13,7 @@
 //    paradigm".
 //
 // Callers can add further sinks (streaming statistics accumulators,
-// an indexed-file TraceWriterV2, ...) with add_sink(); every sink sees
+// an indexed-file TraceWriterV3, ...) with add_sink(); every sink sees
 // each event exactly once, in completion order. The monitor also
 // accounts its own overhead (a fixed cost per intercepted call) so
 // the "lightweight" claim is checkable.

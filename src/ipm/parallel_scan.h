@@ -1,4 +1,4 @@
-// Chunk-parallel map-reduce over indexed (v2/v3) traces.
+// Chunk-parallel map-reduce over indexed (v3) traces.
 //
 // The paper's premise — ensembles are mergeable statistics, not event
 // sequences — makes trace analysis embarrassingly parallel over
@@ -12,14 +12,12 @@
 // as its own ordered lane, so the pass is bounded by the slowest
 // member's merge chain rather than the sum of all of them.
 //
-// Format seam: row-oriented v2 chunks are decoded through per-thread
-// ifstreams with single sized reads; columnar v3 chunks are decoded
-// straight out of one shared read-only mmap of the file (every worker
-// reads the same immutable pages — no locks, no per-thread streams, no
-// staging copies), falling back to per-thread streams when the map is
-// unavailable. Both formats serve both fold shapes: scan() hands the
-// fold row spans, scan_columns() hands it decoded ColumnBatches (v3
-// decodes only the masked columns; v2 shreds its rows).
+// Decode: chunks are decoded straight out of one shared read-only mmap
+// of the file (every worker reads the same immutable pages — no locks,
+// no per-thread streams, no staging copies), falling back to
+// per-thread streams with single sized reads when the map is
+// unavailable. Folds receive decoded ColumnBatches restricted to a
+// column mask: unmasked columns are never decoded.
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
@@ -31,14 +29,14 @@
 // the lanes drift apart. A scan is therefore byte-identical for every
 // jobs value, including jobs=1 — "--jobs 1 == serial" holds by
 // construction, not by tolerance. Column order equals event order, so
-// the same holds across scan()/scan_columns() and across v2/v3 copies
-// of the same trace.
+// a fold sees the identical value sequence as a serial pass over the
+// same trace.
 //
 // Memory contract: workers may run at most merge_window chunks ahead
 // of the slowest lane's frontier (a partial leaves the window once
 // every lane has consumed it and it is freed), so at most merge_window + 1
 // partials — the result included — and O(jobs) chunk buffers are
-// live: peak memory stays O(chunk), never O(events). The v3 mmap adds
+// live: peak memory stays O(chunk), never O(events). The mmap adds
 // address space, not resident memory; pages are faulted in as decoded
 // and evictable at any time.
 #pragma once
@@ -52,14 +50,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/jobs.h"
 #include "ipm/columns.h"
 #include "ipm/mapped_file.h"
@@ -90,33 +87,14 @@ struct ScanOptions {
   std::size_t merge_window = 0;
 };
 
-/// Per-thread chunk decoder behind the v2/v3 seam: a v2 reader owns one
-/// seekable stream plus reusable buffers; a v3 reader borrows a shared
-/// read-only mapping (or falls back to its own stream) plus a column
-/// scratch. Either way a worker's steady state allocates nothing.
+/// Per-thread chunk decoder: borrows a shared read-only mapping (or
+/// falls back to its own seekable stream) plus a column scratch, so a
+/// worker's steady state allocates nothing.
 class ChunkReader {
  public:
-  /// `map` (may be null) must outlive the reader; non-null only for v3.
-  ChunkReader(const std::string& path, TraceFormat format,
-              const MappedFile* map = nullptr)
-      : format_(format), map_(map) {
-    if (map_ == nullptr) {
-      in_.open(path, std::ios::binary);
-      EIO_CHECK_MSG(in_.good(), "cannot open for reading: " << path);
-    }
-  }
-
-  /// Decode one indexed chunk as a row span; the span aliases this
-  /// reader's buffer and is valid until the next read.
-  [[nodiscard]] std::span<const TraceEvent> read(const TraceIndex& index,
-                                                 std::size_t chunk) {
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(in_, index.chunks[chunk], chunk_byte_length(index, chunk),
-                    raw_, events_);
-    } else {
-      unshred(read_columns(index, chunk, kColAll), events_);
-    }
-    return std::span<const TraceEvent>(events_);
+  /// `map` (may be null) must outlive the reader.
+  ChunkReader(const std::string& path, const MappedFile* map) : map_(map) {
+    if (map_ == nullptr) in_ = open_trace(path);
   }
 
   /// Decode one indexed chunk as a ColumnBatch with only the masked
@@ -125,10 +103,6 @@ class ChunkReader {
                                          std::size_t chunk, ColumnMask mask) {
     const ChunkMeta& meta = index.chunks[chunk];
     std::uint64_t byte_len = chunk_byte_length(index, chunk);
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(in_, meta, byte_len, raw_, events_);
-      return shred(events_, scratch_, mask);
-    }
     if (map_ != nullptr) {
       // Zero-copy: the index validated offsets against the footer, and
       // the footer against the file size, so this sub-span is in-bounds.
@@ -140,60 +114,43 @@ class ChunkReader {
   }
 
  private:
-  TraceFormat format_;
   const MappedFile* map_;
   std::ifstream in_;
   std::vector<char> raw_;
-  std::vector<TraceEvent> events_;
   ColumnScratch scratch_;
 };
 
-/// Map-reduce engine over one indexed trace file (v2 or v3). Stateless
+/// Map-reduce engine over one indexed (v3) trace file. Stateless
 /// between scans; safe to reuse and cheap to construct (the index is
 /// read once or borrowed from a FileTraceSource).
 class ParallelTraceScanner {
  public:
   /// Open `path` and read its footer index. Throws std::runtime_error
-  /// when the file is not an indexed (v2 or v3) trace.
+  /// when the file cannot be opened or is not a v3 trace.
   explicit ParallelTraceScanner(std::string path, ScanOptions options = {})
       : path_(std::move(path)),
         jobs_(resolve_jobs(options.jobs)),
         merge_window_(resolve_window(options, jobs_)) {
-    std::ifstream in(path_, std::ios::binary);
-    EIO_CHECK_MSG(in.good(), "cannot open for reading: " << path_);
-    format_ = sniff_format(in);
-    switch (format_) {
-      case TraceFormat::kBinaryV2: index_ = read_index_v2(in); break;
-      case TraceFormat::kBinaryV3: index_ = read_index_v3(in); break;
-      case TraceFormat::kTsv:
-      case TraceFormat::kBinaryV1:
-        throw std::runtime_error(
-            "parallel scan needs an indexed (v2/v3) trace: " + path_);
+    std::ifstream in = open_trace(path_);
+    if (sniff_format(in) != TraceFormat::kBinaryV3) {
+      throw std::runtime_error("parallel scan needs an indexed (v3) trace: " +
+                               path_);
     }
+    index_ = read_index_v3(in);
     open_map();
   }
 
-  /// Reuse an index already read by a FileTraceSource (whose format()
-  /// tells which indexed variant it is).
-  ParallelTraceScanner(std::string path, TraceFormat format, TraceIndex index,
+  /// Reuse an index already read by a FileTraceSource.
+  ParallelTraceScanner(std::string path, TraceIndex index,
                        ScanOptions options = {})
       : path_(std::move(path)),
-        format_(format),
         index_(std::move(index)),
         jobs_(resolve_jobs(options.jobs)),
         merge_window_(resolve_window(options, jobs_)) {
-    EIO_CHECK_MSG(format_ == TraceFormat::kBinaryV2 ||
-                      format_ == TraceFormat::kBinaryV3,
-                  "parallel scan needs an indexed (v2/v3) trace");
     open_map();
   }
 
-  [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] TraceFormat format() const noexcept { return format_; }
   [[nodiscard]] const TraceIndex& index() const noexcept { return index_; }
-  /// True when v3 chunks decode from a shared mmap (the zero-copy path).
-  [[nodiscard]] bool zero_copy() const noexcept { return map_ != nullptr; }
 
   /// Wall-clock span of the whole trace (max chunk end time) — free
   /// from the index, no event pass.
@@ -206,35 +163,13 @@ class ParallelTraceScanner {
   /// Map-reduce over the chunks `hint` admits (all chunks when null):
   ///
   ///   make(chunk_index)       -> Partial   (fresh, possibly seeded)
-  ///   fold(partial, events)                (one span = one chunk)
+  ///   fold(partial, batch)                 (one ColumnBatch = one chunk)
   ///   merge(into, std::move(from))         (ascending chunk order)
   ///
-  /// Returns the merged Partial; make(0) when no chunk is admitted.
-  /// The first worker exception is rethrown after the pool drains.
-  template <typename Make, typename Fold, typename Merge>
-  [[nodiscard]] auto scan(const Make& make, const Fold& fold,
-                          const Merge& merge,
-                          const ChunkHint* hint = nullptr) const
-      -> std::invoke_result_t<Make, std::size_t> {
-    using Partial = std::invoke_result_t<Make, std::size_t>;
-    return scan_impl(
-        make,
-        [this, &fold](ChunkReader& reader, Partial& p, std::size_t chunk) {
-          OBS_SPAN("scan.fold_chunk");
-          fold(p, reader.read(index_, chunk));
-        },
-        1,
-        [&merge](Partial& into, Partial& from, std::size_t) {
-          merge(into, std::move(from));
-        },
-        hint);
-  }
-
-  /// Columnar map-reduce: same shape and determinism contract as
-  /// scan(), but the fold receives a decoded ColumnBatch restricted to
-  /// `mask`. On v3 files unmasked columns are never decoded (and with
-  /// the mmap path never copied); on v2 files rows are decoded then
-  /// shredded, so both formats fold the identical value sequence.
+  /// The fold's batch holds only the `mask` columns: the rest are
+  /// never decoded (and with the mmap path never copied). Returns the
+  /// merged Partial; make(0) when no chunk is admitted. The first
+  /// worker exception is rethrown after the pool drains.
   template <typename Make, typename Fold, typename Merge>
   [[nodiscard]] auto scan_columns(const Make& make, const Fold& fold,
                                   const Merge& merge,
@@ -464,11 +399,10 @@ class ParallelTraceScanner {
     return std::move(*result);
   }
 
-  /// Map v3 files once; every worker decodes from the same read-only
+  /// Map the file once; every worker decodes from the same read-only
   /// pages. A failed map (file vanished between index and scan) is not
   /// fatal — readers fall back to per-thread streams.
   void open_map() {
-    if (format_ != TraceFormat::kBinaryV3) return;
     try {
       map_ = std::make_unique<MappedFile>(path_);
     } catch (const std::runtime_error&) {
@@ -477,7 +411,7 @@ class ParallelTraceScanner {
   }
 
   [[nodiscard]] ChunkReader make_reader() const {
-    return {path_, format_, map_.get()};
+    return ChunkReader(path_, map_.get());
   }
 
   [[nodiscard]] static std::size_t resolve_window(const ScanOptions& options,
@@ -496,7 +430,6 @@ class ParallelTraceScanner {
   }
 
   std::string path_;
-  TraceFormat format_ = TraceFormat::kBinaryV2;
   TraceIndex index_;
   std::size_t jobs_;
   std::size_t merge_window_;

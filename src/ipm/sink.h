@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,14 +27,6 @@ class EventSink {
 
   /// One completed, phase-tagged call.
   virtual void on_event(const TraceEvent& event) = 0;
-
-  /// A run of consecutive events, in stored order. The default loops
-  /// over on_event; sinks on the analysis hot path override it so one
-  /// virtual dispatch amortizes over a whole decoded chunk instead of
-  /// costing one indirect call per event.
-  virtual void on_batch(std::span<const TraceEvent> events) {
-    for (const TraceEvent& e : events) on_event(e);
-  }
 
   /// Capture is over; flush any buffered state (e.g. a trailing chunk
   /// and footer index for file writers). Must be idempotent.
@@ -76,9 +67,6 @@ class FanoutSink final : public EventSink {
 
   void on_event(const TraceEvent& event) override {
     for (const auto& s : sinks_) s->on_event(event);
-  }
-  void on_batch(std::span<const TraceEvent> events) override {
-    for (const auto& s : sinks_) s->on_batch(events);
   }
   void finish() override {
     for (const auto& s : sinks_) s->finish();

@@ -53,17 +53,6 @@ void Trace::write(std::ostream& out) const {
 
 Trace Trace::read(std::istream& in) { return materialize(in, stream_tsv); }
 
-void Trace::write_binary(std::ostream& out) const {
-  write_binary_v1_header(out, experiment_, ranks_, events_.size());
-  for (const TraceEvent& e : events_) write_binary_v1_event(out, e);
-}
-
-void Trace::write_binary_v2(std::ostream& out) const {
-  TraceWriterV2 writer(out, experiment_, ranks_);
-  for (const TraceEvent& e : events_) writer.add(e);
-  writer.finish();
-}
-
 void Trace::write_binary_v3(std::ostream& out) const {
   TraceWriterV3 writer(out, experiment_, ranks_);
   for (const TraceEvent& e : events_) writer.add(e);
@@ -71,33 +60,16 @@ void Trace::write_binary_v3(std::ostream& out) const {
 }
 
 Trace Trace::read_binary(std::istream& in) {
-  switch (sniff_format(in)) {
-    case TraceFormat::kBinaryV1: return materialize(in, stream_binary_v1);
-    case TraceFormat::kBinaryV2: return materialize(in, stream_binary_v2);
-    case TraceFormat::kBinaryV3: return materialize(in, stream_binary_v3);
-    case TraceFormat::kTsv: break;
+  if (sniff_format(in) != TraceFormat::kBinaryV3) {
+    throw std::runtime_error("not a binary ipm-io trace (missing magic)");
   }
-  throw std::runtime_error("not a binary ipm-io trace (missing magic)");
+  return materialize(in, stream_binary_v3);
 }
 
 void Trace::save(const std::string& path) const {
   std::ofstream out(path);
   EIO_CHECK_MSG(out.good(), "cannot open for writing: " << path);
   write(out);
-  EIO_CHECK_MSG(out.good(), "write failed: " << path);
-}
-
-void Trace::save_binary(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  EIO_CHECK_MSG(out.good(), "cannot open for writing: " << path);
-  write_binary(out);
-  EIO_CHECK_MSG(out.good(), "write failed: " << path);
-}
-
-void Trace::save_binary_v2(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary);
-  EIO_CHECK_MSG(out.good(), "cannot open for writing: " << path);
-  write_binary_v2(out);
   EIO_CHECK_MSG(out.good(), "write failed: " << path);
 }
 
@@ -109,9 +81,10 @@ void Trace::save_binary_v3(const std::string& path) const {
 }
 
 Trace Trace::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EIO_CHECK_MSG(in.good(), "cannot open for reading: " << path);
-  return materialize(in, stream_any);
+  std::ifstream in = open_trace(path);
+  return sniff_format(in) == TraceFormat::kTsv
+             ? materialize(in, stream_tsv)
+             : materialize(in, stream_binary_v3);
 }
 
 }  // namespace eio::ipm

@@ -72,28 +72,19 @@ class Trace {
   /// malformed input.
   [[nodiscard]] static Trace read(std::istream& in);
 
-  /// Serialize as the compact binary v1 format (varint-packed records
-  /// behind a magic header) — ~3x smaller and much faster to parse
-  /// than the TSV form.
-  void write_binary(std::ostream& out) const;
-  /// Serialize as the chunked, indexed binary v2 format (see
-  /// trace_stream.h) — the row-oriented at-scale format readers can
-  /// stream or selectively scan.
-  void write_binary_v2(std::ostream& out) const;
   /// Serialize as the columnar binary v3 format (see trace_v3.h) —
-  /// same container as v2, per-column delta/varint streams with
-  /// optional RLE compression.
+  /// chunked per-column delta/varint streams with optional RLE
+  /// compression behind a footer index.
   void write_binary_v3(std::ostream& out) const;
-  /// Parse a stream produced by any of the binary writers (v1, v2 or
-  /// v3). Throws std::runtime_error on truncated or corrupt input.
+  /// Parse a stream produced by write_binary_v3(). Throws
+  /// std::runtime_error on truncated or corrupt input.
   [[nodiscard]] static Trace read_binary(std::istream& in);
 
-  /// Convenience file-path wrappers. save()/load() use TSV;
-  /// save_binary()/save_binary_v2()/save_binary_v3() write the compact
-  /// forms; load() auto-detects the format from the magic bytes.
+  /// Convenience file-path wrappers. save() writes TSV,
+  /// save_binary_v3() the v3 form; load() auto-detects TSV or v3 from
+  /// the magic bytes and throws std::runtime_error when the file cannot
+  /// be opened.
   void save(const std::string& path) const;
-  void save_binary(const std::string& path) const;
-  void save_binary_v2(const std::string& path) const;
   void save_binary_v3(const std::string& path) const;
   [[nodiscard]] static Trace load(const std::string& path);
 

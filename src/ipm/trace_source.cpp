@@ -10,48 +10,39 @@
 
 namespace eio::ipm {
 
-void TraceSource::for_each_batch(const BatchVisitor& visit) const {
+namespace {
+
+/// Shred a per-event pass into column batches of kDefaultBatchEvents
+/// rows — the columnar view of a source without native chunks.
+template <typename Pass>
+void shred_pass(const Pass& pass, ColumnMask mask,
+                const ColumnBatchVisitor& visit) {
   std::vector<TraceEvent> buffer;
-  buffer.reserve(kDefaultBatchEvents);
-  for_each([&](const TraceEvent& e) {
+  buffer.reserve(TraceSource::kDefaultBatchEvents);
+  ColumnScratch scratch;
+  auto flush = [&] {
+    visit(shred(std::span<const TraceEvent>(buffer), scratch, mask));
+    buffer.clear();
+  };
+  pass([&](const TraceEvent& e) {
     buffer.push_back(e);
-    if (buffer.size() == kDefaultBatchEvents) {
-      visit(std::span<const TraceEvent>(buffer));
-      buffer.clear();
-    }
+    if (buffer.size() == TraceSource::kDefaultBatchEvents) flush();
   });
-  if (!buffer.empty()) visit(std::span<const TraceEvent>(buffer));
+  if (!buffer.empty()) flush();
 }
 
-void TraceSource::for_each_batch_hinted(const ChunkHint& hint,
-                                        const BatchVisitor& visit) const {
-  std::vector<TraceEvent> buffer;
-  buffer.reserve(kDefaultBatchEvents);
-  for_each_hinted(hint, [&](const TraceEvent& e) {
-    buffer.push_back(e);
-    if (buffer.size() == kDefaultBatchEvents) {
-      visit(std::span<const TraceEvent>(buffer));
-      buffer.clear();
-    }
-  });
-  if (!buffer.empty()) visit(std::span<const TraceEvent>(buffer));
-}
+}  // namespace
 
 void TraceSource::for_each_columns(ColumnMask mask,
                                    const ColumnBatchVisitor& visit) const {
-  ColumnScratch scratch;
-  for_each_batch([&](std::span<const TraceEvent> events) {
-    visit(shred(events, scratch, mask));
-  });
+  shred_pass([this](const EventVisitor& v) { for_each(v); }, mask, visit);
 }
 
 void TraceSource::for_each_columns_hinted(
     const ChunkHint& hint, ColumnMask mask,
     const ColumnBatchVisitor& visit) const {
-  ColumnScratch scratch;
-  for_each_batch_hinted(hint, [&](std::span<const TraceEvent> events) {
-    visit(shred(events, scratch, mask));
-  });
+  shred_pass([this, &hint](const EventVisitor& v) { for_each_hinted(hint, v); },
+             mask, visit);
 }
 
 double TraceSource::time_span() const {
@@ -84,23 +75,19 @@ void MemoryTraceSource::for_each(const EventVisitor& visit) const {
   for (const TraceEvent& e : trace_->events()) visit(e);
 }
 
-void MemoryTraceSource::for_each_batch(const BatchVisitor& visit) const {
-  // The whole trace is one contiguous run — a single span, no copying.
-  if (!trace_->empty()) visit(std::span<const TraceEvent>(trace_->events()));
-}
-
-void MemoryTraceSource::for_each_batch_hinted(const ChunkHint& hint,
-                                              const BatchVisitor& visit) const {
-  (void)hint;  // full scan is a valid superset
-  for_each_batch(visit);
-}
-
 void MemoryTraceSource::for_each_columns(
     ColumnMask mask, const ColumnBatchVisitor& visit) const {
   // One shred of the contiguous trace — a single columnar batch.
   if (!trace_->empty()) {
     visit(shred(std::span<const TraceEvent>(trace_->events()), scratch_, mask));
   }
+}
+
+void MemoryTraceSource::for_each_columns_hinted(
+    const ChunkHint& hint, ColumnMask mask,
+    const ColumnBatchVisitor& visit) const {
+  (void)hint;  // full scan is a valid superset
+  for_each_columns(mask, visit);
 }
 
 double MemoryTraceSource::time_span() const { return trace_->span(); }
@@ -112,46 +99,27 @@ Trace MemoryTraceSource::materialize() const {
   return copy;
 }
 
-namespace {
-
-std::ifstream open_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EIO_CHECK_MSG(in.good(), "cannot open for reading: " << path);
-  return in;
-}
-
-}  // namespace
-
 FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
   stream_ = open_trace(path_);
   format_ = sniff_format(stream_);
-  switch (format_) {
-    case TraceFormat::kBinaryV2:
-      index_ = read_index_v2(stream_);
-      meta_ = index_->meta;
-      break;
-    case TraceFormat::kBinaryV3:
-      index_ = read_index_v3(stream_);
-      meta_ = index_->meta;
-      // Prefer decoding chunks straight from page cache; a failed map
-      // is not fatal — passes fall back to the cached stream.
-      try {
-        map_ = std::make_unique<MappedFile>(path_);
-      } catch (const std::runtime_error&) {
-        map_ = nullptr;
-      }
-      break;
-    case TraceFormat::kTsv:
-    case TraceFormat::kBinaryV1: {
-      // The legacy formats keep no trailing index, so validating the
-      // header costs one pass; the constructor pays it once and meta()
-      // stays cheap thereafter.
-      std::uint64_t counted = 0;
-      meta_ = stream_any(stream_, [&counted](const TraceEvent&) { ++counted; });
-      if (!meta_.declared_events) meta_.declared_events = counted;
-      break;
+  if (format_ == TraceFormat::kBinaryV3) {
+    index_ = read_index_v3(stream_);
+    meta_ = index_->meta;
+    // Prefer decoding chunks straight from page cache; a failed map
+    // is not fatal — passes fall back to the cached stream.
+    try {
+      map_ = std::make_unique<MappedFile>(path_);
+    } catch (const std::runtime_error&) {
+      map_ = nullptr;
     }
+    return;
   }
+  // TSV keeps no trailing index, so validating the header costs one
+  // pass; the constructor pays it once and meta() stays cheap
+  // thereafter.
+  std::uint64_t counted = 0;
+  meta_ = stream_tsv(stream_, [&counted](const TraceEvent&) { ++counted; });
+  if (!meta_.declared_events) meta_.declared_events = counted;
 }
 
 std::istream& FileTraceSource::reset_stream() const {
@@ -161,17 +129,8 @@ std::istream& FileTraceSource::reset_stream() const {
   return stream_;
 }
 
-void FileTraceSource::stream_legacy(const EventVisitor& visit) const {
-  // The format was sniffed at open; dispatch directly instead of
-  // re-sniffing the magic on every pass.
-  auto& in = reset_stream();
-  switch (format_) {
-    case TraceFormat::kTsv: (void)stream_tsv(in, visit); return;
-    case TraceFormat::kBinaryV1: (void)stream_binary_v1(in, visit); return;
-    case TraceFormat::kBinaryV2:
-    case TraceFormat::kBinaryV3: break;  // handled by scan_chunks
-  }
-  EIO_CHECK_MSG(false, "stream_legacy on an indexed trace");
+void FileTraceSource::stream_tsv_pass(const EventVisitor& visit) const {
+  (void)stream_tsv(reset_stream(), visit);
 }
 
 ColumnBatch FileTraceSource::decode_columns(std::size_t i,
@@ -188,25 +147,6 @@ ColumnBatch FileTraceSource::decode_columns(std::size_t i,
   return read_chunk_v3(stream_, chunk, byte_len, raw_, scratch_, mask);
 }
 
-void FileTraceSource::scan_chunks(const ChunkHint* hint,
-                                  const BatchVisitor& batch) const {
-  auto& in = reset_stream();
-  for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
-    const ChunkMeta& chunk = index_->chunks[i];
-    if (hint && !hint->admits(chunk)) {
-      OBS_COUNTER_ADD("scan.chunks_skipped", 1);
-      continue;
-    }
-    OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(in, chunk, chunk_byte_length(*index_, i), raw_, batch_);
-    } else {
-      unshred(decode_columns(i, kColAll), batch_);
-    }
-    batch(std::span<const TraceEvent>(batch_));
-  }
-}
-
 void FileTraceSource::scan_chunk_columns(
     const ChunkHint* hint, ColumnMask mask,
     const ColumnBatchVisitor& visit) const {
@@ -218,52 +158,33 @@ void FileTraceSource::scan_chunk_columns(
       continue;
     }
     OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-    if (format_ == TraceFormat::kBinaryV2) {
-      read_chunk_v2(stream_, chunk, chunk_byte_length(*index_, i), raw_,
-                    batch_);
-      visit(shred(std::span<const TraceEvent>(batch_), scratch_, mask));
-    } else {
-      visit(decode_columns(i, mask));
-    }
+    visit(decode_columns(i, mask));
   }
+}
+
+void FileTraceSource::scan_chunk_events(const ChunkHint* hint,
+                                        const EventVisitor& visit) const {
+  scan_chunk_columns(hint, kColAll, [&](const ColumnBatch& batch) {
+    unshred(batch, batch_);
+    for (const TraceEvent& e : batch_) visit(e);
+  });
 }
 
 void FileTraceSource::for_each(const EventVisitor& visit) const {
   if (index_) {
-    scan_chunks(nullptr, [&visit](std::span<const TraceEvent> events) {
-      for (const TraceEvent& e : events) visit(e);
-    });
+    scan_chunk_events(nullptr, visit);
     return;
   }
-  stream_legacy(visit);
+  stream_tsv_pass(visit);
 }
 
 void FileTraceSource::for_each_hinted(const ChunkHint& hint,
                                       const EventVisitor& visit) const {
-  if (!index_) {
-    stream_legacy(visit);
-    return;
-  }
-  scan_chunks(&hint, [&visit](std::span<const TraceEvent> events) {
-    for (const TraceEvent& e : events) visit(e);
-  });
-}
-
-void FileTraceSource::for_each_batch(const BatchVisitor& visit) const {
   if (index_) {
-    scan_chunks(nullptr, visit);
+    scan_chunk_events(&hint, visit);
     return;
   }
-  TraceSource::for_each_batch(visit);
-}
-
-void FileTraceSource::for_each_batch_hinted(const ChunkHint& hint,
-                                            const BatchVisitor& visit) const {
-  if (index_) {
-    scan_chunks(&hint, visit);
-    return;
-  }
-  TraceSource::for_each_batch_hinted(hint, visit);
+  stream_tsv_pass(visit);
 }
 
 void FileTraceSource::for_each_columns(ColumnMask mask,
@@ -293,9 +214,8 @@ double FileTraceSource::time_span() const {
 }
 
 std::uint64_t FileTraceSource::event_count() const {
-  // Every backing format declares its count (TSV via the header field,
-  // v1 via the up-front varint, v2/v3 via the footer), and the
-  // constructor's metadata pass validated it.
+  // Both backing formats declare their count (TSV via the header field,
+  // v3 via the footer), and the constructor validated it.
   return meta_.declared_events.value_or(0);
 }
 

@@ -6,20 +6,20 @@
 // MemoryTraceSource adapts an in-memory Trace (so the batch paths stay
 // available and the streaming kernels can be validated against them);
 // a FileTraceSource replays a trace file on every pass, keeping memory
-// O(1) in the event count. For indexed (v2/v3) files, a ChunkHint lets
+// O(1) in the event count. For indexed (v3) files, a ChunkHint lets
 // the source skip whole chunks whose footer metadata cannot match,
 // turning filtered scans into selective reads.
 //
-// Three dispatch granularities are offered: for_each (one visitor call
-// per event), for_each_batch (one call per run of consecutive events —
-// a decoded chunk, or the whole in-memory trace), and for_each_columns
-// (one ColumnBatch per run, restricted to a ColumnMask). The batch
-// forms are the hot path: the per-event std::function indirection
-// disappears from the decode→accumulate loop. The columnar form is the
-// hottest: on v3 files unneeded columns are never decoded — and with
-// the mmap path the needed ones decode straight from page cache —
-// while every other source shreds its row batches, so columnar
-// consumers see the identical value sequence from any backing format.
+// Two dispatch granularities are offered: for_each (one visitor call
+// per event) and for_each_columns (one ColumnBatch per run of
+// consecutive events — a decoded chunk, or the whole in-memory trace —
+// restricted to a ColumnMask). The columnar form is the hot path: the
+// per-event std::function indirection disappears from the
+// decode→accumulate loop, on v3 files unneeded columns are never
+// decoded — and with the mmap path the needed ones decode straight
+// from page cache — while every other source shreds its rows, so
+// columnar consumers see the identical value sequence from any backing
+// format.
 #pragma once
 
 #include <algorithm>
@@ -106,7 +106,7 @@ class TraceSource {
   virtual ~TraceSource() = default;
 
   /// Events buffered per batch when a backing format has no natural
-  /// chunking (matches the v2 writer's default chunk size).
+  /// chunking (matches the v3 writer's default chunk size).
   static constexpr std::size_t kDefaultBatchEvents = 4096;
 
   /// Job-level metadata (experiment name, rank count, event count when
@@ -125,25 +125,16 @@ class TraceSource {
     for_each(visit);
   }
 
-  /// Visit every event in stored order, one span per run of
-  /// consecutive events. Default: buffer kDefaultBatchEvents at a time
-  /// over for_each; sources with natural chunk boundaries hand out
-  /// their decode buffers directly.
-  virtual void for_each_batch(const BatchVisitor& visit) const;
-
-  /// Batched form of for_each_hinted (same superset contract).
-  virtual void for_each_batch_hinted(const ChunkHint& hint,
-                                     const BatchVisitor& visit) const;
-
   /// Visit every event as columnar batches with (at least) the masked
   /// columns materialized. Column order is event order, so folding a
   /// ColumnBatch index 0..n-1 is value-identical to folding the same
-  /// run of rows. Default: shred the row batches; columnar-native
-  /// sources decode only what the mask asks for.
+  /// run of rows. Default: shred kDefaultBatchEvents rows at a time
+  /// from for_each; columnar-native sources decode only what the mask
+  /// asks for.
   virtual void for_each_columns(ColumnMask mask,
                                 const ColumnBatchVisitor& visit) const;
 
-  /// Columnar form of for_each_batch_hinted (same superset contract).
+  /// Columnar form of for_each_hinted (same superset contract).
   virtual void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
                                        const ColumnBatchVisitor& visit) const;
 
@@ -167,11 +158,10 @@ class MemoryTraceSource final : public TraceSource {
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
   void for_each(const EventVisitor& visit) const override;
-  void for_each_batch(const BatchVisitor& visit) const override;
-  void for_each_batch_hinted(const ChunkHint& hint,
-                             const BatchVisitor& visit) const override;
   void for_each_columns(ColumnMask mask,
                         const ColumnBatchVisitor& visit) const override;
+  void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
+                               const ColumnBatchVisitor& visit) const override;
   [[nodiscard]] double time_span() const override;
   [[nodiscard]] std::uint64_t event_count() const override;
   [[nodiscard]] Trace materialize() const override;
@@ -182,31 +172,27 @@ class MemoryTraceSource final : public TraceSource {
   mutable ColumnScratch scratch_;  ///< shred target for columnar passes
 };
 
-/// Streams a trace file (TSV, binary v1, v2 or v3) from disk on every
-/// pass. Holds only the header metadata — plus, for the indexed
-/// formats, the footer index, which the hinted passes use to skip
-/// chunks. The file is opened (and its format sniffed) exactly once;
-/// every pass rewinds the same seekable stream, and indexed passes
-/// decode whole chunks with single sized reads into reusable buffers.
-/// A v3 file is additionally mmap'd when the platform allows, so its
-/// chunks decode zero-copy from page cache (the stream remains as the
-/// fallback). Passes mutate the cached stream and scratch buffers, so
+/// Streams a trace file (TSV or binary v3) from disk on every pass.
+/// Holds only the header metadata — plus, for v3, the footer index,
+/// which the hinted passes use to skip chunks. The file is opened (and
+/// its format sniffed) exactly once; every pass rewinds the same
+/// seekable stream. A v3 file is additionally mmap'd when the platform
+/// allows, so its chunks decode zero-copy from page cache (sized reads
+/// through the stream into reusable buffers remain as the fallback). Passes mutate the cached stream and scratch buffers, so
 /// one FileTraceSource must not run concurrent passes —
 /// ParallelTraceScanner decodes through per-thread readers instead.
 class FileTraceSource final : public TraceSource {
  public:
   /// Opens the file once to sniff the format and cache metadata (for
-  /// v2/v3 this reads just header + footer, not the events). Throws
-  /// std::runtime_error if unreadable or unrecognized.
+  /// v3 this reads just header + footer, not the events). Throws
+  /// std::runtime_error if unreadable, unrecognized or in a retired
+  /// binary format.
   explicit FileTraceSource(std::string path);
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
   void for_each(const EventVisitor& visit) const override;
   void for_each_hinted(const ChunkHint& hint,
                        const EventVisitor& visit) const override;
-  void for_each_batch(const BatchVisitor& visit) const override;
-  void for_each_batch_hinted(const ChunkHint& hint,
-                             const BatchVisitor& visit) const override;
   void for_each_columns(ColumnMask mask,
                         const ColumnBatchVisitor& visit) const override;
   void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
@@ -216,7 +202,7 @@ class FileTraceSource final : public TraceSource {
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] TraceFormat format() const noexcept { return format_; }
-  /// The footer index; nullopt for TSV/v1 files.
+  /// The footer index; nullopt for TSV files.
   [[nodiscard]] const std::optional<TraceIndex>& index() const noexcept {
     return index_;
   }
@@ -226,18 +212,19 @@ class FileTraceSource final : public TraceSource {
  private:
   /// Rewind the cached stream for a fresh pass.
   [[nodiscard]] std::istream& reset_stream() const;
-  /// Replay the legacy (TSV/v1) formats through the cached stream.
-  void stream_legacy(const EventVisitor& visit) const;
-  /// Decode indexed chunk i as columns (mask-restricted; v3 native,
-  /// v2 rows + shred). Spans are valid until the next decode.
+  /// Replay a TSV file through the cached stream.
+  void stream_tsv_pass(const EventVisitor& visit) const;
+  /// Decode indexed chunk i as columns (mask-restricted). Spans are
+  /// valid until the next decode.
   [[nodiscard]] ColumnBatch decode_columns(std::size_t i,
                                            ColumnMask mask) const;
   /// Decode the admitted indexed chunks in order, handing each decoded
-  /// buffer to `batch` (all chunks when hint is null).
-  void scan_chunks(const ChunkHint* hint, const BatchVisitor& batch) const;
-  /// Columnar twin of scan_chunks.
+  /// batch to `visit` (all chunks when hint is null).
   void scan_chunk_columns(const ChunkHint* hint, ColumnMask mask,
                           const ColumnBatchVisitor& visit) const;
+  /// Replay the admitted indexed chunks event by event.
+  void scan_chunk_events(const ChunkHint* hint,
+                         const EventVisitor& visit) const;
 
   std::string path_;
   TraceFormat format_;
@@ -246,7 +233,7 @@ class FileTraceSource final : public TraceSource {
   mutable std::ifstream stream_;
   std::unique_ptr<const MappedFile> map_;  ///< v3 zero-copy image
   // Per-pass scratch, reused so a pass costs zero steady-state
-  // allocations (one chunk's worth of bytes + decoded events/columns).
+  // allocations (one chunk's worth of bytes + decoded columns/events).
   mutable std::vector<char> raw_;
   mutable std::vector<TraceEvent> batch_;
   mutable ColumnScratch scratch_;

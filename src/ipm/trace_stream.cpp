@@ -1,73 +1,19 @@
 #include "ipm/trace_stream.h"
 
 #include <algorithm>
+#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.h"
-#include "ipm/trace_v3.h"
 #include "ipm/wire.h"
-#include "obs/registry.h"
 
 namespace eio::ipm {
 
 namespace {
-
-using wire::ByteReader;
-using wire::check_magic;
-using wire::get;
-using wire::get_varint;
-using wire::put;
-using wire::put_varint;
-using wire::unzigzag;
-using wire::zigzag;
-
-void put_event(std::ostream& out, const TraceEvent& e) {
-  put<double>(out, e.start);
-  put<double>(out, e.duration);
-  put_varint(out, static_cast<std::uint64_t>(e.op));
-  put_varint(out, e.rank);
-  put_varint(out, e.file);
-  put_varint(out, e.offset);
-  put_varint(out, e.bytes);
-  put_varint(out, zigzag(e.phase));
-}
-
-TraceEvent get_event(std::istream& in) {
-  TraceEvent e;
-  e.start = get<double>(in);
-  e.duration = get<double>(in);
-  auto op = get_varint(in);
-  if (op > static_cast<std::uint64_t>(posix::OpType::kFault)) {
-    throw std::runtime_error("corrupt binary trace: bad op code");
-  }
-  e.op = static_cast<posix::OpType>(op);
-  e.rank = static_cast<RankId>(get_varint(in));
-  e.file = get_varint(in);
-  e.offset = get_varint(in);
-  e.bytes = get_varint(in);
-  e.phase = static_cast<std::int32_t>(unzigzag(get_varint(in)));
-  return e;
-}
-
-TraceEvent get_event(ByteReader& in) {
-  TraceEvent e;
-  e.start = in.f64();
-  e.duration = in.f64();
-  auto op = in.varint();
-  if (op > static_cast<std::uint64_t>(posix::OpType::kFault)) {
-    throw std::runtime_error("corrupt binary trace: bad op code");
-  }
-  e.op = static_cast<posix::OpType>(op);
-  e.rank = static_cast<RankId>(in.varint());
-  e.file = in.varint();
-  e.offset = in.varint();
-  e.bytes = in.varint();
-  e.phase = static_cast<std::int32_t>(unzigzag(in.varint()));
-  return e;
-}
 
 [[nodiscard]] posix::OpType op_from_name(const std::string& name) {
   using posix::OpType;
@@ -83,6 +29,12 @@ TraceEvent get_event(ByteReader& in) {
 
 }  // namespace
 
+std::ifstream open_trace(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) throw std::runtime_error("cannot open for reading: " + path);
+  return in;
+}
+
 TraceFormat sniff_format(std::istream& in) {
   char buf[8] = {};
   in.read(buf, sizeof buf);
@@ -93,9 +45,14 @@ TraceFormat sniff_format(std::istream& in) {
     return got >= 8 &&
            std::equal(std::begin(buf), std::end(buf), std::begin(magic));
   };
-  if (is(wire::kMagicV1)) return TraceFormat::kBinaryV1;
-  if (is(wire::kMagicV2)) return TraceFormat::kBinaryV2;
   if (is(wire::kMagicV3)) return TraceFormat::kBinaryV3;
+  for (const auto& [magic, name] : {std::pair{&wire::kRetiredMagicV1, "v1"},
+                                    std::pair{&wire::kRetiredMagicV2, "v2"}}) {
+    if (is(*magic)) {
+      throw std::runtime_error(std::string("retired binary trace format ") +
+                               name + "; this build reads TSV and v3 traces");
+    }
+  }
   if (got >= 1 && buf[0] == '#') return TraceFormat::kTsv;
   throw std::runtime_error("not an ipm-io trace (unrecognized magic)");
 }
@@ -145,46 +102,6 @@ TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit) {
   return meta;
 }
 
-TraceMeta stream_binary_v1(std::istream& in, const EventVisitor& visit) {
-  check_magic(in, wire::kMagicV1, "binary ipm-io trace");
-  TraceMeta meta;
-  meta.ranks = static_cast<std::uint32_t>(get_varint(in));
-  meta.experiment = wire::get_name(in);
-  auto count = get_varint(in);
-  meta.declared_events = count;
-  for (std::uint64_t i = 0; i < count; ++i) visit(get_event(in));
-  return meta;
-}
-
-TraceMeta stream_binary_v2(std::istream& in, const EventVisitor& visit) {
-  TraceMeta meta = wire::get_header(in, wire::kMagicV2, "v2 binary ipm-io trace");
-  std::uint64_t parsed = 0;
-  for (;;) {
-    auto tag = get<std::uint8_t>(in);
-    if (tag == wire::kChunkTag) {
-      auto count = get_varint(in);
-      for (std::uint64_t i = 0; i < count; ++i) visit(get_event(in));
-      parsed += count;
-      continue;
-    }
-    if (tag != wire::kFooterTag) {
-      throw std::runtime_error("corrupt v2 trace: bad chunk tag");
-    }
-    auto [chunks, total] = wire::get_footer(in);
-    if (parsed != total) {
-      throw std::runtime_error(
-          "truncated v2 trace: chunk events disagree with footer");
-    }
-    meta.declared_events = total;
-    // The trailer must be present and intact even on a sequential read
-    // — it is what distinguishes a complete file from one cut off
-    // exactly at a chunk boundary.
-    (void)get<std::uint64_t>(in);
-    check_magic(in, wire::kTrailerV2, "complete v2 trace trailer");
-    return meta;
-  }
-}
-
 void write_tsv_header(std::ostream& out, const std::string& experiment,
                       std::uint32_t ranks, std::uint64_t events) {
   out << "# ipm-io-trace v1\texperiment=" << experiment << "\tranks=" << ranks
@@ -199,136 +116,12 @@ void write_tsv_event(std::ostream& out, const TraceEvent& e) {
       << '\t' << e.phase << '\n';
 }
 
-void write_binary_v1_header(std::ostream& out, const std::string& experiment,
-                            std::uint32_t ranks, std::uint64_t events) {
-  wire::write_header(out, wire::kMagicV1, ranks, experiment);
-  put_varint(out, events);
-}
-
-void write_binary_v1_event(std::ostream& out, const TraceEvent& event) {
-  put_event(out, event);
-}
-
-TraceMeta stream_any(std::istream& in, const EventVisitor& visit) {
-  switch (sniff_format(in)) {
-    case TraceFormat::kTsv: return stream_tsv(in, visit);
-    case TraceFormat::kBinaryV1: return stream_binary_v1(in, visit);
-    case TraceFormat::kBinaryV2: return stream_binary_v2(in, visit);
-    case TraceFormat::kBinaryV3: return stream_binary_v3(in, visit);
-  }
-  throw std::runtime_error("unreachable trace format");
-}
-
-TraceWriterV2::TraceWriterV2(std::ostream& out, std::string experiment,
-                             std::uint32_t ranks)
-    : TraceWriterV2(out, std::move(experiment), ranks, Options{}) {}
-
-TraceWriterV2::TraceWriterV2(std::ostream& out, std::string experiment,
-                             std::uint32_t ranks, Options options)
-    : out_(&out), options_(options) {
-  if (options_.chunk_events == 0) options_.chunk_events = 1;
-  buffer_.reserve(options_.chunk_events);
-  wire::write_header(out, wire::kMagicV2, ranks, experiment);
-}
-
-TraceWriterV2::~TraceWriterV2() {
-  try {
-    finish();
-  } catch (...) {
-    // Destructors must not throw; callers wanting the error should
-    // call finish() explicitly.
-  }
-}
-
-void TraceWriterV2::add(const TraceEvent& event) {
-  buffer_.push_back(event);
-  ++total_events_;
-  if (buffer_.size() >= options_.chunk_events) flush_chunk();
-}
-
-void TraceWriterV2::flush_chunk() {
-  if (buffer_.empty()) return;
-  OBS_SPAN("v2.flush_chunk");
-  OBS_COUNTER_ADD("v2.chunks_written", 1);
-  OBS_COUNTER_ADD("v2.events_written", buffer_.size());
-  ChunkMeta meta;
-  meta.offset = static_cast<std::uint64_t>(out_->tellp());
-  put<std::uint8_t>(*out_, wire::kChunkTag);
-  put_varint(*out_, buffer_.size());
-  for (const TraceEvent& e : buffer_) {
-    wire::fold_into(meta, e);
-    put_event(*out_, e);
-  }
-  chunks_.push_back(meta);
-  buffer_.clear();
-}
-
-void TraceWriterV2::finish() {
-  if (finished_) return;
-  finished_ = true;
-  flush_chunk();
-  wire::write_footer(*out_, chunks_, total_events_, wire::kTrailerV2);
-  if (!out_->good()) throw std::runtime_error("v2 trace write failed");
-}
-
-TraceIndex read_index_v2(std::istream& in) {
-  return wire::read_index(in, wire::kMagicV2, wire::kTrailerV2,
-                          "v2 binary ipm-io trace");
-}
-
 std::uint64_t chunk_byte_length(const TraceIndex& index, std::size_t i) {
   EIO_CHECK_MSG(i < index.chunks.size() && index.footer_offset != 0,
                 "chunk_byte_length needs an indexed chunk");
   std::uint64_t end = i + 1 < index.chunks.size() ? index.chunks[i + 1].offset
                                                   : index.footer_offset;
   return end - index.chunks[i].offset;
-}
-
-void read_chunk_v2(std::istream& in, const ChunkMeta& chunk,
-                   std::uint64_t byte_len, std::vector<char>& raw,
-                   std::vector<TraceEvent>& events) {
-  // The decode chokepoint shared by the serial and parallel scan paths
-  // — its counters are work-proportional, so they are identical for
-  // any --jobs value.
-  OBS_SPAN("v2.decode_chunk");
-  OBS_COUNTER_ADD("v2.chunks_decoded", 1);
-  OBS_COUNTER_ADD("v2.events_decoded", chunk.events);
-  OBS_COUNTER_ADD("v2.bytes_decoded", byte_len);
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(chunk.offset));
-  raw.resize(byte_len);
-  in.read(raw.data(), static_cast<std::streamsize>(byte_len));
-  if (static_cast<std::uint64_t>(in.gcount()) != byte_len) {
-    throw std::runtime_error("truncated v2 trace (chunk body)");
-  }
-  ByteReader r{raw.data(), raw.data() + byte_len};
-  if (r.u8() != wire::kChunkTag) {
-    throw std::runtime_error("corrupt v2 trace: expected chunk tag");
-  }
-  auto count = r.varint();
-  if (count != chunk.events) {
-    throw std::runtime_error("corrupt v2 trace: chunk count mismatch");
-  }
-  events.clear();
-  events.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) events.push_back(get_event(r));
-  if (r.p != r.end) {
-    throw std::runtime_error("corrupt v2 trace: chunk length mismatch");
-  }
-}
-
-void stream_chunk_v2(std::istream& in, const ChunkMeta& chunk,
-                     const EventVisitor& visit) {
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(chunk.offset));
-  if (get<std::uint8_t>(in) != wire::kChunkTag) {
-    throw std::runtime_error("corrupt v2 trace: expected chunk tag");
-  }
-  auto count = get_varint(in);
-  if (count != chunk.events) {
-    throw std::runtime_error("corrupt v2 trace: chunk count mismatch");
-  }
-  for (std::uint64_t i = 0; i < count; ++i) visit(get_event(in));
 }
 
 }  // namespace eio::ipm

@@ -1,41 +1,24 @@
-// Streaming trace serialization: format kernels and the chunked,
-// indexed binary format v2.
+// Streaming trace serialization: format sniffing, the TSV kernels and
+// the chunk index shared with binary v3 (see trace_v3.h).
 //
-// Three on-disk formats share one event schema:
+// Two on-disk formats share one event schema: TSV ("# ipm-io-trace
+// v1"), human-readable with one event per line, and the columnar,
+// chunked, indexed binary v3 ("IPMIOB3\n"). The retired binary formats
+// v1 and v2 are recognized only to be rejected by name.
 //
-//  * TSV ("# ipm-io-trace v1"): human-readable, one event per line;
-//  * binary v1 ("IPMIOB1\n"): varint-packed records behind an up-front
-//    event count — compact, but monolithic;
-//  * binary v2 ("IPMIOB2\n"): the row-oriented at-scale format. Events
-//    are written in chunks, each preceded by a one-byte tag, and a
-//    footer index records every chunk's offset, event count, op mask,
-//    rank/phase ranges and time span. A fixed 16-byte trailer (footer
-//    offset + magic) lets a seekable reader jump straight to the index
-//    and scan only the chunks that can match a filter; a non-seekable
-//    reader streams the tagged chunks in order. Either way, memory
-//    stays O(chunk), never O(events);
-//  * binary v3 ("IPMIOB3\n"): the columnar at-scale format — same
-//    chunk/footer/trailer container as v2, but each chunk stores
-//    per-column streams with delta+varint encoding and optional RLE
-//    compression (see trace_v3.h).
-//
-// The functions here are the *kernels*: they parse or emit events one
-// at a time through a visitor, and every error path throws
-// std::runtime_error (truncated or corrupt input never yields a
-// partial, silently-wrong trace). Trace::read/read_binary/load are
-// thin materializing wrappers over these; TraceSource streams from
-// them without materializing.
+// Every reader throws std::runtime_error on malformed, truncated or
+// count-mismatched input — never a partial, silently-wrong trace.
+// Trace::read/read_binary/load are thin materializing wrappers over
+// these kernels; TraceSource streams from them without materializing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "ipm/sink.h"
 #include "ipm/trace.h"
 
 namespace eio::ipm {
@@ -43,49 +26,40 @@ namespace eio::ipm {
 /// Per-event visitor used by all streaming readers.
 using EventVisitor = std::function<void(const TraceEvent&)>;
 
-/// Per-batch visitor: one call per run of consecutive events (one v2
-/// chunk, one whole in-memory trace), amortizing the indirect call.
-using BatchVisitor = std::function<void(std::span<const TraceEvent>)>;
-
 /// Job-level metadata parsed from any format's header.
 struct TraceMeta {
   std::string experiment;
   std::uint32_t ranks = 0;
-  /// Total events, when the format declares it up front (TSV header
-  /// field, v1 count, v2 footer); validated against the events
-  /// actually parsed.
+  /// Total events, when the format declares it (TSV header field, v3
+  /// footer); validated against the events actually parsed.
   std::optional<std::uint64_t> declared_events;
 };
 
 /// The serialization formats, as sniffed from leading magic bytes.
-enum class TraceFormat : std::uint8_t { kTsv, kBinaryV1, kBinaryV2, kBinaryV3 };
+enum class TraceFormat : std::uint8_t { kTsv, kBinaryV3 };
+
+/// Open a trace file for binary reading. Throws std::runtime_error
+/// ("cannot open for reading: <path>") when it cannot be opened.
+[[nodiscard]] std::ifstream open_trace(const std::string& path);
 
 /// Identify the format from the first bytes of a stream (the stream is
-/// left positioned at the start). Throws if it matches none.
+/// left positioned at the start). Throws if it matches none, or if it
+/// is a retired binary format (v1/v2).
 [[nodiscard]] TraceFormat sniff_format(std::istream& in);
 
-/// Streaming readers: parse the header, call `visit` once per event in
-/// stored order, and return the metadata. Throw std::runtime_error on
-/// any malformed, truncated, or count-mismatched input.
+/// Streaming TSV reader: parse the header, call `visit` once per event
+/// in stored order, and return the metadata. Throws std::runtime_error
+/// on any malformed, truncated, or count-mismatched input.
 TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit);
-TraceMeta stream_binary_v1(std::istream& in, const EventVisitor& visit);
-TraceMeta stream_binary_v2(std::istream& in, const EventVisitor& visit);
 
-/// Dispatch on sniff_format().
-TraceMeta stream_any(std::istream& in, const EventVisitor& visit);
-
-/// Streaming writers for the legacy formats. Both declare the event
-/// count up front, so callers must know it before emitting (v2 has no
-/// such requirement — its count lives in the footer).
+/// Streaming TSV writer. The header declares the event count, so
+/// callers must know it before emitting.
 void write_tsv_header(std::ostream& out, const std::string& experiment,
                       std::uint32_t ranks, std::uint64_t events);
 void write_tsv_event(std::ostream& out, const TraceEvent& event);
-void write_binary_v1_header(std::ostream& out, const std::string& experiment,
-                            std::uint32_t ranks, std::uint64_t events);
-void write_binary_v1_event(std::ostream& out, const TraceEvent& event);
 
 // ---------------------------------------------------------------------------
-// Binary format v2: chunked events + footer index.
+// The chunk index of the binary format: chunk metadata + footer.
 
 /// Index entry summarizing one chunk of events.
 struct ChunkMeta {
@@ -99,82 +73,20 @@ struct ChunkMeta {
   std::uint64_t data_bytes = 0; ///< read+write payload bytes in the chunk
 };
 
-/// The footer index of a v2 trace.
+/// The footer index of a v3 trace.
 struct TraceIndex {
   TraceMeta meta;  ///< declared_events always set (footer total)
   std::vector<ChunkMeta> chunks;
   /// Stream offset of the footer tag byte (chunks end here). Zero for
-  /// indexes not produced by read_index_v2 (e.g. default-constructed).
+  /// indexes not produced by read_index_v3 (e.g. default-constructed).
   std::uint64_t footer_offset = 0;
 };
 
 /// Exact on-disk byte length of chunk `i` (tag byte through last
 /// event), derived from consecutive index offsets — chunks are written
 /// back to back, so chunk i ends where chunk i+1 (or the footer)
-/// begins. Requires an index from read_index_v2 (footer_offset set).
+/// begins. Requires an index from read_index_v3 (footer_offset set).
 [[nodiscard]] std::uint64_t chunk_byte_length(const TraceIndex& index,
                                               std::size_t i);
-
-/// Streaming v2 writer; usable directly as a capture sink, so the
-/// monitor can emit an indexed trace file without ever materializing
-/// the event list.
-class TraceWriterV2 final : public EventSink {
- public:
-  struct Options {
-    std::size_t chunk_events = 4096;  ///< events buffered per chunk
-  };
-
-  TraceWriterV2(std::ostream& out, std::string experiment,
-                std::uint32_t ranks);
-  TraceWriterV2(std::ostream& out, std::string experiment,
-                std::uint32_t ranks, Options options);
-  ~TraceWriterV2() override;
-
-  TraceWriterV2(const TraceWriterV2&) = delete;
-  TraceWriterV2& operator=(const TraceWriterV2&) = delete;
-
-  void add(const TraceEvent& event);
-  void on_event(const TraceEvent& event) override { add(event); }
-
-  /// Flush the trailing chunk and write the footer index + trailer.
-  /// Idempotent; called by the destructor if the caller forgot, but
-  /// explicit calls are preferred (destructors swallow I/O errors).
-  void finish() override;
-
-  [[nodiscard]] std::uint64_t events_written() const noexcept {
-    return total_events_;
-  }
-
- private:
-  void flush_chunk();
-
-  std::ostream* out_;
-  Options options_;
-  std::vector<TraceEvent> buffer_;
-  std::vector<ChunkMeta> chunks_;
-  std::uint64_t total_events_ = 0;
-  bool finished_ = false;
-};
-
-/// Read the footer index of a v2 trace from a seekable stream.
-/// Validates the trailer magic and footer bounds.
-[[nodiscard]] TraceIndex read_index_v2(std::istream& in);
-
-/// Visit the events of one indexed chunk (seeks to chunk.offset).
-void stream_chunk_v2(std::istream& in, const ChunkMeta& chunk,
-                     const EventVisitor& visit);
-
-/// Decode one indexed chunk with a single sized read: seek to
-/// chunk.offset, pull byte_len raw bytes into `raw`, then decode the
-/// events into `events` (cleared first) from memory — no per-field
-/// istream calls on the hot path. byte_len must be the exact chunk
-/// record length (see chunk_byte_length); the decode is required to
-/// consume every byte, so a wrong length or corrupt chunk throws
-/// std::runtime_error instead of yielding a partial batch. `raw` and
-/// `events` are caller-owned scratch so repeated calls reuse their
-/// capacity.
-void read_chunk_v2(std::istream& in, const ChunkMeta& chunk,
-                   std::uint64_t byte_len, std::vector<char>& raw,
-                   std::vector<TraceEvent>& events);
 
 }  // namespace eio::ipm

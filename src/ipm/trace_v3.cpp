@@ -254,7 +254,7 @@ TraceWriterV3::TraceWriterV3(std::ostream& out, std::string experiment,
     : out_(&out), options_(options) {
   if (options_.chunk_events == 0) options_.chunk_events = 1;
   buffer_.reserve(options_.chunk_events);
-  wire::write_header(out, wire::kMagicV3, ranks, experiment);
+  wire::write_header(out, ranks, experiment);
 }
 
 TraceWriterV3::~TraceWriterV3() {
@@ -348,13 +348,12 @@ void TraceWriterV3::finish() {
   if (finished_) return;
   finished_ = true;
   flush_chunk();
-  wire::write_footer(*out_, chunks_, total_events_, wire::kTrailerV3);
+  wire::write_footer(*out_, chunks_, total_events_);
   if (!out_->good()) throw std::runtime_error("v3 trace write failed");
 }
 
 TraceIndex read_index_v3(std::istream& in) {
-  return wire::read_index(in, wire::kMagicV3, wire::kTrailerV3,
-                          "v3 binary ipm-io trace");
+  return wire::read_index(in);
 }
 
 ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
@@ -410,8 +409,7 @@ ColumnBatch read_chunk_v3(std::istream& in, const ChunkMeta& chunk,
 }
 
 TraceMeta stream_binary_v3(std::istream& in, const EventVisitor& visit) {
-  TraceMeta meta =
-      wire::get_header(in, wire::kMagicV3, "v3 binary ipm-io trace");
+  TraceMeta meta = wire::get_header(in);
   ColumnScratch scratch;
   std::vector<char> payload;
   std::uint64_t parsed = 0;

@@ -1,9 +1,9 @@
 // Binary trace format v3: columnar chunks, per-column compression,
 // zero-copy decode.
 //
-// v3 keeps v2's container shape — "IPMIOB3\n" header, tagged chunks,
+// A v3 file is a chunk container — "IPMIOB3\n" header, tagged chunks,
 // footer index of ChunkMeta records, 16-byte trailer ("IPM3IDX\n") —
-// but stores each chunk as eight per-column streams instead of
+// whose chunks each store eight per-column streams instead of
 // interleaved event records:
 //
 //   chunk   := 0x01 varint(count) column*8
@@ -18,8 +18,8 @@
 // zigzagged phase). Bit 0x80 flags an optional per-column byte-RLE
 // compression pass, applied by the writer only when it shrinks the
 // payload; raw_len (the decompressed size) is present exactly when
-// that flag is set. Every encoding is exact: a v2→v3→v2 round trip
-// reproduces the original file byte for byte.
+// that flag is set. Every encoding is exact: decoding a chunk yields
+// the original events bit for bit.
 //
 // The explicit length prefix on every column is what buys selective
 // decode: a reader hands decode_chunk_v3 a ColumnMask and unneeded
@@ -28,7 +28,7 @@
 // the mmap path (see mapped_file.h) a v3 scan decodes columns straight
 // from the page cache with no read() syscalls and no staging copies.
 //
-// Error contract matches v2: truncated or corrupt input — short column
+// Error contract: truncated or corrupt input — short column
 // stream, bad compression header, footer past EOF, wrong trailer —
 // always throws std::runtime_error, never crashes or yields a partial
 // batch.
@@ -46,11 +46,11 @@
 
 namespace eio::ipm {
 
-/// Streaming v3 writer; usable directly as a capture sink (same
-/// contract as TraceWriterV2). The default chunk size matches v2's so
-/// the two formats produce identical chunk boundaries — which keeps
-/// chunk-partial analysis (per-chunk reservoir substreams, hint
-/// admission) byte-identical across formats.
+/// Streaming v3 writer; usable directly as a capture sink, so the
+/// monitor can emit an indexed trace file without ever materializing
+/// the event list. Chunk boundaries fix the per-chunk reservoir
+/// substreams of chunk-partial analysis, so the default chunk size is
+/// part of the output contract.
 class TraceWriterV3 final : public EventSink {
  public:
   struct Options {
@@ -94,8 +94,7 @@ class TraceWriterV3 final : public EventSink {
 };
 
 /// Read the footer index of a v3 trace from a seekable stream.
-/// Validates trailer magic, footer bounds and chunk-offset monotonicity
-/// exactly like read_index_v2.
+/// Validates trailer magic, footer bounds and chunk-offset monotonicity.
 [[nodiscard]] TraceIndex read_index_v3(std::istream& in);
 
 /// Sequential reader: visit every event in stored order (decodes each
@@ -115,8 +114,8 @@ ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
                             ColumnMask mask = kColAll);
 
 /// Stream-fallback chunk decode: seek to chunk.offset, pull byte_len
-/// bytes into `raw`, then decode_chunk_v3 from memory. Mirrors
-/// read_chunk_v2 for platforms (or callers) without an mmap.
+/// bytes into `raw`, then decode_chunk_v3 from memory — for platforms
+/// (or callers) without an mmap.
 ColumnBatch read_chunk_v3(std::istream& in, const ChunkMeta& chunk,
                           std::uint64_t byte_len, std::vector<char>& raw,
                           ColumnScratch& scratch, ColumnMask mask = kColAll);

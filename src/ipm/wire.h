@@ -1,14 +1,12 @@
-// Shared wire-format primitives for the binary trace formats.
+// Wire-format primitives of the binary trace format (v3).
 //
-// v1, v2 and v3 all speak the same low-level vocabulary: little-endian
-// fixed-width scalars, LEB128 varints, zigzag for signed fields, a
-// bounds-checked in-memory cursor for hot decode paths, and (for the
-// indexed formats) the chunk-meta/footer/trailer records. This header
-// is that vocabulary, factored out of trace_stream.cpp so the v3
-// columnar codec in trace_v3.cpp shares one implementation instead of
-// copying it. Everything here is an internal detail of eio::ipm's
-// serialization layer — analysis code should stay on the public
-// surfaces in trace_stream.h / trace_v3.h.
+// The low-level vocabulary: little-endian fixed-width scalars, LEB128
+// varints, zigzag for signed fields, a bounds-checked in-memory cursor
+// for hot decode paths, and the chunk container — header, chunk-meta
+// records, footer index and trailer. The columnar codec in
+// trace_v3.cpp builds on it. Everything here is an internal detail of
+// eio::ipm's serialization layer — analysis code should stay on the
+// public surfaces in trace_stream.h / trace_v3.h.
 #pragma once
 
 #include <algorithm>
@@ -26,15 +24,17 @@
 
 namespace eio::ipm::wire {
 
-// The format magics. Each binary format opens with an 8-byte magic;
-// the indexed formats (v2, v3) also end with an 8-byte trailer magic
-// preceded by the u64 footer offset.
+// The format magics. A v3 file opens with an 8-byte magic and ends
+// with an 8-byte trailer magic preceded by the u64 footer offset. The
+// retired binary formats' magics are kept only so sniff_format can
+// name them when it rejects such a file.
 inline constexpr char kTsvMagic[] = "# ipm-io-trace";
-inline constexpr char kMagicV1[8] = {'I', 'P', 'M', 'I', 'O', 'B', '1', '\n'};
-inline constexpr char kMagicV2[8] = {'I', 'P', 'M', 'I', 'O', 'B', '2', '\n'};
 inline constexpr char kMagicV3[8] = {'I', 'P', 'M', 'I', 'O', 'B', '3', '\n'};
-inline constexpr char kTrailerV2[8] = {'I', 'P', 'M', '2', 'I', 'D', 'X', '\n'};
 inline constexpr char kTrailerV3[8] = {'I', 'P', 'M', '3', 'I', 'D', 'X', '\n'};
+/// How check_magic names the format when a v3 magic is missing.
+inline constexpr char kV3Name[] = "v3 binary ipm-io trace";
+inline constexpr char kRetiredMagicV1[8] = {'I', 'P', 'M', 'I', 'O', 'B', '1', '\n'};
+inline constexpr char kRetiredMagicV2[8] = {'I', 'P', 'M', 'I', 'O', 'B', '2', '\n'};
 
 // Sanity caps rejecting absurd header fields before they turn into
 // multi-gigabyte allocations on corrupt input.
@@ -241,52 +241,47 @@ inline std::pair<std::vector<ChunkMeta>, std::uint64_t> get_footer(
   return {std::move(chunks), total};
 }
 
-/// Write the shared chunked-format header (magic + ranks + name).
-inline void write_header(std::ostream& out, const char (&magic)[8],
-                         std::uint32_t ranks, const std::string& experiment) {
-  out.write(magic, 8);
+/// Write the file header (magic + ranks + name).
+inline void write_header(std::ostream& out, std::uint32_t ranks,
+                         const std::string& experiment) {
+  out.write(kMagicV3, 8);
   put_varint(out, ranks);
   put_varint(out, experiment.size());
   out.write(experiment.data(),
             static_cast<std::streamsize>(experiment.size()));
 }
 
-/// Read the shared chunked-format header back.
-inline TraceMeta get_header(std::istream& in, const char (&magic)[8],
-                            const char* what) {
-  check_magic(in, magic, what);
+/// Read the file header back.
+inline TraceMeta get_header(std::istream& in) {
+  check_magic(in, kMagicV3, kV3Name);
   TraceMeta meta;
   meta.ranks = static_cast<std::uint32_t>(get_varint(in));
   meta.experiment = get_name(in);
   return meta;
 }
 
-/// Write the footer index + 16-byte trailer the indexed formats share:
-/// footer tag, chunk metas, total, then the fixed (footer offset +
-/// trailer magic) record a seekable reader jumps to.
+/// Write the footer index + 16-byte trailer: footer tag, chunk metas,
+/// total, then the fixed (footer offset + trailer magic) record a
+/// seekable reader jumps to.
 inline void write_footer(std::ostream& out,
                          const std::vector<ChunkMeta>& chunks,
-                         std::uint64_t total_events,
-                         const char (&trailer_magic)[8]) {
+                         std::uint64_t total_events) {
   auto footer_offset = static_cast<std::uint64_t>(out.tellp());
   put<std::uint8_t>(out, kFooterTag);
   put_varint(out, chunks.size());
   for (const ChunkMeta& c : chunks) put_chunk_meta(out, c);
   put_varint(out, total_events);
   put<std::uint64_t>(out, footer_offset);
-  out.write(trailer_magic, 8);
+  out.write(kTrailerV3, 8);
 }
 
-/// Read the footer index of an indexed (v2/v3) trace from a seekable
-/// stream: validate the trailer magic and footer bounds, then check
+/// Read the footer index of a v3 trace from a seekable stream: validate the trailer magic and footer bounds, then check
 /// every chunk offset is in-bounds and strictly increasing (the sized
 /// chunk reads derive each chunk's byte length from the next offset,
 /// so out-of-order entries would alias chunk extents).
-inline TraceIndex read_index(std::istream& in, const char (&file_magic)[8],
-                             const char (&trailer_magic)[8],
-                             const char* what) {
+inline TraceIndex read_index(std::istream& in) {
   TraceIndex index;
-  index.meta = get_header(in, file_magic, what);
+  index.meta = get_header(in);
   auto header_end = static_cast<std::uint64_t>(in.tellg());
 
   in.seekg(0, std::ios::end);
@@ -296,7 +291,7 @@ inline TraceIndex read_index(std::istream& in, const char (&file_magic)[8],
   }
   in.seekg(static_cast<std::streamoff>(file_size - 16));
   auto footer_offset = get<std::uint64_t>(in);
-  check_magic(in, trailer_magic, what);
+  check_magic(in, kTrailerV3, kV3Name);
   if (footer_offset < header_end || footer_offset >= file_size - 16) {
     throw std::runtime_error("corrupt trace: footer offset out of bounds");
   }

@@ -35,7 +35,7 @@
 // replay them, in stream order, when merged — so merging per-chunk
 // partials in chunk order is value-identical to one serial pass, and
 // the incident log is byte-identical for any --jobs value and across
-// tsv/v2/v3 encodings of the same values.
+// tsv/v3 encodings of the same values.
 #pragma once
 
 #include <cstdint>

@@ -71,23 +71,15 @@ class EiotraceTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// The fixture trace as an indexed file with small chunks, so even
-  /// this little trace gives the chunk counters something to count.
-  static std::string write_chunked(bool v3, const std::string& tag) {
+  /// The fixture trace as a v3 file with small chunks, so even this
+  /// little trace gives the chunk counters something to count.
+  static std::string write_chunked(const std::string& tag) {
     const ipm::Trace t = fixture_trace();
-    std::string path = test::temp_path("eiotrace_" + tag + (v3 ? ".v3" : ".v2"));
+    std::string path = test::temp_path("eiotrace_" + tag + ".v3");
     std::ofstream out(path, std::ios::binary);
-    if (v3) {
-      ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(),
-                           {.chunk_events = 16});
-      for (const ipm::TraceEvent& e : t.events()) w.add(e);
-      w.finish();
-    } else {
-      ipm::TraceWriterV2 w(out, t.experiment(), t.ranks(),
-                           {.chunk_events = 16});
-      for (const ipm::TraceEvent& e : t.events()) w.add(e);
-      w.finish();
-    }
+    ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(), {.chunk_events = 16});
+    for (const ipm::TraceEvent& e : t.events()) w.add(e);
+    w.finish();
     return path;
   }
 
@@ -122,8 +114,19 @@ TEST_F(EiotraceTest, UnknownCommandFails) {
 TEST_F(EiotraceTest, MissingFileFails) {
   auto [rc, out, err] = run({"report"});
   EXPECT_EQ(rc, 1);
-  auto [rc2, out2, err2] = run({"report", "/nonexistent.tsv"});
-  EXPECT_EQ(rc2, 2);
+  // An unreadable trace is one clean error line, on either operand of
+  // compare too.
+  const std::string missing = test::temp_path("missing.v3");
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"report", missing},
+        std::vector<std::string>{"summary", missing, "--jobs=2"},
+        std::vector<std::string>{"compare", missing, path_},
+        std::vector<std::string>{"compare", path_, missing}}) {
+    auto [rc2, out2, err2] = run(args);
+    EXPECT_EQ(rc2, 2) << args[0];
+    EXPECT_TRUE(out2.empty()) << out2;
+    EXPECT_EQ(err2, "eiotrace: cannot open for reading: " + missing + "\n");
+  }
 }
 
 TEST_F(EiotraceTest, ReportShowsBanner) {
@@ -343,6 +346,56 @@ TEST_F(EiotraceTest, AnalyzeIncidentsIntoMissingDirFailsBeforeScanning) {
   EXPECT_FALSE(std::filesystem::exists(log));
 }
 
+TEST_F(EiotraceTest, RetiredFormatsFailBeforeWork) {
+  // The v1/v2 writers are gone, so a retired file is its 8-byte magic
+  // plus junk: every trace command must reject it on open.
+  for (const char* version : {"1", "2"}) {
+    const std::string retired =
+        test::temp_path(std::string("retired.v") + version);
+    std::ofstream(retired, std::ios::binary)
+        << "IPMIOB" << version << "\n" << "junk after the magic";
+    const std::string target = test::temp_path("retired_out.v3");
+    for (const std::vector<std::string>& args :
+         std::vector<std::vector<std::string>>{
+             {"report", retired},    {"summary", retired},
+             {"analyze", retired},   {"monitor", retired},
+             {"histogram", retired}, {"modes", retired},
+             {"rates", retired},     {"diagram", retired},
+             {"diagnose", retired},  {"patterns", retired},
+             {"phases", retired},    {"compare", retired, path_},
+             {"compare", path_, retired},
+             {"convert", retired, target}}) {
+      auto [rc, out, err] = run(args);
+      EXPECT_NE(rc, 0) << args[0];
+      expect_one_line_error(
+          out, err, std::string("retired binary trace format v") + version);
+      EXPECT_NE(err.find("reads TSV and v3"), std::string::npos) << err;
+    }
+    EXPECT_FALSE(std::filesystem::exists(target));
+    std::remove(retired.c_str());
+  }
+
+  // Nor can anything still write them.
+  const std::string target = test::temp_path("retired_out.bin");
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"convert", path_, target, "--format=v1"},
+           {"convert", path_, target, "--format=v2"},
+           {"convert", path_, target, "--v1"}}) {
+    auto [rc, out, err] = run(args);
+    EXPECT_EQ(rc, 1) << args.back();
+    EXPECT_TRUE(out.empty()) << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(target));
+  const std::string dir = test::temp_dir();
+  // Large enough that simulating first would print a run table.
+  auto [rc, out, err] = run({"simulate", "--runs=2", "--tasks=64",
+                             "--save-dir=" + dir, "--format=v2"});
+  EXPECT_EQ(rc, 1);
+  expect_one_line_error(out, err, "unknown --format 'v2'");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/run0.v2"));
+}
+
 /// Every monitored command line, with one extra flag.
 std::vector<std::vector<std::string>> monitored_commands(
     const std::string& trace, const std::string& flag) {
@@ -501,21 +554,17 @@ TEST_F(EiotraceTest, AnalyzeBundlesAllSections) {
 TEST_F(EiotraceTest, AnalyzeIsByteIdenticalAcrossJobsAndFormats) {
   // The fused one-pass bundle must print exactly what it printed
   // before fusing — for every --jobs value and every encoding.
-  const std::string v2 = write_chunked(false, "analyze_fmt");
-  const std::string v3 = write_chunked(true, "analyze_fmt");
+  const std::string v3 = write_chunked("analyze_fmt");
 
   auto [rc, base, err] = run({"analyze", path_});
   ASSERT_EQ(rc, 0) << err;
-  for (const std::string& file : {v2, v3}) {
-    for (const char* jobs : {"", "--jobs=1", "--jobs=2", "--jobs=4"}) {
-      std::vector<std::string> args{"analyze", file};
-      if (*jobs != '\0') args.push_back(jobs);
-      auto [rc2, out2, err2] = run(args);
-      EXPECT_EQ(rc2, 0) << err2;
-      EXPECT_EQ(out2, base) << file << " " << jobs;
-    }
+  for (const char* jobs : {"", "--jobs=1", "--jobs=2", "--jobs=4"}) {
+    std::vector<std::string> args{"analyze", v3};
+    if (*jobs != '\0') args.push_back(jobs);
+    auto [rc2, out2, err2] = run(args);
+    EXPECT_EQ(rc2, 0) << err2;
+    EXPECT_EQ(out2, base) << v3 << " " << jobs;
   }
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
 }
 
@@ -532,7 +581,7 @@ TEST_F(EiotraceTest, EveryAnalysisSubcommandScansTheTraceExactlyOnce) {
   // chunk exactly once. The fixture file has 80 events in 16-event
   // chunks, so a second pass would double the tally.
   if (!obs::kCompiledIn) GTEST_SKIP() << "observability compiled out";
-  const std::string v3 = write_chunked(true, "one_scan");
+  const std::string v3 = write_chunked("one_scan");
   const std::size_t chunks = [&] {
     ipm::FileTraceSource source(v3);
     return source.index()->chunks.size();

@@ -190,20 +190,6 @@ TEST(StreamingEquivalenceTest, QuantilesMatchEmpiricalDistribution) {
   }
 }
 
-TEST(StreamingEquivalenceTest, P2TracksTrueQuantileClosely) {
-  // P² is the O(1) estimator for beyond-reservoir scale; on the seed
-  // traces it must land near the exact quantile (not exactly on it).
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::EmpiricalDistribution dist(d);
-    stats::P2Quantile p50(0.5);
-    for (double x : d) p50.add(x);
-    double spread = dist.quantile(0.9) - dist.quantile(0.1);
-    EXPECT_NEAR(p50.value(), dist.median(), 0.25 * spread + 1e-12)
-        << t.experiment();
-  }
-}
-
 TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
   for (const ipm::Trace& t : seed_traces()) {
     auto batch = durations_by_phase(t, {});
@@ -253,13 +239,13 @@ TEST(StreamingEquivalenceTest, TraceDiagramMatchesBatchRaster) {
   }
 }
 
-TEST(StreamingEquivalenceTest, V2FileRoundTripPreservesAnalysisInputs) {
-  // The full pipeline: workload trace -> v2 file -> FileTraceSource ->
+TEST(StreamingEquivalenceTest, V3FileRoundTripPreservesAnalysisInputs) {
+  // The full pipeline: workload trace -> v3 file -> FileTraceSource ->
   // streaming filter must yield the very vector the in-memory batch
   // path computes.
   for (const ipm::Trace& t : seed_traces()) {
     std::string path = test::temp_path("eio_equiv_" + t.experiment() + ".bin");
-    t.save_binary_v2(path);
+    t.save_binary_v3(path);
     ipm::FileTraceSource source(path);
     EventFilter f{.op = posix::OpType::kWrite};
     EXPECT_EQ(durations(source, f), durations(t, f)) << t.experiment();

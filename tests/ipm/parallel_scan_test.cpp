@@ -1,8 +1,8 @@
-// ParallelTraceScanner and the chunk-parallel analysis kernels: the
-// parallel scan must agree with the serial streaming path on IOR /
-// MADbench / GCRM seed traces — byte-identically for every --jobs
-// value, and exactly (not statistically) wherever the underlying
-// kernel merges exactly. Also covers hinted (selective) parallel
+// ParallelTraceScanner and the chunk-parallel analysis kernels: a
+// scan_kernels pass with the kernels the eiotrace commands use must
+// agree with the serial streaming path on IOR / MADbench / GCRM seed
+// traces — byte-identically for every --jobs value, and exactly (not
+// statistically) wherever the underlying kernel merges exactly. Also covers hinted (selective) parallel
 // scans, the time-window chunk pre-filter, batch dispatch, and error
 // propagation out of the worker pool, and the per-member merge lanes
 // (chunk order per lane, the live-partial bound, throwing merges).
@@ -16,7 +16,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -81,22 +83,9 @@ const std::vector<ipm::Trace>& seed_traces() {
   return traces;
 }
 
-/// Write `t` as an indexed v2 file with a small chunk size, so even
+/// Write `t` as an indexed v3 file with a small chunk size, so even
 /// the seed traces span many chunks and the scan has real parallelism
 /// to get wrong.
-std::string write_v2_chunked(const ipm::Trace& t, std::size_t chunk_events,
-                             const std::string& tag) {
-  std::string path = test::temp_path("eio_pscan_" + tag + ".bin");
-  std::ofstream out(path, std::ios::binary);
-  ipm::TraceWriterV2 writer(out, t.experiment(), t.ranks(),
-                            {.chunk_events = chunk_events});
-  for (const ipm::TraceEvent& e : t.events()) writer.add(e);
-  writer.finish();
-  return path;
-}
-
-/// v3 twin of write_v2_chunked: same trace, same chunk boundaries,
-/// columnar encoding.
 std::string write_v3_chunked(const ipm::Trace& t, std::size_t chunk_events,
                              const std::string& tag) {
   std::string path = test::temp_path("eio_pscan_" + tag + "_v3.bin");
@@ -134,12 +123,74 @@ stats::StreamingSummary serial_summary(const ipm::TraceSource& source,
   return sink.summary();
 }
 
-TEST(ParallelScanTest, ScannerRejectsNonV2Files) {
+// The kernels behind `eiotrace summary`/`modes`, `phases`, `histogram`
+// and `rates`, each run as one scan_kernels pass under the filter's
+// chunk hint — the way the commands run them.
+
+stats::StreamingSummary summary_of(const ipm::ParallelTraceScanner& scanner,
+                                   const EventFilter& filter) {
+  const ipm::ChunkHint hint = hint_for(filter);
+  return scanner
+      .scan_kernels(
+          [&](std::size_t chunk) {
+            return SummarySink(filter, chunk_summary_options({}, chunk));
+          },
+          &hint)
+      .summary();
+}
+
+std::map<std::int32_t, stats::StreamingSummary> phases_of(
+    const ipm::ParallelTraceScanner& scanner, const EventFilter& filter) {
+  const ipm::ChunkHint hint = hint_for(filter);
+  return scanner
+      .scan_kernels(
+          [&](std::size_t chunk) {
+            return PhaseSummarySink(filter, chunk_summary_options({}, chunk));
+          },
+          &hint)
+      .by_phase();
+}
+
+std::optional<stats::Histogram> histogram_of(
+    const ipm::ParallelTraceScanner& scanner, const EventFilter& filter,
+    stats::BinScale scale, std::size_t bins) {
+  const ipm::ChunkHint hint = hint_for(filter);
+  return scanner
+      .scan_kernels(
+          [&](std::size_t) {
+            return HistogramKernel(filter, {.scale = scale, .bins = bins});
+          },
+          &hint)
+      .histogram()
+      .materialize();
+}
+
+TimeSeries rate_of(const ipm::ParallelTraceScanner& scanner,
+                   const EventFilter& filter, std::size_t bins) {
+  const double span = scanner.time_span();
+  const ipm::ChunkHint hint = hint_for(filter);
+  return scanner
+      .scan_kernels(
+          [&](std::size_t) { return RateKernel(filter, span, bins); }, &hint)
+      .series();
+}
+
+TEST(ParallelScanTest, ScannerRejectsNonV3Files) {
   const ipm::Trace t = monotonic_trace(100);
   std::string path = test::temp_path("eio_pscan_tsv.trace");
   t.save(path);
   EXPECT_THROW(ipm::ParallelTraceScanner scanner(path), std::runtime_error);
   std::remove(path.c_str());
+
+  // A retired v2 file is rejected by its magic alone.
+  const std::string v2 = test::temp_path("eio_pscan_retired.v2");
+  std::ofstream(v2, std::ios::binary) << "IPMIOB2\njunk after the magic";
+  EXPECT_THROW(ipm::ParallelTraceScanner scanner(v2), std::runtime_error);
+  std::remove(v2.c_str());
+
+  EXPECT_THROW(ipm::ParallelTraceScanner scanner(
+                   test::temp_path("eio_pscan_missing.v3")),
+               std::runtime_error);
 }
 
 TEST(ParallelScanTest, ChunkHintAdmitsTimeWindows) {
@@ -161,13 +212,13 @@ TEST(ParallelScanTest, ChunkHintAdmitsTimeWindows) {
 
 TEST(ParallelScanTest, SummaryMatchesSerialStreamingOnSeedTraces) {
   for (const ipm::Trace& t : seed_traces()) {
-    const std::string path = write_v2_chunked(t, 64, t.experiment());
+    const std::string path = write_v3_chunked(t, 64, t.experiment());
     ipm::FileTraceSource source(path);
     const stats::StreamingSummary serial = serial_summary(source, {});
 
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
     ASSERT_GT(scanner.index().chunks.size(), 4u) << t.experiment();
-    const stats::StreamingSummary scanned = scan_summary(scanner, {});
+    const stats::StreamingSummary scanned = summary_of(scanner, {});
 
     EXPECT_EQ(scanned.count(), serial.count()) << t.experiment();
     EXPECT_DOUBLE_EQ(scanned.min(), serial.min());
@@ -192,15 +243,15 @@ TEST(ParallelScanTest, SummaryMatchesSerialStreamingOnSeedTraces) {
 
 TEST(ParallelScanTest, ScanIsByteIdenticalForEveryJobsValue) {
   const ipm::Trace t = gcrm_trace();
-  const std::string path = write_v2_chunked(t, 64, "jobs_invariance");
+  const std::string path = write_v3_chunked(t, 64, "jobs_invariance");
   const EventFilter writes{.op = posix::OpType::kWrite};
 
   ipm::ParallelTraceScanner reference(path, {.jobs = 1});
-  const stats::StreamingSummary base = scan_summary(reference, writes);
+  const stats::StreamingSummary base = summary_of(reference, writes);
   const auto base_hist =
-      scan_histogram(reference, writes, stats::BinScale::kLog10, 40);
-  const TimeSeries base_rate = scan_rate(reference, writes, 64);
-  const auto base_phases = scan_phase_summaries(reference, {});
+      histogram_of(reference, writes, stats::BinScale::kLog10, 40);
+  const TimeSeries base_rate = rate_of(reference, writes, 64);
+  const auto base_phases = phases_of(reference, {});
   ASSERT_TRUE(base_hist.has_value());
 
   // A deliberately tight merge window exercises the worker throttle.
@@ -208,24 +259,24 @@ TEST(ParallelScanTest, ScanIsByteIdenticalForEveryJobsValue) {
        {ipm::ScanOptions{.jobs = 2}, ipm::ScanOptions{.jobs = 4},
         ipm::ScanOptions{.jobs = 4, .merge_window = 2}}) {
     ipm::ParallelTraceScanner scanner(path, opt);
-    const stats::StreamingSummary s = scan_summary(scanner, writes);
+    const stats::StreamingSummary s = summary_of(scanner, writes);
     EXPECT_EQ(s.count(), base.count());
     EXPECT_EQ(s.reservoir().samples(), base.reservoir().samples());
     EXPECT_EQ(s.moments().mean, base.moments().mean);
     EXPECT_EQ(s.moments().variance, base.moments().variance);
 
-    const auto h = scan_histogram(scanner, writes, stats::BinScale::kLog10, 40);
+    const auto h = histogram_of(scanner, writes, stats::BinScale::kLog10, 40);
     ASSERT_TRUE(h.has_value());
     EXPECT_EQ(h->counts(), base_hist->counts());
     EXPECT_EQ(h->lo(), base_hist->lo());
     EXPECT_EQ(h->hi(), base_hist->hi());
 
-    const TimeSeries r = scan_rate(scanner, writes, 64);
+    const TimeSeries r = rate_of(scanner, writes, 64);
     EXPECT_EQ(r.t0, base_rate.t0);
     EXPECT_EQ(r.dt, base_rate.dt);
     EXPECT_EQ(r.values, base_rate.values);
 
-    const auto phases = scan_phase_summaries(scanner, {});
+    const auto phases = phases_of(scanner, {});
     ASSERT_EQ(phases.size(), base_phases.size());
     for (const auto& [phase, summary] : base_phases) {
       auto it = phases.find(phase);
@@ -240,7 +291,7 @@ TEST(ParallelScanTest, ScanIsByteIdenticalForEveryJobsValue) {
 
 TEST(ParallelScanTest, HintedScanMatchesSerialFilteredStream) {
   const ipm::Trace t = madbench_trace();
-  const std::string path = write_v2_chunked(t, 64, "hinted");
+  const std::string path = write_v3_chunked(t, 64, "hinted");
   ipm::FileTraceSource source(path);
   ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
 
@@ -255,7 +306,7 @@ TEST(ParallelScanTest, HintedScanMatchesSerialFilteredStream) {
 
   for (const EventFilter& f : filters) {
     const stats::StreamingSummary serial = serial_summary(source, f);
-    const stats::StreamingSummary scanned = scan_summary(scanner, f);
+    const stats::StreamingSummary scanned = summary_of(scanner, f);
     ASSERT_EQ(scanned.count(), serial.count());
     if (serial.count() == 0) continue;
     EXPECT_DOUBLE_EQ(scanned.min(), serial.min());
@@ -267,7 +318,7 @@ TEST(ParallelScanTest, HintedScanMatchesSerialFilteredStream) {
 
 TEST(ParallelScanTest, TimeWindowHintSkipsChunksWithoutChangingResults) {
   const ipm::Trace t = monotonic_trace(2048);
-  const std::string path = write_v2_chunked(t, 128, "window");
+  const std::string path = write_v3_chunked(t, 128, "window");
   ipm::FileTraceSource source(path);
   ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
   const double span = scanner.time_span();
@@ -284,7 +335,7 @@ TEST(ParallelScanTest, TimeWindowHintSkipsChunksWithoutChangingResults) {
   EXPECT_LT(admitted, scanner.index().chunks.size() / 2);
 
   const stats::StreamingSummary serial = serial_summary(source, window);
-  const stats::StreamingSummary scanned = scan_summary(scanner, window);
+  const stats::StreamingSummary scanned = summary_of(scanner, window);
   ASSERT_GT(serial.count(), 0u);
   EXPECT_EQ(scanned.count(), serial.count());
   EXPECT_EQ(scanned.reservoir().samples(), serial.reservoir().samples());
@@ -292,14 +343,14 @@ TEST(ParallelScanTest, TimeWindowHintSkipsChunksWithoutChangingResults) {
   // A window entirely past the trace admits nothing and yields the
   // empty summary on both paths.
   const EventFilter beyond{.t_lo = span + 1.0};
-  EXPECT_EQ(scan_summary(scanner, beyond).count(), 0u);
+  EXPECT_EQ(summary_of(scanner, beyond).count(), 0u);
   EXPECT_EQ(serial_summary(source, beyond).count(), 0u);
   std::remove(path.c_str());
 }
 
 TEST(ParallelScanTest, HistogramMatchesBatchBinning) {
   for (const ipm::Trace& t : seed_traces()) {
-    const std::string path = write_v2_chunked(t, 64, t.experiment() + "_hist");
+    const std::string path = write_v3_chunked(t, 64, t.experiment() + "_hist");
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
     const EventFilter writes{.op = posix::OpType::kWrite};
     const auto d = durations(t, writes);
@@ -309,7 +360,7 @@ TEST(ParallelScanTest, HistogramMatchesBatchBinning) {
          {stats::BinScale::kLinear, stats::BinScale::kLog10}) {
       const stats::Histogram batch =
           stats::Histogram::from_samples(d, scale, 40);
-      const auto scanned = scan_histogram(scanner, writes, scale, 40);
+      const auto scanned = histogram_of(scanner, writes, scale, 40);
       ASSERT_TRUE(scanned.has_value()) << t.experiment();
       EXPECT_DOUBLE_EQ(scanned->lo(), batch.lo()) << t.experiment();
       EXPECT_DOUBLE_EQ(scanned->hi(), batch.hi()) << t.experiment();
@@ -320,7 +371,7 @@ TEST(ParallelScanTest, HistogramMatchesBatchBinning) {
 
     // Nothing matches: the scan reports "no histogram", not a crash.
     EXPECT_FALSE(
-        scan_histogram(scanner, {.rank = 99999}, stats::BinScale::kLinear, 40)
+        histogram_of(scanner, {.rank = 99999}, stats::BinScale::kLinear, 40)
             .has_value());
     std::remove(path.c_str());
   }
@@ -328,13 +379,13 @@ TEST(ParallelScanTest, HistogramMatchesBatchBinning) {
 
 TEST(ParallelScanTest, RateSeriesMatchesSerialAggregate) {
   for (const ipm::Trace& t : seed_traces()) {
-    const std::string path = write_v2_chunked(t, 64, t.experiment() + "_rate");
+    const std::string path = write_v3_chunked(t, 64, t.experiment() + "_rate");
     ipm::FileTraceSource source(path);
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
     const EventFilter writes{.op = posix::OpType::kWrite};
 
     const TimeSeries serial = aggregate_rate(source, writes, 64);
-    const TimeSeries scanned = scan_rate(scanner, writes, 64);
+    const TimeSeries scanned = rate_of(scanner, writes, 64);
     EXPECT_DOUBLE_EQ(scanned.t0, serial.t0);
     EXPECT_DOUBLE_EQ(scanned.dt, serial.dt);
     ASSERT_EQ(scanned.values.size(), serial.values.size());
@@ -349,14 +400,14 @@ TEST(ParallelScanTest, RateSeriesMatchesSerialAggregate) {
 
 TEST(ParallelScanTest, PhaseSummariesMatchSerialSink) {
   for (const ipm::Trace& t : seed_traces()) {
-    const std::string path = write_v2_chunked(t, 64, t.experiment() + "_phase");
+    const std::string path = write_v3_chunked(t, 64, t.experiment() + "_phase");
     ipm::FileTraceSource source(path);
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
 
     PhaseSummarySink serial{{}};
     source.for_each(
         [&serial](const ipm::TraceEvent& e) { serial.on_event(e); });
-    const auto scanned = scan_phase_summaries(scanner, {});
+    const auto scanned = phases_of(scanner, {});
 
     ASSERT_EQ(scanned.size(), serial.by_phase().size()) << t.experiment();
     for (const auto& [phase, s] : serial.by_phase()) {
@@ -373,7 +424,7 @@ TEST(ParallelScanTest, PhaseSummariesMatchSerialSink) {
 
 TEST(ParallelScanTest, BatchDispatchConcatenatesToEventOrder) {
   const ipm::Trace t = monotonic_trace(1000);
-  const std::string path = write_v2_chunked(t, 128, "batch_dispatch");
+  const std::string path = write_v3_chunked(t, 128, "batch_dispatch");
   ipm::FileTraceSource source(path);
 
   std::vector<double> per_event;
@@ -382,72 +433,24 @@ TEST(ParallelScanTest, BatchDispatchConcatenatesToEventOrder) {
 
   std::vector<double> batched;
   std::size_t batches = 0;
-  source.for_each_batch([&](std::span<const ipm::TraceEvent> events) {
+  source.for_each_columns(ipm::kColStart, [&](const ipm::ColumnBatch& b) {
     ++batches;
-    for (const ipm::TraceEvent& e : events) batched.push_back(e.start);
+    batched.insert(batched.end(), b.start.begin(), b.start.end());
   });
   EXPECT_EQ(batched, per_event);
-  EXPECT_GT(batches, 1u);  // one span per v2 chunk
+  EXPECT_GT(batches, 1u);  // one batch per v3 chunk
 
-  // An in-memory source hands out exactly one span — the whole trace.
+  // An in-memory source hands out exactly one batch — the whole trace.
   ipm::MemoryTraceSource memory(t);
   batches = 0;
   std::size_t total = 0;
-  memory.for_each_batch([&](std::span<const ipm::TraceEvent> events) {
+  memory.for_each_columns(ipm::kColStart, [&](const ipm::ColumnBatch& b) {
     ++batches;
-    total += events.size();
+    total += b.size();
   });
   EXPECT_EQ(batches, 1u);
   EXPECT_EQ(total, t.size());
   std::remove(path.c_str());
-}
-
-TEST(ParallelScanTest, V3ScanMatchesV2ScanExactly) {
-  // Same trace, same chunk boundaries, different encodings: every
-  // analysis must come out byte-identical across the format seam (the
-  // per-chunk reservoir substreams line up because chunking does).
-  for (const ipm::Trace& t : seed_traces()) {
-    const std::string v2 = write_v2_chunked(t, 64, t.experiment() + "_x");
-    const std::string v3 = write_v3_chunked(t, 64, t.experiment() + "_x");
-    ipm::ParallelTraceScanner s2(v2, {.jobs = 4});
-    ipm::ParallelTraceScanner s3(v3, {.jobs = 4});
-    EXPECT_EQ(s2.format(), ipm::TraceFormat::kBinaryV2);
-    EXPECT_EQ(s3.format(), ipm::TraceFormat::kBinaryV3);
-    EXPECT_EQ(s3.zero_copy(), ipm::MappedFile::mmap_supported());
-    ASSERT_EQ(s3.index().chunks.size(), s2.index().chunks.size());
-
-    const EventFilter writes{.op = posix::OpType::kWrite};
-    const stats::StreamingSummary a = scan_summary(s2, writes);
-    const stats::StreamingSummary b = scan_summary(s3, writes);
-    EXPECT_EQ(b.count(), a.count()) << t.experiment();
-    EXPECT_EQ(b.moments().mean, a.moments().mean);
-    EXPECT_EQ(b.moments().variance, a.moments().variance);
-    EXPECT_EQ(b.reservoir().samples(), a.reservoir().samples());
-
-    const auto h2 = scan_histogram(s2, writes, stats::BinScale::kLog10, 40);
-    const auto h3 = scan_histogram(s3, writes, stats::BinScale::kLog10, 40);
-    ASSERT_TRUE(h2.has_value());
-    ASSERT_TRUE(h3.has_value());
-    EXPECT_EQ(h3->counts(), h2->counts());
-    EXPECT_EQ(h3->lo(), h2->lo());
-    EXPECT_EQ(h3->hi(), h2->hi());
-
-    const TimeSeries r2 = scan_rate(s2, writes, 64);
-    const TimeSeries r3 = scan_rate(s3, writes, 64);
-    EXPECT_EQ(r3.values, r2.values) << t.experiment();
-
-    const auto p2 = scan_phase_summaries(s2, {});
-    const auto p3 = scan_phase_summaries(s3, {});
-    ASSERT_EQ(p3.size(), p2.size());
-    for (const auto& [phase, summary] : p2) {
-      auto it = p3.find(phase);
-      ASSERT_NE(it, p3.end()) << t.experiment();
-      EXPECT_EQ(it->second.reservoir().samples(),
-                summary.reservoir().samples());
-    }
-    std::remove(v2.c_str());
-    std::remove(v3.c_str());
-  }
 }
 
 TEST(ParallelScanTest, V3ScanIsByteIdenticalForEveryJobsValue) {
@@ -456,12 +459,12 @@ TEST(ParallelScanTest, V3ScanIsByteIdenticalForEveryJobsValue) {
   const EventFilter writes{.op = posix::OpType::kWrite};
 
   ipm::ParallelTraceScanner reference(path, {.jobs = 1});
-  const stats::StreamingSummary base = scan_summary(reference, writes);
+  const stats::StreamingSummary base = summary_of(reference, writes);
   for (ipm::ScanOptions opt :
        {ipm::ScanOptions{.jobs = 2}, ipm::ScanOptions{.jobs = 4},
         ipm::ScanOptions{.jobs = 4, .merge_window = 2}}) {
     ipm::ParallelTraceScanner scanner(path, opt);
-    const stats::StreamingSummary s = scan_summary(scanner, writes);
+    const stats::StreamingSummary s = summary_of(scanner, writes);
     EXPECT_EQ(s.count(), base.count());
     EXPECT_EQ(s.reservoir().samples(), base.reservoir().samples());
     EXPECT_EQ(s.moments().mean, base.moments().mean);
@@ -469,51 +472,45 @@ TEST(ParallelScanTest, V3ScanIsByteIdenticalForEveryJobsValue) {
   std::remove(path.c_str());
 }
 
-TEST(ParallelScanTest, ScanColumnsAgreesWithRowScan) {
+TEST(ParallelScanTest, ScanColumnsDecodesOnlyTheMaskedColumns) {
   const ipm::Trace t = monotonic_trace(1500);
-  for (bool v3 : {false, true}) {
-    const std::string path =
-        v3 ? write_v3_chunked(t, 128, "cols") : write_v2_chunked(t, 128, "cols");
-    ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
+  const std::string path = write_v3_chunked(t, 128, "cols");
+  ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
 
-    struct Acc {
-      double sum = 0.0;
-      std::uint64_t n = 0;
-    };
-    const Acc rows = scanner.scan(
-        [](std::size_t) { return Acc{}; },
-        [](Acc& a, std::span<const ipm::TraceEvent> events) {
-          for (const ipm::TraceEvent& e : events) {
-            a.sum += e.start;
-            ++a.n;
-          }
-        },
-        [](Acc& a, Acc&& b) {
-          a.sum += b.sum;
-          a.n += b.n;
-        });
-    // The columnar fold reads only the start column — on v3 nothing
-    // else is even decoded — and must fold the identical sequence.
-    const Acc cols = scanner.scan_columns(
-        [](std::size_t) { return Acc{}; },
-        [](Acc& a, const ipm::ColumnBatch& batch) {
-          EXPECT_EQ(batch.start.size(), batch.size());
-          EXPECT_TRUE(batch.rank.empty());  // unmasked: never decoded
-          for (double s : batch.start) {
-            a.sum += s;
-            ++a.n;
-          }
-        },
-        [](Acc& a, Acc&& b) {
-          a.sum += b.sum;
-          a.n += b.n;
-        },
-        nullptr, ipm::kColStart);
-    EXPECT_EQ(cols.n, rows.n) << (v3 ? "v3" : "v2");
-    EXPECT_EQ(cols.sum, rows.sum) << (v3 ? "v3" : "v2");
-    EXPECT_EQ(rows.n, t.size());
-    std::remove(path.c_str());
+  struct Acc {
+    double sum = 0.0;
+    std::uint64_t n = 0;
+  };
+  // The columnar fold reads only the start column — nothing else is
+  // even decoded — and must fold the same sequence as a serial pass.
+  const Acc cols = scanner.scan_columns(
+      [](std::size_t) { return Acc{}; },
+      [](Acc& a, const ipm::ColumnBatch& batch) {
+        EXPECT_EQ(batch.start.size(), batch.size());
+        EXPECT_TRUE(batch.rank.empty());  // unmasked: never decoded
+        for (double s : batch.start) {
+          a.sum += s;
+          ++a.n;
+        }
+      },
+      [](Acc& a, Acc&& b) {
+        a.sum += b.sum;
+        a.n += b.n;
+      },
+      nullptr, ipm::kColStart);
+  // Each 128-event chunk folds from zero and partials add in chunk
+  // order, so the serial reference sums chunk by chunk the same way.
+  double rows = 0.0;
+  for (std::size_t lo = 0; lo < t.size(); lo += 128) {
+    double chunk = 0.0;
+    for (std::size_t i = lo; i < std::min(lo + 128, t.size()); ++i) {
+      chunk += t.events()[i].start;
+    }
+    rows += chunk;
   }
+  EXPECT_EQ(cols.n, t.size());
+  EXPECT_EQ(cols.sum, rows);
+  std::remove(path.c_str());
 }
 
 TEST(ParallelScanTest, ChunkReaderStreamFallbackMatchesMmap) {
@@ -524,16 +521,16 @@ TEST(ParallelScanTest, ChunkReaderStreamFallbackMatchesMmap) {
   const ipm::TraceIndex index = ipm::read_index_v3(in);
 
   const ipm::MappedFile map(path);
-  ipm::ChunkReader mapped(path, ipm::TraceFormat::kBinaryV3, &map);
-  ipm::ChunkReader streamed(path, ipm::TraceFormat::kBinaryV3, nullptr);
+  ipm::ChunkReader mapped(path, &map);
+  ipm::ChunkReader streamed(path, nullptr);
   for (std::size_t c = 0; c < index.chunks.size(); ++c) {
     const ipm::ColumnBatch a = mapped.read_columns(index, c, ipm::kColAll);
-    std::span<const ipm::TraceEvent> b = streamed.read(index, c);
+    const ipm::ColumnBatch b = streamed.read_columns(index, c, ipm::kColAll);
     ASSERT_EQ(a.size(), b.size()) << "chunk " << c;
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.start[i], b[i].start);
-      EXPECT_EQ(a.bytes[i], b[i].bytes);
-      EXPECT_EQ(a.phase[i], b[i].phase);
+      EXPECT_EQ(a.start[i], b.start[i]);
+      EXPECT_EQ(a.bytes[i], b.bytes[i]);
+      EXPECT_EQ(a.phase[i], b.phase[i]);
     }
   }
   std::remove(path.c_str());
@@ -569,61 +566,57 @@ TEST(ParallelScanTest, ChunkHintUnionWidensSoundly) {
 }
 
 TEST(ParallelScanTest, FusedKernelSetMatchesIndividualScans) {
-  // The tentpole contract: one scan_kernels pass over a KernelSet must
-  // produce exactly what the per-kernel scans produce — same reservoir
-  // draws, same bins, same rate sums — on both encodings.
+  // One scan_kernels pass over a KernelSet must produce exactly what
+  // the per-kernel scans produce — same reservoir draws, same bins,
+  // same rate sums.
   for (const ipm::Trace& t : seed_traces()) {
-    for (bool v3 : {false, true}) {
-      const std::string path =
-          v3 ? write_v3_chunked(t, 64, t.experiment() + "_fused")
-             : write_v2_chunked(t, 64, t.experiment() + "_fused");
-      ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
-      const EventFilter writes{.op = posix::OpType::kWrite};
-      const EventFilter reads{.op = posix::OpType::kRead};
-      const double span = scanner.time_span();
+    const std::string path = write_v3_chunked(t, 64, t.experiment() + "_fused");
+    ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
+    const EventFilter writes{.op = posix::OpType::kWrite};
+    const EventFilter reads{.op = posix::OpType::kRead};
+    const double span = scanner.time_span();
 
-      const stats::StreamingSummary sw = scan_summary(scanner, writes);
-      const stats::StreamingSummary sr = scan_summary(scanner, reads);
-      const auto hist =
-          scan_histogram(scanner, writes, stats::BinScale::kLog10, 40);
-      const TimeSeries rate = scan_rate(scanner, writes, 64);
-      ASSERT_TRUE(hist.has_value()) << t.experiment();
+    const stats::StreamingSummary sw = summary_of(scanner, writes);
+    const stats::StreamingSummary sr = summary_of(scanner, reads);
+    const auto hist =
+        histogram_of(scanner, writes, stats::BinScale::kLog10, 40);
+    const TimeSeries rate = rate_of(scanner, writes, 64);
+    ASSERT_TRUE(hist.has_value()) << t.experiment();
 
-      const ipm::ChunkHint hint =
-          ipm::ChunkHint::union_of(hint_for(writes), hint_for(reads));
-      auto fused = scanner.scan_kernels(
-          [&](std::size_t chunk) {
-            return KernelSet(
-                SummarySink(writes, chunk_summary_options({}, chunk)),
-                SummarySink(reads, chunk_summary_options({}, chunk)),
-                HistogramKernel(writes,
-                                {.scale = stats::BinScale::kLog10, .bins = 40}),
-                RateKernel(writes, span, 64));
-          },
-          &hint);
+    const ipm::ChunkHint hint =
+        ipm::ChunkHint::union_of(hint_for(writes), hint_for(reads));
+    auto fused = scanner.scan_kernels(
+        [&](std::size_t chunk) {
+          return KernelSet(
+              SummarySink(writes, chunk_summary_options({}, chunk)),
+              SummarySink(reads, chunk_summary_options({}, chunk)),
+              HistogramKernel(writes,
+                              {.scale = stats::BinScale::kLog10, .bins = 40}),
+              RateKernel(writes, span, 64));
+        },
+        &hint);
 
-      const stats::StreamingSummary& fw = fused.get<0>().summary();
-      EXPECT_EQ(fw.count(), sw.count()) << t.experiment();
-      EXPECT_EQ(fw.moments().mean, sw.moments().mean);
-      EXPECT_EQ(fw.moments().variance, sw.moments().variance);
-      EXPECT_EQ(fw.reservoir().samples(), sw.reservoir().samples());
+    const stats::StreamingSummary& fw = fused.get<0>().summary();
+    EXPECT_EQ(fw.count(), sw.count()) << t.experiment();
+    EXPECT_EQ(fw.moments().mean, sw.moments().mean);
+    EXPECT_EQ(fw.moments().variance, sw.moments().variance);
+    EXPECT_EQ(fw.reservoir().samples(), sw.reservoir().samples());
 
-      const stats::StreamingSummary& fr = fused.get<1>().summary();
-      EXPECT_EQ(fr.count(), sr.count()) << t.experiment();
-      EXPECT_EQ(fr.reservoir().samples(), sr.reservoir().samples());
+    const stats::StreamingSummary& fr = fused.get<1>().summary();
+    EXPECT_EQ(fr.count(), sr.count()) << t.experiment();
+    EXPECT_EQ(fr.reservoir().samples(), sr.reservoir().samples());
 
-      const auto fh = fused.get<2>().histogram().materialize();
-      ASSERT_TRUE(fh.has_value());
-      EXPECT_EQ(fh->counts(), hist->counts()) << t.experiment();
-      EXPECT_EQ(fh->lo(), hist->lo());
-      EXPECT_EQ(fh->hi(), hist->hi());
+    const auto fh = fused.get<2>().histogram().materialize();
+    ASSERT_TRUE(fh.has_value());
+    EXPECT_EQ(fh->counts(), hist->counts()) << t.experiment();
+    EXPECT_EQ(fh->lo(), hist->lo());
+    EXPECT_EQ(fh->hi(), hist->hi());
 
-      const TimeSeries& fr8 = fused.get<3>().series();
-      EXPECT_EQ(fr8.t0, rate.t0);
-      EXPECT_EQ(fr8.dt, rate.dt);
-      EXPECT_EQ(fr8.values, rate.values) << t.experiment();
-      std::remove(path.c_str());
-    }
+    const TimeSeries& fr8 = fused.get<3>().series();
+    EXPECT_EQ(fr8.t0, rate.t0);
+    EXPECT_EQ(fr8.dt, rate.dt);
+    EXPECT_EQ(fr8.values, rate.values) << t.experiment();
+    std::remove(path.c_str());
   }
 }
 
@@ -766,18 +759,18 @@ TEST(ParallelScanTest, MergeLanesSeeChunkOrderAndStayWithinTheWindow) {
 
 TEST(ParallelScanTest, WorkerExceptionsPropagateToCaller) {
   const ipm::Trace t = monotonic_trace(1000);
-  const std::string path = write_v2_chunked(t, 64, "error_path");
+  const std::string path = write_v3_chunked(t, 64, "error_path");
   ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
   EXPECT_THROW(
       {
-        (void)scanner.scan(
+        (void)scanner.scan_columns(
             [](std::size_t) { return 0; },
-            [](int&, std::span<const ipm::TraceEvent> events) {
-              if (events.front().start > 1.0) {
+            [](int&, const ipm::ColumnBatch& batch) {
+              if (batch.start.front() > 1.0) {
                 throw std::runtime_error("fold failed");
               }
             },
-            [](int& a, int&& b) { a += b; });
+            [](int& a, int&& b) { a += b; }, nullptr, ipm::kColStart);
       },
       std::runtime_error);
 
@@ -789,12 +782,13 @@ TEST(ParallelScanTest, WorkerExceptionsPropagateToCaller) {
       ipm::ParallelTraceScanner s(path, {.jobs = jobs, .merge_window = window});
       EXPECT_THROW(
           {
-            (void)s.scan(
+            (void)s.scan_columns(
                 [](std::size_t chunk) { return static_cast<int>(chunk); },
-                [](int&, std::span<const ipm::TraceEvent>) {},
+                [](int&, const ipm::ColumnBatch&) {},
                 [](int&, int&& b) {
                   if (b == 7) throw std::runtime_error("merge failed");
-                });
+                },
+                nullptr, ipm::kColStart);
           },
           std::runtime_error);
       EXPECT_THROW(

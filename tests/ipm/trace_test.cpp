@@ -112,7 +112,8 @@ TEST(TraceTest, SaveLoadFileRoundTrip) {
 }
 
 TEST(TraceTest, LoadMissingFileThrows) {
-  EXPECT_THROW((void)Trace::load("/nonexistent/path/trace.tsv"), std::logic_error);
+  EXPECT_THROW((void)Trace::load("/nonexistent/path/trace.tsv"),
+               std::runtime_error);
 }
 
 TEST(TraceTest, BinaryRoundTripPreservesEverything) {
@@ -121,7 +122,7 @@ TEST(TraceTest, BinaryRoundTripPreservesEverything) {
   t.add(make_event(3.0, 0.001, posix::OpType::kSeek, 5, 0, -2));
   t.add(make_event(3.5, 1.0, posix::OpType::kRead, 7, 4096, 7));
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  t.write_binary(ss);
+  t.write_binary_v3(ss);
   Trace back = Trace::read_binary(ss);
   EXPECT_EQ(back.experiment(), "binary-test");
   EXPECT_EQ(back.ranks(), 16u);
@@ -144,7 +145,7 @@ TEST(TraceTest, BinaryIsSmallerThanTsv) {
   }
   std::stringstream tsv, bin;
   t.write(tsv);
-  t.write_binary(bin);
+  t.write_binary_v3(bin);
   EXPECT_LT(bin.str().size(), tsv.str().size() / 1.5);
 }
 
@@ -155,7 +156,7 @@ TEST(TraceTest, BinaryRejectsGarbageAndTruncation) {
   Trace t("x", 1);
   t.add(make_event(0, 1, posix::OpType::kRead, 0, 8));
   std::stringstream ss;
-  t.write_binary(ss);
+  t.write_binary_v3(ss);
   std::string truncated = ss.str().substr(0, ss.str().size() - 10);
   std::stringstream cut(truncated);
   EXPECT_THROW((void)Trace::read_binary(cut), std::runtime_error);
@@ -167,7 +168,7 @@ TEST(TraceTest, LoadAutoDetectsBothFormats) {
   std::string tsv_path = test::temp_path("eio_auto.tsv");
   std::string bin_path = test::temp_path("eio_auto.bin");
   t.save(tsv_path);
-  t.save_binary(bin_path);
+  t.save_binary_v3(bin_path);
   Trace from_tsv = Trace::load(tsv_path);
   Trace from_bin = Trace::load(bin_path);
   EXPECT_EQ(from_tsv.size(), 1u);

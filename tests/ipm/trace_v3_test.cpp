@@ -1,4 +1,4 @@
-// Binary v3 format: columnar round-trips, exact v2<->v3 conversion,
+// Binary v3 format: columnar round-trips, byte-exact re-encoding,
 // selective (masked) decode, the RLE codec, the mmap zero-copy path,
 // and the corrupt/truncated-input sweep — every damaged input must
 // throw std::runtime_error, never crash or parse as complete.
@@ -95,10 +95,11 @@ TEST(TraceV3Test, LoadAutoDetectsV3) {
   std::remove(path.c_str());
 }
 
-TEST(TraceV3Test, V2ToV3ToV2IsByteExact) {
+TEST(TraceV3Test, V3ReencodeIsByteExact) {
   // Every column encoding is exact (raw f64 time columns, wraparound-
-  // safe delta varints), so converting through v3 reproduces the
-  // original v2 bytes — including doubles that are not round decimals.
+  // safe delta varints), so decoding a v3 file and encoding the events
+  // again reproduces the original bytes — including doubles that are
+  // not round decimals and every op code.
   Trace t("exact", 32);
   for (int i = 0; i < 500; ++i) {
     t.add(make_event(1.0 / 3.0 * i, 1e-7 * (i % 97),
@@ -106,18 +107,15 @@ TEST(TraceV3Test, V2ToV3ToV2IsByteExact) {
                      static_cast<RankId>(i % 32), (i % 7) * 4096 + i,
                      (i % 13) - 6));
   }
-  std::stringstream v2a(std::ios::in | std::ios::out | std::ios::binary);
-  t.write_binary_v2(v2a);
-
-  std::stringstream v2a_read(v2a.str());
-  Trace via = Trace::read_binary(v2a_read);
-  std::stringstream v3(std::ios::in | std::ios::out | std::ios::binary);
-  via.write_binary_v3(v3);
-  Trace via2 = Trace::read_binary(v3);
-  std::stringstream v2b(std::ios::in | std::ios::out | std::ios::binary);
-  via2.write_binary_v2(v2b);
-
-  EXPECT_EQ(v2a.str(), v2b.str());
+  const std::string first = v3_bytes(t, 64);
+  std::stringstream in(first);
+  const Trace back = Trace::read_binary(in);
+  ASSERT_EQ(back.size(), t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(back.events()[i].start, t.events()[i].start);
+    EXPECT_EQ(back.events()[i].duration, t.events()[i].duration);
+  }
+  EXPECT_EQ(v3_bytes(back, 64), first);
 }
 
 TEST(TraceV3Test, WriterChunksAndFooterIndexAgree) {
@@ -383,25 +381,26 @@ TEST(TraceV3Test, MappedFileContentsMatchStreamRead) {
 
 TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
   Trace t = sample_trace(40);
-  const std::string v2 = test::temp_path("eio_v3_src_v2.bin");
+  const std::string tsv = test::temp_path("eio_v3_src.tsv");
   const std::string v3 = test::temp_path("eio_v3_src_v3.bin");
-  t.save_binary_v2(v2);
+  t.save(tsv);
   t.save_binary_v3(v3);
 
-  FileTraceSource v2_source(v2);
+  FileTraceSource tsv_source(tsv);
   FileTraceSource v3_source(v3);
-  EXPECT_EQ(v2_source.format(), TraceFormat::kBinaryV2);
+  EXPECT_EQ(tsv_source.format(), TraceFormat::kTsv);
   EXPECT_EQ(v3_source.format(), TraceFormat::kBinaryV3);
-  EXPECT_FALSE(v2_source.zero_copy());  // mmap is a v3-only path
+  EXPECT_FALSE(tsv_source.zero_copy());  // mmap is a v3-only path
   EXPECT_EQ(v3_source.zero_copy(), MappedFile::mmap_supported());
 
   // Both formats replay the identical event sequence.
-  std::vector<double> v2_starts, v3_starts;
-  v2_source.for_each([&](const TraceEvent& e) { v2_starts.push_back(e.start); });
+  std::vector<double> tsv_starts, v3_starts;
+  tsv_source.for_each(
+      [&](const TraceEvent& e) { tsv_starts.push_back(e.start); });
   v3_source.for_each([&](const TraceEvent& e) { v3_starts.push_back(e.start); });
-  EXPECT_EQ(v3_starts, v2_starts);
-  EXPECT_EQ(v3_source.event_count(), v2_source.event_count());
-  std::remove(v2.c_str());
+  EXPECT_EQ(v3_starts, tsv_starts);
+  EXPECT_EQ(v3_source.event_count(), tsv_source.event_count());
+  std::remove(tsv.c_str());
   std::remove(v3.c_str());
 }
 

@@ -2,7 +2,8 @@
 // slow-OST scenario trace, written with small chunks so the scan has
 // many partials to merge, `analyze --monitor --json` and its
 // --incidents JSONL must come out byte-identical for every jobs value
-// and merge window, on v2 and v3 copies alike.
+// and merge window; the incident log also matches a serial pass over a
+// TSV copy of the same trace.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -45,21 +46,14 @@ const ipm::Trace& slow_ost_trace() {
   return trace;
 }
 
-std::string write_copy(bool v3) {
+std::string write_v3_copy() {
   const ipm::Trace& t = slow_ost_trace();
-  std::string path = test::temp_path(v3 ? "slow_ost.v3" : "slow_ost.v2");
+  std::string path = test::temp_path("slow_ost.v3");
   std::ofstream out(path, std::ios::binary);
-  if (v3) {
-    ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(),
-                         {.chunk_events = kChunkEvents});
-    for (const ipm::TraceEvent& e : t.events()) w.add(e);
-    w.finish();
-  } else {
-    ipm::TraceWriterV2 w(out, t.experiment(), t.ranks(),
-                         {.chunk_events = kChunkEvents});
-    for (const ipm::TraceEvent& e : t.events()) w.add(e);
-    w.finish();
-  }
+  ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(),
+                       {.chunk_events = kChunkEvents});
+  for (const ipm::TraceEvent& e : t.events()) w.add(e);
+  w.finish();
   return path;
 }
 
@@ -130,31 +124,32 @@ std::string analyze_bundle(const std::string& trace, ipm::ScanOptions scan,
 }
 
 TEST(MonitorLanesTest, AnalyzeMonitorIsByteIdenticalAcrossJobsAndFormats) {
-  const std::string v2 = write_copy(false);
-  const std::string v3 = write_copy(true);
+  const std::string v3 = write_v3_copy();
+  const std::string tsv = test::temp_path("slow_ost.tsv");
+  slow_ost_trace().save(tsv);
   // Default detector cadence, then one fine enough that evaluations
   // and incidents fall inside replayed (non-root) partials.
   for (const std::vector<std::string>& extra :
        {std::vector<std::string>{},
         std::vector<std::string>{"--stride=32", "--window=128"}}) {
-    const auto reference = analyze_cli(v2, 1, extra);
+    const auto reference = analyze_cli(v3, 1, extra);
     EXPECT_NE(reference.first.find("\"monitor\""), std::string::npos);
     EXPECT_NE(reference.second.find("\"subject\":5"), std::string::npos);
-    for (const std::string& trace : {v2, v3}) {
-      for (std::size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
-        const auto got = analyze_cli(trace, jobs, extra);
-        EXPECT_EQ(got.first, reference.first) << trace << " jobs=" << jobs;
-        EXPECT_EQ(got.second, reference.second) << trace << " jobs=" << jobs;
-      }
+    for (std::size_t jobs : {2u, 3u, 4u, 8u}) {
+      const auto got = analyze_cli(v3, jobs, extra);
+      EXPECT_EQ(got.first, reference.first) << "jobs=" << jobs;
+      EXPECT_EQ(got.second, reference.second) << "jobs=" << jobs;
     }
+    // The serial TSV pass sees one partial, not 73: the incident log
+    // must still match the chunk-parallel one byte for byte.
+    EXPECT_EQ(analyze_cli(tsv, 1, extra).second, reference.second);
   }
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
+  std::remove(tsv.c_str());
 }
 
 TEST(MonitorLanesTest, BundleIsByteIdenticalAcrossJobsAndMergeWindows) {
-  const std::string v2 = write_copy(false);
-  const std::string v3 = write_copy(true);
+  const std::string v3 = write_v3_copy();
   HealthOptions fine;
   fine.ost_count = 48;
   fine.stride = 32;
@@ -162,21 +157,18 @@ TEST(MonitorLanesTest, BundleIsByteIdenticalAcrossJobsAndMergeWindows) {
   HealthOptions coarse;
   coarse.ost_count = 48;
   for (const HealthOptions& mopt : {coarse, fine}) {
-    const std::string reference = analyze_bundle(v2, {.jobs = 1}, mopt);
+    const std::string reference = analyze_bundle(v3, {.jobs = 1}, mopt);
     EXPECT_NE(reference.find("\"subject\":5"), std::string::npos);
-    for (const std::string& trace : {v2, v3}) {
-      for (std::size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
-        for (std::size_t window : {1u, 2u, 0u}) {
-          EXPECT_EQ(analyze_bundle(trace, {.jobs = jobs, .merge_window = window},
-                                   mopt),
-                    reference)
-              << trace << " jobs=" << jobs << " window=" << window
-              << " stride=" << mopt.stride;
-        }
+    for (std::size_t jobs : {1u, 2u, 3u, 4u, 8u}) {
+      for (std::size_t window : {1u, 2u, 0u}) {
+        EXPECT_EQ(
+            analyze_bundle(v3, {.jobs = jobs, .merge_window = window}, mopt),
+            reference)
+            << "jobs=" << jobs << " window=" << window
+            << " stride=" << mopt.stride;
       }
     }
   }
-  std::remove(v2.c_str());
   std::remove(v3.c_str());
 }
 

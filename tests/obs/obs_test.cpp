@@ -106,16 +106,16 @@ class ObsTest : public ::testing::Test {
     return {rc, out.str(), err.str()};
   }
 
-  /// Simulate a tiny ensemble and convert run 0 to indexed binary v2,
+  /// Simulate a tiny ensemble and convert run 0 to indexed binary v3,
   /// so summary exercises the chunk-parallel scanner.
-  std::string make_v2_trace() {
+  std::string make_v3_trace() {
     auto [rc, out, err] = run({"simulate", "--runs=2", "--tasks=16",
                                "--block-mib=4", "--save-dir=" + dir_});
     EXPECT_EQ(rc, 0) << err;
-    std::string v2 = dir_ + "/run0.v2";
-    auto [rc2, out2, err2] = run({"convert", dir_ + "/run0.tsv", v2});
+    std::string v3 = dir_ + "/run0.v3";
+    auto [rc2, out2, err2] = run({"convert", dir_ + "/run0.tsv", v3});
     EXPECT_EQ(rc2, 0) << err2;
-    return v2;
+    return v3;
   }
 
   std::string dir_;
@@ -204,10 +204,10 @@ TEST_F(ObsTest, ChromeTraceIsBalancedAndMonotonicPerThread) {
 }
 
 TEST_F(ObsTest, ScannerPhasesAppearInChromeTrace) {
-  std::string v2 = make_v2_trace();
+  std::string v3 = make_v3_trace();
   std::string trace = dir_ + "/scan_trace.json";
   auto [rc, out, err] =
-      run({"summary", v2, "--jobs=2", "--chrome-trace", trace});
+      run({"summary", v3, "--jobs=2", "--chrome-trace", trace});
   ASSERT_EQ(rc, 0) << err;
 
   std::set<std::string> names;
@@ -216,15 +216,15 @@ TEST_F(ObsTest, ScannerPhasesAppearInChromeTrace) {
   }
   EXPECT_TRUE(names.count("scan.scan"));
   EXPECT_TRUE(names.count("scan.fold_chunk"));
-  EXPECT_TRUE(names.count("v2.decode_chunk"));
+  EXPECT_TRUE(names.count("v3.decode_chunk"));
 }
 
 TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
-  std::string v2 = make_v2_trace();
+  std::string v3 = make_v3_trace();
   std::vector<std::string> sections;
   for (const char* jobs : {"--jobs=1", "--jobs=2", "--jobs=4"}) {
     std::string metrics = dir_ + "/metrics_" + (jobs + 7) + ".json";
-    auto [rc, out, err] = run({"summary", v2, jobs, "--metrics", metrics});
+    auto [rc, out, err] = run({"summary", v3, jobs, "--metrics", metrics});
     ASSERT_EQ(rc, 0) << err;
     std::string json = read_file(metrics);
     EXPECT_NE(json.find("\"schema_version\""), std::string::npos);
@@ -236,7 +236,7 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   EXPECT_EQ(sections[0], sections[2]) << "counters differ between jobs 1 and 4";
   // The scanner counters must actually be present, not vacuously equal.
   EXPECT_NE(sections[0].find("scan.chunks_scanned"), std::string::npos);
-  EXPECT_NE(sections[0].find("v2.events_decoded"), std::string::npos);
+  EXPECT_NE(sections[0].find("v3.events_decoded"), std::string::npos);
 
   // Simulation counters, flushed once per run from plain members, are
   // just as independent of how runs are spread over threads.
