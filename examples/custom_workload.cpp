@@ -10,6 +10,7 @@
 // Build & run:  ./build/examples/custom_workload
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/ascii_chart.h"
 #include "core/distribution.h"
@@ -31,6 +32,7 @@ workloads::JobSpec shared_file_job(const lustre::MachineConfig& machine) {
   job.machine = machine;
   job.stripe_options["shared.ckpt"] = {.stripe_count = machine.ost_count,
                                        .shared = true};
+  std::vector<mpi::Program> programs;
   for (RankId r = 0; r < kRanks; ++r) {
     mpi::Program p;
     p.open(0, "shared.ckpt");
@@ -39,8 +41,9 @@ workloads::JobSpec shared_file_job(const lustre::MachineConfig& machine) {
     p.write(0, kSlice);
     p.barrier();
     p.close(0);
-    job.programs.push_back(std::move(p));
+    programs.push_back(std::move(p));
   }
+  job.programs = std::move(programs);
   return job;
 }
 
@@ -50,6 +53,7 @@ workloads::JobSpec file_per_process_job(const lustre::MachineConfig& machine) {
   workloads::JobSpec job;
   job.name = "ckpt-fpp";
   job.machine = machine;
+  std::vector<mpi::Program> programs;
   for (RankId r = 0; r < kRanks; ++r) {
     std::string path = "rank" + std::to_string(r) + ".ckpt";
     job.stripe_options[path] = {.stripe_count = 1, .shared = false};
@@ -59,8 +63,9 @@ workloads::JobSpec file_per_process_job(const lustre::MachineConfig& machine) {
     p.write(0, kSlice);
     p.barrier();
     p.close(0);
-    job.programs.push_back(std::move(p));
+    programs.push_back(std::move(p));
   }
+  job.programs = std::move(programs);
   return job;
 }
 

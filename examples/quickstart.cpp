@@ -7,6 +7,7 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <vector>
 
 #include "core/ascii_chart.h"
 #include "core/diagnose.h"
@@ -36,6 +37,7 @@ int main() {
   job.machine = machine;
   job.stripe_options["ckpt.dat"] = {.stripe_count = machine.ost_count,
                                     .shared = true};
+  std::vector<mpi::Program> programs;
   for (RankId r = 0; r < ranks; ++r) {
     mpi::Program p;
     p.open(0, "ckpt.dat");
@@ -46,8 +48,9 @@ int main() {
       p.barrier();
     }
     p.close(0);
-    job.programs.push_back(std::move(p));
+    programs.push_back(std::move(p));
   }
+  job.programs = std::move(programs);
 
   // 3. Run it. The result carries the IPM-I/O trace, the in-situ
   //    profile, and file-system counters.

@@ -68,6 +68,10 @@ int cmd_simulate(CommandContext& ctx) {
   }
   if (args.has("seed")) scenario.seed(args.get_size("seed", 0));
   std::size_t runs = args.get_size("runs", scenario.run_count());
+  if (runs == 0) {
+    err << "eiotrace: --runs must be at least 1\n";
+    return 1;
+  }
   bool save = args.has("save-dir");
   std::string save_fmt = args.get("format", "tsv");
   if (save_fmt != "tsv" && save_fmt != "v3") {

@@ -222,14 +222,16 @@ void Filesystem::start_sync_write(NodeId node, FileId file, Bytes offset,
       files_.at(file).last_write_done = engine_.now();
       Seconds tax = std::max(0.0, slowdown - 1.0) * (engine_.now() - issued);
       // The written pages linger in the client cache until reclaim;
-      // that residue is what the read-ahead pressure check sees.
+      // that residue is what the read-ahead pressure check sees. The
+      // reclaim is a passive timer keyed where its event would have
+      // been scheduled, so it orders against every other event exactly
+      // as that event would, without ever entering the calendar.
       Bytes residue = std::min(length, machine_.dirty_residue_cap);
+      expire_residue(ns);
       ns.residue += residue;
-      engine_.schedule_in(machine_.dirty_residue_ttl, [this, node, residue] {
-        NodeState& n2 = nodes_[node];
-        EIO_CHECK(n2.residue >= residue);
-        n2.residue -= residue;
-      });
+      Seconds reclaim_at = engine_.now() + machine_.dirty_residue_ttl;
+      ns.reclaims.push_back(
+          Reclaim{reclaim_at, engine_.reserve_passive(reclaim_at), residue});
       if (tax > 0.0) {
         engine_.schedule_in(tax, [this, file, done = std::move(done)]() mutable {
           // Write activity extends through the tax (retries are still
@@ -444,15 +446,33 @@ Bytes Filesystem::dirty(NodeId node) const {
   return nodes_[node].dirty;
 }
 
+Bytes Filesystem::expire_residue(const NodeState& n) const {
+  std::vector<Reclaim>& q = n.reclaims;
+  while (n.reclaim_head < q.size() &&
+         engine_.passed(q[n.reclaim_head].when, q[n.reclaim_head].seq)) {
+    EIO_CHECK(n.residue >= q[n.reclaim_head].bytes);
+    n.residue -= q[n.reclaim_head].bytes;
+    ++n.reclaim_head;
+  }
+  // Drop the retired prefix once it is at least half the queue, so the
+  // queue stays within twice its live length and, once warm, reuses
+  // its capacity without allocating.
+  if (n.reclaim_head * 2 >= q.size()) {
+    q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n.reclaim_head));
+    n.reclaim_head = 0;
+  }
+  return n.residue;
+}
+
 Bytes Filesystem::residue(NodeId node) const {
   EIO_CHECK(node < nodes_.size());
-  return nodes_[node].residue;
+  return expire_residue(nodes_[node]);
 }
 
 bool Filesystem::under_pressure(NodeId node, FileId file) const {
   EIO_CHECK(node < nodes_.size());
   const NodeState& n = nodes_[node];
-  Bytes load = n.dirty + n.residue + n.sync_in_flight;
+  Bytes load = n.dirty + expire_residue(n) + n.sync_in_flight;
   if (load >= machine_.pressure_threshold) return true;
   auto it = files_.find(file);
   if (it == files_.end()) return false;

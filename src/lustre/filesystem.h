@@ -153,9 +153,22 @@ class Filesystem {
     Seconds last_write_done = -1e18;  ///< job-wide most recent write
   };
 
+  /// One completed write's cached pages, reclaimed at (when, seq).
+  struct Reclaim {
+    Seconds when;
+    std::uint64_t seq;  ///< Engine::reserve_passive key
+    Bytes bytes;
+  };
+
   struct NodeState {
     Bytes dirty = 0;                ///< absorbed bytes not yet drained
-    Bytes residue = 0;              ///< cached pages of completed writes
+    /// Residue of completed writes, and their pending reclaims in key
+    /// order (oldest first from reclaim_head). Expired entries are
+    /// retired lazily by expire_residue(), so queries stay logically
+    /// const.
+    mutable Bytes residue = 0;
+    mutable std::vector<Reclaim> reclaims;
+    mutable std::size_t reclaim_head = 0;
     Bytes sync_in_flight = 0;       ///< bytes in synchronous write flows
     std::uint32_t drains = 0;       ///< active background drain flows
     std::vector<IoCallback> flush_waiters;
@@ -179,6 +192,9 @@ class Filesystem {
   void small_io(NodeId node, const FileState& f, bool is_write, Bytes length,
                 IoCallback done);
   void finish_drain(NodeId node, Bytes bytes);
+  /// Retire the node's reclaims whose key has passed; returns the
+  /// residue that remains.
+  Bytes expire_residue(const NodeState& n) const;
   void background_arrival();
 
   [[nodiscard]] static sim::FluidNetwork::Config network_config(

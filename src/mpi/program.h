@@ -5,9 +5,16 @@
 // group-gather collectives. This mirrors how the paper's applications
 // behave once computation is stripped away (MADbench is run with
 // "all computation and communication effectively turned off").
+//
+// A job's programs are built once and then frozen into a `ProgramSet`:
+// immutable and shared, so every copy of the job (one per ensemble run)
+// and every run's runtime read the same ops in place.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -22,10 +29,12 @@ using FileSlot = std::uint32_t;
 
 namespace op {
 
-/// open(path, flags); the resulting fd is stored in `slot`.
+/// open(path, flags); the resulting fd is stored in `slot`. `path`
+/// indexes the owning Program's path table (Program::path), which keeps
+/// every op a few words wide.
 struct Open {
   FileSlot slot = 0;
-  std::string path;
+  std::uint32_t path = 0;
   bool create = true;
 };
 
@@ -84,11 +93,19 @@ struct Gather {
 using Op = std::variant<op::Open, op::Close, op::Seek, op::Read, op::Write,
                         op::Fsync, op::Barrier, op::Compute, op::Phase, op::Gather>;
 
+// A 2,560-rank GCRM job holds about 200k ops: keep them three words.
+static_assert(sizeof(Op) <= 24, "mpi::Op grew past 24 bytes");
+
+class ProgramSet;
+
 /// A rank's full instruction sequence.
 class Program {
  public:
   Program& open(FileSlot slot, std::string path, bool create = true) {
-    ops_.emplace_back(op::Open{slot, std::move(path), create});
+    auto it = std::find(paths_.begin(), paths_.end(), path);
+    auto index = static_cast<std::uint32_t>(it - paths_.begin());
+    if (it == paths_.end()) paths_.push_back(std::move(path));
+    ops_.emplace_back(op::Open{slot, index, create});
     return *this;
   }
   Program& close(FileSlot slot) {
@@ -131,9 +148,52 @@ class Program {
   [[nodiscard]] const std::vector<Op>& ops() const noexcept { return ops_; }
   [[nodiscard]] std::size_t size() const noexcept { return ops_.size(); }
   [[nodiscard]] bool empty() const noexcept { return ops_.empty(); }
+  /// The path an Open op names.
+  [[nodiscard]] const std::string& path(const op::Open& o) const {
+    return paths_.at(o.path);
+  }
 
  private:
+  friend class ProgramSet;
+
+  /// Release spare capacity once the program is frozen into a set.
+  void shrink_to_fit() {
+    ops_.shrink_to_fit();
+    paths_.shrink_to_fit();
+  }
+
   std::vector<Op> ops_;
+  std::vector<std::string> paths_;  ///< distinct paths, in first-open order
+};
+
+/// One program per rank, immutable once built. Copies share the
+/// programs (copying a ProgramSet copies a pointer), so a job copied
+/// per ensemble run still holds its ops exactly once.
+class ProgramSet {
+ public:
+  ProgramSet() = default;
+  /// Freeze `programs` (one per rank), trimming their spare capacity.
+  ProgramSet(std::vector<Program> programs) {  // NOLINT(google-explicit-constructor)
+    for (Program& p : programs) p.shrink_to_fit();
+    programs_ = std::make_shared<const std::vector<Program>>(std::move(programs));
+  }
+  ProgramSet(std::initializer_list<Program> programs)
+      : ProgramSet(std::vector<Program>(programs)) {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return programs_ ? programs_->size() : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  [[nodiscard]] const Program& operator[](std::size_t rank) const {
+    return (*programs_)[rank];
+  }
+  /// Rank 0's program; equal across copies that share the same set.
+  [[nodiscard]] const Program* data() const noexcept {
+    return programs_ ? programs_->data() : nullptr;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<Program>> programs_;
 };
 
 }  // namespace eio::mpi

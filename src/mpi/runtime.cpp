@@ -16,13 +16,10 @@ Runtime::Runtime(sim::RunContext& run, posix::PosixIo& io, CollectiveCosts costs
                  fault::Injector* injector)
     : engine_(run.engine()), io_(io), costs_(costs), injector_(injector) {}
 
-void Runtime::load(std::vector<Program> programs) {
+void Runtime::load(ProgramSet programs) {
   EIO_CHECK(!programs.empty());
-  ranks_.clear();
-  ranks_.resize(programs.size());
-  for (std::size_t i = 0; i < programs.size(); ++i) {
-    ranks_[i].program = std::move(programs[i]);
-  }
+  programs_ = std::move(programs);
+  ranks_.assign(programs_.size(), RankState{});
   gathers_.assign(ranks_.size(), GatherState{});
   barrier_ = BarrierState{};
   done_count_ = 0;
@@ -75,7 +72,8 @@ void Runtime::advance(RankId rank) {
 
 void Runtime::step(RankId rank) {
   RankState& state = ranks_[rank];
-  if (state.pc >= state.program.size()) {
+  const Program& program = programs_[rank];
+  if (state.pc >= program.size()) {
     if (!state.done) {
       state.done = true;
       state.finish = engine_.now();
@@ -83,16 +81,16 @@ void Runtime::step(RankId rank) {
     }
     return;
   }
-  run_op(rank, state.program.ops()[state.pc]);
+  run_op(rank, program, program.ops()[state.pc]);
 }
 
-void Runtime::run_op(RankId rank, const Op& operation) {
+void Runtime::run_op(RankId rank, const Program& program, const Op& operation) {
   std::visit(
       [&](const auto& o) {
         using T = std::decay_t<decltype(o)>;
         if constexpr (std::is_same_v<T, op::Open>) {
           std::uint32_t flags = posix::kRdWr | (o.create ? posix::kCreate : 0u);
-          io_.open(rank, o.path, flags, [this, rank, s = o.slot](Fd fd) {
+          io_.open(rank, program.path(o), flags, [this, rank, s = o.slot](Fd fd) {
             EIO_CHECK_MSG(fd >= 0, "open failed for rank " << rank);
             slot(rank, s) = fd;
             advance(rank);

@@ -46,8 +46,12 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Install the job: one program per rank. Resets all progress.
-  void load(std::vector<Program> programs);
+  /// Install the job: one program per rank. Resets all progress. The
+  /// runtime shares the set and reads each rank's ops in place.
+  void load(ProgramSet programs);
+
+  /// The loaded program set (shared with the job it came from).
+  [[nodiscard]] const ProgramSet& programs() const noexcept { return programs_; }
 
   /// Hook invoked on Phase ops.
   void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
@@ -70,8 +74,7 @@ class Runtime {
 
  private:
   struct RankState {
-    Program program;
-    std::size_t pc = 0;
+    std::size_t pc = 0;  ///< next op of programs_[rank]
     std::vector<Fd> slots;
     bool done = false;
     Seconds finish = 0.0;
@@ -89,7 +92,7 @@ class Runtime {
 
   void step(RankId rank);
   void advance(RankId rank);
-  void run_op(RankId rank, const Op& op);
+  void run_op(RankId rank, const Program& program, const Op& op);
   /// Issue a data op, timing it for straggler bookkeeping.
   void issue_data_op(RankId rank, Fd fd, Bytes bytes, bool is_write);
   [[nodiscard]] Fd& slot(RankId rank, FileSlot s);
@@ -101,6 +104,7 @@ class Runtime {
   CollectiveCosts costs_;
   fault::Injector* injector_;  ///< optional, not owned, same run
   PhaseHook phase_hook_;
+  ProgramSet programs_;
   std::vector<RankState> ranks_;
   BarrierState barrier_;
   std::vector<GatherState> gathers_;  ///< per group, reused across ops

@@ -26,6 +26,15 @@
 // timer's own (time, seq) key. Ties against every other event then
 // resolve exactly as if each timer were its own calendar event.
 //
+// Passive keyed timers go one step further: a timer whose only effect
+// is to mark its moment as past (the filesystem's residue reclaim)
+// takes its key with reserve_passive() and never enters the calendar.
+// Its owner asks passed(when, seq), which is true iff the key sorts
+// before the running event's key, exactly when the timer's own event
+// would already have run. When the calendar drains, the clock still
+// advances to the latest passive timer, where running it would have
+// left it.
+//
 // Generation counters are 32-bit and wrap modularly: an id could alias
 // a later event in the same slot only after 2^32 reuses of that slot
 // while the stale id is still held, which no simulation approaches.
@@ -62,9 +71,13 @@ class Engine {
   using Action = InlineFunction<void(), kActionCapacity>;
 
   Engine() = default;
-  /// Flushes the run's cancel count to obs (sim.calendar_cancels) once,
-  /// so cancel() itself never touches an atomic.
-  ~Engine() { OBS_COUNTER_ADD("sim.calendar_cancels", cancels_); }
+  /// Flushes the run's cancel count (sim.calendar_cancels) and live
+  /// event high-water (sim.calendar_live_peak) to obs once, so the hot
+  /// paths never touch an atomic.
+  ~Engine() {
+    OBS_COUNTER_ADD("sim.calendar_cancels", cancels_);
+    OBS_COUNTER_ADD("sim.calendar_live_peak", live_peak_);
+  }
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -96,6 +109,23 @@ class Engine {
     return insert(when, seq, std::move(action));
   }
 
+  /// Reserve the key of a passive timer due at `when`: the sequence
+  /// number a schedule_at(when, ...) made now would have drawn, with no
+  /// calendar entry. The owner keeps (when, seq) and asks passed().
+  [[nodiscard]] std::uint64_t reserve_passive(Seconds when) {
+    check_not_past(when);
+    passive_horizon_ = std::max(passive_horizon_, when);
+    return reserve_seq();
+  }
+
+  /// True iff an event keyed (when, seq) would already have run: the key
+  /// sorts before the running (or last run) event's key. After
+  /// run_until(deadline), or once the calendar drains, every key
+  /// reserved so far at or before now() has passed.
+  [[nodiscard]] bool passed(Seconds when, std::uint64_t seq) const noexcept {
+    return when < now_ || (when == now_ && seq < cursor_seq_);
+  }
+
   /// Cancel a previously scheduled event. Returns true if the event was
   /// still pending (false if it already ran or was cancelled).
   bool cancel(EventId id) {
@@ -115,7 +145,8 @@ class Engine {
     return slot < slots_.size() && slots_[slot].generation == gen_of(id);
   }
 
-  /// Number of live (not-yet-run, not-cancelled) events.
+  /// Number of live (not-yet-run, not-cancelled) events. Passive
+  /// timers are not events and never count.
   [[nodiscard]] std::size_t live_events() const noexcept { return live_count_; }
 
   /// Number of calendar entries, live or cancelled-but-not-yet-reaped.
@@ -125,7 +156,8 @@ class Engine {
     return heap_.size();
   }
 
-  /// Run a single event. Returns false if the calendar is empty.
+  /// Run a single event. Returns false if the calendar is empty, after
+  /// advancing the clock past every passive timer.
   bool step() {
     while (!heap_.empty()) {
       Entry top = heap_.front();
@@ -135,6 +167,7 @@ class Engine {
         continue;  // cancelled — stale entry discarded
       }
       now_ = top.when;
+      cursor_seq_ = top.seq;
       // Move the action out and free the slot *before* invoking: the
       // action may schedule (possibly reusing this slot or growing the
       // slab) and the slot reference would not survive that.
@@ -145,6 +178,7 @@ class Engine {
       action();
       return true;
     }
+    pass_through(passive_horizon_);
     return false;
   }
 
@@ -170,7 +204,7 @@ class Engine {
       if (top.when > deadline) break;
       step();
     }
-    if (now_ < deadline) now_ = deadline;
+    pass_through(deadline);
     return now_;
   }
 
@@ -211,6 +245,14 @@ class Engine {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
+  /// Move the clock to `t` (if not past it) as if every event keyed at
+  /// or before `t` had run, passive timers included.
+  void pass_through(Seconds t) noexcept {
+    if (now_ > t) return;
+    now_ = t;
+    cursor_seq_ = next_seq_ + 1;
+  }
+
   void check_not_past(Seconds when) const {
     EIO_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
                                                                   << " now=" << now_);
@@ -231,6 +273,7 @@ class Engine {
     heap_.push_back(Entry{when, seq, id});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     ++live_count_;
+    live_peak_ = std::max(live_peak_, live_count_);
     return id;
   }
 
@@ -269,9 +312,12 @@ class Engine {
 
   Seconds now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t cursor_seq_ = 0;  ///< seq of the running (or last run) event
+  Seconds passive_horizon_ = 0.0;  ///< latest passive timer reserved
   std::uint64_t events_run_ = 0;
   std::uint64_t cancels_ = 0;
   std::size_t live_count_ = 0;
+  std::size_t live_peak_ = 0;
   // Min-heap via std::*_heap with std::greater (see Entry::operator>).
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;

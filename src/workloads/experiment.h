@@ -39,7 +39,9 @@ namespace eio::workloads {
 struct JobSpec {
   std::string name = "job";
   lustre::MachineConfig machine;
-  std::vector<mpi::Program> programs;  ///< one per rank
+  /// One program per rank, built once by the workload builder and
+  /// shared (not copied) by every copy of the spec and every run.
+  mpi::ProgramSet programs;
   std::map<std::string, lustre::FileOptions> stripe_options;  ///< per path
   ipm::Mode capture = ipm::Mode::kBoth;
   mpi::CollectiveCosts collective_costs;
@@ -82,17 +84,19 @@ struct RunResult {
   }
 };
 
-/// One run as a self-contained, thread-safe unit. Owns a private copy
-/// of the JobSpec and every piece of simulation state the run touches:
+/// One run as a self-contained, thread-safe unit. Owns a copy of the
+/// JobSpec (whose immutable program set it shares with every other
+/// copy) and every piece of mutable simulation state the run touches:
 ///
 ///   sim::RunContext  — event engine (clock + calendar) and the
 ///                      run-scoped RNG stream factory, seeded from
 ///                      spec.machine.seed (+ run index in ensembles);
 ///   lustre::Filesystem, posix::PosixIo — the storage stack;
 ///   ipm::Monitor     — the per-run trace/profile collectors;
-///   mpi::Runtime     — the rank programs and collectives.
+///   mpi::Runtime     — rank progress over the shared programs, and
+///                      the collectives.
 ///
-/// Two RunInstances never share mutable state, so any number of them
+/// Two RunInstances share only immutable programs, so any number of them
 /// may execute() on concurrent threads.
 class RunInstance {
  public:

@@ -51,13 +51,13 @@ JobSpec make_gcrm_job(const lustre::MachineConfig& machine,
   h5_config.per_write_overhead = config.h5_overhead_per_write;
   h5::H5PartWriter h5(config.tasks, h5_config, config.record_bytes);
 
-  job.programs.assign(config.tasks, {});
+  std::vector<mpi::Program> programs(config.tasks);
   auto all_phase = [&](std::int32_t phase) {
-    for (auto& p : job.programs) p.phase(phase);
+    for (auto& p : programs) p.phase(phase);
   };
 
-  h5.emit_open(job.programs, 0, config.file_name);
-  h5.emit_set_step(job.programs, 0);
+  h5.emit_open(programs, 0, config.file_name);
+  h5.emit_set_step(programs, 0);
 
   const auto records = variable_records(config);
   const std::uint32_t group =
@@ -67,16 +67,17 @@ JobSpec make_gcrm_job(const lustre::MachineConfig& machine,
     if (io_ranks > 0) {
       // Collective-buffering stage one: ship this variable's records
       // to the aggregators before they issue the file writes.
-      for (auto& p : job.programs) {
+      for (auto& p : programs) {
         p.gather(group, static_cast<Bytes>(records[v]) * config.record_bytes);
       }
     }
-    h5.emit_write_field(job.programs, 0, records[v], io_ranks);
-    for (auto& p : job.programs) p.barrier();
+    h5.emit_write_field(programs, 0, records[v], io_ranks);
+    for (auto& p : programs) p.barrier();
   }
 
   all_phase(GcrmConfig::kClosePhase);
-  h5.emit_close(job.programs, 0);
+  h5.emit_close(programs, 0);
+  job.programs = std::move(programs);
   return job;
 }
 

@@ -33,7 +33,8 @@ JobSpec make_ior_job(const lustre::MachineConfig& machine, const IorConfig& conf
   const Bytes call_bytes = config.block_size / config.calls_per_block;
   rng::StreamFactory shuffles(machine.seed ^ 0x10BULL);
 
-  job.programs.reserve(config.tasks);
+  std::vector<mpi::Program> programs;
+  programs.reserve(config.tasks);
   for (RankId rank = 0; rank < config.tasks; ++rank) {
     std::string path = config.file_name;
     if (config.file_per_process) {
@@ -80,8 +81,9 @@ JobSpec make_ior_job(const lustre::MachineConfig& machine, const IorConfig& conf
       }
     }
     p.close(0);
-    job.programs.push_back(std::move(p));
+    programs.push_back(std::move(p));
   }
+  job.programs = std::move(programs);
   return job;
 }
 

@@ -25,8 +25,10 @@ std::vector<mpiio::Extent> matrix_extents(const MadbenchConfig& config,
 
 /// The independent-POSIX variant: each rank seeks and transfers its
 /// own matrix (the configuration the paper traces).
-void build_independent(const MadbenchConfig& config, JobSpec& job) {
+std::vector<mpi::Program> build_independent(const MadbenchConfig& config) {
   const Bytes slot = config.slot();
+  std::vector<mpi::Program> programs;
+  programs.reserve(config.tasks);
   for (RankId rank = 0; rank < config.tasks; ++rank) {
     mpi::Program p;
     p.open(0, config.file_name);
@@ -57,38 +59,40 @@ void build_independent(const MadbenchConfig& config, JobSpec& job) {
       p.barrier();
     }
     p.close(0);
-    job.programs.push_back(std::move(p));
+    programs.push_back(std::move(p));
   }
+  return programs;
 }
 
 /// The MPI-IO collective variant: the same logical phases, but every
 /// matrix transfer is a two-phase collective over all ranks.
-void build_collective(const MadbenchConfig& config, JobSpec& job) {
+std::vector<mpi::Program> build_collective(const MadbenchConfig& config) {
   mpiio::TwoPhaseIo io(config.tasks,
                        {.cb_nodes = config.cb_nodes,
                         .cb_buffer_size = 16 * MiB,
                         .alignment = config.alignment,
                         .data_sieving = true});
-  job.programs.assign(config.tasks, {});
+  std::vector<mpi::Program> programs(config.tasks);
   auto all_phase = [&](std::int32_t phase) {
-    for (auto& p : job.programs) p.phase(phase);
+    for (auto& p : programs) p.phase(phase);
   };
-  for (auto& p : job.programs) p.open(0, config.file_name);
+  for (auto& p : programs) p.open(0, config.file_name);
 
   for (std::uint32_t m = 0; m < config.matrices; ++m) {
     all_phase(MadbenchConfig::generate_phase(m + 1));
-    io.emit_write_all(job.programs, 0, matrix_extents(config, m));
+    io.emit_write_all(programs, 0, matrix_extents(config, m));
   }
   for (std::uint32_t m = 0; m < config.matrices; ++m) {
     all_phase(MadbenchConfig::middle_phase(m + 1));
-    io.emit_read_all(job.programs, 0, matrix_extents(config, m));
-    io.emit_write_all(job.programs, 0, matrix_extents(config, m));
+    io.emit_read_all(programs, 0, matrix_extents(config, m));
+    io.emit_write_all(programs, 0, matrix_extents(config, m));
   }
   for (std::uint32_t m = 0; m < config.matrices; ++m) {
     all_phase(MadbenchConfig::final_phase(m + 1));
-    io.emit_read_all(job.programs, 0, matrix_extents(config, m));
+    io.emit_read_all(programs, 0, matrix_extents(config, m));
   }
-  for (auto& p : job.programs) p.close(0);
+  for (auto& p : programs) p.close(0);
+  return programs;
 }
 
 }  // namespace
@@ -107,12 +111,8 @@ JobSpec make_madbench_job(const lustre::MachineConfig& machine,
       config.stripe_count == 0 ? machine.ost_count : config.stripe_count;
   job.stripe_options[config.file_name] = {.stripe_count = stripes,
                                           .shared = config.tasks > 1};
-  job.programs.reserve(config.tasks);
-  if (config.collective_io) {
-    build_collective(config, job);
-  } else {
-    build_independent(config, job);
-  }
+  job.programs = config.collective_io ? build_collective(config)
+                                      : build_independent(config);
   return job;
 }
 

@@ -174,7 +174,13 @@ ScenarioBuilder scenario_from_json(const json::Value& v) {
   if (v.has("seed")) {
     b.seed(static_cast<std::uint64_t>(v.at("seed").as_number()));
   }
-  b.runs(static_cast<std::size_t>(v.number_or("runs", 1.0)));
+  double runs = v.number_or("runs", 1.0);
+  if (!(runs >= 1.0)) {
+    std::ostringstream msg;
+    msg << "scenario: runs must be at least 1 (got " << runs << ")";
+    throw std::runtime_error(msg.str());
+  }
+  b.runs(static_cast<std::size_t>(runs));
 
   if (v.has("background")) {
     const json::Value& bg = v.at("background");

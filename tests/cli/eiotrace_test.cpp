@@ -501,6 +501,20 @@ TEST_F(EiotraceTest, SimulateScenarioFileEndToEnd) {
   std::remove(scen.c_str());
 }
 
+TEST_F(EiotraceTest, SimulateZeroRunsFailsBeforeAnyOutput) {
+  auto [rc, out, err] = run({"simulate", "--runs=0", "--tasks=8"});
+  EXPECT_EQ(rc, 1);
+  expect_one_line_error(out, err, "--runs must be at least 1");
+
+  std::string scen = test::temp_path("zero-runs.json");
+  std::ofstream(scen) << R"({"schema_version": 1, "runs": 0,
+      "workload": {"kind": "ior", "tasks": 8, "block_mib": 4, "segments": 1}})";
+  auto [rc2, out2, err2] = run({"simulate", "--scenario=" + scen});
+  EXPECT_EQ(rc2, 1);
+  expect_one_line_error(out2, err2, "runs must be at least 1");
+  std::remove(scen.c_str());
+}
+
 TEST_F(EiotraceTest, SimulateScenarioConflictsWithWorkloadFlags) {
   auto [rc, out, err] = run({"simulate", "--scenario=x.json", "--tasks=4"});
   EXPECT_EQ(rc, 1);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -322,6 +325,127 @@ TEST(FilesystemTest, MetadataFactorAppliesToUnalignedFiles) {
   f.engine.run();
   dirty = f.fs.mds().busy_time() - clean;
   EXPECT_NEAR(dirty / clean, 3.0, 0.2);
+}
+
+// --- residue reclaim: passive keyed timers, never calendar events ----
+
+/// Residue alone arms pressure; the file-window contribution is off.
+MachineConfig reclaim_machine() {
+  MachineConfig m = quiet_machine();
+  m.dirty_residue_cap = 32 * MiB;
+  m.dirty_residue_ttl = 5.0;
+  m.pressure_threshold = 32 * MiB;
+  m.interleave_pressure_window = 0.0;
+  return m;
+}
+
+TEST(FilesystemTest, ReadAtTheReclaimInstantSeesTheTimerModelsResidue) {
+  const MachineConfig m = reclaim_machine();
+  Seconds completed = 0.0;
+  {
+    Fs f(m, 1);
+    FileId a = f.fs.create("a", {.stripe_count = 4});
+    completed = f.timed_write(0, a, 0, 100 * MiB);
+  }
+  // The instant the reclaim timer would have fired, computed with the
+  // arithmetic the filesystem uses.
+  const Seconds reclaim = completed + m.dirty_residue_ttl;
+
+  // Scheduled before the write completed: the probe's key sorts before
+  // the reclaim's, so, as with a timer event, the residue is still there.
+  {
+    Fs f(m, 1);
+    FileId a = f.fs.create("a", {.stripe_count = 4});
+    Bytes residue = 0;
+    bool pressured = false;
+    f.engine.schedule_at(reclaim, [&] {
+      residue = f.fs.residue(0);
+      pressured = f.fs.under_pressure(0, a);
+    });
+    f.fs.write(0, 0, a, 0, 100 * MiB, nullptr);
+    f.engine.run();
+    EXPECT_EQ(residue, 32 * MiB);
+    EXPECT_TRUE(pressured);
+  }
+  // Scheduled after the write completed: it sorts after the reclaim,
+  // which has run by then.
+  {
+    Fs f(m, 1);
+    FileId a = f.fs.create("a", {.stripe_count = 4});
+    Bytes residue = 1;
+    bool pressured = true;
+    Seconds probed = -1.0;
+    f.fs.write(0, 0, a, 0, 100 * MiB, [&] {
+      f.engine.schedule_in(m.dirty_residue_ttl, [&] {
+        probed = f.engine.now();
+        residue = f.fs.residue(0);
+        pressured = f.fs.under_pressure(0, a);
+      });
+    });
+    f.engine.run();
+    EXPECT_EQ(probed, reclaim);
+    EXPECT_EQ(residue, 0u);
+    EXPECT_FALSE(pressured);
+  }
+}
+
+/// Issue `n` back-to-back writes on one node; at the last completion,
+/// report the live calendar events and the node's residue.
+std::pair<std::size_t, Bytes> live_events_after_writes(int n) {
+  MachineConfig m = reclaim_machine();
+  m.dirty_residue_cap = 1 * MiB;
+  Fs f(m, 1);
+  FileId a = f.fs.create("a", {.stripe_count = 4});
+  std::pair<std::size_t, Bytes> at_end{0, 0};
+  std::function<void(int)> issue = [&](int i) {
+    f.fs.write(0, 0, a, static_cast<Bytes>(i) * 4 * MiB, 4 * MiB, [&, i] {
+      if (i + 1 < n) {
+        issue(i + 1);
+      } else {
+        at_end = {f.engine.live_events(), f.fs.residue(0)};
+      }
+    });
+  };
+  issue(0);
+  f.engine.run();
+  return at_end;
+}
+
+TEST(FilesystemTest, PendingReclaimsDoNotOccupyTheCalendar) {
+  // Every write's reclaim is still pending at the end (64 x 10 ms is far
+  // inside the 5 s TTL), yet none of them is a calendar event.
+  auto [live_few, residue_few] = live_events_after_writes(4);
+  auto [live_many, residue_many] = live_events_after_writes(64);
+  EXPECT_EQ(residue_few, 4 * MiB);
+  EXPECT_EQ(residue_many, 64 * MiB);
+  EXPECT_EQ(live_many, live_few);
+}
+
+TEST(FilesystemTest, RunUntilPassesReclaimsAtOrBeforeTheDeadline) {
+  const MachineConfig m = reclaim_machine();
+  Fs f(m, 1);
+  FileId a = f.fs.create("a", {.stripe_count = 4});
+  Seconds completed = -1.0;
+  f.fs.write(0, 0, a, 0, 100 * MiB, [&] { completed = f.engine.now(); });
+  f.engine.run_until(1.0);
+  ASSERT_GT(completed, 0.0);
+  const Seconds reclaim = completed + m.dirty_residue_ttl;
+  f.engine.run_until(std::nextafter(reclaim, 0.0));
+  EXPECT_EQ(f.fs.residue(0), 32 * MiB);
+  f.engine.run_until(reclaim);
+  EXPECT_EQ(f.fs.residue(0), 0u);
+  EXPECT_FALSE(f.fs.under_pressure(0, a));
+}
+
+TEST(FilesystemTest, DrainedRunEndsAtTheLastReclaim) {
+  // The clock ends where the last reclaim timer's event would have left
+  // it, so work issued after run() starts at the same instant as before.
+  const MachineConfig m = reclaim_machine();
+  Fs f(m, 1);
+  FileId a = f.fs.create("a", {.stripe_count = 4});
+  Seconds completed = f.timed_write(0, a, 0, 100 * MiB);
+  EXPECT_EQ(f.engine.now(), completed + m.dirty_residue_ttl);
+  EXPECT_EQ(f.fs.residue(0), 0u);
 }
 
 }  // namespace

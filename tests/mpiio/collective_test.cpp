@@ -174,6 +174,7 @@ TEST(TwoPhaseTest, CollectiveBeatsIndependentUnalignedWritesAtScale) {
   independent.machine = machine;
   independent.stripe_options["f"] = {.stripe_count = machine.ost_count,
                                      .shared = true};
+  std::vector<mpi::Program> independent_programs;
   for (RankId r = 0; r < ranks; ++r) {
     mpi::Program p;
     p.open(0, "f");
@@ -181,21 +182,23 @@ TEST(TwoPhaseTest, CollectiveBeatsIndependentUnalignedWritesAtScale) {
     p.write(0, record);
     p.barrier();
     p.close(0);
-    independent.programs.push_back(std::move(p));
+    independent_programs.push_back(std::move(p));
   }
+  independent.programs = std::move(independent_programs);
 
   workloads::JobSpec collective = independent;
   collective.name = "collective";
-  collective.programs.assign(ranks, {});
-  for (RankId r = 0; r < ranks; ++r) collective.programs[r].open(0, "f");
+  std::vector<mpi::Program> collective_programs(ranks);
+  for (RankId r = 0; r < ranks; ++r) collective_programs[r].open(0, "f");
   TwoPhaseIo io(ranks, {.cb_nodes = 16, .cb_buffer_size = 8 * MiB,
                         .alignment = 1 * MiB});
   std::vector<Extent> extents;
   for (RankId r = 0; r < ranks; ++r) {
     extents.push_back({static_cast<Bytes>(r) * record, record});
   }
-  io.emit_write_all(collective.programs, 0, extents);
-  for (RankId r = 0; r < ranks; ++r) collective.programs[r].close(0);
+  io.emit_write_all(collective_programs, 0, extents);
+  for (RankId r = 0; r < ranks; ++r) collective_programs[r].close(0);
+  collective.programs = std::move(collective_programs);
 
   workloads::RunResult ind = workloads::run_job(independent);
   workloads::RunResult col = workloads::run_job(collective);

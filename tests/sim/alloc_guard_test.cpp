@@ -23,6 +23,8 @@
 #include "sim/engine.h"
 #include "sim/fluid.h"
 #include "sim/run_context.h"
+#include "workloads/experiment.h"
+#include "workloads/ior.h"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -196,6 +198,76 @@ TEST(AllocGuardTest, LustrePosixDataOpPathIsAllocationFree) {
          "stripe vector); the POSIX/Lustre completion chain allocated";
   EXPECT_EQ(completions, 2u * ops);
   EXPECT_EQ(run.engine().live_events(), 0u);
+}
+
+// Residue reclaims are passive keyed timers queued per node. With a
+// TTL a few writes long, every completion retires old reclaims while
+// new ones queue, and the queue recycles its storage.
+TEST(AllocGuardTest, ResidueReclaimQueueIsAllocationFree) {
+  lustre::MachineConfig m;
+  m.name = "alloc-guard-reclaim";
+  m.tasks_per_node = 4;
+  m.nic_bandwidth = 1e9;
+  m.ost_count = 4;
+  m.ost_bandwidth = 100.0 * MiB;
+  m.node_policy = ConcurrencyPolicy::fixed(4);
+  m.contention = {};
+  m.write_absorb_limit = 0;
+  m.strided_readahead_bug = false;
+  m.service_noise_sigma = 0.0;
+  m.straggler_probability = 0.0;
+  m.syscall_latency = 0.0;
+  m.dirty_residue_ttl = 0.1;  // ~10 writes of 4 MiB at 400 MiB/s
+
+  RunContext run(m.seed);
+  lustre::Filesystem fs(run, m, /*node_count=*/1);
+  FileId file = fs.create("f", {.stripe_count = 4});
+
+  // Step, never drain: a drained calendar would retire every reclaim.
+  auto churn = [&]() -> std::size_t {
+    std::size_t writes = 0;
+    for (int i = 0; i < 200; ++i) {
+      bool done = false;
+      fs.write(0, 0, file, 0, 4 * MiB, [&done] { done = true; });
+      while (!done && run.engine().step()) {
+      }
+      EXPECT_TRUE(done);
+      ++writes;
+    }
+    return writes;
+  };
+  churn();  // warm-up: grows the reclaim queue and flow slabs
+  ASSERT_GT(fs.residue(0), 0u);  // reclaims are pending, not drained
+
+  std::uint64_t before = allocs();
+  std::size_t writes = churn();
+  std::uint64_t after = allocs();
+  EXPECT_EQ(after - before, writes)
+      << "expected exactly one allocation per write (the per-flow stripe "
+         "vector); the reclaim queue allocated";
+}
+
+// A job's programs are one shared, immutable set: copying a JobSpec
+// (once per ensemble run) costs the same few allocations whatever the
+// rank and op counts.
+TEST(AllocGuardTest, JobSpecCopyIsIndependentOfRanksAndOps) {
+  auto copy_allocs = [](std::uint32_t tasks, std::uint32_t segments) {
+    workloads::IorConfig cfg;
+    cfg.tasks = tasks;
+    cfg.segments = segments;
+    workloads::JobSpec job =
+        workloads::make_ior_job(lustre::MachineConfig::franklin(), cfg);
+    job.name = "job";  // the generated name's length varies with tasks
+    std::uint64_t before = allocs();
+    workloads::JobSpec copy = job;
+    std::uint64_t after = allocs();
+    EXPECT_EQ(copy.programs.data(), job.programs.data());
+    return after - before;
+  };
+  std::uint64_t small = copy_allocs(4, 1);
+  std::uint64_t large = copy_allocs(1024, 16);
+  EXPECT_EQ(large, small);
+  EXPECT_LE(small, 8u);
 }
 
 }  // namespace

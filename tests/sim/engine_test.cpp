@@ -361,5 +361,65 @@ TEST(EngineTest, CancelCountIsFlushedOncePerEngine) {
   EXPECT_EQ(cancels, 5u);
 }
 
+TEST(EngineTest, LivePeakIsFlushedOncePerEngine) {
+  obs::set_enabled(true);
+  obs::Registry::instance().reset();
+  {
+    Engine e;
+    for (int i = 0; i < 7; ++i) e.schedule_at(1.0 + i, [] {});
+    e.run();
+    e.schedule_at(20.0, [] {});  // below the high-water: no change
+    e.run();
+  }
+  obs::Snapshot snap = obs::Registry::instance().snapshot();
+  obs::set_enabled(false);
+  std::uint64_t peak = 0;
+  for (const auto& c : snap.counters) {
+    if (c.name == "sim.calendar_live_peak") peak = c.value;
+  }
+  EXPECT_EQ(peak, 7u);
+}
+
+TEST(EngineTest, PassiveTimerPassesWhereItsEventWouldHaveRun) {
+  Engine e;
+  std::vector<bool> seen;
+  // An event keyed before the passive timer at the same instant runs
+  // first and sees it pending; one keyed after sees it passed.
+  std::uint64_t timer = 0;
+  e.schedule_at(2.0, [&] { seen.push_back(e.passed(2.0, timer)); });
+  timer = e.reserve_passive(2.0);
+  e.schedule_at(2.0, [&] { seen.push_back(e.passed(2.0, timer)); });
+  EXPECT_FALSE(e.passed(2.0, timer));
+  EXPECT_EQ(e.live_events(), 2u);  // the passive timer is not an event
+  e.run();
+  EXPECT_EQ(seen, (std::vector<bool>{false, true}));
+}
+
+TEST(EngineTest, DrainingAdvancesTheClockToTheLatestPassiveTimer) {
+  Engine e;
+  std::uint64_t timer = e.reserve_passive(5.0);
+  e.schedule_at(1.0, [] {});
+  EXPECT_DOUBLE_EQ(e.run(), 5.0);  // where the timer's event would have left it
+  EXPECT_TRUE(e.passed(5.0, timer));
+  EXPECT_EQ(e.events_run(), 1u);
+}
+
+TEST(EngineTest, RunUntilPassesEveryKeyAtOrBeforeTheDeadline) {
+  Engine e;
+  std::uint64_t at = e.reserve_passive(3.0);
+  std::uint64_t after = e.reserve_passive(3.5);
+  e.run_until(3.0);
+  EXPECT_DOUBLE_EQ(e.now(), 3.0);
+  EXPECT_TRUE(e.passed(3.0, at));
+  EXPECT_FALSE(e.passed(3.5, after));
+  // A key reserved after the deadline was reached is still pending,
+  // as an event scheduled now would be.
+  std::uint64_t late = e.reserve_passive(3.0);
+  EXPECT_FALSE(e.passed(3.0, late));
+  e.run_until(4.0);
+  EXPECT_TRUE(e.passed(3.0, late));
+  EXPECT_TRUE(e.passed(3.5, after));
+}
+
 }  // namespace
 }  // namespace eio::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -65,6 +66,27 @@ TEST(EnsembleTest, ParallelMatchesSerialByteForByte) {
       EXPECT_EQ(serialize(got[r].trace), serialize(base[r].trace))
           << "jobs=" << jobs << " run=" << r;
     }
+  }
+}
+
+TEST(EnsembleTest, EveryRunReadsTheJobsOneProgramSet) {
+  // The ensemble's per-run specs (seed + r) and the runs built from
+  // them share the job's programs: every Runtime reads the same set.
+  JobSpec job = small_ior_job();
+  const std::size_t runs = 3;
+  auto ensemble = run_ensemble(job, runs, 1);
+  std::vector<std::unique_ptr<RunInstance>> instances;
+  for (std::size_t r = 0; r < runs; ++r) {
+    JobSpec spec = job;
+    spec.machine.seed = job.machine.seed + r;
+    instances.push_back(std::make_unique<RunInstance>(std::move(spec), r));
+  }
+  for (std::size_t r = 0; r < runs; ++r) {
+    EXPECT_EQ(instances[r]->spec().programs.data(), job.programs.data());
+    EXPECT_EQ(instances[r]->runtime().programs().data(), job.programs.data());
+  }
+  for (std::size_t r = 0; r < runs; ++r) {
+    EXPECT_DOUBLE_EQ(instances[r]->execute().job_time, ensemble[r].job_time);
   }
 }
 

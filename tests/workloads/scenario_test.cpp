@@ -52,6 +52,21 @@ TEST(ScenarioJsonTest, FullScenarioParses) {
   EXPECT_EQ(b.job().faults.stragglers.count, 1u);
 }
 
+TEST(ScenarioJsonTest, RejectsFewerThanOneRun) {
+  for (const char* runs : {"0", "-1", "0.5"}) {
+    try {
+      (void)scenario_from_json(json::parse(
+          std::string(R"({"schema_version": 1, "runs": )") + runs +
+          R"(, "workload": {"kind": "ior"}})"));
+      FAIL() << "runs " << runs << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("runs must be at least 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ScenarioJsonTest, RejectsUnknownTopLevelKey) {
   EXPECT_THROW(scenario_from_json(json::parse(
                    R"({"schema_version": 1, "wrkload": {"kind": "ior"}})")),

@@ -201,6 +201,10 @@ TEST(SweepTest, InvalidPatchedScenarioNamesTheRunLabel) {
       "workload.kind=\"bogus\"");
 }
 
+TEST(SweepTest, ZeroRunsGridPointIsRejectedWithItsLabel) {
+  expect_throw_containing(sweep_doc("{\"runs\":[1,0]}"), "runs=0");
+}
+
 TEST_F(SweepDirTest, FileOrderDoesNotAffectTheRunList) {
   std::string a = write("b_second.json", minimal_scenario(8));
   std::string b = write("a_first.json", minimal_scenario(16));
