@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace eio::sim {
 
@@ -42,9 +43,10 @@ FluidNetwork::FluidNetwork(Engine& engine, Config config)
   EIO_CHECK(!config.ost_capacity.empty());
   rng::StreamFactory factory(config.seed);
   nodes_.resize(config.nic_capacity.size());
+  node_rngs_.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     nodes_[i].nic_capacity = config.nic_capacity[i];
-    nodes_[i].rng = rng::make_stream(factory, rng::StreamKind::kNodeScheduler, i);
+    node_rngs_.push_back(rng::make_stream(factory, rng::StreamKind::kNodeScheduler, i));
     EIO_CHECK(nodes_[i].nic_capacity > 0.0);
   }
   osts_.resize(config.ost_capacity.size());
@@ -58,6 +60,27 @@ FluidNetwork::~FluidNetwork() {
   engine_.cancel(wake_);
   OBS_COUNTER_ADD("fluid.refreshes", refreshes_);
   OBS_COUNTER_ADD("fluid.reschedules", reschedules_);
+  OBS_COUNTER_ADD("fluid.recomputes", recomputes_);
+  OBS_COUNTER_ADD("fluid.full_scans", full_scans_);
+}
+
+void FluidNetwork::dead_flow(FlowId id) {
+  detail::check_failed("flow_active(id)", __FILE__, __LINE__,
+                       "dead flow id " + std::to_string(id));
+}
+
+bool FluidNetwork::GroupIds::erase(FlowId id) {
+  if (size_ == 0) return false;
+  if (first_ != id) {
+    auto it = std::find(rest_.begin(), rest_.end(), id);
+    if (it == rest_.end()) return false;
+    rest_.erase(it);
+  } else if (!rest_.empty()) {
+    first_ = rest_.front();
+    rest_.erase(rest_.begin());
+  }
+  --size_;
+  return true;
 }
 
 std::uint32_t FluidNetwork::acquire_flow_slot() {
@@ -66,7 +89,8 @@ std::uint32_t FluidNetwork::acquire_flow_slot() {
     slot = flow_free_head_;
     flow_free_head_ = flow_slots_[slot].next_free;
   } else {
-    slot = static_cast<std::uint32_t>(flow_slots_.size());
+    slot = static_cast<std::uint32_t>(flows_.size());
+    flows_.emplace_back();
     flow_slots_.emplace_back();
   }
   FlowSlot& s = flow_slots_[slot];
@@ -99,8 +123,8 @@ void FluidNetwork::unlink_active(std::uint32_t slot) {
 }
 
 void FluidNetwork::release_flow_slot(std::uint32_t slot) {
+  ++flows_[slot].generation;
   FlowSlot& s = flow_slots_[slot];
-  ++s.generation;
   s.next_free = flow_free_head_;
   flow_free_head_ = slot;
 }
@@ -110,21 +134,20 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   for (OstId o : spec.osts) EIO_CHECK_MSG(o < osts_.size(), "bad ost id " << o);
   EIO_CHECK_MSG(!spec.osts.empty(), "flow must touch at least one OST");
 
+  // De-duplicate the OST set; shares are summed per unique OST.
+  std::sort(spec.osts.begin(), spec.osts.end());
+  spec.osts.erase(std::unique(spec.osts.begin(), spec.osts.end()), spec.osts.end());
+
   std::uint32_t slot = acquire_flow_slot();
+  Flow& f = flows_[slot];
   FlowSlot& cell = flow_slots_[slot];
-  FlowId id = pack(slot, cell.generation);
-  Flow& f = cell.f;
-  f.id = id;
+  FlowId id = pack(slot, f.generation);
   f.node = spec.node;
-  // Copy into the slot's retained buffer (steady state: no growth)
-  // rather than adopting the spec's allocation.
-  f.osts.assign(spec.osts.begin(), spec.osts.end());
-  // De-duplicate the OST set; shares are computed per unique OST.
-  std::sort(f.osts.begin(), f.osts.end());
-  f.osts.erase(std::unique(f.osts.begin(), f.osts.end()), f.osts.end());
-  f.group_idx.clear();
-  f.group_idx.reserve(f.osts.size());
-  f.total_bytes = spec.bytes;
+  // Fill the slot's retained buffer (steady state: no growth) rather
+  // than adopting the spec's allocation.
+  f.legs.clear();
+  for (OstId o : spec.osts) f.legs.push_back(Leg{o, kNoIndex});
+  cell.total_bytes = spec.bytes;
   f.remaining = static_cast<double>(spec.bytes);
   f.cap = spec.cap;
   f.ost_efficiency = spec.ost_efficiency;
@@ -134,14 +157,14 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   f.last_update = engine_.now();
   f.visit_epoch = 0;
   f.heap_pos = kNoIndex;
-  f.on_complete = std::move(spec.on_complete);
+  cell.on_complete = std::move(spec.on_complete);
 
   if (f.remaining <= 0.0) {
     // Zero-byte transfer: complete on the next event boundary so the
     // caller's callback never runs re-entrantly inside start_flow. The
     // slot is returned immediately — the id was only minted so the
     // callback has a (now-dead) handle.
-    auto cb = std::move(f.on_complete);
+    auto cb = std::move(cell.on_complete);
     unlink_active(slot);
     release_flow_slot(slot);
     engine_.schedule_in(0.0, [cb = std::move(cb), id]() mutable {
@@ -150,13 +173,13 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
     return id;
   }
 
+  maybe_start_burst(f.node);
   Node& n = nodes_[f.node];
-  maybe_start_burst(n);
 
   bool can_grant = !f.scheduled || n.granted.size() < n.concurrency;
   if (can_grant) {
     grant(f);
-    recompute_touching(f.node, f.osts);
+    recompute_touching(f.node, f.legs);
     arm_wake();
   } else {
     n.waiting.push_back(id);
@@ -164,9 +187,10 @@ FlowId FluidNetwork::start_flow(FlowSpec spec) {
   return id;
 }
 
-void FluidNetwork::maybe_start_burst(Node& n) {
+void FluidNetwork::maybe_start_burst(NodeId node) {
+  Node& n = nodes_[node];
   if (n.granted.empty() && n.waiting.empty()) {
-    n.concurrency = policy_.sample(n.rng);
+    n.concurrency = policy_.sample(node_rngs_[node]);
     EIO_CHECK(n.concurrency >= 1);
   }
 }
@@ -183,6 +207,7 @@ std::uint32_t FluidNetwork::find_or_make_group(Ost& ost, NodeId node) {
   } else {
     gi = static_cast<std::uint32_t>(ost.groups.size());
     ost.groups.emplace_back();
+    ost.shares.emplace_back();
   }
   Group& g = ost.groups[gi];
   g.node = node;
@@ -191,62 +216,92 @@ std::uint32_t FluidNetwork::find_or_make_group(Ost& ost, NodeId node) {
   return gi;
 }
 
+void FluidNetwork::update_slice(Ost& ost) {
+  std::size_t clients = ost.order.size();
+  if (clients == 0) return;
+  double eff = contention_.efficiency(static_cast<std::uint32_t>(clients));
+  ost.slice = ost.capacity * eff / static_cast<double>(clients);
+  for (std::uint32_t gi : ost.order) update_share(ost, gi);
+}
+
+void FluidNetwork::update_share(Ost& ost, std::uint32_t gi) {
+  // slice / 1.0 == slice exactly, so a one-flow group (the common case
+  // on wide jobs) skips the divide without moving a bit.
+  std::size_t flows = ost.groups[gi].ids.size();
+  ost.shares[gi] = flows == 1 ? ost.slice : ost.slice / static_cast<double>(flows);
+}
+
+void FluidNetwork::update_nic_share(Node& n) {
+  if (n.granted.empty()) return;
+  n.nic_share = n.nic_capacity / static_cast<double>(n.granted.size());
+}
+
 void FluidNetwork::grant(Flow& f) {
   EIO_CHECK(!f.granted);
   f.granted = true;
   ++granted_count_;
+  const FlowId id = id_of(f);
   Node& n = nodes_[f.node];
-  n.granted.push_back(f.id);
-  f.group_idx.clear();
-  f.group_idx.reserve(f.osts.size());
-  for (OstId o : f.osts) {
-    Ost& ost = osts_[o];
+  n.granted.push_back(id);
+  update_nic_share(n);
+  for (Leg& leg : f.legs) {
+    Ost& ost = osts_[leg.ost];
+    const std::size_t clients = ost.order.size();
     std::uint32_t gi = find_or_make_group(ost, f.node);
-    ost.groups[gi].ids.push_back(f.id);
-    f.group_idx.push_back(gi);
+    ost.groups[gi].ids.push_back(id);
+    leg.group = gi;
     ++ost.flow_count;
+    if (ost.order.size() != clients) {
+      update_slice(ost);
+    } else {
+      update_share(ost, gi);
+    }
   }
 }
 
 void FluidNetwork::release_resources(Flow& f) {
+  const FlowId id = id_of(f);
   Node& n = nodes_[f.node];
   if (f.granted) {
     --granted_count_;
-    auto it = std::find(n.granted.begin(), n.granted.end(), f.id);
+    auto it = std::find(n.granted.begin(), n.granted.end(), id);
     EIO_CHECK(it != n.granted.end());
     n.granted.erase(it);
-    for (std::size_t i = 0; i < f.osts.size(); ++i) {
-      Ost& ost = osts_[f.osts[i]];
-      std::uint32_t gi = f.group_idx[i];
+    update_nic_share(n);
+    for (const Leg& leg : f.legs) {
+      Ost& ost = osts_[leg.ost];
+      std::uint32_t gi = leg.group;
       Group& g = ost.groups[gi];
-      auto fit = std::find(g.ids.begin(), g.ids.end(), f.id);
-      EIO_CHECK(fit != g.ids.end());
-      g.ids.erase(fit);
-      if (g.ids.empty()) {
-        auto oit = std::lower_bound(
-            ost.order.begin(), ost.order.end(), g.node,
-            [&ost](std::uint32_t o, NodeId nn) { return ost.groups[o].node < nn; });
-        EIO_CHECK(oit != ost.order.end() && *oit == gi);
-        ost.order.erase(oit);
-        g.next_free = ost.free_head;
-        ost.free_head = gi;
-      }
+      const bool erased = g.ids.erase(id);
+      EIO_CHECK(erased);
       --ost.flow_count;
+      if (!g.ids.empty()) {
+        update_share(ost, gi);
+        continue;
+      }
+      auto oit = std::lower_bound(
+          ost.order.begin(), ost.order.end(), g.node,
+          [&ost](std::uint32_t o, NodeId nn) { return ost.groups[o].node < nn; });
+      EIO_CHECK(oit != ost.order.end() && *oit == gi);
+      ost.order.erase(oit);
+      g.next_free = ost.free_head;
+      ost.free_head = gi;
+      update_slice(ost);
     }
-    f.group_idx.clear();
   } else {
-    auto it = std::find(n.waiting.begin(), n.waiting.end(), f.id);
+    auto it = std::find(n.waiting.begin(), n.waiting.end(), id);
     EIO_CHECK(it != n.waiting.end());
     n.waiting.erase(it);
   }
   f.granted = false;
 }
 
-void FluidNetwork::pump_waiting(Node& n) {
+void FluidNetwork::pump_waiting(NodeId node) {
+  Node& n = nodes_[node];
   while (!n.waiting.empty() && n.granted.size() < n.concurrency) {
     // Random grant order: scheduler luck is redrawn per stream, which
     // averages out over a task's successive calls (LLN, Figure 2).
-    std::size_t pick = static_cast<std::size_t>(n.rng.index(n.waiting.size()));
+    std::size_t pick = static_cast<std::size_t>(node_rngs_[node].index(n.waiting.size()));
     FlowId id = n.waiting[pick];
     n.waiting.erase(n.waiting.begin() + static_cast<std::ptrdiff_t>(pick));
     grant(resolve(id));
@@ -264,24 +319,12 @@ void FluidNetwork::settle(Flow& f) {
 
 Rate FluidNetwork::compute_rate(const Flow& f) const {
   if (!f.granted) return 0.0;
-  const Node& n = nodes_[f.node];
-  EIO_DCHECK(!n.granted.empty());
-  Rate nic_share = n.nic_capacity / static_cast<double>(n.granted.size());
-
+  // No division: the shares are cached where their inputs change (see
+  // the header), and summed in leg order.
   Rate ost_total = 0.0;
-  for (std::size_t i = 0; i < f.osts.size(); ++i) {
-    const Ost& ost = osts_[f.osts[i]];
-    std::size_t clients = ost.order.size();
-    EIO_DCHECK(clients >= 1);
-    double eff = contention_.efficiency(static_cast<std::uint32_t>(clients));
-    Rate node_slice = ost.capacity * eff / static_cast<double>(clients);
-    const Group& g = ost.groups[f.group_idx[i]];
-    EIO_DCHECK(!g.ids.empty());
-    ost_total += node_slice / static_cast<double>(g.ids.size());
-  }
+  for (const Leg& leg : f.legs) ost_total += osts_[leg.ost].shares[leg.group];
   ost_total *= f.ost_efficiency;
-
-  return std::min({nic_share, ost_total, f.cap});
+  return std::min({nodes_[f.node].nic_share, ost_total, f.cap});
 }
 
 void FluidNetwork::reschedule(Flow& f) {
@@ -293,7 +336,7 @@ void FluidNetwork::reschedule(Flow& f) {
   // The same arithmetic and sequence draw a per-flow
   // schedule_in(remaining / rate) would make, so keys tie identically.
   Seconds eta = f.remaining / f.rate;
-  due_set(f, Due{engine_.now() + eta, engine_.reserve_seq(), slot_of(f.id)});
+  due_set(f, Due{engine_.now() + eta, engine_.reserve_seq()});
 }
 
 void FluidNetwork::refresh(Flow& f) {
@@ -307,49 +350,48 @@ void FluidNetwork::refresh(Flow& f) {
   reschedule(f);
 }
 
-void FluidNetwork::due_place(std::uint32_t pos, const Due& d) {
+void FluidNetwork::due_place(std::uint32_t pos, const Due& d, std::uint32_t slot) {
   due_[pos] = d;
-  flow_slots_[d.slot].f.heap_pos = pos;
+  due_slot_[pos] = slot;
+  flows_[slot].heap_pos = pos;
 }
 
-void FluidNetwork::sift_up(std::uint32_t pos) {
-  const Due d = due_[pos];
+void FluidNetwork::sift_up(std::uint32_t pos, const Due d, std::uint32_t slot) {
   while (pos > 0) {
     std::uint32_t parent = (pos - 1) / 2;
     if (!d.before(due_[parent])) break;
-    due_place(pos, due_[parent]);
+    due_place(pos, due_[parent], due_slot_[parent]);
     pos = parent;
   }
-  due_place(pos, d);
+  due_place(pos, d, slot);
 }
 
-void FluidNetwork::sift_down(std::uint32_t pos) {
-  const Due d = due_[pos];
+void FluidNetwork::sift_down(std::uint32_t pos, const Due d, std::uint32_t slot) {
   const auto n = static_cast<std::uint32_t>(due_.size());
   for (;;) {
     std::uint32_t child = 2 * pos + 1;
     if (child >= n) break;
     if (child + 1 < n && due_[child + 1].before(due_[child])) ++child;
     if (!due_[child].before(d)) break;
-    due_place(pos, due_[child]);
+    due_place(pos, due_[child], due_slot_[child]);
     pos = child;
   }
-  due_place(pos, d);
+  due_place(pos, d, slot);
 }
 
 void FluidNetwork::due_set(Flow& f, const Due& d) {
+  const std::uint32_t slot = slot_index(f);
   if (f.heap_pos == kNoIndex) {
     due_.push_back(d);
-    sift_up(static_cast<std::uint32_t>(due_.size() - 1));
+    due_slot_.push_back(slot);
+    sift_up(static_cast<std::uint32_t>(due_.size() - 1), d, slot);
     return;
   }
   std::uint32_t pos = f.heap_pos;
-  bool earlier = d.before(due_[pos]);
-  due_[pos] = d;
-  if (earlier) {
-    sift_up(pos);
+  if (d.before(due_[pos])) {
+    sift_up(pos, d, slot);
   } else {
-    sift_down(pos);
+    sift_down(pos, d, slot);
   }
 }
 
@@ -357,13 +399,14 @@ void FluidNetwork::due_erase(Flow& f) {
   std::uint32_t pos = f.heap_pos;
   f.heap_pos = kNoIndex;
   const Due last = due_.back();
+  const std::uint32_t last_slot = due_slot_.back();
   due_.pop_back();
+  due_slot_.pop_back();
   if (pos == due_.size()) return;  // f was the last entry
-  due_place(pos, last);
   if (pos > 0 && last.before(due_[(pos - 1) / 2])) {
-    sift_up(pos);
+    sift_up(pos, last, last_slot);
   } else {
-    sift_down(pos);
+    sift_down(pos, last, last_slot);
   }
 }
 
@@ -380,74 +423,90 @@ void FluidNetwork::arm_wake() {
 }
 
 void FluidNetwork::wake() {
-  Flow& f = flow_slots_[due_.front().slot].f;
-  due_erase(f);
-  complete_flow(f.id);
+  std::uint32_t slot = due_slot_.front();
+  due_erase(flows_[slot]);
+  complete_flow(slot);
   arm_wake();
 }
 
-void FluidNetwork::recompute_touching(NodeId node, const std::vector<OstId>& osts) {
+void FluidNetwork::recompute_touching(NodeId node, const std::vector<Leg>& legs) {
+  ++recomputes_;
   // When the touched resources cover most granted flows (typical for
   // full-stripe transfers where every flow uses every OST), a direct
   // scan is cheaper than gathering per-resource lists.
   std::size_t touched = nodes_[node].granted.size();
-  for (OstId o : osts) touched += osts_[o].flow_count;
+  for (const Leg& leg : legs) touched += osts_[leg.ost].flow_count;
   if (touched >= granted_count_) {
+    ++full_scans_;
     // Canonical refresh order: flow creation order, i.e. the active
     // list front to back. The order flows are refreshed in fixes the
     // sequence numbers reserved for completions due at equal times, so
     // it is part of the determinism contract — it must be a
     // defined order, not an accident of hash-map iteration.
     for (std::uint32_t s = active_head_; s != kNoIndex; s = flow_slots_[s].next) {
-      Flow& f = flow_slots_[s].f;
+      Flow& f = flows_[s];
       if (f.granted) refresh(f);
     }
     return;
   }
 
+  // Two passes. The first fixes the visit list: the node's flows, then
+  // each touched OST's groups in ascending node order (the `order`
+  // index is sorted by node), each flow once — the same
+  // canonical-order argument as the full scan above. The second
+  // refreshes in that order. Refreshing never changes grants or
+  // groups, so this is exactly the order one interleaved walk takes;
+  // gathering first lets the walk's loads overlap, and the refresh
+  // loop prefetches a few flows ahead.
   ++epoch_;
-  auto visit = [this](FlowId id) {
+  visit_.clear();
+  auto gather = [this](FlowId id) {
     Flow& f = resolve(id);
     if (f.visit_epoch == epoch_) return;
     f.visit_epoch = epoch_;
-    refresh(f);
+    visit_.push_back(slot_index(f));
   };
-  for (FlowId id : nodes_[node].granted) visit(id);
-  // Per-OST groups visited in ascending node order (the `order` index
-  // is sorted by node) — the same canonical-order argument as the full
-  // scan above.
-  for (OstId o : osts) {
-    const Ost& ost = osts_[o];
+  for (FlowId id : nodes_[node].granted) gather(id);
+  for (const Leg& leg : legs) {
+    const Ost& ost = osts_[leg.ost];
     for (std::uint32_t gi : ost.order) {
-      for (FlowId id : ost.groups[gi].ids) visit(id);
+      ost.groups[gi].ids.for_each(gather);
     }
+  }
+  constexpr std::size_t kAhead = 4;
+  const std::size_t n = visit_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kAhead < n) {
+      const Flow& ahead = flows_[visit_[i + kAhead]];
+      __builtin_prefetch(ahead.legs.data());
+      if (ahead.heap_pos != kNoIndex) __builtin_prefetch(&due_[ahead.heap_pos]);
+    }
+    refresh(flows_[visit_[i]]);
   }
 }
 
-void FluidNetwork::complete_flow(FlowId id) {
-  std::uint32_t slot = slot_of(id);
-  EIO_CHECK(slot < flow_slots_.size() &&
-            flow_slots_[slot].generation == gen_of(id));
-  Flow& f = flow_slots_[slot].f;
+void FluidNetwork::complete_flow(std::uint32_t slot) {
+  Flow& f = flows_[slot];
+  const FlowId id = id_of(f);
   settle(f);
   // The wake fires exactly at remaining/rate; any residue is
   // floating-point noise.
   EIO_DCHECK(f.remaining < 1.0);
   EIO_DCHECK(f.heap_pos == kNoIndex);
-  bytes_completed_ += f.total_bytes;
+  FlowSlot& cell = flow_slots_[slot];
+  bytes_completed_ += cell.total_bytes;
 
   NodeId node = f.node;
-  FlowCallback on_complete = std::move(f.on_complete);
+  FlowCallback on_complete = std::move(cell.on_complete);
 
   release_resources(f);
   // Off the active list before recomputing, so the full scan no longer
-  // sees the completing flow; the slot itself (and f.osts) stays alive
+  // sees the completing flow; the slot itself (and f.legs) stays alive
   // until after the recompute, which still needs the OST list.
   unlink_active(slot);
 
-  Node& n = nodes_[node];
-  pump_waiting(n);
-  recompute_touching(node, f.osts);
+  pump_waiting(node);
+  recompute_touching(node, f.legs);
 
   // No start_flow can have happened since unlinking (grant/refresh
   // never re-enter user code), so the slot is still ours to return.
@@ -457,7 +516,7 @@ void FluidNetwork::complete_flow(FlowId id) {
 
 Rate FluidNetwork::flow_rate(FlowId id) const {
   if (!flow_active(id)) return 0.0;
-  return flow_slots_[slot_of(id)].f.rate;
+  return flows_[slot_of(id)].rate;
 }
 
 std::size_t FluidNetwork::ost_flow_count(OstId ost) const {
@@ -484,11 +543,13 @@ void FluidNetwork::set_ost_capacity(OstId ost, Rate capacity) {
   EIO_CHECK(ost < osts_.size());
   EIO_CHECK(capacity > 0.0);
   osts_[ost].capacity = capacity;
+  update_slice(osts_[ost]);
   recompute_touching_ost(ost);
   arm_wake();
 }
 
 void FluidNetwork::recompute_touching_ost(OstId ost) {
+  ++recomputes_;
   // Only flows granted on this OST can see a rate change; a flow
   // appears in exactly one node group, so no visit dedup is needed and
   // no other flow is settled (touching an unrelated flow would perturb
@@ -496,9 +557,7 @@ void FluidNetwork::recompute_touching_ost(OstId ost) {
   // ascending node order — the canonical order.
   const Ost& o = osts_[ost];
   for (std::uint32_t gi : o.order) {
-    for (FlowId id : o.groups[gi].ids) {
-      refresh(resolve(id));
-    }
+    o.groups[gi].ids.for_each([this](FlowId id) { refresh(resolve(id)); });
   }
 }
 

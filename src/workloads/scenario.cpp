@@ -114,6 +114,44 @@ void reject_unknown_keys(const json::Object& o,
   return cfg;
 }
 
+/// Reject fault targets the job does not have: a slow OST past the
+/// machine's OST count or a straggler rank past the workload's tasks
+/// would otherwise parse, print a fault plan and inject nothing. Reads
+/// the raw JSON numbers, so a negative target is named as written.
+void check_fault_targets(const json::Value& faults,
+                         const lustre::MachineConfig& machine,
+                         std::uint32_t tasks) {
+  auto out_of_range = [](const std::string& path, double value,
+                         const std::string& allowed) {
+    std::ostringstream msg;
+    msg << "scenario: " << path << " = " << value
+        << " is out of range (allowed: " << allowed << ")";
+    throw std::runtime_error(msg.str());
+  };
+  if (faults.has("slow_osts")) {
+    const json::Array& slow = faults.at("slow_osts").as_array();
+    for (std::size_t i = 0; i < slow.size(); ++i) {
+      double ost = slow[i].number_or("ost", 0.0);
+      if (!(ost >= 0.0 && ost < static_cast<double>(machine.ost_count))) {
+        out_of_range("faults.slow_osts[" + std::to_string(i) + "].ost", ost,
+                     "0 <= ost < " + std::to_string(machine.ost_count) +
+                         " on " + machine.name);
+      }
+    }
+  }
+  if (faults.has("stragglers") && faults.at("stragglers").has("ranks")) {
+    const json::Array& ranks = faults.at("stragglers").at("ranks").as_array();
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      double rank = ranks[i].as_number();
+      if (!(rank >= 0.0 && rank < static_cast<double>(tasks))) {
+        out_of_range("faults.stragglers.ranks[" + std::to_string(i) + "]", rank,
+                     "0 <= rank < " + std::to_string(tasks) +
+                         ", the workload's tasks");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const char* workload_kind_name(WorkloadKind kind) noexcept {
@@ -201,7 +239,17 @@ ScenarioBuilder scenario_from_json(const json::Value& v) {
                              "' (ior|madbench|gcrm)");
   }
 
-  if (v.has("faults")) b.faults(fault::plan_from_json(v.at("faults")));
+  if (v.has("faults")) {
+    const json::Value& faults = v.at("faults");
+    b.faults(fault::plan_from_json(faults));
+    std::uint32_t tasks = 0;
+    switch (b.kind()) {
+      case WorkloadKind::kIor: tasks = b.ior_config().tasks; break;
+      case WorkloadKind::kMadbench: tasks = b.madbench_config().tasks; break;
+      case WorkloadKind::kGcrm: tasks = b.gcrm_config().tasks; break;
+    }
+    check_fault_targets(faults, b.machine_config(), tasks);
+  }
   return b;
 }
 

@@ -515,6 +515,29 @@ TEST_F(EiotraceTest, SimulateZeroRunsFailsBeforeAnyOutput) {
   std::remove(scen.c_str());
 }
 
+TEST_F(EiotraceTest, SimulateRejectsFaultTargetsOutsideTheJob) {
+  // A slow OST past franklin's 48, or a straggler rank past an 8-task
+  // job, used to print a fault plan and inject nothing.
+  struct Case {
+    const char* faults;
+    const char* message;
+  };
+  std::string scen = test::temp_path("bad-target.json");
+  for (const Case& c :
+       {Case{R"({"slow_osts": [{"ost": 99}]})", "faults.slow_osts[0].ost = 99"},
+        Case{R"({"stragglers": {"ranks": [100]}})",
+             "faults.stragglers.ranks[0] = 100"}}) {
+    std::ofstream(scen) << R"({"schema_version": 1, "machine": "franklin",
+        "workload": {"kind": "ior", "tasks": 8, "block_mib": 4, "segments": 1},
+        "faults": )" << c.faults
+                        << "}";
+    auto [rc, out, err] = run({"simulate", "--scenario=" + scen});
+    EXPECT_EQ(rc, 1) << c.faults;
+    expect_one_line_error(out, err, c.message);
+  }
+  std::remove(scen.c_str());
+}
+
 TEST_F(EiotraceTest, SimulateScenarioConflictsWithWorkloadFlags) {
   auto [rc, out, err] = run({"simulate", "--scenario=x.json", "--tasks=4"});
   EXPECT_EQ(rc, 1);

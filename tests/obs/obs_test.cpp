@@ -251,6 +251,7 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   EXPECT_EQ(sim_sections[0], sim_sections[1]) << "sim counters differ, jobs 1 vs 2";
   EXPECT_EQ(sim_sections[0], sim_sections[2]) << "sim counters differ, jobs 1 vs 4";
   for (const char* name : {"\"fluid.refreshes\"", "\"fluid.reschedules\"",
+                           "\"fluid.recomputes\"", "\"fluid.full_scans\"",
                            "\"sim.calendar_cancels\"", "\"sim.events_run\""}) {
     EXPECT_NE(sim_sections[0].find(name), std::string::npos) << name;
   }

@@ -5,6 +5,7 @@
 // must be exactly what one calendar event per flow would give.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -82,6 +83,34 @@ TEST(FluidWakeTest, RearmedWakeKeepsTheHeadsOriginalReservation) {
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "tick"}));
 }
 
+TEST(FluidWakeTest, GroupWalkKeepsGrantOrderAfterItsFirstFlowLeaves) {
+  // b, c and d share node 0's group on OST 0 and drain in lockstep, so
+  // they tie on due time and complete in the order their last
+  // reschedules drew sequence numbers. That last reschedule comes from
+  // e's completion on node 1: a partial recompute that reaches them
+  // only through OST 0's group walk, after a, the group's first flow,
+  // has left. The walk must still run in grant order.
+  Engine engine;
+  FluidNetwork net(engine, uniform_config(3, 2, 1e6, 100.0));
+  std::vector<std::string> order;
+  auto start = [&](NodeId node, Bytes bytes, OstId ost, const char* name) {
+    net.start_flow({.node = node,
+                    .bytes = bytes,
+                    .osts = {ost},
+                    .on_complete = [&order, name](FlowId) { order.emplace_back(name); }});
+  };
+  start(0, 10, 0, "a");
+  start(0, 100, 0, "b");
+  start(0, 100, 0, "c");
+  start(0, 100, 0, "d");
+  start(1, 40, 0, "e");
+  for (int i = 0; i < 4; ++i) start(2, 1000, 1, "filler");
+  engine.run();
+  ASSERT_EQ(order.size(), 9u);
+  EXPECT_EQ(std::vector<std::string>(order.begin(), order.begin() + 5),
+            (std::vector<std::string>{"a", "e", "b", "c", "d"}));
+}
+
 TEST(FluidWakeTest, AtMostOneLiveEventPerNetwork) {
   Engine engine;
   FluidNetwork first(engine, uniform_config(4, 4, 1000.0, 100.0));
@@ -110,6 +139,15 @@ TEST(FluidWakeTest, AtMostOneLiveEventPerNetwork) {
   EXPECT_EQ(second.active_flows(), 0u);
 }
 
+/// Shape of RandomTraffic. The defaults draw exactly the original
+/// traffic (stripes of 1-3 OST draws, every flow at full OST
+/// efficiency), so the original pins hold; wider settings push OSTs
+/// past the contention knee and exercise the per-flow OST efficiency.
+struct TrafficOptions {
+  std::uint64_t max_stripe = 3;  ///< OST draws per flow: 1..max_stripe
+  double derated = 0.0;          ///< chance a flow has ost_efficiency < 1
+};
+
 /// Seeded random traffic on one engine: arrivals and capacity changes
 /// on a coarse time grid (so keys tie), zero-byte flows, caps,
 /// unscheduled flows, flows started from completion callbacks, and a
@@ -118,8 +156,9 @@ TEST(FluidWakeTest, AtMostOneLiveEventPerNetwork) {
 /// (id, time bits).
 class RandomTraffic {
  public:
-  explicit RandomTraffic(std::uint64_t seed)
-      : fuzz_(seed),
+  explicit RandomTraffic(std::uint64_t seed, TrafficOptions options = {})
+      : options_(options),
+        fuzz_(seed),
         net_(engine_, {.nic_capacity = std::vector<Rate>(6, 4096.0),
                        .ost_capacity = std::vector<Rate>(5, 1024.0),
                        .node_policy = ConcurrencyPolicy::franklin_mix(),
@@ -152,12 +191,15 @@ class RandomTraffic {
     FlowSpec spec;
     spec.node = static_cast<NodeId>(fuzz_.index(6));
     spec.bytes = fuzz_.chance(0.08) ? 0 : 256 * (1 + fuzz_.index(64));
-    std::uint64_t fan = 1 + fuzz_.index(3);
+    std::uint64_t fan = 1 + fuzz_.index(options_.max_stripe);
     for (std::uint64_t o = 0; o < fan; ++o) {
       spec.osts.push_back(static_cast<OstId>(fuzz_.index(5)));
     }
     spec.scheduled = !fuzz_.chance(0.1);
     if (fuzz_.chance(0.2)) spec.cap = 512.0;
+    if (options_.derated > 0.0 && fuzz_.chance(options_.derated)) {
+      spec.ost_efficiency = 0.25 * static_cast<double>(1 + fuzz_.index(3));
+    }
     spec.on_complete = [this](FlowId id) { done(id); };
     const double bytes = static_cast<double>(spec.bytes);
     FlowId id = net_.start_flow(std::move(spec));
@@ -189,6 +231,7 @@ class RandomTraffic {
     }
   }
 
+  TrafficOptions options_;
   rng::Stream fuzz_;
   Engine engine_;
   FluidNetwork net_;
@@ -212,6 +255,102 @@ TEST(FluidWakeTest, RandomTrafficCompletionLogIsPinned) {
                        Case{3, 6689772547978943802u}}) {
     EXPECT_EQ(RandomTraffic(c.seed).run(), c.hash) << "seed " << c.seed;
   }
+}
+
+TEST(FluidWakeTest, WideDeratedTrafficCompletionLogIsPinned) {
+  // Stripes over up to all five OSTs keep most OSTs past the contention
+  // knee, and about a third of the flows run at reduced OST efficiency.
+  // Pinned on the implementation that divided per refresh: cached
+  // shares must reproduce its rates bit for bit.
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const TrafficOptions wide{.max_stripe = 5, .derated = 0.35};
+  for (const Case& c : {Case{4, 13495463124681232059u},
+                       Case{5, 15283689181159378194u},
+                       Case{6, 11206887868166034341u}}) {
+    EXPECT_EQ(RandomTraffic(c.seed, wide).run(), c.hash) << "seed " << c.seed;
+  }
+}
+
+TEST(FluidWakeTest, RatesMatchTheShareFormulaAfterCapacityChange) {
+  // rate = min(NIC / granted, eff_f * sum_legs(OST slice / group size),
+  // cap), with slice = capacity * eff(clients) / clients, recomputed
+  // here from scratch with the same operand order: cached shares must
+  // equal it exactly, not approximately.
+  const ContentionModel contention{.alpha = 0.25, .knee = 2};
+  std::vector<Rate> ost_capacity{1024.0, 1536.0, 768.0};
+  const std::vector<Rate> nic_capacity{4096.0, 3000.0, 2048.0, 5000.0};
+  Engine engine;
+  FluidNetwork net(engine, {.nic_capacity = nic_capacity,
+                            .ost_capacity = ost_capacity,
+                            .node_policy = ConcurrencyPolicy::fixed(4),
+                            .contention = contention,
+                            .seed = 7});
+  struct Started {
+    FlowId id;
+    NodeId node;
+    std::vector<OstId> osts;
+    double ost_efficiency;
+    Rate cap;
+  };
+  std::vector<Started> flows;
+  auto start = [&](NodeId node, std::vector<OstId> osts, double ost_eff, Rate cap) {
+    FlowId id = net.start_flow(
+        {.node = node, .bytes = 1 << 20, .osts = osts, .cap = cap, .ost_efficiency = ost_eff});
+    flows.push_back({id, node, std::move(osts), ost_eff, cap});
+  };
+  // Every node on OST 0 (four clients, past the knee of 2), with one to
+  // three flows per node there; mixed stripes, efficiencies and caps.
+  start(0, {0, 1}, 1.0, 1e18);
+  start(0, {0}, 0.75, 1e18);
+  start(0, {0, 1, 2}, 1.0, 300.0);
+  start(1, {0, 2}, 0.5, 1e18);
+  start(1, {1}, 1.0, 1e18);
+  start(2, {2, 0}, 1.0, 1e18);
+  start(2, {0}, 0.25, 1e18);
+  start(2, {0, 1}, 1.0, 1e18);
+  start(3, {0, 1, 2}, 0.9, 1e18);
+
+  auto expected_rate = [&](const Started& f) {
+    std::size_t granted = 0;
+    for (const Started& s : flows) granted += s.node == f.node ? 1 : 0;
+    Rate nic_share = nic_capacity[f.node] / static_cast<double>(granted);
+    std::vector<OstId> legs = f.osts;
+    std::sort(legs.begin(), legs.end());
+    Rate ost_total = 0.0;
+    for (OstId o : legs) {
+      std::vector<NodeId> clients;
+      std::size_t group = 0;
+      for (const Started& s : flows) {
+        if (std::find(s.osts.begin(), s.osts.end(), o) == s.osts.end()) continue;
+        if (std::find(clients.begin(), clients.end(), s.node) == clients.end()) {
+          clients.push_back(s.node);
+        }
+        if (s.node == f.node) ++group;
+      }
+      auto c = static_cast<std::uint32_t>(clients.size());
+      EXPECT_EQ(net.ost_client_count(o), c);
+      Rate slice = ost_capacity[o] * contention.efficiency(c) / static_cast<double>(c);
+      ost_total += slice / static_cast<double>(group);
+    }
+    ost_total *= f.ost_efficiency;
+    return std::min({nic_share, ost_total, f.cap});
+  };
+
+  ASSERT_GT(net.ost_client_count(0), contention.knee);
+  for (const Started& s : flows) {
+    EXPECT_EQ(net.flow_rate(s.id), expected_rate(s)) << "flow " << s.id;
+  }
+  ost_capacity[0] = 640.0;
+  net.set_ost_capacity(0, ost_capacity[0]);
+  for (const Started& s : flows) {
+    EXPECT_GT(net.flow_rate(s.id), 0.0);
+    EXPECT_EQ(net.flow_rate(s.id), expected_rate(s)) << "flow " << s.id;
+  }
+  engine.run();
+  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 }  // namespace

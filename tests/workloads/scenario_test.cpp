@@ -67,6 +67,46 @@ TEST(ScenarioJsonTest, RejectsFewerThanOneRun) {
   }
 }
 
+TEST(ScenarioJsonTest, RejectsFaultTargetsOutsideTheJob) {
+  struct Case {
+    const char* faults;
+    const char* message;
+  };
+  for (const Case& c :
+       {Case{R"({"slow_osts": [{"ost": 99}]})",
+             "faults.slow_osts[0].ost = 99 is out of range (allowed: 0 <= ost < 48 on franklin)"},
+        Case{R"({"slow_osts": [{"ost": 3}, {"ost": -1}]})",
+             "faults.slow_osts[1].ost = -1 is out of range"},
+        Case{R"({"stragglers": {"ranks": [2, 100]}})",
+             "faults.stragglers.ranks[1] = 100 is out of range (allowed: 0 <= rank < 8, "
+             "the workload's tasks)"},
+        Case{R"({"stragglers": {"ranks": [8]}})",
+             "faults.stragglers.ranks[0] = 8 is out of range"}}) {
+    try {
+      (void)scenario_from_json(json::parse(
+          std::string(R"({"schema_version": 1, "machine": "franklin",
+                          "workload": {"kind": "ior", "tasks": 8}, "faults": )") +
+          c.faults + "}"));
+      FAIL() << c.faults << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
+  // The last OST and the last rank are in range; a straggler count
+  // above the task count stays the injector's to clamp.
+  auto b = scenario_from_json(json::parse(R"({"schema_version": 1,
+      "workload": {"kind": "gcrm", "tasks": 64},
+      "faults": {"slow_osts": [{"ost": 47}],
+                 "stragglers": {"ranks": [0, 63], "count": 500}}})"));
+  EXPECT_EQ(b.fault_plan().slow_osts[0].ost, 47u);
+  EXPECT_EQ(b.fault_plan().stragglers.ranks.back(), 63u);
+  // The OST bound follows the machine: jaguar has 144 OSTs.
+  EXPECT_NO_THROW((void)scenario_from_json(json::parse(R"({"schema_version": 1,
+      "machine": "jaguar", "workload": {"kind": "madbench", "tasks": 16},
+      "faults": {"slow_osts": [{"ost": 143}]}})")));
+}
+
 TEST(ScenarioJsonTest, RejectsUnknownTopLevelKey) {
   EXPECT_THROW(scenario_from_json(json::parse(
                    R"({"schema_version": 1, "wrkload": {"kind": "ior"}})")),
