@@ -1,8 +1,10 @@
 // `simulate` generates runs via the parallel ensemble runner instead
-// of loading a trace from disk. Per-run statistics come from a
-// streaming SummarySink attached to each run's monitor, so without
-// --save-dir no trace is ever materialized (capture stays in profile
-// mode).
+// of loading a trace from disk. Capture stays in profile mode: per-run
+// statistics come from a streaming SummarySink attached to each run's
+// monitor, and --save-dir adds an ipm::TraceFileSink that writes the
+// run's trace file while the run executes. No trace is ever
+// materialized, so an ensemble's memory does not grow with its event
+// count whether or not it is saved.
 #include <cstdio>
 #include <memory>
 #include <ostream>
@@ -12,11 +14,13 @@
 
 #include "cli/commands.h"
 #include "cli/helpers.h"
+#include "cli/options.h"
 #include "common/units.h"
 #include "core/ks.h"
 #include "core/samples.h"
 #include "core/streaming.h"
 #include "ipm/sink.h"
+#include "ipm/trace_file.h"
 #include "monitor/health.h"
 #include "workloads/ensemble.h"
 #include "workloads/scenario.h"
@@ -72,16 +76,33 @@ int cmd_simulate(CommandContext& ctx) {
     err << "eiotrace: --runs must be at least 1\n";
     return 1;
   }
-  bool save = args.has("save-dir");
   std::string save_fmt = args.get("format", "tsv");
   if (save_fmt != "tsv" && save_fmt != "v3") {
     err << "eiotrace: unknown --format '" << save_fmt << "' (tsv|v3)\n";
     return 1;
   }
+  // Every target is checked before any run starts, so an unwritable
+  // one fails in milliseconds instead of after the whole ensemble.
+  std::vector<std::string> targets;
+  if (args.has("save-dir")) {
+    const std::string dir = args.get("save-dir", ".");
+    for (std::size_t i = 0; i < runs; ++i) {
+      std::string path = dir + "/run";
+      path += std::to_string(i);
+      path += save_fmt == "v3" ? ".v3" : ".tsv";
+      if (std::string why = unwritable_reason(path, false); !why.empty()) {
+        err << "eiotrace: cannot write '" << path << "': " << why << "\n";
+        return 1;
+      }
+      targets.push_back(std::move(path));
+    }
+  }
+  const ipm::TraceFormat format = save_fmt == "v3"
+                                      ? ipm::TraceFormat::kBinaryV3
+                                      : ipm::TraceFormat::kTsv;
 
   workloads::JobSpec job = scenario.job();
-  // Traces are only retained when they are being written out.
-  job.capture = save ? ipm::Mode::kBoth : ipm::Mode::kProfile;
+  job.capture = ipm::Mode::kProfile;
   analysis::EventFilter write_filter{.op = posix::OpType::kWrite,
                                      .min_bytes = MiB};
   const bool monitored = args.has("monitor");
@@ -94,16 +115,28 @@ int cmd_simulate(CommandContext& ctx) {
   mopt.stripe_size = scenario.machine_config().stripe_size;
   std::vector<std::shared_ptr<analysis::SummarySink>> sinks(runs);
   std::vector<std::shared_ptr<monitor::HealthSink>> monitors(runs);
-  job.sink_factory = [&sinks, &monitors, write_filter, monitored,
-                      mopt](std::size_t run_index)
+  // Uncommitted files remove themselves when these handles go, so a
+  // failed run (or any early return) leaves no partial trace behind.
+  std::vector<std::shared_ptr<ipm::TraceFileSink>> files(targets.size());
+  job.sink_factory = [&sinks, &monitors, &files, &targets, write_filter,
+                      monitored, mopt, format, experiment = job.name,
+                      ranks = static_cast<std::uint32_t>(job.programs.size())](
+                         std::size_t run_index)
       -> std::shared_ptr<ipm::EventSink> {
     auto sink = std::make_shared<analysis::SummarySink>(write_filter);
     sinks[run_index] = sink;
-    if (!monitored) return sink;
-    auto health = std::make_shared<monitor::HealthSink>(mopt);
-    monitors[run_index] = health;
-    return std::make_shared<ipm::FanoutSink>(
-        std::vector<std::shared_ptr<ipm::EventSink>>{sink, health});
+    std::vector<std::shared_ptr<ipm::EventSink>> chain{sink};
+    if (monitored) {
+      monitors[run_index] = std::make_shared<monitor::HealthSink>(mopt);
+      chain.push_back(monitors[run_index]);
+    }
+    if (!targets.empty()) {
+      files[run_index] = std::make_shared<ipm::TraceFileSink>(
+          targets[run_index], format, experiment, ranks);
+      chain.push_back(files[run_index]);
+    }
+    if (chain.size() == 1) return sink;
+    return std::make_shared<ipm::FanoutSink>(std::move(chain));
   };
 
   const char* kind_label = "IOR";
@@ -143,11 +176,10 @@ int cmd_simulate(CommandContext& ctx) {
   out << "  run          job(s)    events    median(s)      p95(s)\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const stats::StreamingSummary& s = sinks[i]->summary();
-    std::uint64_t events =
-        save ? results[i].trace.size() : results[i].profile.total();
     char line[160];
     std::snprintf(line, sizeof line, "  %-8zu %10.1f %9llu %12.4f %11.4f\n", i,
-                  results[i].job_time, static_cast<unsigned long long>(events),
+                  results[i].job_time,
+                  static_cast<unsigned long long>(results[i].profile.total()),
                   s.empty() ? 0.0 : s.median(),
                   s.empty() ? 0.0 : s.quantile(0.95));
     out << line;
@@ -210,19 +242,16 @@ int cmd_simulate(CommandContext& ctx) {
     }
   }
 
-  if (save) {
-    std::string dir = args.get("save-dir", ".");
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      std::string path = dir + "/run" + std::to_string(i);
-      if (save_fmt == "v3") {
-        path += ".v3";
-        results[i].trace.save_binary_v3(path);
-      } else {
-        path += ".tsv";
-        results[i].trace.save(path);
-      }
-      out << "wrote " << path << "\n";
+  // Commit only once every file is known good: a failed write leaves
+  // no trace files at all rather than some of them.
+  for (const auto& file : files) {
+    if (!file->good()) {
+      throw std::runtime_error("write failed: " + file->path());
     }
+  }
+  for (const auto& file : files) {
+    file->commit();
+    out << "wrote " << file->path() << "\n";
   }
   return 0;
 }

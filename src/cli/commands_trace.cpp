@@ -38,8 +38,8 @@
 #include "core/trace_diagram.h"
 #include "ipm/report.h"
 #include "ipm/trace.h"
+#include "ipm/trace_file.h"
 #include "ipm/trace_stream.h"
-#include "ipm/trace_v3.h"
 #include "monitor/health.h"
 
 namespace eio::cli {
@@ -437,6 +437,10 @@ int cmd_convert(CommandContext& ctx) {
     return 1;
   }
 
+  // Both writers go through a temporary beside the target that is
+  // renamed into place only once complete, so a decode that fails
+  // mid-stream leaves no partial output.
+  //
   // Converting a file to the format it is already in is a checked
   // no-op: decode every event once to prove the file is intact, then
   // copy the bytes verbatim — never a silent re-encode.
@@ -445,48 +449,28 @@ int cmd_convert(CommandContext& ctx) {
     std::uint64_t checked = 0;
     source.for_each([&checked](const ipm::TraceEvent&) { ++checked; });
     std::ifstream in(file->path(), std::ios::binary);
-    std::ofstream copy(target, std::ios::binary);
-    if (!in.good() || !copy.good()) {
-      err << "eiotrace: cannot open for copying: " << target << "\n";
+    if (!in.good()) {
+      err << "eiotrace: cannot open for copying: " << file->path() << "\n";
       return 2;
     }
-    copy << in.rdbuf();
-    if (!copy.good()) {
-      err << "eiotrace: write failed: " << target << "\n";
-      return 2;
-    }
+    ipm::PendingFile copy(target);
+    copy.stream() << in.rdbuf();
+    copy.commit();
     out << "input is already " << fmt << "; verified " << checked
         << " events and copied byte-for-byte to " << target << "\n";
     return 0;
   }
 
-  std::ofstream outfile(target, std::ios::binary);
-  if (!outfile.good()) {
-    err << "eiotrace: cannot open for writing: " << target << "\n";
-    return 2;
-  }
-  std::uint64_t written = 0;
-  if (fmt == "tsv") {
-    ipm::write_tsv_header(outfile, source.meta().experiment,
-                          source.meta().ranks, source.event_count());
-    source.for_each([&](const ipm::TraceEvent& e) {
-      ipm::write_tsv_event(outfile, e);
-      ++written;
-    });
-  } else {
-    // Columnar v3 with the footer index — a single streaming pass, no
-    // up-front event count needed.
-    ipm::TraceWriterV3 writer(outfile, source.meta().experiment,
-                              source.meta().ranks);
-    source.for_each([&writer](const ipm::TraceEvent& e) { writer.add(e); });
-    writer.finish();
-    written = writer.events_written();
-  }
-  if (!outfile.good()) {
-    err << "eiotrace: write failed: " << target << "\n";
-    return 2;
-  }
-  out << "wrote " << written << " events to " << target << "\n";
+  // One streaming pass; the v3 footer index needs no up-front count.
+  ipm::TraceFileSink writer(target,
+                            fmt == "tsv" ? ipm::TraceFormat::kTsv
+                                         : ipm::TraceFormat::kBinaryV3,
+                            source.meta().experiment, source.meta().ranks);
+  source.for_each([&writer](const ipm::TraceEvent& e) { writer.on_event(e); });
+  writer.finish();
+  writer.commit();
+  out << "wrote " << writer.events_written() << " events to " << target
+      << "\n";
   return 0;
 }
 

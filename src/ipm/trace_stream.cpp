@@ -107,7 +107,7 @@ void write_tsv_header(std::ostream& out, const std::string& experiment,
   out << "# ipm-io-trace v1\texperiment=" << experiment << "\tranks=" << ranks
       << "\tevents=" << events << "\n";
   out << "start\tduration\top\trank\tfile\toffset\tbytes\tphase\n";
-  out.precision(9);
+  out.precision(kTsvPrecision);
 }
 
 void write_tsv_event(std::ostream& out, const TraceEvent& e) {

@@ -78,6 +78,9 @@ class TraceWriterV3 final : public EventSink {
   [[nodiscard]] std::uint64_t events_written() const noexcept {
     return total_events_;
   }
+  [[nodiscard]] std::uint64_t chunks_written() const noexcept {
+    return chunks_.size();
+  }
 
  private:
   void flush_chunk();

@@ -327,6 +327,49 @@ TEST_F(EiotraceTest, SimulateIntoMissingSaveDirFailsBeforeSimulating) {
   EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
+TEST_F(EiotraceTest, SimulateUnwritableSaveTargetFailsBeforeSimulating) {
+  // The directory exists but run1's target is a directory: the check
+  // must name it before any run starts, and leave run0 unwritten.
+  const std::string dir = test::temp_dir();
+  std::filesystem::create_directories(dir + "/run1.v3");
+  auto [rc, out, err] =
+      run({"simulate", "--tasks=16", "--segments=2", "--block-mib=1",
+           "--runs=2", "--save-dir=" + dir, "--format=v3"});
+  EXPECT_EQ(rc, 1);
+  expect_one_line_error(out, err, "cannot write '" + dir + "/run1.v3'");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/run0.v3"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/run0.v3.tmp"));
+}
+
+TEST_F(EiotraceTest, ConvertOfCorruptChunkLeavesNoOutput) {
+  // A 3-chunk v3 trace whose last chunk is damaged: the first two
+  // chunks decode (and, streamed, would already be written) before
+  // the decode throws.
+  const std::string dir = test::temp_dir();
+  auto [rc, out, err] =
+      run({"simulate", "--tasks=256", "--segments=16", "--block-mib=1",
+           "--runs=1", "--format=v3", "--save-dir=" + dir});
+  ASSERT_EQ(rc, 0) << err;
+  const std::string bad = dir + "/run0.v3";
+  {
+    std::ifstream in(bad, std::ios::binary);
+    const ipm::TraceIndex index = ipm::read_index_v3(in);
+    ASSERT_EQ(index.chunks.size(), 3u);
+    std::fstream f(bad, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(index.chunks[2].offset));
+    f.put('\x7f');  // not a chunk tag
+  }
+  for (const char* format : {"--format=tsv", "--format=v3"}) {
+    const std::string target = dir + "/out." + (format + 9);
+    auto [rc2, out2, err2] = run({"convert", bad, target, format});
+    EXPECT_EQ(rc2, 2) << format;
+    expect_one_line_error(out2, err2, "corrupt v3 trace");
+    EXPECT_FALSE(std::filesystem::exists(target)) << format;
+    EXPECT_FALSE(std::filesystem::exists(target + ".tmp")) << format;
+    EXPECT_FALSE(std::filesystem::exists(target + ".rows.tmp")) << format;
+  }
+}
+
 TEST_F(EiotraceTest, AnalyzeIncidentsIntoMissingDirFailsBeforeScanning) {
   const std::string log = test::temp_path("missing") + "/x.jsonl";
   for (const char* cmd : {"analyze", "monitor"}) {

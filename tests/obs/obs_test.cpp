@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -239,12 +240,17 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   EXPECT_NE(sections[0].find("v3.events_decoded"), std::string::npos);
 
   // Simulation counters, flushed once per run from plain members, are
-  // just as independent of how runs are spread over threads.
+  // just as independent of how runs are spread over threads -- and so
+  // are the trace-file counters, flushed once per saved file by the
+  // file sink on whichever worker ran it.
   std::vector<std::string> sim_sections;
   for (const char* jobs : {"--jobs=1", "--jobs=2", "--jobs=4"}) {
     std::string metrics = dir_ + "/sim_metrics_" + (jobs + 7) + ".json";
-    auto [rc, out, err] = run({"simulate", "--runs=4", "--tasks=16",
-                               "--block-mib=4", jobs, "--metrics", metrics});
+    std::string save = dir_ + "/saved_" + (jobs + 7);
+    std::filesystem::create_directory(save);
+    auto [rc, out, err] =
+        run({"simulate", "--runs=4", "--tasks=16", "--block-mib=4", jobs,
+             "--metrics", metrics, "--save-dir", save, "--format=v3"});
     ASSERT_EQ(rc, 0) << err;
     sim_sections.push_back(counters_section(read_file(metrics)));
   }
@@ -252,7 +258,9 @@ TEST_F(ObsTest, MetricsCountersAreIdenticalAcrossJobs) {
   EXPECT_EQ(sim_sections[0], sim_sections[2]) << "sim counters differ, jobs 1 vs 4";
   for (const char* name : {"\"fluid.refreshes\"", "\"fluid.reschedules\"",
                            "\"fluid.recomputes\"", "\"fluid.full_scans\"",
-                           "\"sim.calendar_cancels\"", "\"sim.events_run\""}) {
+                           "\"sim.calendar_cancels\"", "\"sim.events_run\"",
+                           "\"ipm.trace_bytes_written\"",
+                           "\"ipm.trace_chunks_written\""}) {
     EXPECT_NE(sim_sections[0].find(name), std::string::npos) << name;
   }
 }
