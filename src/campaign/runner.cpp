@@ -31,12 +31,12 @@ std::string run_record(const workloads::RunPlan& plan,
   mopt.stripe_size = scenario.machine_config().stripe_size;
   std::size_t runs = scenario.run_count();
   std::vector<std::shared_ptr<analysis::SummarySink>> sinks(runs);
-  std::vector<std::shared_ptr<monitor::HealthSink>> monitors(runs);
+  std::vector<std::shared_ptr<monitor::HealthKernel>> monitors(runs);
   job.sink_factory = [&sinks, &monitors, write_filter,
                       mopt](std::size_t run_index)
       -> std::shared_ptr<ipm::EventSink> {
     auto sink = std::make_shared<analysis::SummarySink>(write_filter);
-    auto health = std::make_shared<monitor::HealthSink>(mopt);
+    auto health = std::make_shared<monitor::HealthKernel>(mopt);
     sinks[run_index] = sink;
     monitors[run_index] = health;
     return std::make_shared<ipm::FanoutSink>(
@@ -74,7 +74,7 @@ std::string run_record(const workloads::RunPlan& plan,
     faults.retry_seconds += fc.retry_seconds;
     faults.straggler_stalls += fc.straggler_stalls;
     faults.straggler_seconds += fc.straggler_seconds;
-    monitor::HealthKernel& k = monitors[i]->kernel();
+    monitor::HealthKernel& k = *monitors[i];
     k.finish();
     const monitor::Counts& mc = k.counts();
     health_counts.windows_evaluated += mc.windows_evaluated;

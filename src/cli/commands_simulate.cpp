@@ -114,7 +114,7 @@ int cmd_simulate(CommandContext& ctx) {
   }
   mopt.stripe_size = scenario.machine_config().stripe_size;
   std::vector<std::shared_ptr<analysis::SummarySink>> sinks(runs);
-  std::vector<std::shared_ptr<monitor::HealthSink>> monitors(runs);
+  std::vector<std::shared_ptr<monitor::HealthKernel>> monitors(runs);
   // Uncommitted files remove themselves when these handles go, so a
   // failed run (or any early return) leaves no partial trace behind.
   std::vector<std::shared_ptr<ipm::TraceFileSink>> files(targets.size());
@@ -127,7 +127,7 @@ int cmd_simulate(CommandContext& ctx) {
     sinks[run_index] = sink;
     std::vector<std::shared_ptr<ipm::EventSink>> chain{sink};
     if (monitored) {
-      monitors[run_index] = std::make_shared<monitor::HealthSink>(mopt);
+      monitors[run_index] = std::make_shared<monitor::HealthKernel>(mopt);
       chain.push_back(monitors[run_index]);
     }
     if (!targets.empty()) {
@@ -209,7 +209,7 @@ int cmd_simulate(CommandContext& ctx) {
     std::vector<monitor::Incident> incidents;
     std::vector<std::uint64_t> incident_runs;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      monitor::HealthKernel& k = monitors[i]->kernel();
+      monitor::HealthKernel& k = *monitors[i];
       k.finish();
       const monitor::Counts& c = k.counts();
       char line[160];

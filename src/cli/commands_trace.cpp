@@ -447,7 +447,10 @@ int cmd_convert(CommandContext& ctx) {
   const auto* file = dynamic_cast<const ipm::FileTraceSource*>(&source);
   if (file != nullptr && fmt == format_label(file->format())) {
     std::uint64_t checked = 0;
-    source.for_each([&checked](const ipm::TraceEvent&) { ++checked; });
+    source.for_each_columns(ipm::kColAll,
+                            [&checked](const ipm::ColumnBatch& b) {
+                              checked += b.size();
+                            });
     std::ifstream in(file->path(), std::ios::binary);
     if (!in.good()) {
       err << "eiotrace: cannot open for copying: " << file->path() << "\n";
@@ -466,7 +469,9 @@ int cmd_convert(CommandContext& ctx) {
                             fmt == "tsv" ? ipm::TraceFormat::kTsv
                                          : ipm::TraceFormat::kBinaryV3,
                             source.meta().experiment, source.meta().ranks);
-  source.for_each([&writer](const ipm::TraceEvent& e) { writer.on_event(e); });
+  source.for_each_columns(ipm::kColAll, [&writer](const ipm::ColumnBatch& b) {
+    writer.add_batch(b);
+  });
   writer.finish();
   writer.commit();
   out << "wrote " << writer.events_written() << " events to " << target

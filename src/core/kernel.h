@@ -31,9 +31,10 @@ namespace eio::analysis {
 /// A mergeable streaming statistic over trace events.
 ///
 /// Semantics every model must honor:
-///  * add_batch(b) folds the rows of b in index order (a kernel that
-///    also folds single events, for live sinks, must be value-identical
-///    row by row);
+///  * add_batch(b) folds the rows of b in index order, and the result
+///    does not depend on where the stream was cut into batches (a
+///    kernel that is also a live capture sink sees the Monitor's
+///    batches instead of a file's chunks);
 ///  * merge(rhs) folds a partial computed over a LATER stream segment
 ///    into this one, and merging chunk partials in stream order equals
 ///    one serial pass (exactly where the kernel is exact, in

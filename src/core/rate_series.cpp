@@ -27,10 +27,6 @@ RateSeriesBuilder::RateSeriesBuilder(double span, std::size_t bins) {
   series_.values.assign(bins, 0.0);
 }
 
-void RateSeriesBuilder::add_batch(std::span<const ipm::TraceEvent> events) {
-  for (const ipm::TraceEvent& e : events) add(e);
-}
-
 void RateSeriesBuilder::merge(const RateSeriesBuilder& other) {
   EIO_CHECK_MSG(other.series_.t0 == series_.t0 &&
                     other.series_.dt == series_.dt &&

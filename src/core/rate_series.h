@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/samples.h"
@@ -68,9 +67,6 @@ class RateSeriesBuilder {
   void add(const ipm::TraceEvent& event) {
     add(event.start, event.duration, event.bytes);
   }
-
-  /// Fold every event of a chunk (the batch-dispatch hot path).
-  void add_batch(std::span<const ipm::TraceEvent> events);
 
   /// Fold another builder over the same span/binning (elementwise add
   /// — rates are linear, so partials merge exactly up to FP rounding).

@@ -70,26 +70,16 @@ ipm::ChunkHint hint_for(const EventFilter& filter) {
   return hint;
 }
 
-void for_each_matching(const ipm::TraceSource& source,
-                       const EventFilter& filter,
-                       const std::function<void(const ipm::TraceEvent&)>& fn) {
-  source.for_each_hinted(hint_for(filter), [&](const ipm::TraceEvent& e) {
-    if (filter.matches(e)) fn(e);
-  });
-}
-
 std::vector<double> durations(const ipm::TraceSource& source,
                               const EventFilter& filter) {
   std::vector<double> out;
-  for_each_matching(source, filter,
-                    [&out](const ipm::TraceEvent& e) { out.push_back(e.duration); });
+  source.for_each_columns_hinted(
+      hint_for(filter), filter.required_columns() | ipm::kColDuration,
+      [&](const ipm::ColumnBatch& b) {
+        filter.for_each_match(
+            b, [&](std::size_t i) { out.push_back(b.duration[i]); });
+      });
   return out;
-}
-
-void PhaseSummarySink::add(const ipm::TraceEvent& event) {
-  if (!filter_.matches(event)) return;
-  auto it = by_phase_.try_emplace(event.phase, options_).first;
-  it->second.add(event.duration);
 }
 
 void PhaseSummarySink::flush_run(std::int32_t phase) {
@@ -112,8 +102,6 @@ void PhaseSummarySink::add_batch(const ipm::ColumnBatch& batch) {
   });
   if (!scratch_.empty()) flush_run(run_phase);
 }
-
-void PhaseSummarySink::on_event(const ipm::TraceEvent& event) { add(event); }
 
 void PhaseSummarySink::merge(const PhaseSummarySink& other) {
   for (const auto& [phase, summary] : other.by_phase_) {

@@ -152,11 +152,6 @@ struct EventFilter {
 /// become hints; indexed v3 sources skip chunks that cannot match).
 [[nodiscard]] ipm::ChunkHint hint_for(const EventFilter& filter);
 
-/// Visit every matching event of the source, in stored order.
-void for_each_matching(const ipm::TraceSource& source,
-                       const EventFilter& filter,
-                       const std::function<void(const ipm::TraceEvent&)>& fn);
-
 /// Durations of matching events (materializes the samples, not the
 /// events — use SummarySink when bounded memory matters).
 [[nodiscard]] std::vector<double> durations(const ipm::TraceSource& source,
@@ -172,25 +167,18 @@ class SummarySink final : public ipm::EventSink {
   SummarySink(EventFilter filter, const stats::SummaryOptions& options)
       : filter_(std::move(filter)), summary_(options) {}
 
-  /// Kernel entry point: fold one event.
-  void add(const ipm::TraceEvent& event) {
-    if (filter_.matches(event)) summary_.add(event.duration);
-  }
-
-  /// Kernel entry point: fold a decoded column batch. Gathers the
-  /// matching durations densely, then feeds the summary one dense
-  /// span per sub-kernel — value-identical to add() per row (same
-  /// index-order sequence into every sub-kernel). The batch needs
-  /// required_columns() decoded.
-  void add_batch(const ipm::ColumnBatch& batch) {
+  /// Fold a decoded column batch (the sink and kernel entry point).
+  /// Gathers the matching durations densely, then feeds the summary
+  /// one dense span per sub-kernel — the same index-order sequence
+  /// into every sub-kernel whatever the batch boundaries. The batch
+  /// needs required_columns() decoded.
+  void add_batch(const ipm::ColumnBatch& batch) override {
     scratch_.clear();
     scratch_.reserve(batch.size());
     filter_.for_each_match(
         batch, [&](std::size_t i) { scratch_.push_back(batch.duration[i]); });
     summary_.add_batch(scratch_);
   }
-
-  void on_event(const ipm::TraceEvent& event) override { add(event); }
 
   /// Columns add_batch reads: the filter's plus the duration samples.
   [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
@@ -220,15 +208,11 @@ class PhaseSummarySink final : public ipm::EventSink {
   PhaseSummarySink(EventFilter filter, const stats::SummaryOptions& options)
       : filter_(std::move(filter)), options_(options) {}
 
-  /// Kernel entry point: fold one event.
-  void add(const ipm::TraceEvent& event);
-  /// Kernel entry point: fold a decoded column batch. Matching
-  /// durations are buffered per run of equal phase labels and flushed
-  /// as dense spans — value-identical to add() per row, since each
-  /// phase's summary folds the same duration sequence.
-  void add_batch(const ipm::ColumnBatch& batch);
-
-  void on_event(const ipm::TraceEvent& event) override;
+  /// Fold a decoded column batch (the sink and kernel entry point).
+  /// Matching durations are buffered per run of equal phase labels
+  /// and flushed as dense spans, so each phase's summary folds the
+  /// same duration sequence whatever the batch boundaries.
+  void add_batch(const ipm::ColumnBatch& batch) override;
 
   /// Columns add_batch reads: the filter's, the phase labels it groups
   /// by, and the duration samples.

@@ -26,51 +26,45 @@ TraceDiagram::TraceDiagram(std::uint32_t ranks, double span, Options options) {
 }
 
 TraceDiagram::TraceDiagram(const ipm::Trace& trace, Options options)
-    : TraceDiagram(trace.ranks(), trace.span(), options) {
-  for (const auto& e : trace.events()) add(e);
-}
+    : TraceDiagram(ipm::MemoryTraceSource(trace), options) {}
 
 TraceDiagram::TraceDiagram(const ipm::TraceSource& source, Options options)
-    : TraceDiagram(source.meta().ranks,
-                   [&source] {
-                     double span = 0.0;
-                     source.for_each([&span](const ipm::TraceEvent& e) {
-                       span = std::max(span, e.end());
-                     });
-                     return span;
-                   }(),
-                   options) {
-  source.for_each([this](const ipm::TraceEvent& e) { add(e); });
+    : TraceDiagram(source.meta().ranks, source.time_span(), options) {
+  source.for_each_columns(
+      ipm::kColStart | ipm::kColDuration | ipm::kColOp | ipm::kColRank,
+      [this](const ipm::ColumnBatch& b) { add_batch(b); });
 }
 
-void TraceDiagram::add(const ipm::TraceEvent& e) {
-  std::vector<double>* plane = nullptr;
+void TraceDiagram::add_batch(const ipm::ColumnBatch& batch) {
   using posix::OpType;
-  switch (e.op) {
-    case OpType::kWrite: plane = &write_; break;
-    case OpType::kRead: plane = &read_; break;
-    case OpType::kOpen:
-    case OpType::kClose:
-    case OpType::kSeek:
-    case OpType::kFsync:
-    case OpType::kFault: plane = &meta_; break;
-  }
-  if (plane == nullptr) return;
-  auto row = static_cast<std::size_t>(
-      std::min<double>(static_cast<double>(e.rank) / ranks_per_row_,
-                       static_cast<double>(rows_ - 1)));
-  double start = e.start;
-  double end = std::max(e.end(), start + 1e-12);
-  auto first = static_cast<std::size_t>(
-      std::clamp(start / dt_, 0.0, static_cast<double>(cols_ - 1)));
-  auto last = static_cast<std::size_t>(
-      std::clamp(end / dt_, 0.0, static_cast<double>(cols_ - 1)));
-  for (std::size_t c = first; c <= last; ++c) {
-    double lo = dt_ * static_cast<double>(c);
-    double hi = lo + dt_;
-    double overlap = std::min(end, hi) - std::max(start, lo);
-    if (overlap > 0.0) {
-      cell(*plane, row, c) += overlap / (dt_ * ranks_per_row_);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    std::vector<double>* plane = nullptr;
+    switch (static_cast<OpType>(batch.op[i])) {
+      case OpType::kWrite: plane = &write_; break;
+      case OpType::kRead: plane = &read_; break;
+      case OpType::kOpen:
+      case OpType::kClose:
+      case OpType::kSeek:
+      case OpType::kFsync:
+      case OpType::kFault: plane = &meta_; break;
+    }
+    if (plane == nullptr) continue;
+    auto row = static_cast<std::size_t>(
+        std::min<double>(static_cast<double>(batch.rank[i]) / ranks_per_row_,
+                         static_cast<double>(rows_ - 1)));
+    const double start = batch.start[i];
+    const double end = std::max(start + batch.duration[i], start + 1e-12);
+    auto first = static_cast<std::size_t>(
+        std::clamp(start / dt_, 0.0, static_cast<double>(cols_ - 1)));
+    auto last = static_cast<std::size_t>(
+        std::clamp(end / dt_, 0.0, static_cast<double>(cols_ - 1)));
+    for (std::size_t c = first; c <= last; ++c) {
+      double lo = dt_ * static_cast<double>(c);
+      double hi = lo + dt_;
+      double overlap = std::min(end, hi) - std::max(start, lo);
+      if (overlap > 0.0) {
+        cell(*plane, row, c) += overlap / (dt_ * ranks_per_row_);
+      }
     }
   }
 }

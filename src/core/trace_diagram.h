@@ -26,18 +26,19 @@ class TraceDiagram {
   };
 
   /// Streaming form: fix the geometry (rank mapping and time axis) up
-  /// front, then fold events with add() in any order. Memory is
+  /// front, then fold batches with add_batch() in any order. Memory is
   /// O(rows * columns), independent of the event count.
   TraceDiagram(std::uint32_t ranks, double span, Options options);
 
   /// Build from a trace (uses trace.ranks() for the row mapping).
   TraceDiagram(const ipm::Trace& trace, Options options);
 
-  /// Build from a source (one pass for the span, one to rasterize).
+  /// Build from a source: the span from source.time_span() (the footer
+  /// of an indexed trace, else one pass), then one pass to rasterize.
   TraceDiagram(const ipm::TraceSource& source, Options options);
 
-  /// Fold one event into the raster.
-  void add(const ipm::TraceEvent& event);
+  /// Fold a batch into the raster (reads start, duration, op, rank).
+  void add_batch(const ipm::ColumnBatch& batch);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t columns() const noexcept { return cols_; }

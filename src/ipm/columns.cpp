@@ -4,68 +4,65 @@
 
 namespace eio::ipm {
 
-ColumnBatch shred(std::span<const TraceEvent> events, ColumnScratch& scratch,
-                  ColumnMask mask) {
-  const std::size_t n = events.size();
+void ColumnScratch::clear() noexcept {
+  start.clear();
+  duration.clear();
+  op.clear();
+  rank.clear();
+  file.clear();
+  offset.clear();
+  bytes.clear();
+  phase.clear();
+}
+
+void ColumnScratch::push_back(const TraceEvent& e) {
+  start.push_back(e.start);
+  duration.push_back(e.duration);
+  op.push_back(static_cast<std::uint8_t>(e.op));
+  rank.push_back(e.rank);
+  file.push_back(e.file);
+  offset.push_back(e.offset);
+  bytes.push_back(e.bytes);
+  phase.push_back(e.phase);
+}
+
+ColumnBatch ColumnScratch::view(ColumnMask mask) const {
   ColumnBatch batch;
-  batch.events = n;
-  if (mask & kColStart) {
-    scratch.start.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.start[i] = events[i].start;
-    batch.start = scratch.start;
-  }
-  if (mask & kColDuration) {
-    scratch.duration.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.duration[i] = events[i].duration;
-    }
-    batch.duration = scratch.duration;
-  }
-  if (mask & kColOp) {
-    scratch.op.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.op[i] = static_cast<std::uint8_t>(events[i].op);
-    }
-    batch.op = scratch.op;
-  }
-  if (mask & kColRank) {
-    scratch.rank.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.rank[i] = events[i].rank;
-    batch.rank = scratch.rank;
-  }
-  if (mask & kColFile) {
-    scratch.file.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.file[i] = events[i].file;
-    batch.file = scratch.file;
-  }
-  if (mask & kColOffset) {
-    scratch.offset.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.offset[i] = events[i].offset;
-    batch.offset = scratch.offset;
-  }
-  if (mask & kColBytes) {
-    scratch.bytes.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.bytes[i] = events[i].bytes;
-    batch.bytes = scratch.bytes;
-  }
-  if (mask & kColPhase) {
-    scratch.phase.resize(n);
-    for (std::size_t i = 0; i < n; ++i) scratch.phase[i] = events[i].phase;
-    batch.phase = scratch.phase;
-  }
+  batch.events = size();
+  if (mask & kColStart) batch.start = start;
+  if (mask & kColDuration) batch.duration = duration;
+  if (mask & kColOp) batch.op = op;
+  if (mask & kColRank) batch.rank = rank;
+  if (mask & kColFile) batch.file = file;
+  if (mask & kColOffset) batch.offset = offset;
+  if (mask & kColBytes) batch.bytes = bytes;
+  if (mask & kColPhase) batch.phase = phase;
   return batch;
 }
 
-void unshred(const ColumnBatch& batch, std::vector<TraceEvent>& events) {
-  const std::size_t n = batch.events;
-  EIO_CHECK_MSG(batch.start.size() == n && batch.duration.size() == n &&
-                    batch.op.size() == n && batch.rank.size() == n &&
-                    batch.file.size() == n && batch.offset.size() == n &&
-                    batch.bytes.size() == n && batch.phase.size() == n,
-                "unshred needs every column decoded (kColAll)");
-  events.clear();
-  events.resize(n);
-  for (std::size_t i = 0; i < n; ++i) events[i] = batch.event_at(i);
+ColumnBatch ColumnBatch::slice(std::size_t first, std::size_t count) const {
+  EIO_CHECK_MSG(first + count <= events, "ColumnBatch::slice out of range");
+  auto cut = [first, count](auto column) {
+    return column.empty() ? column : column.subspan(first, count);
+  };
+  ColumnBatch out;
+  out.events = count;
+  out.start = cut(start);
+  out.duration = cut(duration);
+  out.op = cut(op);
+  out.rank = cut(rank);
+  out.file = cut(file);
+  out.offset = cut(offset);
+  out.bytes = cut(bytes);
+  out.phase = cut(phase);
+  return out;
+}
+
+ColumnBatch shred(std::span<const TraceEvent> events, ColumnScratch& scratch,
+                  ColumnMask mask) {
+  scratch.clear();
+  for (const TraceEvent& e : events) scratch.push_back(e);
+  return scratch.view(mask);
 }
 
 }  // namespace eio::ipm

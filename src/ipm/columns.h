@@ -1,21 +1,20 @@
-// Columnar event batches: the decoded form of a v3 chunk.
+// Columnar event batches: the one form an event takes after capture.
 //
 // The v3 format stores each event field as its own stream, so a
 // decoded chunk is naturally a struct-of-arrays: parallel spans, one
-// per field, all the same length. Analysis kernels that consume a
-// ColumnBatch touch only the columns they need (a filter over op +
-// bytes + duration reads three dense arrays instead of striding
+// per field, all the same length. Every consumer — the capture sinks
+// the Monitor feeds, the analysis kernels, the file writers — takes a
+// ColumnBatch and touches only the columns it needs (a filter over
+// op + bytes + duration reads three dense arrays instead of striding
 // through 64-byte TraceEvent structs), and the decoder can skip
-// columns a scan never reads via a ColumnMask. shred()/unshred()
-// convert between the row and columnar views so every source can serve
-// both APIs: TSV and in-memory rows shred into columns for the
-// columnar kernels, v3 chunks unshred into rows for the per-event
-// visitors.
+// columns a scan never reads via a ColumnMask. Rows enter the columnar
+// world at its edges: the Monitor appends each call to a ColumnScratch,
+// and shred() transposes an in-memory Trace or parsed TSV rows.
 //
 // Determinism contract: column order is event order. A kernel that
 // walks a ColumnBatch index 0..events-1 performs the identical
-// floating-point operation sequence as the same kernel over the row
-// batch, so row and columnar paths agree byte for byte.
+// floating-point operation sequence whatever the batch boundaries, so
+// a live capture, a TSV replay and a v3 decode agree byte for byte.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +39,12 @@ inline constexpr ColumnMask kColBytes = 1u << 6;
 inline constexpr ColumnMask kColPhase = 1u << 7;
 inline constexpr ColumnMask kColAll = 0xFF;
 
+struct ColumnBatch;
+
 /// Caller-owned backing storage for a ColumnBatch, reused across
-/// chunks so a steady-state decode allocates nothing.
+/// chunks so a steady-state decode allocates nothing. It doubles as a
+/// row builder: push_back() grows every column by one row, and view()
+/// hands the rows on as one batch.
 struct ColumnScratch {
   std::vector<double> start;
   std::vector<double> duration;
@@ -52,6 +55,15 @@ struct ColumnScratch {
   std::vector<Bytes> bytes;
   std::vector<std::int32_t> phase;
   std::vector<char> blob;  ///< staging for compressed column payloads
+
+  /// Rows held by a builder (every column has this length).
+  [[nodiscard]] std::size_t size() const noexcept { return start.size(); }
+  /// Drop every row, keeping capacity.
+  void clear() noexcept;
+  /// Append one row to every column.
+  void push_back(const TraceEvent& e);
+  /// The held rows as a batch; unmasked columns stay empty.
+  [[nodiscard]] ColumnBatch view(ColumnMask mask = kColAll) const;
 };
 
 /// One decoded run of consecutive events, as parallel column spans.
@@ -85,18 +97,18 @@ struct ColumnBatch {
     e.phase = phase[i];
     return e;
   }
+
+  /// Rows [first, first + count) as a batch over the same storage;
+  /// columns empty here stay empty.
+  [[nodiscard]] ColumnBatch slice(std::size_t first, std::size_t count) const;
 };
 
 /// Per-columnar-batch visitor (one call per decoded chunk).
 using ColumnBatchVisitor = std::function<void(const ColumnBatch&)>;
 
-/// Transpose rows into columns (only the masked columns are filled).
+/// Transpose rows into columns (only the masked columns are exposed).
 [[nodiscard]] ColumnBatch shred(std::span<const TraceEvent> events,
                                 ColumnScratch& scratch,
                                 ColumnMask mask = kColAll);
-
-/// Transpose columns back into rows (requires every column decoded).
-/// `events` is cleared first and reuses its capacity.
-void unshred(const ColumnBatch& batch, std::vector<TraceEvent>& events);
 
 }  // namespace eio::ipm

@@ -1,6 +1,7 @@
 #include "ipm/monitor.h"
 
 #include "common/check.h"
+#include "ipm/trace_source.h"
 #include "obs/registry.h"
 
 namespace eio::ipm {
@@ -48,7 +49,25 @@ void Monitor::finish() {
   if (finished_) return;
   OBS_SPAN("monitor.finish");
   finished_ = true;
+  dispatch();
   for (EventSink* sink : sinks_) sink->finish();
+}
+
+Trace& Monitor::trace() {
+  dispatch();
+  return trace_;
+}
+
+const Profile& Monitor::profile() {
+  dispatch();
+  return profile_;
+}
+
+void Monitor::dispatch() {
+  if (pending_.size() == 0) return;
+  const ColumnBatch batch = pending_.view();
+  for (EventSink* sink : sinks_) sink->add_batch(batch);
+  pending_.clear();
 }
 
 void Monitor::on_call(const posix::CallRecord& record) {
@@ -67,7 +86,8 @@ void Monitor::on_call(const posix::CallRecord& record) {
   e.offset = record.offset;
   e.bytes = record.bytes;
   e.phase = record.rank < phase_.size() ? phase_[record.rank] : 0;
-  for (EventSink* sink : sinks_) sink->on_event(e);
+  pending_.push_back(e);
+  if (pending_.size() == TraceSource::kDefaultBatchEvents) dispatch();
 }
 
 }  // namespace eio::ipm

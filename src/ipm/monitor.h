@@ -13,10 +13,13 @@
 //    paradigm".
 //
 // Callers can add further sinks (streaming statistics accumulators,
-// an indexed-file TraceWriterV3, ...) with add_sink(); every sink sees
-// each event exactly once, in completion order. The monitor also
-// accounts its own overhead (a fixed cost per intercepted call) so
-// the "lightweight" claim is checkable.
+// an indexed-file TraceWriterV3, ...) with add_sink(). The monitor
+// appends each call to a columnar buffer of
+// TraceSource::kDefaultBatchEvents rows and hands the full buffer to
+// every sink as one ColumnBatch, so each sink sees every event exactly
+// once, in completion order, through its one entry point. The monitor
+// also accounts its own overhead (a fixed cost per intercepted call)
+// so the "lightweight" claim is checkable.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 
 #include "common/ids.h"
 #include "common/units.h"
+#include "ipm/columns.h"
 #include "ipm/profile.h"
 #include "ipm/sink.h"
 #include "ipm/trace.h"
@@ -66,17 +70,19 @@ class Monitor final : public posix::IoObserver {
   /// Added sinks receive every subsequent event after the built-ins.
   void add_sink(EventSink* sink);
 
-  /// Capture is over: finish() every sink in the chain. Idempotent;
-  /// called by the destructor, but explicit calls are preferred for
-  /// sinks whose finish can fail (e.g. file writers).
+  /// Capture is over: hand on the pending batch, then finish() every
+  /// sink in the chain. Idempotent; called by the destructor, but
+  /// explicit calls are preferred for sinks whose finish can fail
+  /// (e.g. file writers).
   void finish();
 
   /// IoObserver hook.
   void on_call(const posix::CallRecord& record) override;
 
-  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
-  [[nodiscard]] Trace& trace() noexcept { return trace_; }
-  [[nodiscard]] const Profile& profile() const noexcept { return profile_; }
+  /// The built-in collectors, after the pending batch is handed on so
+  /// they hold every event captured so far.
+  [[nodiscard]] Trace& trace();
+  [[nodiscard]] const Profile& profile();
 
   /// Number of intercepted calls.
   [[nodiscard]] std::uint64_t intercepted() const noexcept { return intercepted_; }
@@ -94,9 +100,13 @@ class Monitor final : public posix::IoObserver {
   TraceSink trace_sink_{trace_};
   ProfileSink profile_sink_{profile_};
   std::vector<EventSink*> sinks_;    ///< the dispatch chain
+  ColumnScratch pending_;            ///< calls not yet handed on
   std::vector<std::int32_t> phase_;  ///< per-rank current region
   std::uint64_t intercepted_ = 0;
   bool finished_ = false;
+
+  /// Hand the pending batch to every sink.
+  void dispatch();
 };
 
 }  // namespace eio::ipm

@@ -35,17 +35,23 @@ JobReportAccumulator::JobReportAccumulator(std::string experiment,
   bytes_per_rank_.assign(report_.ranks, 0.0);
 }
 
-void JobReportAccumulator::on_event(const TraceEvent& e) {
-  report_.wall_time = std::max(report_.wall_time, e.end());
-  CallStats& s = report_.by_op[e.op];
-  ++s.count;
-  s.bytes += e.bytes;
-  s.total_time += e.duration;
-  s.max_time = std::max(s.max_time, e.duration);
-  report_.total_io_time += e.duration;
-  if (e.rank < report_.ranks) {
-    time_per_rank_[e.rank] += e.duration;
-    bytes_per_rank_[e.rank] += static_cast<double>(e.bytes);
+void JobReportAccumulator::add_batch(const ColumnBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const double duration = batch.duration[i];
+    const Bytes bytes = batch.bytes[i];
+    const RankId rank = batch.rank[i];
+    report_.wall_time =
+        std::max(report_.wall_time, batch.start[i] + duration);
+    CallStats& s = report_.by_op[static_cast<posix::OpType>(batch.op[i])];
+    ++s.count;
+    s.bytes += bytes;
+    s.total_time += duration;
+    s.max_time = std::max(s.max_time, duration);
+    report_.total_io_time += duration;
+    if (rank < report_.ranks) {
+      time_per_rank_[rank] += duration;
+      bytes_per_rank_[rank] += static_cast<double>(bytes);
+    }
   }
 }
 
@@ -60,14 +66,14 @@ JobReport JobReportAccumulator::report() const {
 }
 
 JobReport summarize(const Trace& trace) {
-  JobReportAccumulator acc(trace.experiment(), trace.ranks());
-  for (const TraceEvent& e : trace.events()) acc.add(e);
-  return acc.report();
+  return summarize(MemoryTraceSource(trace));
 }
 
 JobReport summarize(const TraceSource& source) {
   JobReportAccumulator acc(source.meta().experiment, source.meta().ranks);
-  source.for_each([&acc](const TraceEvent& e) { acc.add(e); });
+  source.for_each_columns(kColStart | kColDuration | kColOp | kColRank |
+                              kColBytes,
+                          [&acc](const ColumnBatch& b) { acc.add_batch(b); });
   return acc.report();
 }
 

@@ -75,8 +75,7 @@ class JobReportAccumulator final : public EventSink {
  public:
   JobReportAccumulator(std::string experiment, std::uint32_t ranks);
 
-  void on_event(const TraceEvent& event) override;
-  void add(const TraceEvent& event) { on_event(event); }
+  void add_batch(const ColumnBatch& batch) override;
 
   /// The summary of everything seen so far.
   [[nodiscard]] JobReport report() const;

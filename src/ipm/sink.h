@@ -2,19 +2,22 @@
 //
 // The paper's §VI argues the tracing paradigm must give way to
 // scalable statistical capture — "from events to ensembles" as an
-// architecture. An EventSink receives each completed call exactly once,
-// as it happens, and decides what bounded state to keep. The Monitor
-// drives a chain of sinks, so full tracing, in-situ profiling, on-line
-// statistics and streaming file emission are all the same mechanism:
-// one event dispatched to N accumulators, none of which needs the
-// whole trace in memory.
+// architecture. An EventSink receives every completed call exactly
+// once, in completion order, as columnar batches (the Monitor buffers
+// one chunk of calls and hands it on), and decides what bounded state
+// to keep. The Monitor drives a chain of sinks, so full tracing,
+// in-situ profiling, on-line statistics and streaming file emission
+// are all the same mechanism: one batch dispatched to N accumulators,
+// none of which needs the whole trace in memory. The analysis kernels
+// take the same batches from a trace file, so a sink computes the same
+// state live as it does offline.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
+#include "ipm/columns.h"
 #include "ipm/profile.h"
 #include "ipm/trace.h"
 
@@ -25,8 +28,10 @@ class EventSink {
  public:
   virtual ~EventSink() = default;
 
-  /// One completed, phase-tagged call.
-  virtual void on_event(const TraceEvent& event) = 0;
+  /// The next run of completed, phase-tagged calls, every column
+  /// present. Batch boundaries carry no meaning: a sink's state must
+  /// not depend on how the stream was cut.
+  virtual void add_batch(const ColumnBatch& batch) = 0;
 
   /// Capture is over; flush any buffered state (e.g. a trailing chunk
   /// and footer index for file writers). Must be idempotent.
@@ -38,7 +43,11 @@ class EventSink {
 class TraceSink final : public EventSink {
  public:
   explicit TraceSink(Trace& trace) : trace_(&trace) {}
-  void on_event(const TraceEvent& event) override { trace_->add(event); }
+  void add_batch(const ColumnBatch& batch) override {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      trace_->add(batch.event_at(i));
+    }
+  }
 
  private:
   Trace* trace_;
@@ -49,24 +58,27 @@ class TraceSink final : public EventSink {
 class ProfileSink final : public EventSink {
  public:
   explicit ProfileSink(Profile& profile) : profile_(&profile) {}
-  void on_event(const TraceEvent& event) override {
-    profile_->observe(event.op, event.bytes, event.duration);
+  void add_batch(const ColumnBatch& batch) override {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      profile_->observe(static_cast<posix::OpType>(batch.op[i]),
+                        batch.bytes[i], batch.duration[i]);
+    }
   }
 
  private:
   Profile* profile_;
 };
 
-/// Fan-out: one event dispatched to N member sinks in order. Members
+/// Fan-out: one batch dispatched to N member sinks in order. Members
 /// are borrowed shared_ptrs so a caller can keep a typed handle to
-/// each (e.g. a SummarySink plus a monitor::HealthSink on one run).
+/// each (e.g. a SummarySink plus a monitor::HealthKernel on one run).
 class FanoutSink final : public EventSink {
  public:
   explicit FanoutSink(std::vector<std::shared_ptr<EventSink>> sinks)
       : sinks_(std::move(sinks)) {}
 
-  void on_event(const TraceEvent& event) override {
-    for (const auto& s : sinks_) s->on_event(event);
+  void add_batch(const ColumnBatch& batch) override {
+    for (const auto& s : sinks_) s->add_batch(batch);
   }
   void finish() override {
     for (const auto& s : sinks_) s->finish();
@@ -74,17 +86,6 @@ class FanoutSink final : public EventSink {
 
  private:
   std::vector<std::shared_ptr<EventSink>> sinks_;
-};
-
-/// Adapter for ad-hoc consumers (tests, lambdas).
-class FunctionSink final : public EventSink {
- public:
-  explicit FunctionSink(std::function<void(const TraceEvent&)> fn)
-      : fn_(std::move(fn)) {}
-  void on_event(const TraceEvent& event) override { fn_(event); }
-
- private:
-  std::function<void(const TraceEvent&)> fn_;
 };
 
 }  // namespace eio::ipm

@@ -57,18 +57,19 @@ TraceFileSink::TraceFileSink(std::string path, TraceFormat format,
                                               ranks_);
   } else {
     rows_ = std::make_unique<PendingFile>(file_.path() + ".rows");
-    rows_->stream().precision(kTsvPrecision);
   }
 }
 
 TraceFileSink::~TraceFileSink() = default;
 
-void TraceFileSink::on_event(const TraceEvent& event) {
-  ++events_;
+void TraceFileSink::add_batch(const ColumnBatch& batch) {
+  events_ += batch.size();
   if (writer_) {
-    writer_->add(event);
-  } else {
-    write_tsv_event(rows_->stream(), event);
+    writer_->add_batch(batch);
+    return;
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    write_tsv_event(rows_->stream(), batch.event_at(i));
   }
 }
 

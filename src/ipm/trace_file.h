@@ -64,7 +64,7 @@ class TraceFileSink final : public EventSink {
                 std::uint32_t ranks);
   ~TraceFileSink() override;
 
-  void on_event(const TraceEvent& event) override;
+  void add_batch(const ColumnBatch& batch) override;
 
   /// Complete the file under its temporary name and close every
   /// descriptor it holds. Idempotent and never throws: a failed write

@@ -10,52 +10,14 @@
 
 namespace eio::ipm {
 
-namespace {
-
-/// Shred a per-event pass into column batches of kDefaultBatchEvents
-/// rows — the columnar view of a source without native chunks.
-template <typename Pass>
-void shred_pass(const Pass& pass, ColumnMask mask,
-                const ColumnBatchVisitor& visit) {
-  std::vector<TraceEvent> buffer;
-  buffer.reserve(TraceSource::kDefaultBatchEvents);
-  ColumnScratch scratch;
-  auto flush = [&] {
-    visit(shred(std::span<const TraceEvent>(buffer), scratch, mask));
-    buffer.clear();
-  };
-  pass([&](const TraceEvent& e) {
-    buffer.push_back(e);
-    if (buffer.size() == TraceSource::kDefaultBatchEvents) flush();
-  });
-  if (!buffer.empty()) flush();
-}
-
-}  // namespace
-
-void TraceSource::for_each_columns(ColumnMask mask,
-                                   const ColumnBatchVisitor& visit) const {
-  shred_pass([this](const EventVisitor& v) { for_each(v); }, mask, visit);
-}
-
-void TraceSource::for_each_columns_hinted(
-    const ChunkHint& hint, ColumnMask mask,
-    const ColumnBatchVisitor& visit) const {
-  shred_pass([this, &hint](const EventVisitor& v) { for_each_hinted(hint, v); },
-             mask, visit);
-}
-
 double TraceSource::time_span() const {
   double span = 0.0;
-  for_each([&span](const TraceEvent& e) { span = std::max(span, e.end()); });
+  for_each_columns(kColStart | kColDuration, [&span](const ColumnBatch& b) {
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      span = std::max(span, b.start[i] + b.duration[i]);
+    }
+  });
   return span;
-}
-
-std::uint64_t TraceSource::event_count() const {
-  if (meta().declared_events) return *meta().declared_events;
-  std::uint64_t n = 0;
-  for_each([&n](const TraceEvent&) { ++n; });
-  return n;
 }
 
 MemoryTraceSource::MemoryTraceSource(const Trace& trace) : trace_(&trace) {
@@ -64,23 +26,12 @@ MemoryTraceSource::MemoryTraceSource(const Trace& trace) : trace_(&trace) {
   meta_.declared_events = trace.size();
 }
 
-void MemoryTraceSource::for_each(const EventVisitor& visit) const {
-  for (const TraceEvent& e : trace_->events()) visit(e);
-}
-
 void MemoryTraceSource::for_each_columns(
     ColumnMask mask, const ColumnBatchVisitor& visit) const {
   // One shred of the contiguous trace — a single columnar batch.
   if (!trace_->empty()) {
     visit(shred(std::span<const TraceEvent>(trace_->events()), scratch_, mask));
   }
-}
-
-void MemoryTraceSource::for_each_columns_hinted(
-    const ChunkHint& hint, ColumnMask mask,
-    const ColumnBatchVisitor& visit) const {
-  (void)hint;  // full scan is a valid superset
-  for_each_columns(mask, visit);
 }
 
 double MemoryTraceSource::time_span() const { return trace_->span(); }
@@ -117,8 +68,17 @@ std::istream& FileTraceSource::reset_stream() const {
   return stream_;
 }
 
-void FileTraceSource::stream_tsv_pass(const EventVisitor& visit) const {
-  (void)stream_tsv(reset_stream(), visit);
+void FileTraceSource::stream_tsv_pass(ColumnMask mask,
+                                      const ColumnBatchVisitor& visit) const {
+  scratch_.clear();
+  (void)stream_tsv(reset_stream(), [&](const TraceEvent& e) {
+    scratch_.push_back(e);
+    if (scratch_.size() == kDefaultBatchEvents) {
+      visit(scratch_.view(mask));
+      scratch_.clear();
+    }
+  });
+  if (scratch_.size() > 0) visit(scratch_.view(mask));
 }
 
 ColumnBatch FileTraceSource::decode_columns(std::size_t i,
@@ -150,38 +110,13 @@ void FileTraceSource::scan_chunk_columns(
   }
 }
 
-void FileTraceSource::scan_chunk_events(const ChunkHint* hint,
-                                        const EventVisitor& visit) const {
-  scan_chunk_columns(hint, kColAll, [&](const ColumnBatch& batch) {
-    unshred(batch, batch_);
-    for (const TraceEvent& e : batch_) visit(e);
-  });
-}
-
-void FileTraceSource::for_each(const EventVisitor& visit) const {
-  if (index_) {
-    scan_chunk_events(nullptr, visit);
-    return;
-  }
-  stream_tsv_pass(visit);
-}
-
-void FileTraceSource::for_each_hinted(const ChunkHint& hint,
-                                      const EventVisitor& visit) const {
-  if (index_) {
-    scan_chunk_events(&hint, visit);
-    return;
-  }
-  stream_tsv_pass(visit);
-}
-
 void FileTraceSource::for_each_columns(ColumnMask mask,
                                        const ColumnBatchVisitor& visit) const {
   if (index_) {
     scan_chunk_columns(nullptr, mask, visit);
     return;
   }
-  TraceSource::for_each_columns(mask, visit);
+  stream_tsv_pass(mask, visit);
 }
 
 void FileTraceSource::for_each_columns_hinted(
@@ -191,7 +126,7 @@ void FileTraceSource::for_each_columns_hinted(
     scan_chunk_columns(&hint, mask, visit);
     return;
   }
-  TraceSource::for_each_columns_hinted(hint, mask, visit);
+  stream_tsv_pass(mask, visit);
 }
 
 double FileTraceSource::time_span() const {

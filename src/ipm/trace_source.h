@@ -10,16 +10,14 @@
 // the source skip whole chunks whose footer metadata cannot match,
 // turning filtered scans into selective reads.
 //
-// Two dispatch granularities are offered: for_each (one visitor call
-// per event) and for_each_columns (one ColumnBatch per run of
-// consecutive events — a decoded chunk, or the whole in-memory trace —
-// restricted to a ColumnMask). The columnar form is the hot path: the
-// per-event std::function indirection disappears from the
-// decode→accumulate loop, on v3 files unneeded columns are never
-// decoded — and with the mmap path the needed ones decode straight
-// from page cache — while every other source shreds its rows, so
-// columnar consumers see the identical value sequence from any backing
-// format.
+// One pass family is offered: for_each_columns(_hinted), one
+// ColumnBatch per run of consecutive events — a decoded chunk, a
+// kDefaultBatchEvents run of TSV rows, or the whole in-memory trace —
+// restricted to a ColumnMask. There is no per-event visitor: on v3
+// files unneeded columns are never decoded — and with the mmap path
+// the needed ones decode straight from page cache — while TSV and
+// in-memory sources shred their rows, so consumers see the identical
+// value sequence from any backing format.
 #pragma once
 
 #include <algorithm>
@@ -113,38 +111,28 @@ class TraceSource {
   /// the backing format declares it).
   [[nodiscard]] virtual const TraceMeta& meta() const = 0;
 
-  /// Visit every event in stored order. May be called repeatedly; each
-  /// call replays the full stream.
-  virtual void for_each(const EventVisitor& visit) const = 0;
-
-  /// Visit events from chunks a hint admits. Default: full scan (exact
-  /// for any source, since hints only promise a superset).
-  virtual void for_each_hinted(const ChunkHint& hint,
-                               const EventVisitor& visit) const {
-    (void)hint;
-    for_each(visit);
-  }
-
   /// Visit every event as columnar batches with (at least) the masked
-  /// columns materialized. Column order is event order, so folding a
-  /// ColumnBatch index 0..n-1 is value-identical to folding the same
-  /// run of rows. Default: shred kDefaultBatchEvents rows at a time
-  /// from for_each; columnar-native sources decode only what the mask
-  /// asks for.
+  /// columns materialized. May be called repeatedly; each call replays
+  /// the full stream. Column order is event order.
   virtual void for_each_columns(ColumnMask mask,
-                                const ColumnBatchVisitor& visit) const;
+                                const ColumnBatchVisitor& visit) const = 0;
 
-  /// Columnar form of for_each_hinted (same superset contract).
+  /// Visit the batches of chunks a hint admits — a superset of the
+  /// matching events, so visitors still filter exactly. Default: full
+  /// scan (exact for any source).
   virtual void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
-                                       const ColumnBatchVisitor& visit) const;
+                                       const ColumnBatchVisitor& visit) const {
+    (void)hint;
+    for_each_columns(mask, visit);
+  }
 
   /// Wall-clock span covered by the stream (latest event end time; 0
   /// when empty) — the batch Trace::span() semantics. Default: one
   /// pass; indexed sources answer from chunk metadata.
   [[nodiscard]] virtual double time_span() const;
 
-  /// Total events (one pass when the format does not declare it).
-  [[nodiscard]] virtual std::uint64_t event_count() const;
+  /// Total events.
+  [[nodiscard]] virtual std::uint64_t event_count() const = 0;
 };
 
 /// Non-owning view over an in-memory Trace.
@@ -153,11 +141,8 @@ class MemoryTraceSource final : public TraceSource {
   explicit MemoryTraceSource(const Trace& trace);
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each(const EventVisitor& visit) const override;
   void for_each_columns(ColumnMask mask,
                         const ColumnBatchVisitor& visit) const override;
-  void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
-                               const ColumnBatchVisitor& visit) const override;
   [[nodiscard]] double time_span() const override;
   [[nodiscard]] std::uint64_t event_count() const override;
 
@@ -185,9 +170,6 @@ class FileTraceSource final : public TraceSource {
   explicit FileTraceSource(std::string path);
 
   [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each(const EventVisitor& visit) const override;
-  void for_each_hinted(const ChunkHint& hint,
-                       const EventVisitor& visit) const override;
   void for_each_columns(ColumnMask mask,
                         const ColumnBatchVisitor& visit) const override;
   void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
@@ -207,8 +189,9 @@ class FileTraceSource final : public TraceSource {
  private:
   /// Rewind the cached stream for a fresh pass.
   [[nodiscard]] std::istream& reset_stream() const;
-  /// Replay a TSV file through the cached stream.
-  void stream_tsv_pass(const EventVisitor& visit) const;
+  /// Replay a TSV file through the cached stream, shredding
+  /// kDefaultBatchEvents rows per batch.
+  void stream_tsv_pass(ColumnMask mask, const ColumnBatchVisitor& visit) const;
   /// Decode indexed chunk i as columns (mask-restricted). Spans are
   /// valid until the next decode.
   [[nodiscard]] ColumnBatch decode_columns(std::size_t i,
@@ -217,9 +200,6 @@ class FileTraceSource final : public TraceSource {
   /// batch to `visit` (all chunks when hint is null).
   void scan_chunk_columns(const ChunkHint* hint, ColumnMask mask,
                           const ColumnBatchVisitor& visit) const;
-  /// Replay the admitted indexed chunks event by event.
-  void scan_chunk_events(const ChunkHint* hint,
-                         const EventVisitor& visit) const;
 
   std::string path_;
   TraceFormat format_;
@@ -228,9 +208,8 @@ class FileTraceSource final : public TraceSource {
   mutable std::ifstream stream_;
   std::unique_ptr<const MappedFile> map_;  ///< v3 zero-copy image
   // Per-pass scratch, reused so a pass costs zero steady-state
-  // allocations (one chunk's worth of bytes + decoded columns/events).
+  // allocations (one chunk's worth of bytes + decoded columns).
   mutable std::vector<char> raw_;
-  mutable std::vector<TraceEvent> batch_;
   mutable ColumnScratch scratch_;
 };
 

@@ -1,11 +1,14 @@
 #include "ipm/trace_stream.h"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -107,13 +110,37 @@ void write_tsv_header(std::ostream& out, const std::string& experiment,
   out << "# ipm-io-trace v1\texperiment=" << experiment << "\tranks=" << ranks
       << "\tevents=" << events << "\n";
   out << "start\tduration\top\trank\tfile\toffset\tbytes\tphase\n";
-  out.precision(kTsvPrecision);
 }
 
 void write_tsv_event(std::ostream& out, const TraceEvent& e) {
-  out << e.start << '\t' << e.duration << '\t' << posix::op_name(e.op) << '\t'
-      << e.rank << '\t' << e.file << '\t' << e.offset << '\t' << e.bytes
-      << '\t' << e.phase << '\n';
+  // Two %.9g doubles (at most 16 characters each), a short op name,
+  // five integers of at most 20 characters and eight separators. Each
+  // field leaves room for its separator.
+  char row[192];
+  char* p = row;
+  char* const end = row + sizeof row;
+  auto field = [&p, end](auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      p = std::to_chars(p, end - 1, value, std::chars_format::general,
+                        kTsvPrecision).ptr;
+    } else {
+      p = std::to_chars(p, end - 1, value).ptr;
+    }
+    *p++ = '\t';
+  };
+  field(e.start);
+  field(e.duration);
+  const std::string_view op = posix::op_name(e.op);
+  const auto room = static_cast<std::size_t>(end - 1 - p);
+  p = std::copy_n(op.data(), std::min(op.size(), room), p);
+  *p++ = '\t';
+  field(e.rank);
+  field(e.file);
+  field(e.offset);
+  field(e.bytes);
+  field(e.phase);
+  p[-1] = '\n';
+  out.write(row, p - row);
 }
 
 std::uint64_t chunk_byte_length(const TraceIndex& index, std::size_t i) {

@@ -52,9 +52,8 @@ enum class TraceFormat : std::uint8_t { kTsv, kBinaryV3 };
 /// on any malformed, truncated, or count-mismatched input.
 TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit);
 
-/// Significant digits of the time columns in TSV rows. write_tsv_header
-/// sets it on its stream; a stream that carries rows without the
-/// header must set it itself.
+/// Significant digits of the time columns in TSV rows: each is
+/// formatted as printf's "%.9g" would, whatever the stream's state.
 inline constexpr int kTsvPrecision = 9;
 
 /// Streaming TSV writer. The header declares the event count, so

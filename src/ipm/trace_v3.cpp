@@ -166,16 +166,8 @@ void decode_column(int col, const ColHeader& h, const char* payload,
 [[nodiscard]] ColumnBatch batch_from_scratch(const ColumnScratch& s,
                                              ColumnMask mask,
                                              std::uint64_t count) {
-  ColumnBatch batch;
+  ColumnBatch batch = s.view(mask);
   batch.events = static_cast<std::size_t>(count);
-  if (mask & kColStart) batch.start = s.start;
-  if (mask & kColDuration) batch.duration = s.duration;
-  if (mask & kColOp) batch.op = s.op;
-  if (mask & kColRank) batch.rank = s.rank;
-  if (mask & kColFile) batch.file = s.file;
-  if (mask & kColOffset) batch.offset = s.offset;
-  if (mask & kColBytes) batch.bytes = s.bytes;
-  if (mask & kColPhase) batch.phase = s.phase;
   return batch;
 }
 
@@ -253,7 +245,6 @@ TraceWriterV3::TraceWriterV3(std::ostream& out, std::string experiment,
                              std::uint32_t ranks, Options options)
     : out_(&out), options_(options) {
   if (options_.chunk_events == 0) options_.chunk_events = 1;
-  buffer_.reserve(options_.chunk_events);
   wire::write_header(out, ranks, experiment);
 }
 
@@ -267,9 +258,28 @@ TraceWriterV3::~TraceWriterV3() {
 }
 
 void TraceWriterV3::add(const TraceEvent& event) {
-  buffer_.push_back(event);
+  pending_.push_back(event);
   ++total_events_;
-  if (buffer_.size() >= options_.chunk_events) flush_chunk();
+  if (pending_.size() >= options_.chunk_events) flush_chunk();
+}
+
+void TraceWriterV3::add_batch(const ColumnBatch& batch) {
+  const std::size_t chunk = options_.chunk_events;
+  std::size_t done = 0;
+  while (done < batch.size()) {
+    const std::size_t take =
+        std::min(chunk - pending_.size(), batch.size() - done);
+    if (take == chunk) {
+      write_chunk(batch.slice(done, take));
+    } else {
+      for (std::size_t i = done; i < done + take; ++i) {
+        pending_.push_back(batch.event_at(i));
+      }
+      if (pending_.size() == chunk) flush_chunk();
+    }
+    done += take;
+  }
+  total_events_ += batch.size();
 }
 
 void TraceWriterV3::write_column(std::uint8_t base_enc) {
@@ -290,58 +300,53 @@ void TraceWriterV3::write_column(std::uint8_t base_enc) {
 }
 
 void TraceWriterV3::flush_chunk() {
-  if (buffer_.empty()) return;
+  if (pending_.size() == 0) return;
+  write_chunk(pending_.view());
+  pending_.clear();
+}
+
+void TraceWriterV3::write_chunk(const ColumnBatch& rows) {
   OBS_SPAN("v3.flush_chunk");
   OBS_COUNTER_ADD("v3.chunks_written", 1);
-  OBS_COUNTER_ADD("v3.events_written", buffer_.size());
-  const std::size_t n = buffer_.size();
+  OBS_COUNTER_ADD("v3.events_written", rows.size());
+  const std::size_t n = rows.size();
   ChunkMeta meta;
   meta.offset = static_cast<std::uint64_t>(out_->tellp());
-  for (const TraceEvent& e : buffer_) wire::fold_into(meta, e);
+  for (std::size_t i = 0; i < n; ++i) wire::fold_into(meta, rows, i);
   wire::put<std::uint8_t>(*out_, wire::kChunkTag);
   wire::put_varint(*out_, n);
 
   // start, duration: raw little-endian f64.
-  col_buf_.resize(n * sizeof(double));
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(col_buf_.data() + i * sizeof(double), &buffer_[i].start,
-                sizeof(double));
+  for (std::span<const double> column : {rows.start, rows.duration}) {
+    col_buf_.resize(n * sizeof(double));
+    if (n > 0) std::memcpy(col_buf_.data(), column.data(), n * sizeof(double));
+    write_column(kEncRawF64);
   }
-  write_column(kEncRawF64);
-  col_buf_.resize(n * sizeof(double));
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(col_buf_.data() + i * sizeof(double), &buffer_[i].duration,
-                sizeof(double));
-  }
-  write_column(kEncRawF64);
 
   // op: plain varint.
   col_buf_.clear();
-  for (const TraceEvent& e : buffer_) {
-    wire::append_varint(col_buf_, static_cast<std::uint64_t>(e.op));
-  }
+  for (std::uint8_t op : rows.op) wire::append_varint(col_buf_, op);
   write_column(kEncVarint);
 
   // rank, file, offset, bytes, zigzag(phase): delta+zigzag varint.
-  auto write_delta = [this](auto&& value_of) {
+  auto write_delta = [this, n](auto&& value_of) {
     col_buf_.clear();
     std::uint64_t prev = 0;
-    for (const TraceEvent& e : buffer_) {
-      std::uint64_t v = value_of(e);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t v = value_of(i);
       wire::append_varint(
           col_buf_, wire::zigzag(static_cast<std::int64_t>(v - prev)));
       prev = v;
     }
     write_column(kEncDelta);
   };
-  write_delta([](const TraceEvent& e) { return std::uint64_t{e.rank}; });
-  write_delta([](const TraceEvent& e) { return std::uint64_t{e.file}; });
-  write_delta([](const TraceEvent& e) { return std::uint64_t{e.offset}; });
-  write_delta([](const TraceEvent& e) { return std::uint64_t{e.bytes}; });
-  write_delta([](const TraceEvent& e) { return wire::zigzag(e.phase); });
+  write_delta([&rows](std::size_t i) { return std::uint64_t{rows.rank[i]}; });
+  write_delta([&rows](std::size_t i) { return std::uint64_t{rows.file[i]}; });
+  write_delta([&rows](std::size_t i) { return std::uint64_t{rows.offset[i]}; });
+  write_delta([&rows](std::size_t i) { return std::uint64_t{rows.bytes[i]}; });
+  write_delta([&rows](std::size_t i) { return wire::zigzag(rows.phase[i]); });
 
   chunks_.push_back(meta);
-  buffer_.clear();
 }
 
 void TraceWriterV3::finish() {

@@ -50,7 +50,8 @@ namespace eio::ipm {
 /// monitor can emit an indexed trace file without ever materializing
 /// the event list. Chunk boundaries fix the per-chunk reservoir
 /// substreams of chunk-partial analysis, so the default chunk size is
-/// part of the output contract.
+/// part of the output contract: chunks hold exactly chunk_events rows
+/// (the last one fewer) whatever the sizes of the batches fed in.
 class TraceWriterV3 final : public EventSink {
  public:
   struct Options {
@@ -67,8 +68,11 @@ class TraceWriterV3 final : public EventSink {
   TraceWriterV3(const TraceWriterV3&) = delete;
   TraceWriterV3& operator=(const TraceWriterV3&) = delete;
 
+  /// Append one row (for writers fed from in-memory rows).
   void add(const TraceEvent& event);
-  void on_event(const TraceEvent& event) override { add(event); }
+  /// Append an all-column batch. A run of rows that fills a whole
+  /// chunk is encoded straight from the batch, without buffering.
+  void add_batch(const ColumnBatch& batch) override;
 
   /// Flush the trailing chunk and write the footer index + trailer.
   /// Idempotent; called by the destructor if the caller forgot, but
@@ -83,12 +87,15 @@ class TraceWriterV3 final : public EventSink {
   }
 
  private:
+  /// Encode the buffered rows as one chunk.
   void flush_chunk();
+  /// Encode `rows` (all columns) as one chunk.
+  void write_chunk(const ColumnBatch& rows);
   void write_column(std::uint8_t base_enc);
 
   std::ostream* out_;
   Options options_;
-  std::vector<TraceEvent> buffer_;
+  ColumnScratch pending_;  ///< rows of the chunk being filled
   std::vector<ChunkMeta> chunks_;
   std::vector<char> col_buf_;  ///< plain column payload being built
   std::vector<char> rle_buf_;  ///< RLE candidate for the same payload

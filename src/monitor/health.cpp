@@ -64,22 +64,11 @@ HealthKernel::HealthKernel(HealthOptions options, std::size_t chunk)
   EIO_CHECK_MSG(options_.stride >= 1, "health monitor: stride must be >= 1");
 }
 
-void HealthKernel::add(const ipm::TraceEvent& e) {
-  if (!options_.enabled) return;
-  const std::uint64_t idx = consumed_++;
-  const bool interesting =
-      e.op == posix::OpType::kFault ||
-      (is_data_op(e.op) && e.bytes >= options_.stripe_size / 4);
-  if (!interesting) return;
-  admit(e.start, e.duration, e.op, e.rank, e.file, e.offset, e.phase, idx);
-}
-
 void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
   if (!options_.enabled) return;
-  // Columnar fast path: the admission filter reads only op and bytes,
-  // so rejected rows (the common case on mixed traces) cost two column
-  // reads, and admitted rows pass on only the columns the detectors
-  // read. Same admission + indexing as add().
+  // The admission filter reads only op and bytes, so rejected rows
+  // (the common case on mixed traces) cost two column reads, and
+  // admitted rows pass on only the columns the detectors read.
   const Bytes admit_bytes = options_.stripe_size / 4;
   auto interesting = [&b, admit_bytes](std::size_t i) {
     const auto op = static_cast<posix::OpType>(b.op[i]);

@@ -141,17 +141,17 @@ struct HealthOptions {
 };
 
 /// The streaming health monitor as an analysis kernel (models
-/// analysis::Kernel; see the determinism contract above). Construct
-/// with chunk 0 for the rooted, immediately-evaluating instance — the
-/// serial scan path and the EventSink wrapper below — or chunk > 0
-/// for a buffering partial that replays on merge.
-class HealthKernel {
+/// analysis::Kernel; see the determinism contract above) and a capture
+/// sink. Construct with chunk 0 for the rooted, immediately-evaluating
+/// instance — the serial scan path and the live monitor of a
+/// simulated run — or chunk > 0 for a buffering partial that replays
+/// on merge.
+class HealthKernel final : public ipm::EventSink {
  public:
   HealthKernel() : HealthKernel(HealthOptions{}, 0) {}
   explicit HealthKernel(HealthOptions options, std::size_t chunk = 0);
 
-  void add(const ipm::TraceEvent& e);
-  void add_batch(const ipm::ColumnBatch& b);
+  void add_batch(const ipm::ColumnBatch& b) override;
 
   /// Fold a later-stream partial into this one (kernel contract:
   /// merging chunk partials in chunk order == one serial pass).
@@ -165,7 +165,7 @@ class HealthKernel {
   /// End of stream: close open phases, run a final trailing-window
   /// evaluation, and leave unresolved incidents open (clear_event
   /// stays -1). Idempotent; only meaningful on the rooted kernel.
-  void finish();
+  void finish() override;
 
   [[nodiscard]] const HealthOptions& options() const noexcept {
     return options_;
@@ -302,24 +302,6 @@ class HealthKernel {
 };
 
 static_assert(analysis::Kernel<HealthKernel>);
-
-/// EventSink adapter: live monitoring during simulation (the --monitor
-/// path of `eiotrace simulate`). Wraps a rooted kernel; finish() seals
-/// the stream.
-class HealthSink final : public ipm::EventSink {
- public:
-  explicit HealthSink(HealthOptions options)
-      : kernel_(std::move(options), 0) {}
-
-  void on_event(const ipm::TraceEvent& event) override { kernel_.add(event); }
-  void finish() override { kernel_.finish(); }
-
-  [[nodiscard]] HealthKernel& kernel() noexcept { return kernel_; }
-  [[nodiscard]] const HealthKernel& kernel() const noexcept { return kernel_; }
-
- private:
-  HealthKernel kernel_;
-};
 
 /// Serialize incidents as JSONL (one object per line, fixed key order,
 /// %.9g doubles): deterministic given deterministic incidents. `run`

@@ -38,12 +38,18 @@ std::vector<RunResult> ParallelEnsembleRunner::run_jobs(
 
   // Work-stealing by atomic index: each worker claims the next
   // unstarted run. Every run builds its own RunInstance, so workers
-  // share only the read-only specs and disjoint result slots.
+  // share only the read-only specs and disjoint result slots. After a
+  // failure no worker starts another run; runs already started finish.
+  // Runs are claimed in index order, so every run below the lowest
+  // failed index has started, and rethrowing that run's error reports
+  // what the serial loop would.
   std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
   std::mutex error_mutex;
-  std::exception_ptr first_error;
+  std::size_t error_index = specs.size();
+  std::exception_ptr error;
   auto worker = [&] {
-    for (;;) {
+    while (!failed.load(std::memory_order_acquire)) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= specs.size()) return;
       try {
@@ -52,8 +58,12 @@ std::vector<RunResult> ParallelEnsembleRunner::run_jobs(
         results[i] = run.execute();
         OBS_COUNTER_ADD("ensemble.runs_completed", 1);
       } catch (...) {
+        failed.store(true, std::memory_order_release);
         std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
       }
     }
   };
@@ -62,7 +72,7 @@ std::vector<RunResult> ParallelEnsembleRunner::run_jobs(
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
   return results;
 }
 

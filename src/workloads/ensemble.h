@@ -40,8 +40,9 @@ class ParallelEnsembleRunner {
   [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
 
   /// Execute arbitrary job specs concurrently; results land in input
-  /// order. If any run throws, the remaining runs still execute and
-  /// the first exception is rethrown after the pool drains.
+  /// order. If any run throws, no further run starts, runs already
+  /// started finish, and the error of the lowest-index failed run —
+  /// the one a serial loop reports — is rethrown.
   [[nodiscard]] std::vector<RunResult> run_jobs(
       const std::vector<JobSpec>& specs) const;
 

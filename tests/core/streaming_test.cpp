@@ -133,18 +133,17 @@ TEST(StreamingEquivalenceTest, HistogramBinsMatchFromSamples) {
       // The streaming path: extrema pass, padded_range, fill pass —
       // fed from a TraceSource, not the vector.
       MemoryTraceSource source(t);
+      const std::vector<double> streamed_d = durations(source, write_filter);
       double lo = 0.0, hi = 0.0;
       std::size_t n = 0;
-      for_each_matching(source, write_filter, [&](const ipm::TraceEvent& e) {
-        lo = n == 0 ? e.duration : std::min(lo, e.duration);
-        hi = n == 0 ? e.duration : std::max(hi, e.duration);
+      for (double x : streamed_d) {
+        lo = n == 0 ? x : std::min(lo, x);
+        hi = n == 0 ? x : std::max(hi, x);
         ++n;
-      });
+      }
       stats::Histogram::Range range = stats::Histogram::padded_range(lo, hi, scale);
       stats::Histogram streamed(scale, range.lo, range.hi, 40);
-      for_each_matching(source, write_filter, [&](const ipm::TraceEvent& e) {
-        streamed.add(e.duration);
-      });
+      for (double x : streamed_d) streamed.add(x);
 
       EXPECT_DOUBLE_EQ(streamed.lo(), batch.lo()) << t.experiment();
       EXPECT_DOUBLE_EQ(streamed.hi(), batch.hi()) << t.experiment();
@@ -163,7 +162,9 @@ TEST(StreamingEquivalenceTest, ReservoirKeepsKsInputsExact) {
 
     SummarySink sink(f);
     MemoryTraceSource source(t);
-    source.for_each([&sink](const ipm::TraceEvent& e) { sink.on_event(e); });
+    source.for_each_columns(
+        sink.required_columns(),
+        [&sink](const ipm::ColumnBatch& b) { sink.add_batch(b); });
     const stats::ReservoirSampler& r = sink.summary().reservoir();
 
     // Below capacity the reservoir holds the stream verbatim, so the
@@ -199,7 +200,9 @@ TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
     }
     PhaseSummarySink sink{{}};
     MemoryTraceSource source(t);
-    source.for_each([&sink](const ipm::TraceEvent& e) { sink.on_event(e); });
+    source.for_each_columns(
+        sink.required_columns(),
+        [&sink](const ipm::ColumnBatch& b) { sink.add_batch(b); });
     ASSERT_EQ(sink.by_phase().size(), batch.size()) << t.experiment();
     for (const auto& [phase, ds] : batch) {
       auto it = sink.by_phase().find(phase);
@@ -466,13 +469,12 @@ TEST(MergeKernelsTest, PhaseSummarySinkMergeMatchesSingleSink) {
     PhaseSummarySink whole{{}};
     PhaseSummarySink left{{}};
     PhaseSummarySink right{{}};
-    std::size_t n = 0;
+    const std::span<const ipm::TraceEvent> rows(t.events());
     const std::size_t half = t.size() / 2;
-    MemoryTraceSource source(t);
-    source.for_each([&](const ipm::TraceEvent& e) {
-      whole.on_event(e);
-      (n++ < half ? left : right).on_event(e);
-    });
+    ipm::ColumnScratch scratch;
+    whole.add_batch(ipm::shred(rows, scratch));
+    left.add_batch(ipm::shred(rows.first(half), scratch));
+    right.add_batch(ipm::shred(rows.subspan(half), scratch));
     left.merge(right);
     ASSERT_EQ(left.by_phase().size(), whole.by_phase().size())
         << t.experiment();

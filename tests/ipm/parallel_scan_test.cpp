@@ -119,7 +119,8 @@ ipm::Trace monotonic_trace(std::size_t events) {
 stats::StreamingSummary serial_summary(const ipm::TraceSource& source,
                                        const EventFilter& filter) {
   SummarySink sink(filter);
-  source.for_each([&sink](const ipm::TraceEvent& e) { sink.on_event(e); });
+  source.for_each_columns(
+      ipm::kColAll, [&sink](const ipm::ColumnBatch& b) { sink.add_batch(b); });
   return sink.summary();
 }
 
@@ -405,8 +406,9 @@ TEST(ParallelScanTest, PhaseSummariesMatchSerialSink) {
     ipm::ParallelTraceScanner scanner(path, {.jobs = 4});
 
     PhaseSummarySink serial{{}};
-    source.for_each(
-        [&serial](const ipm::TraceEvent& e) { serial.on_event(e); });
+    source.for_each_columns(ipm::kColAll, [&serial](const ipm::ColumnBatch& b) {
+      serial.add_batch(b);
+    });
     const auto scanned = phases_of(scanner, {});
 
     ASSERT_EQ(scanned.size(), serial.by_phase().size()) << t.experiment();
@@ -428,8 +430,7 @@ TEST(ParallelScanTest, BatchDispatchConcatenatesToEventOrder) {
   ipm::FileTraceSource source(path);
 
   std::vector<double> per_event;
-  source.for_each(
-      [&](const ipm::TraceEvent& e) { per_event.push_back(e.start); });
+  for (const ipm::TraceEvent& e : t.events()) per_event.push_back(e.start);
 
   std::vector<double> batched;
   std::size_t batches = 0;

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <span>
 #include <string>
 
+#include "ipm/columns.h"
 #include "ipm/trace.h"
+#include "ipm/trace_source.h"
 #include "obs/registry.h"
 #include "support/temp_path.h"
 
@@ -55,8 +59,15 @@ std::size_t temp_files(const std::string& dir) {
   return n;
 }
 
+/// Feed a trace's rows in the capture path's batches.
 void stream_into(TraceFileSink& sink, const Trace& t) {
-  for (const TraceEvent& e : t.events()) sink.on_event(e);
+  constexpr std::size_t kBatch = TraceSource::kDefaultBatchEvents;
+  ColumnScratch scratch;
+  const std::span<const TraceEvent> rows(t.events());
+  for (std::size_t i = 0; i < rows.size(); i += kBatch) {
+    sink.add_batch(
+        shred(rows.subspan(i, std::min(kBatch, rows.size() - i)), scratch));
+  }
 }
 
 class TraceFileSinkTest : public ::testing::TestWithParam<TraceFormat> {

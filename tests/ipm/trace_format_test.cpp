@@ -4,10 +4,14 @@
 // capture-side sinks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "ipm/sink.h"
 #include "ipm/trace.h"
@@ -70,6 +74,76 @@ TEST(TraceFormatTest, TsvHeaderCountMismatchThrows) {
   EXPECT_THROW((void)Trace::read(damaged), std::runtime_error);
 }
 
+/// Time values where %.9g formatting is easy to get wrong: denormals,
+/// signed zeros, extreme exponents, integers up to 2^53, values on
+/// rounding boundaries and accumulated 0.1 sums.
+std::vector<double> tsv_edge_values() {
+  std::vector<double> v = {0.0,
+                           -0.0,
+                           4.9406564584124654e-324,  // smallest denormal
+                           2.2250738585072009e-308,  // largest denormal
+                           2.2250738585072014e-308,  // smallest normal
+                           -3.0e-320,
+                           1e300,
+                           -1e300,
+                           1e-300,
+                           1.7976931348623157e308,
+                           0.1 + 0.2,
+                           123456789.0,
+                           1234567890.0,
+                           999999999.5,
+                           9999999995.0,
+                           0.123456789012,
+                           1e-5,
+                           1e-4 * 0.99999999999,
+                           123456.7895};
+  for (int shift = 0; shift <= 53; ++shift) {
+    const double p = static_cast<double>(std::uint64_t{1} << shift);
+    v.push_back(p);
+    v.push_back(p - 1.0);
+    v.push_back(-p);
+  }
+  double sum = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    sum += 0.1;
+    v.push_back(sum);
+  }
+  return v;
+}
+
+TEST(TraceFormatTest, TsvTimeFieldsFormatLikePrintf) {
+  for (double x : tsv_edge_values()) {
+    TraceEvent e = make_event(x, -x, posix::OpType::kRead, 7, 4096);
+    std::ostringstream row;
+    write_tsv_event(row, e);
+    char want[96];
+    std::snprintf(want, sizeof want, "%.9g\t%.9g\t", x, -x);
+    EXPECT_EQ(row.str().substr(0, std::string(want).size()), want)
+        << "value " << want;
+  }
+}
+
+TEST(TraceFormatTest, TsvRowsMatchTheIostreamFormatting) {
+  // The formatting rows had when they went through operator<< at
+  // precision 9 — the bytes every saved TSV trace holds — including
+  // the integer columns at their extremes.
+  for (double x : tsv_edge_values()) {
+    TraceEvent e = make_event(x, x / 3.0, posix::OpType::kWrite, 4294967295u,
+                              18446744073709551615ull, -2147483647 - 1);
+    e.file = 18446744073709551615ull;
+    e.offset = 0;
+    std::ostringstream want;
+    want.precision(kTsvPrecision);
+    want << e.start << '\t' << e.duration << '\t' << posix::op_name(e.op)
+         << '\t' << e.rank << '\t' << e.file << '\t' << e.offset << '\t'
+         << e.bytes << '\t' << e.phase << '\n';
+    std::ostringstream got;
+    got << std::fixed;  // stream state must not leak into the rows
+    write_tsv_event(got, e);
+    EXPECT_EQ(got.str(), want.str());
+  }
+}
+
 TEST(TraceFormatTest, SniffRejectsUnknownMagic) {
   std::stringstream junk("GARBAGE!definitely not a trace");
   EXPECT_THROW((void)sniff_format(junk), std::runtime_error);
@@ -110,11 +184,10 @@ TEST(TraceFormatTest, FileTraceSourceReportsMetaForAllFormats) {
     EXPECT_EQ(source.meta().experiment, "format-test") << path;
     EXPECT_EQ(source.meta().ranks, 8u) << path;
     EXPECT_EQ(source.event_count(), 9u) << path;
-    std::size_t visited = 0;
-    source.for_each([&visited](const TraceEvent&) { ++visited; });
-    EXPECT_EQ(visited, 9u) << path;
     std::vector<TraceEvent> back;
-    source.for_each([&back](const TraceEvent& e) { back.push_back(e); });
+    source.for_each_columns(kColAll, [&back](const ColumnBatch& b) {
+      for (std::size_t i = 0; i < b.size(); ++i) back.push_back(b.event_at(i));
+    });
     EXPECT_EQ(back.size(), 9u) << path;
     EXPECT_DOUBLE_EQ(back[4].start, 1.0) << path;
   }
@@ -124,18 +197,21 @@ TEST(TraceFormatTest, FileTraceSourceReportsMetaForAllFormats) {
 
 TEST(TraceFormatTest, SinksComposeOnTheCaptureSide) {
   Trace captured("sink", 2);
-  TraceSink trace_sink(captured);
-  std::size_t calls = 0;
-  FunctionSink counter([&calls](const TraceEvent&) { ++calls; });
+  Profile profile;
+  FanoutSink fanout({std::make_shared<TraceSink>(captured),
+                     std::make_shared<ProfileSink>(profile)});
+  std::vector<TraceEvent> rows;
   for (int i = 0; i < 5; ++i) {
-    TraceEvent e = make_event(i, 0.5, posix::OpType::kWrite, 0, 128);
-    trace_sink.on_event(e);
-    counter.on_event(e);
+    rows.push_back(make_event(i, 0.5, posix::OpType::kWrite, 0, 128));
   }
-  trace_sink.finish();
-  counter.finish();
-  EXPECT_EQ(captured.size(), 5u);
-  EXPECT_EQ(calls, 5u);
+  ColumnScratch scratch;
+  const std::span<const TraceEvent> all(rows);
+  fanout.add_batch(shred(all.first(2), scratch));
+  fanout.add_batch(shred(all.subspan(2), scratch));
+  fanout.finish();
+  ASSERT_EQ(captured.size(), 5u);
+  EXPECT_DOUBLE_EQ(captured.events()[3].start, 3.0);
+  EXPECT_EQ(profile.count(posix::OpType::kWrite), 5u);
 }
 
 }  // namespace

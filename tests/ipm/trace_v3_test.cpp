@@ -174,13 +174,15 @@ TEST(TraceV3Test, MaskedDecodeSkipsUnrequestedColumns) {
   }
 }
 
-TEST(TraceV3Test, ShredUnshredRoundTrips) {
+TEST(TraceV3Test, ShredRoundTripsThroughEventAt) {
   Trace t = sample_trace(50);
   ColumnScratch scratch;
   ColumnBatch cols = shred(t.events(), scratch, kColAll);
   ASSERT_EQ(cols.size(), 50u);
   std::vector<TraceEvent> rows;
-  unshred(cols, rows);
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    rows.push_back(cols.event_at(i));
+  }
   ASSERT_EQ(rows.size(), 50u);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].start, t.events()[i].start);
@@ -395,9 +397,12 @@ TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
 
   // Both formats replay the identical event sequence.
   std::vector<double> tsv_starts, v3_starts;
-  tsv_source.for_each(
-      [&](const TraceEvent& e) { tsv_starts.push_back(e.start); });
-  v3_source.for_each([&](const TraceEvent& e) { v3_starts.push_back(e.start); });
+  tsv_source.for_each_columns(kColStart, [&](const ColumnBatch& b) {
+    tsv_starts.insert(tsv_starts.end(), b.start.begin(), b.start.end());
+  });
+  v3_source.for_each_columns(kColStart, [&](const ColumnBatch& b) {
+    v3_starts.insert(v3_starts.end(), b.start.begin(), b.start.end());
+  });
   EXPECT_EQ(v3_starts, tsv_starts);
   EXPECT_EQ(v3_source.event_count(), tsv_source.event_count());
   std::remove(tsv.c_str());
@@ -424,20 +429,15 @@ TEST(TraceV3Test, HintedScanSkipsNonMatchingChunks) {
   ASSERT_TRUE(source.index().has_value());
   ASSERT_EQ(source.index()->chunks.size(), 2u);
 
-  std::size_t visited = 0;
-  source.for_each_hinted(ChunkHint{.phase = 2},
-                         [&visited](const TraceEvent&) { ++visited; });
-  EXPECT_EQ(visited, 8u);
-
-  visited = 0;
-  source.for_each_hinted(ChunkHint{.op = posix::OpType::kFsync},
-                         [&visited](const TraceEvent&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-
-  visited = 0;
-  source.for_each_hinted(ChunkHint{},
-                         [&visited](const TraceEvent&) { ++visited; });
-  EXPECT_EQ(visited, 16u);
+  auto visited = [&source](const ChunkHint& hint) {
+    std::size_t n = 0;
+    source.for_each_columns_hinted(
+        hint, kColPhase, [&n](const ColumnBatch& b) { n += b.size(); });
+    return n;
+  };
+  EXPECT_EQ(visited(ChunkHint{.phase = 2}), 8u);
+  EXPECT_EQ(visited(ChunkHint{.op = posix::OpType::kFsync}), 0u);
+  EXPECT_EQ(visited(ChunkHint{}), 16u);
   std::remove(path.c_str());
 }
 

@@ -34,9 +34,9 @@ ScenarioRun run_scenario(const std::string& name) {
   HealthOptions opt;
   opt.ost_count = scenario.machine_config().ost_count;
   opt.stripe_size = scenario.machine_config().stripe_size;
-  std::shared_ptr<HealthSink> sink;
+  std::shared_ptr<HealthKernel> sink;
   job.sink_factory = [&sink, opt](std::size_t) {
-    sink = std::make_shared<HealthSink>(opt);
+    sink = std::make_shared<HealthKernel>(opt);
     return sink;
   };
 
@@ -49,7 +49,7 @@ ScenarioRun run_scenario(const std::string& name) {
   dopt.ost_count = scenario.machine_config().ost_count;
   dopt.stripe_size = scenario.machine_config().stripe_size;
   ScenarioRun out;
-  out.incidents = sink->kernel().incidents();
+  out.incidents = sink->incidents();
   out.findings = analysis::diagnose(results[0].trace, dopt);
   out.plan = scenario.fault_plan();
   return out;

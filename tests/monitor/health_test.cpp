@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
 #include "fault/plan.h"
+#include "ipm/columns.h"
 #include "ipm/trace.h"
 
 namespace eio::monitor {
@@ -34,6 +36,29 @@ TraceEvent marker(Seconds time, fault::Kind kind, std::uint64_t component,
           component, static_cast<Bytes>(kind), 0, 0};
 }
 
+/// Hand rows to a kernel as one batch, the form every producer uses.
+void feed(HealthKernel& k, std::span<const TraceEvent> rows) {
+  ipm::ColumnScratch scratch;
+  k.add_batch(ipm::shred(rows, scratch));
+}
+
+void feed(HealthKernel& k, const TraceEvent& e) {
+  feed(k, std::span<const TraceEvent>(&e, 1));
+}
+
+/// Cut `rows` into one consecutive batch per part, row i going to part
+/// i * parts / rows — the split a chunked scan makes.
+void feed_split(std::vector<HealthKernel>& parts,
+                std::span<const TraceEvent> rows) {
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < parts.size(); ++c) {
+    std::size_t end = begin;
+    while (end < rows.size() && end * parts.size() / rows.size() == c) ++end;
+    feed(parts[c], rows.subspan(begin, end - begin));
+    begin = end;
+  }
+}
+
 HealthOptions small_options() {
   HealthOptions opt;
   opt.ost_count = 8;
@@ -45,7 +70,7 @@ HealthOptions small_options() {
 TEST(HealthKernelTest, QuietStreamOpensNothing) {
   HealthKernel k(small_options());
   for (int i = 0; i < 400; ++i) {
-    k.add(bulk(0.01 * i, 0.010, OpType::kWrite, i % 8,
+    feed(k, bulk(0.01 * i, 0.010, OpType::kWrite, i % 8,
                1 + static_cast<FileId>(i % 8)));
   }
   k.finish();
@@ -61,7 +86,7 @@ TEST(HealthKernelTest, DegradedOstClassFires) {
   for (int i = 0; i < 400; ++i) {
     FileId file = 1 + static_cast<FileId>(i % 8);
     double d = file == 6 ? 0.050 : 0.010;
-    k.add(bulk(0.01 * i, d, OpType::kWrite, i % 4, file));
+    feed(k, bulk(0.01 * i, d, OpType::kWrite, i % 4, file));
   }
   k.finish();
   ASSERT_FALSE(k.incidents().empty());
@@ -79,7 +104,7 @@ TEST(HealthKernelTest, StragglerRankFiresOnPhaseGaps) {
   for (std::int32_t p = 0; p < 5; ++p) {
     for (RankId r = 0; r < 8; ++r) {
       double d = r == 3 ? 0.50 : 0.10;
-      k.add(bulk(p * 1.0, d, OpType::kWrite, r, 1 + r, p));
+      feed(k, bulk(p * 1.0, d, OpType::kWrite, r, 1 + r, p));
     }
   }
   k.finish();
@@ -101,7 +126,7 @@ TEST(HealthKernelTest, DistributionDriftFiresWhenEnabled) {
   // shifts to 50 ms — KS D -> 1.
   for (int i = 0; i < 300; ++i) {
     double d = i < 128 ? 0.010 : 0.050;
-    k.add(bulk(0.01 * i, d, OpType::kWrite, 0, 1));
+    feed(k, bulk(0.01 * i, d, OpType::kWrite, 0, 1));
   }
   k.finish();
   ASSERT_FALSE(k.incidents().empty());
@@ -119,7 +144,7 @@ TEST(HealthKernelTest, DriftDetectorIsOffByDefault) {
   HealthKernel k(opt);
   for (int i = 0; i < 300; ++i) {
     double d = i < 128 ? 0.010 : 0.050;
-    k.add(bulk(0.01 * i, d, OpType::kWrite, 0, 1));
+    feed(k, bulk(0.01 * i, d, OpType::kWrite, 0, 1));
   }
   k.finish();
   EXPECT_TRUE(k.incidents().empty());
@@ -127,11 +152,11 @@ TEST(HealthKernelTest, DriftDetectorIsOffByDefault) {
 
 TEST(HealthKernelTest, InjectedMarkersOpenAndClear) {
   HealthKernel k(small_options());
-  k.add(marker(0.5, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.25));
-  k.add(bulk(0.6, 0.01, OpType::kWrite, 0, 1));
-  k.add(marker(2.0, fault::Kind::kOstRestored, 5, kInvalidRank, 0.0));
-  k.add(marker(3.0, fault::Kind::kStall, 0, 7, 0.12));
-  k.add(marker(3.5, fault::Kind::kRetry, 2, 9, 0.30));
+  feed(k, marker(0.5, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.25));
+  feed(k, bulk(0.6, 0.01, OpType::kWrite, 0, 1));
+  feed(k, marker(2.0, fault::Kind::kOstRestored, 5, kInvalidRank, 0.0));
+  feed(k, marker(3.0, fault::Kind::kStall, 0, 7, 0.12));
+  feed(k, marker(3.5, fault::Kind::kRetry, 2, 9, 0.30));
   k.finish();
 
   ASSERT_EQ(k.incidents().size(), 3u);
@@ -178,7 +203,7 @@ TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
 
   HealthOptions opt = small_options();
   HealthKernel serial(opt, 0);
-  for (const TraceEvent& e : stream) serial.add(e);
+  feed(serial, stream);
   serial.finish();
   ASSERT_GE(serial.incidents().size(), 3u);
 
@@ -186,9 +211,7 @@ TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
     for (bool right_to_left : {false, true}) {
       std::vector<HealthKernel> parts;
       for (std::size_t c = 0; c < chunks; ++c) parts.emplace_back(opt, c);
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        parts[i * chunks / stream.size()].add(stream[i]);
-      }
+      feed_split(parts, stream);
       HealthKernel merged = std::move(parts[0]);
       if (right_to_left) {
         for (std::size_t c = chunks - 1; c > 1; --c) {
@@ -232,13 +255,11 @@ std::string monitored(const HealthOptions& opt,
     return out.str();
   };
   HealthKernel serial(opt, 0);
-  for (const TraceEvent& e : stream) serial.add(e);
+  feed(serial, stream);
   serial.finish();
   std::vector<HealthKernel> parts;
   for (std::size_t c = 0; c < 3; ++c) parts.emplace_back(opt, c);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    parts[i * 3 / stream.size()].add(stream[i]);
-  }
+  feed_split(parts, stream);
   parts[1].merge(std::move(parts[2]));
   parts[0].merge(std::move(parts[1]));
   parts[0].finish();
@@ -348,20 +369,22 @@ TEST(HealthKernelTest, DisabledKernelConsumesNothing) {
   opt.enabled = false;
   HealthKernel k(opt);
   EXPECT_EQ(k.required_columns(), ipm::ColumnMask{0});
-  k.add(bulk(0.0, 0.01, OpType::kWrite, 0, 1));
+  feed(k, bulk(0.0, 0.01, OpType::kWrite, 0, 1));
   k.finish();
   EXPECT_TRUE(k.incidents().empty());
   EXPECT_EQ(k.events_consumed(), 0u);
 }
 
-TEST(HealthSinkTest, WrapsRootedKernel) {
-  HealthSink sink(small_options());
-  sink.on_event(marker(1.0, fault::Kind::kStragglerStall, 0, 4, 0.8));
+TEST(HealthKernelTest, RunsAsACaptureSink) {
+  HealthKernel kernel(small_options());
+  ipm::EventSink& sink = kernel;
+  const TraceEvent e = marker(1.0, fault::Kind::kStragglerStall, 0, 4, 0.8);
+  ipm::ColumnScratch scratch;
+  sink.add_batch(ipm::shred(std::span<const TraceEvent>(&e, 1), scratch));
   sink.finish();
-  ASSERT_EQ(sink.kernel().incidents().size(), 1u);
-  EXPECT_EQ(sink.kernel().incidents()[0].kind,
-            IncidentKind::kInjectedStraggler);
-  EXPECT_EQ(sink.kernel().incidents()[0].subject, 4u);
+  ASSERT_EQ(kernel.incidents().size(), 1u);
+  EXPECT_EQ(kernel.incidents()[0].kind, IncidentKind::kInjectedStraggler);
+  EXPECT_EQ(kernel.incidents()[0].subject, 4u);
 }
 
 TEST(IncidentJsonlTest, FixedKeyOrderAndEscaping) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
@@ -143,6 +144,33 @@ TEST(EnsembleTest, WorkerExceptionPropagates) {
   std::vector<JobSpec> specs(3);  // no programs -> EIO_CHECK throws
   ParallelEnsembleRunner runner({.jobs = 2});
   EXPECT_THROW(runner.run_jobs(specs), std::logic_error);
+}
+
+TEST(EnsembleTest, FailureStopsClaimingAndReportsTheLowestFailedRun) {
+  // Runs 1 and 3 fail as they start; the others take milliseconds. No
+  // worker may claim a run once one has failed, and the error rethrown
+  // is run 1's — the one the serial loop stops at.
+  for (std::size_t jobs : {2u, 4u}) {
+    std::atomic<std::size_t> started_after_run1{0};
+    std::vector<JobSpec> specs(12, small_ior_job());
+    for (JobSpec& spec : specs) {
+      spec.sink_factory = [&started_after_run1](std::size_t run)
+          -> std::shared_ptr<ipm::EventSink> {
+        if (run > 1) started_after_run1.fetch_add(1);
+        if (run == 1) throw std::runtime_error("run 1 failed");
+        if (run == 3) throw std::runtime_error("run 3 failed");
+        return nullptr;
+      };
+    }
+    ParallelEnsembleRunner runner({.jobs = jobs});
+    try {
+      (void)runner.run_jobs(specs);
+      ADD_FAILURE() << "jobs=" << jobs << ": no error rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "run 1 failed") << "jobs=" << jobs;
+    }
+    EXPECT_LE(started_after_run1.load(), jobs) << "jobs=" << jobs;
+  }
 }
 
 TEST(EnsembleTest, ZeroRunsRejected) {
