@@ -41,22 +41,23 @@ constexpr OptionSpec kOutputSpecs[] = {
 
 constexpr OptionSpec kHistogramSpecs[] = {
     {"log", OptKind::kFlag, "", "log10 duration axis (and log counts)"},
-    {"bins", OptKind::kSize, "40", "histogram bins"},
+    {"bins", OptKind::kSize, "40", "histogram bins", 2},
 };
 
 constexpr OptionSpec kModesSpecs[] = {
     {"log", OptKind::kFlag, "", "run the KDE on a log10 axis"},
-    {"bandwidth", OptKind::kDouble, "0.5", "KDE bandwidth scale"},
+    {"bandwidth", OptKind::kDouble, "0.5", "KDE bandwidth scale", 0, kNoMax,
+     true},
 };
 
 constexpr OptionSpec kRatesSpecs[] = {
-    {"bins", OptKind::kSize, "100", "time-axis bins"},
+    {"bins", OptKind::kSize, "100", "time-axis bins", 1},
 };
 
 constexpr OptionSpec kAnalyzeSpecs[] = {
     {"log", OptKind::kFlag, "", "log10 duration axis for the histogram"},
-    {"bins", OptKind::kSize, "40", "histogram bins"},
-    {"rate-bins", OptKind::kSize, "100", "rate time-axis bins"},
+    {"bins", OptKind::kSize, "40", "histogram bins", 2},
+    {"rate-bins", OptKind::kSize, "100", "rate time-axis bins", 1},
     {"monitor", OptKind::kFlag, "",
      "fold the online health monitor into the fused pass"},
 };
@@ -69,12 +70,12 @@ constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 constexpr OptionSpec kMonitorSpecs[] = {
     {"ost-count", OptKind::kSize, "48",
-     "OSTs of the source machine for per-OST attribution (0 = skip)",
+     "OSTs of the source machine for per-OST attribution (0 = skip)", 0,
      kMaxOstCount},
     {"window", OptKind::kSize, "2048",
-     "sliding-window capacity (admitted bulk events)"},
+     "sliding-window capacity (admitted bulk events)", 1},
     {"stride", OptKind::kSize, "1024",
-     "admitted events between detector evaluations"},
+     "admitted events between detector evaluations", 1},
     {"drift-d", OptKind::kDouble, "0",
      "KS D threshold for the distribution-drift detector (0 = off; "
      "phase-structured workloads legitimately drift)"},
@@ -83,15 +84,16 @@ constexpr OptionSpec kMonitorSpecs[] = {
 };
 
 constexpr OptionSpec kDiagramSpecs[] = {
-    {"rows", OptKind::kSize, "24", "raster rows (ranks collapse to fit)"},
-    {"cols", OptKind::kSize, "72", "raster columns"},
+    {"rows", OptKind::kSize, "24", "raster rows (ranks collapse to fit)", 1},
+    {"cols", OptKind::kSize, "72", "raster columns", 1},
 };
 
 constexpr OptionSpec kDiagnoseSpecs[] = {
     {"fair-share-mibs", OptKind::kDouble, "0",
-     "per-task fair share (MiB/s) for the sub-fair-share detector (0 = skip)"},
+     "per-task fair share (MiB/s) for the sub-fair-share detector (0 = skip)",
+     0},
     {"ost-count", OptKind::kSize, "0",
-     "OSTs of the source machine for the degraded-OST detector (0 = skip)",
+     "OSTs of the source machine for the degraded-OST detector (0 = skip)", 0,
      kMaxOstCount},
 };
 
@@ -106,11 +108,12 @@ constexpr OptionSpec kSimulateSpecs[] = {
      "scenario JSON file: machine + workload + ensemble + fault plan"},
     {"machine", OptKind::kString, "franklin",
      "machine preset: franklin|franklin-patched|jaguar"},
-    {"tasks", OptKind::kSize, "256", "IOR tasks", kMaxU32},
+    {"tasks", OptKind::kSize, "256", "IOR tasks", 0, kMaxU32},
     {"block-mib", OptKind::kDouble, "64", "IOR block per task per segment"},
-    {"segments", OptKind::kSize, "2", "IOR barrier-separated segments",
+    {"segments", OptKind::kSize, "2", "IOR barrier-separated segments", 0,
      kMaxU32},
-    {"runs", OptKind::kSize, "4", "ensemble size (scenario files set their own)"},
+    {"runs", OptKind::kSize, "4",
+     "ensemble size (scenario files set their own)", 1},
     {"seed", OptKind::kSize, "", "override the machine seed"},
     {"save-dir", OptKind::kOutDir, "",
      "write each run's trace as DIR/runN.* (DIR must exist)"},

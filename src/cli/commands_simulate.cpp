@@ -72,10 +72,6 @@ int cmd_simulate(CommandContext& ctx) {
   }
   if (args.has("seed")) scenario.seed(args.get_size("seed", 0));
   std::size_t runs = args.get_size("runs", scenario.run_count());
-  if (runs == 0) {
-    err << "eiotrace: --runs must be at least 1\n";
-    return 1;
-  }
   std::string save_fmt = args.get("format", "tsv");
   if (save_fmt != "tsv" && save_fmt != "v3") {
     err << "eiotrace: unknown --format '" << save_fmt << "' (tsv|v3)\n";
@@ -106,9 +102,7 @@ int cmd_simulate(CommandContext& ctx) {
   analysis::EventFilter write_filter{.op = posix::OpType::kWrite,
                                      .min_bytes = MiB};
   const bool monitored = args.has("monitor");
-  auto monitor_options = monitor_options_from(args, err);
-  if (!monitor_options) return 1;
-  monitor::HealthOptions& mopt = *monitor_options;
+  monitor::HealthOptions mopt = monitor_options_from(args);
   if (!args.has("ost-count")) {
     mopt.ost_count = scenario.machine_config().ost_count;
   }

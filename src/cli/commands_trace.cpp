@@ -56,7 +56,6 @@ int cmd_summary(CommandContext& ctx) {
   analysis::EventFilter wf = base, rf = base;
   wf.op = posix::OpType::kWrite;
   rf.op = posix::OpType::kRead;
-  auto scanner = scanner_for(source, args);
   // One fused scan feeds both per-op summaries; the hint union still
   // skips chunks containing neither op. Per-chunk substream seeds keep
   // the result identical to the former scan-per-op output (a chunk
@@ -65,7 +64,7 @@ int cmd_summary(CommandContext& ctx) {
   const ipm::ChunkHint hint =
       ipm::ChunkHint::union_of(analysis::hint_for(wf), analysis::hint_for(rf));
   auto merged =
-      analysis::run_kernels(source, scanner, hint, [&](std::size_t chunk) {
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
         stats::SummaryOptions opts = analysis::chunk_summary_options({}, chunk);
         return analysis::KernelSet(analysis::SummarySink(wf, opts),
                                    analysis::SummarySink(rf, opts));
@@ -97,13 +96,12 @@ int cmd_histogram(CommandContext& ctx) {
   auto bins = args.get_size("bins", 40);
   stats::BinScale scale =
       log ? stats::BinScale::kLog10 : stats::BinScale::kLinear;
-  auto scanner = scanner_for(source, args);
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   // ONE scan: StreamingHistogram folds range discovery and filling
   // together (bit-identical to the historical extrema+fill double scan
   // while the matched count fits its exact buffer).
   auto merged =
-      analysis::run_kernels(source, scanner, hint, [&](std::size_t) {
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
         return analysis::HistogramKernel(filter, {.scale = scale, .bins = bins});
       });
   std::optional<stats::Histogram> h = merged.histogram().materialize();
@@ -119,10 +117,9 @@ int cmd_modes(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
   analysis::EventFilter filter = filter_from(args, ctx.es());
-  auto scanner = scanner_for(source, args);
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   auto merged =
-      analysis::run_kernels(source, scanner, hint, [&](std::size_t chunk) {
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
         return analysis::SummarySink(filter,
                                      analysis::chunk_summary_options({}, chunk));
       });
@@ -159,13 +156,12 @@ int cmd_rates(CommandContext& ctx) {
   const Parsed& args = ctx.args;
   auto bins = args.get_size("bins", 100);
   analysis::EventFilter filter = filter_from(args, ctx.es());
-  auto scanner = scanner_for(source, args);
   // Indexed traces answer the span from the chunk index (free); only
   // non-indexed formats pay a span pass before the single fold scan.
-  const double span = scanner ? scanner->time_span() : source.time_span();
+  const double span = source.time_span();
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   auto merged =
-      analysis::run_kernels(source, scanner, hint, [&](std::size_t) {
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
         return analysis::RateKernel(filter, span, bins);
       });
   print_rate_chart(ctx.os(), merged.series());
@@ -182,19 +178,14 @@ int cmd_diagram(CommandContext& ctx) {
 
 int cmd_diagnose(CommandContext& ctx) {
   const Parsed& args = ctx.args;
-  const double fair_share = args.get_double("fair-share-mibs", 0.0);
-  if (fair_share < 0.0) {
-    ctx.es() << "eiotrace: --fair-share-mibs must be at least 0\n";
-    return 1;
-  }
   analysis::DiagnoserOptions opt;
-  opt.fair_share_rate = fair_share * static_cast<double>(MiB);
+  opt.fair_share_rate =
+      args.get_double("fair-share-mibs", 0.0) * static_cast<double>(MiB);
   opt.ost_count = static_cast<std::uint32_t>(args.get_size("ost-count", 0));
-  auto scanner = scanner_for(*ctx.source, args);
   // The default (admit-everything) hint: the metadata rule divides by
   // the span of every event, data call or not.
   auto findings =
-      analysis::run_kernels(*ctx.source, scanner, ipm::ChunkHint{},
+      analysis::run_kernels(*ctx.source, ctx.jobs(), ipm::ChunkHint{},
                             [&](std::size_t) {
                               return analysis::DiagnoseKernel(opt);
                             })
@@ -233,15 +224,12 @@ int cmd_diagnose(CommandContext& ctx) {
 
 int cmd_monitor(CommandContext& ctx) {
   const Parsed& args = ctx.args;
-  const auto options = monitor_options_from(args, ctx.es());
-  if (!options) return 1;
-  const monitor::HealthOptions& opt = *options;
-  auto scanner = scanner_for(*ctx.source, args);
+  const monitor::HealthOptions opt = monitor_options_from(args);
   // Deliberately the default (admit-everything) chunk hint: fault
   // markers (OpType::kFault) must reach the detectors, so chunks can
   // never be pruned by op here.
   auto merged = analysis::run_kernels(
-      *ctx.source, scanner, ipm::ChunkHint{},
+      *ctx.source, ctx.jobs(), ipm::ChunkHint{},
       [&](std::size_t chunk) { return monitor::HealthKernel(opt, chunk); });
   merged.finish();
   if (ctx.json()) {
@@ -268,10 +256,9 @@ int cmd_phases(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
   analysis::EventFilter base = filter_from(args, ctx.es());
-  auto scanner = scanner_for(source, args);
   const ipm::ChunkHint hint = analysis::hint_for(base);
   auto merged =
-      analysis::run_kernels(source, scanner, hint, [&](std::size_t chunk) {
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
         return analysis::PhaseSummarySink(
             base, analysis::chunk_summary_options({}, chunk));
       });
@@ -296,12 +283,9 @@ int cmd_analyze(CommandContext& ctx) {
   auto rate_bins = args.get_size("rate-bins", 100);
   stats::BinScale scale =
       log ? stats::BinScale::kLog10 : stats::BinScale::kLinear;
-  auto monitor_options = monitor_options_from(args, ctx.es());
-  if (!monitor_options) return 1;
-  monitor::HealthOptions& mopt = *monitor_options;
+  monitor::HealthOptions mopt = monitor_options_from(args);
   mopt.enabled = args.has("monitor");
-  auto scanner = scanner_for(source, args);
-  const double span = scanner ? scanner->time_span() : source.time_span();
+  const double span = source.time_span();
   // The whole bundle — per-op summaries, per-phase table, duration
   // histogram, rate series, and (when --monitor) the health monitor —
   // as ONE KernelSet over ONE scan whose column mask and chunk hint
@@ -314,7 +298,7 @@ int cmd_analyze(CommandContext& ctx) {
                                                   analysis::hint_for(rf)),
                          analysis::hint_for(base));
   auto merged =
-      analysis::run_kernels(source, scanner, hint, [&](std::size_t chunk) {
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
         stats::SummaryOptions opts = analysis::chunk_summary_options({}, chunk);
         return analysis::KernelSet(
             analysis::SummarySink(wf, opts), analysis::SummarySink(rf, opts),
@@ -481,10 +465,9 @@ int cmd_convert(CommandContext& ctx) {
 
 int cmd_patterns(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
-  auto scanner = scanner_for(source, ctx.args);
   analysis::EventFilter data;  // read/write calls only
   auto patterns =
-      analysis::run_kernels(source, scanner, analysis::hint_for(data),
+      analysis::run_kernels(source, ctx.jobs(), analysis::hint_for(data),
                             [](std::size_t) {
                               return analysis::PatternsKernel();
                             })

@@ -42,14 +42,6 @@ analysis::EventFilter filter_from(const Parsed& args, std::ostream& err) {
   return f;
 }
 
-std::optional<ipm::ParallelTraceScanner> scanner_for(
-    const ipm::TraceSource& source, const Parsed& args) {
-  const auto* file = dynamic_cast<const ipm::FileTraceSource*>(&source);
-  if (!file || !file->index()) return std::nullopt;
-  return ipm::ParallelTraceScanner(file->path(), *file->index(),
-                                   {.jobs = args.get_size("jobs", 0)});
-}
-
 void print_summary_header(std::ostream& out) {
   out << "  op       count   median(s)     mean(s)      p95(s)      max(s)\n";
 }
@@ -95,19 +87,13 @@ void print_rate_chart(std::ostream& out, const analysis::TimeSeries& series) {
        .y_label = "aggregate MiB/s"});
 }
 
-std::optional<monitor::HealthOptions> monitor_options_from(
-    const Parsed& args, std::ostream& err) {
+monitor::HealthOptions monitor_options_from(const Parsed& args) {
   monitor::HealthOptions opt;
   opt.ost_count =
       static_cast<std::uint32_t>(args.get_size("ost-count", 48));
   opt.window = args.get_size("window", 2048);
   opt.stride = args.get_size("stride", 1024);
   opt.drift_d = args.get_double("drift-d", 0.0);
-  if (opt.window == 0 || opt.stride == 0) {
-    err << "eiotrace: --" << (opt.window == 0 ? "window" : "stride")
-        << " must be at least 1\n";
-    return std::nullopt;
-  }
   return opt;
 }
 

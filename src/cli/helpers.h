@@ -1,13 +1,12 @@
 // Shared pieces of the command implementations: filter construction,
-// the chunk-parallel scanner, table/chart renderers, and the monitor
-// plumbing. Internal to the CLI library — commands include this, the
-// public surface is cli/eiotrace.h + cli/command.h + cli/options.h.
+// table/chart renderers, and the monitor plumbing. Internal to the CLI
+// library — commands include this, the public surface is
+// cli/eiotrace.h + cli/command.h + cli/options.h.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,13 +24,6 @@ namespace eio::cli {
 [[nodiscard]] analysis::EventFilter filter_from(const Parsed& args,
                                                 std::ostream& err);
 
-/// The chunk-parallel engine for this invocation, when the source is
-/// an indexed (v3) file: borrows the already-read footer index, so
-/// construction is free. TSV sources return nullopt and commands fall
-/// back to one serial columnar pass.
-[[nodiscard]] std::optional<ipm::ParallelTraceScanner> scanner_for(
-    const ipm::TraceSource& source, const Parsed& args);
-
 // Shared table/chart renderers, so the standalone subcommands and the
 // fused `analyze` bundle print identical sections.
 void print_summary_header(std::ostream& out);
@@ -45,10 +37,8 @@ void print_histogram_chart(std::ostream& out, const stats::Histogram& h,
 void print_rate_chart(std::ostream& out, const analysis::TimeSeries& series);
 
 /// Monitor options from the --ost-count/--window/--stride/--drift-d
-/// flags (defaults match the monitor command's table); nullopt, after
-/// one error line on `err`, when --window or --stride is 0.
-[[nodiscard]] std::optional<monitor::HealthOptions> monitor_options_from(
-    const Parsed& args, std::ostream& err);
+/// flags (defaults and bounds are the monitor command's table).
+[[nodiscard]] monitor::HealthOptions monitor_options_from(const Parsed& args);
 
 /// Write the incident log named by --incidents (0 = ok, 1 = I/O error,
 /// no-op when the flag is absent). `runs` is a parallel run-id vector

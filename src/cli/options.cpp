@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <filesystem>
@@ -83,16 +84,29 @@ std::optional<int> parse_args(const std::string& command,
     if (spec->kind == OptKind::kSize) {
       errno = 0;
       const unsigned long long n = std::strtoull(value.c_str(), nullptr, 10);
+      if (errno != ERANGE && n < spec->min) {
+        err << "eiotrace: --" << name << " must be at least " << spec->min
+            << "\n";
+        return 1;
+      }
       if (errno == ERANGE || n > spec->max) {
-        err << "eiotrace: --" << name << " must be an integer in [0, "
-            << spec->max << "]\n";
+        err << "eiotrace: --" << name << " must be an integer in ["
+            << std::max(spec->min, 0.0) << ", " << spec->max << "]\n";
         return 1;
       }
     }
-    if (spec->kind == OptKind::kDouble &&
-        !std::isfinite(std::strtod(value.c_str(), nullptr))) {
-      err << "eiotrace: --" << name << " must be a finite number\n";
-      return 1;
+    if (spec->kind == OptKind::kDouble) {
+      const double x = std::strtod(value.c_str(), nullptr);
+      if (!std::isfinite(x)) {
+        err << "eiotrace: --" << name << " must be a finite number\n";
+        return 1;
+      }
+      if (x < spec->min || (spec->above_min && x == spec->min)) {
+        err << "eiotrace: --" << name << " must be "
+            << (spec->above_min ? "greater than " : "at least ") << spec->min
+            << "\n";
+        return 1;
+      }
     }
     out.values_[std::move(name)] = std::move(value);
   }

@@ -31,14 +31,26 @@ enum class OptKind : std::uint8_t {
   kOutDir,  ///< output directory: must exist and be writable
 };
 
+/// No lower bound: the default OptionSpec::min.
+inline constexpr double kNoMin = -std::numeric_limits<double>::infinity();
+/// No upper bound: the default OptionSpec::max.
+inline constexpr std::uint64_t kNoMax =
+    std::numeric_limits<std::uint64_t>::max();
+
 struct OptionSpec {
   const char* name;      ///< without the leading "--"
   OptKind kind;
   const char* fallback;  ///< default shown in help ("" = none)
   const char* help;
+  /// Smallest value a kSize or kDouble option accepts; the parser
+  /// rejects anything below it, so a command never hands a kernel a
+  /// size or scale its own checks refuse.
+  double min = kNoMin;
   /// Largest value a kSize option accepts; the parser rejects anything
   /// above it, so callers may narrow the value without wrapping.
-  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t max = kNoMax;
+  /// True: `min` itself is rejected too (a strictly positive scale).
+  bool above_min = false;
 };
 
 struct OptionGroup {
@@ -85,9 +97,10 @@ class Parsed {
 /// Parse `raw[skip..]` against the command's option groups. Both
 /// --name=value and --name value forms are accepted. Unknown flags and
 /// malformed values print `usage` to `err` and yield exit code 1
-/// (wrapped in the optional); a kSize value above its spec's max (or
-/// past 64 bits) and a non-finite kDouble value yield 1 after one line
-/// naming the flag and what it accepts. nullopt means success.
+/// (wrapped in the optional); a kSize value outside its spec's
+/// [min, max] (or past 64 bits), a kDouble value below its spec's min
+/// and a non-finite kDouble value yield 1 after one line naming the
+/// flag and what it accepts. nullopt means success.
 [[nodiscard]] std::optional<int> parse_args(const std::string& command,
                                             std::span<const OptionGroup> groups,
                                             const std::vector<std::string>& raw,

@@ -362,10 +362,10 @@ const char* finding_name(FindingCode code) noexcept {
   return "?";
 }
 
-std::vector<Finding> diagnose(const ipm::Trace& trace,
+std::vector<Finding> diagnose(const ipm::TraceSource& source,
                               const DiagnoserOptions& options) {
   DiagnoseKernel kernel(options);
-  ipm::MemoryTraceSource(trace).for_each_columns(
+  source.for_each_columns(
       kernel.required_columns(),
       [&kernel](const ipm::ColumnBatch& b) { kernel.add_batch(b); });
   return kernel.finish();

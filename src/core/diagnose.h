@@ -131,8 +131,9 @@ class DiagnoseKernel {
   std::map<std::int32_t, rules::PhaseEnds> phases_;
 };
 
-/// Run every detector over the trace; findings sorted by severity.
-[[nodiscard]] std::vector<Finding> diagnose(const ipm::Trace& trace,
+/// Run every detector over the trace in one serial pass; findings
+/// sorted by severity.
+[[nodiscard]] std::vector<Finding> diagnose(const ipm::TraceSource& source,
                                             const DiagnoserOptions& options = {});
 
 }  // namespace eio::analysis

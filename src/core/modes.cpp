@@ -30,6 +30,10 @@ double back_transform(double v, bool log_axis) {
 KdeResult kernel_density(std::span<const double> samples,
                          const ModeFinderOptions& options) {
   EIO_CHECK_MSG(!samples.empty(), "KDE of empty sample");
+  // A non-positive scale gives a non-positive h, and the windowed
+  // evaluation below then walks an inverted [first, last) range.
+  EIO_CHECK_MSG(options.bandwidth_scale > 0.0,
+                "KDE bandwidth scale must be positive");
   std::vector<double> t = transformed(samples, options.log_axis);
   Moments m = compute_moments(t);
 

@@ -1,20 +1,23 @@
 // Running analysis kernels over a trace in one pass: chunk-parallel
-// over an indexed (v3) trace, serial over anything else.
+// over an indexed (v3) file, serial over anything else.
 //
-// run_kernels hands a kernel factory (a summary sink, streaming
-// histogram, rate builder — or a KernelSet fusing several) to the
-// ParallelTraceScanner: one kernel per chunk, folded by worker threads
-// and merged in chunk order. Results are deterministic in the scanner
-// contract's sense — identical for every --jobs value — and match the
-// serial streaming path exactly wherever the underlying kernel merges
-// exactly (counts, extrema, histogram bins, rate bins, reservoirs
-// below capacity). Moments match to FP-merge rounding; quantiles past
-// reservoir capacity are served by the merged-exact histogram mode
-// (see StreamingSummary::histogram_quantile).
+// run_kernels is the one place that chooses. Handed an indexed
+// FileTraceSource, it builds a ParallelTraceScanner over the source
+// (borrowing its index and mapping) and hands it the kernel factory (a
+// summary sink, streaming histogram, rate builder — or a KernelSet
+// fusing several): one kernel per chunk, folded by worker threads and
+// merged in chunk order. A TSV file or an in-memory Trace gets one
+// serial columnar pass into the factory's chunk-0 kernel. Results are
+// deterministic in the scanner contract's sense — identical for every
+// jobs value — and match the serial streaming path exactly wherever
+// the underlying kernel merges exactly (counts, extrema, histogram
+// bins, rate bins, reservoirs below capacity). Moments match to
+// FP-merge rounding; quantiles past reservoir capacity are served by
+// the merged-exact histogram mode (see
+// StreamingSummary::histogram_quantile).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 #include "common/rng.h"
 #include "core/kernel.h"
@@ -38,16 +41,20 @@ namespace eio::analysis {
 // scanner would silently merge the whole set as one lane.
 static_assert(ipm::MergeLanes<KernelSet<SummarySink, HistogramKernel>>);
 
-/// Run a kernel factory over a trace in ONE pass: chunk-parallel via
-/// the scanner when the trace is indexed, a single serial columnar
-/// pass (as the factory's chunk-0 kernel) otherwise. Either way every
-/// kernel of the set sees the decode exactly once.
+/// Run a kernel factory over a trace in ONE pass: chunk-parallel on
+/// `jobs` workers (0 = EIO_JOBS env, else hardware concurrency) when
+/// the source is an indexed file, a single serial columnar pass (as the
+/// factory's chunk-0 kernel) otherwise. Either way every kernel of the
+/// set sees the decode exactly once.
 template <typename MakeKernel>
-[[nodiscard]] auto run_kernels(
-    const ipm::TraceSource& source,
-    const std::optional<ipm::ParallelTraceScanner>& scanner,
-    const ipm::ChunkHint& hint, const MakeKernel& make) {
-  if (scanner) return scanner->scan_kernels(make, &hint);
+[[nodiscard]] auto run_kernels(const ipm::TraceSource& source,
+                               std::size_t jobs, const ipm::ChunkHint& hint,
+                               const MakeKernel& make) {
+  const auto* file = dynamic_cast<const ipm::FileTraceSource*>(&source);
+  if (file != nullptr && file->index()) {
+    return ipm::ParallelTraceScanner(*file, {.jobs = jobs})
+        .scan_kernels(make, &hint);
+  }
   auto kernel = make(std::size_t{0});
   source.for_each_columns_hinted(
       hint, kernel.required_columns(),

@@ -131,9 +131,9 @@ std::vector<StreamPattern> PatternsKernel::finish() {
   return out;
 }
 
-std::vector<StreamPattern> detect_patterns(const ipm::Trace& trace) {
+std::vector<StreamPattern> detect_patterns(const ipm::TraceSource& source) {
   PatternsKernel kernel;
-  ipm::MemoryTraceSource(trace).for_each_columns(
+  source.for_each_columns(
       kernel.required_columns(),
       [&kernel](const ipm::ColumnBatch& b) { kernel.add_batch(b); });
   return kernel.finish();

@@ -100,8 +100,10 @@ class PatternsKernel {
   std::vector<Row> pending_;
 };
 
-/// Classify every (rank, file, op) stream with enough accesses.
-[[nodiscard]] std::vector<StreamPattern> detect_patterns(const ipm::Trace& trace);
+/// Classify every (rank, file, op) stream with enough accesses, in
+/// one serial pass.
+[[nodiscard]] std::vector<StreamPattern> detect_patterns(
+    const ipm::TraceSource& source);
 
 /// Derive per-(file, op) hints from detected streams: prefetch sizing
 /// for coherent read streams, alignment advice for unaligned writes,

@@ -37,40 +37,27 @@ void RateSeriesBuilder::merge(const RateSeriesBuilder& other) {
   }
 }
 
-TimeSeries aggregate_rate(const ipm::Trace& trace, const EventFilter& filter,
-                          std::size_t bins) {
-  RateSeriesBuilder builder(trace.span(), bins);
-  for (const auto& e : trace.events()) {
-    if (filter.matches(e)) builder.add(e);
-  }
-  return builder.series();
-}
-
 TimeSeries aggregate_rate(const ipm::TraceSource& source,
                           const EventFilter& filter, std::size_t bins) {
-  // Span comes from *all* events (batch semantics use trace.span());
-  // indexed sources answer time_span() from chunk metadata, so only
-  // the folding pass below touches events.
+  // Span comes from *all* events; indexed sources answer time_span()
+  // from chunk metadata, so only the folding pass below touches events.
   RateSeriesBuilder builder(source.time_span(), bins);
-  const ipm::ChunkHint hint = hint_for(filter);
-  const ipm::ColumnMask mask = filter.required_columns() | ipm::kColStart |
-                               ipm::kColDuration | ipm::kColBytes;
-  source.for_each_columns_hinted(hint, mask, [&](const ipm::ColumnBatch& b) {
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      if (filter.matches_at(b, i)) builder.add(b.start[i], b.duration[i],
-                                               b.bytes[i]);
-    }
-  });
+  filter.for_each_match(
+      source, ipm::kColStart | ipm::kColDuration | ipm::kColBytes,
+      [&](const ipm::ColumnBatch& b, std::size_t i) {
+        builder.add(b.start[i], b.duration[i], b.bytes[i]);
+      });
   return builder.series();
 }
 
-ProgressCurve completion_curve(const ipm::Trace& trace, const EventFilter& filter) {
+ProgressCurve completion_curve(const ipm::TraceSource& source,
+                               const EventFilter& filter) {
   std::vector<double> starts, ends;
-  for (const auto& e : trace.events()) {
-    if (!filter.matches(e)) continue;
-    starts.push_back(e.start);
-    ends.push_back(e.end());
-  }
+  filter.for_each_match(source, ipm::kColStart | ipm::kColDuration,
+                        [&](const ipm::ColumnBatch& b, std::size_t i) {
+                          starts.push_back(b.start[i]);
+                          ends.push_back(b.start[i] + b.duration[i]);
+                        });
   ProgressCurve curve;
   if (ends.empty()) return curve;
   double origin = *std::min_element(starts.begin(), starts.end());

@@ -33,18 +33,16 @@ struct TimeSeries {
 /// One-pass rate-series accumulator: fix the span up front, then fold
 /// events in any order. Each transfer contributes its uniform rate to
 /// every bin its [start, end) interval overlaps. Memory is O(bins).
-/// Both aggregate_rate overloads are wrappers over this kernel.
+/// aggregate_rate and the analysis RateKernel wrap this kernel.
 class RateSeriesBuilder {
  public:
   /// `span` is the wall-clock extent binned into [0, span); non-
   /// positive spans clamp to 1 (an empty trace's 1-second axis).
   RateSeriesBuilder(double span, std::size_t bins);
 
-  /// Fold one transfer from its raw fields — the columnar entry point
-  /// (callers hand in decoded column values without building a
-  /// TraceEvent). Ignores zero-byte transfers; zero/negative durations
-  /// clamp to 1 ns, matching the event overload exactly. Inline: one
-  /// call per matching event in the rate scans.
+  /// Fold one transfer from its decoded column values. Ignores
+  /// zero-byte transfers; zero/negative durations clamp to 1 ns.
+  /// Inline: one call per matching event in the rate scans.
   void add(double start, double duration, Bytes bytes) {
     if (bytes == 0) return;
     std::size_t bins = series_.values.size();
@@ -63,11 +61,6 @@ class RateSeriesBuilder {
     }
   }
 
-  /// Fold one event (ignores zero-byte transfers).
-  void add(const ipm::TraceEvent& event) {
-    add(event.start, event.duration, event.bytes);
-  }
-
   /// Fold another builder over the same span/binning (elementwise add
   /// — rates are linear, so partials merge exactly up to FP rounding).
   void merge(const RateSeriesBuilder& other);
@@ -79,14 +72,9 @@ class RateSeriesBuilder {
 };
 
 /// Aggregate data rate (bytes/s) of matching events over the job.
-/// `bins` partitions [0, trace.span()].
-[[nodiscard]] TimeSeries aggregate_rate(const ipm::Trace& trace,
-                                        const EventFilter& filter,
-                                        std::size_t bins);
-
-/// Streaming form: one pass for the span (over all events, matching
-/// the batch semantics), one pass to fold matching events. O(bins)
-/// memory.
+/// `bins` partitions [0, source.time_span()] — the span of all events,
+/// matched or not (free from an index, else one pass); one more pass
+/// folds the matching events. O(bins) memory.
 [[nodiscard]] TimeSeries aggregate_rate(const ipm::TraceSource& source,
                                         const EventFilter& filter,
                                         std::size_t bins);
@@ -98,7 +86,7 @@ struct ProgressCurve {
   std::vector<double> t;         ///< seconds since phase start
   std::vector<double> fraction;  ///< ops complete by then (0..1)
 };
-[[nodiscard]] ProgressCurve completion_curve(const ipm::Trace& trace,
+[[nodiscard]] ProgressCurve completion_curve(const ipm::TraceSource& source,
                                              const EventFilter& filter);
 
 }  // namespace eio::analysis

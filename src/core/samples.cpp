@@ -18,42 +18,6 @@ ipm::ColumnMask EventFilter::required_columns() const noexcept {
   return mask;
 }
 
-std::vector<double> durations(const ipm::Trace& trace, const EventFilter& filter) {
-  std::vector<double> out;
-  for (const auto& e : trace.events()) {
-    if (filter.matches(e)) out.push_back(e.duration);
-  }
-  return out;
-}
-
-std::vector<double> seconds_per_mib(const ipm::Trace& trace,
-                                    const EventFilter& filter) {
-  std::vector<double> out;
-  for (const auto& e : trace.events()) {
-    if (!filter.matches(e) || e.bytes == 0) continue;
-    out.push_back(e.duration / to_mib(e.bytes));
-  }
-  return out;
-}
-
-std::vector<double> rates_mib(const ipm::Trace& trace, const EventFilter& filter) {
-  std::vector<double> out;
-  for (const auto& e : trace.events()) {
-    if (!filter.matches(e) || e.bytes == 0 || e.duration <= 0.0) continue;
-    out.push_back(to_mib(e.bytes) / e.duration);
-  }
-  return out;
-}
-
-std::map<RankId, std::vector<double>> durations_by_rank(const ipm::Trace& trace,
-                                                        const EventFilter& filter) {
-  std::map<RankId, std::vector<double>> out;
-  for (const auto& e : trace.events()) {
-    if (filter.matches(e)) out[e.rank].push_back(e.duration);
-  }
-  return out;
-}
-
 ipm::ChunkHint hint_for(const EventFilter& filter) {
   ipm::ChunkHint hint;
   hint.op = filter.op;
@@ -73,12 +37,42 @@ ipm::ChunkHint hint_for(const EventFilter& filter) {
 std::vector<double> durations(const ipm::TraceSource& source,
                               const EventFilter& filter) {
   std::vector<double> out;
-  source.for_each_columns_hinted(
-      hint_for(filter), filter.required_columns() | ipm::kColDuration,
-      [&](const ipm::ColumnBatch& b) {
-        filter.for_each_match(
-            b, [&](std::size_t i) { out.push_back(b.duration[i]); });
-      });
+  filter.for_each_match(source, ipm::kColDuration,
+                        [&](const ipm::ColumnBatch& b, std::size_t i) {
+                          out.push_back(b.duration[i]);
+                        });
+  return out;
+}
+
+std::vector<double> seconds_per_mib(const ipm::TraceSource& source,
+                                    const EventFilter& filter) {
+  std::vector<double> out;
+  filter.for_each_match(source, ipm::kColDuration | ipm::kColBytes,
+                        [&](const ipm::ColumnBatch& b, std::size_t i) {
+                          if (b.bytes[i] == 0) return;
+                          out.push_back(b.duration[i] / to_mib(b.bytes[i]));
+                        });
+  return out;
+}
+
+std::vector<double> rates_mib(const ipm::TraceSource& source,
+                              const EventFilter& filter) {
+  std::vector<double> out;
+  filter.for_each_match(source, ipm::kColDuration | ipm::kColBytes,
+                        [&](const ipm::ColumnBatch& b, std::size_t i) {
+                          if (b.bytes[i] == 0 || b.duration[i] <= 0.0) return;
+                          out.push_back(to_mib(b.bytes[i]) / b.duration[i]);
+                        });
+  return out;
+}
+
+std::map<RankId, std::vector<double>> durations_by_rank(
+    const ipm::TraceSource& source, const EventFilter& filter) {
+  std::map<RankId, std::vector<double>> out;
+  filter.for_each_match(source, ipm::kColDuration | ipm::kColRank,
+                        [&](const ipm::ColumnBatch& b, std::size_t i) {
+                          out[b.rank[i]].push_back(b.duration[i]);
+                        });
   return out;
 }
 
@@ -110,9 +104,9 @@ void PhaseSummarySink::merge(const PhaseSummarySink& other) {
   }
 }
 
-std::vector<double> per_rank_ordered(const ipm::Trace& trace,
+std::vector<double> per_rank_ordered(const ipm::TraceSource& source,
                                      const EventFilter& filter, std::size_t k) {
-  auto by_rank = durations_by_rank(trace, filter);
+  auto by_rank = durations_by_rank(source, filter);
   std::vector<double> out;
   out.reserve(by_rank.size() * k);
   for (const auto& [rank, ds] : by_rank) {

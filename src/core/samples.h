@@ -32,31 +32,15 @@ struct EventFilter {
   std::optional<double> t_lo;
   std::optional<double> t_hi;
 
-  /// Inline: the predicate runs once per event inside every scan loop,
-  /// and with the common pins (op/data_calls_only) the compiler folds
-  /// the unset-field branches away at the call site.
-  [[nodiscard]] bool matches(const ipm::TraceEvent& e) const {
-    using posix::OpType;
-    if (data_calls_only && e.op != OpType::kRead && e.op != OpType::kWrite) {
-      return false;
-    }
-    if (op && e.op != *op) return false;
-    if (phase && e.phase != *phase) return false;
-    if (rank && e.rank != *rank) return false;
-    if (e.bytes < min_bytes) return false;
-    if (max_bytes && e.bytes > *max_bytes) return false;
-    if (t_lo && e.end() < *t_lo) return false;
-    if (t_hi && e.start > *t_hi) return false;
-    return true;
-  }
-
   /// The columns this filter reads. A columnar pass must decode at
   /// least these (plus whatever the analysis itself consumes) for
   /// matches_at() to be exact; everything else may stay un-decoded.
   [[nodiscard]] ipm::ColumnMask required_columns() const noexcept;
 
-  /// matches() over row i of a ColumnBatch — field-for-field the same
-  /// predicate, reading only the required_columns() spans.
+  /// The predicate over row i of a ColumnBatch, reading only the
+  /// required_columns() spans. Inline: it runs once per event inside
+  /// every scan loop, and with the common pins (op/data_calls_only)
+  /// the compiler folds the unset-field branches away at the call site.
   [[nodiscard]] bool matches_at(const ipm::ColumnBatch& b,
                                 std::size_t i) const {
     using posix::OpType;
@@ -119,43 +103,56 @@ struct EventFilter {
       if (matches_at(b, i)) fn(i);
     }
   }
+
+  /// One hinted pass over `source` calling fn(batch, row) for every
+  /// matching row, in trace order, with `columns` decoded beside the
+  /// filter's own.
+  template <typename Fn>
+  void for_each_match(const ipm::TraceSource& source, ipm::ColumnMask columns,
+                      Fn&& fn) const;
 };
 
-/// Durations of matching events.
-[[nodiscard]] std::vector<double> durations(const ipm::Trace& trace,
-                                            const EventFilter& filter);
-
-/// Per-event normalized cost in seconds per MiB (the Figure 6
-/// histogram axis, which makes mixed transfer sizes comparable).
-[[nodiscard]] std::vector<double> seconds_per_mib(const ipm::Trace& trace,
-                                                  const EventFilter& filter);
-
-/// Per-event achieved rate in MiB/s.
-[[nodiscard]] std::vector<double> rates_mib(const ipm::Trace& trace,
-                                            const EventFilter& filter);
-
-/// Durations grouped by rank, each in issue order (feeds
-/// stats::sum_groups for per-task totals).
-[[nodiscard]] std::map<RankId, std::vector<double>> durations_by_rank(
-    const ipm::Trace& trace, const EventFilter& filter);
-
-/// Flatten durations_by_rank in rank order into one vector with `k`
-/// entries per rank, checking each rank contributed exactly k.
-[[nodiscard]] std::vector<double> per_rank_ordered(const ipm::Trace& trace,
-                                                   const EventFilter& filter,
-                                                   std::size_t k);
-
 // ---------------------------------------------------------------------------
-// Streaming counterparts: visit a TraceSource instead of materializing.
+// Sample extraction: one hinted columnar pass over a TraceSource — a
+// trace file or an in-memory Trace alike.
 
 /// The chunk-index pre-filter a filter implies (op/phase/rank pins
 /// become hints; indexed v3 sources skip chunks that cannot match).
 [[nodiscard]] ipm::ChunkHint hint_for(const EventFilter& filter);
 
+template <typename Fn>
+void EventFilter::for_each_match(const ipm::TraceSource& source,
+                                 ipm::ColumnMask columns, Fn&& fn) const {
+  source.for_each_columns_hinted(
+      hint_for(*this), required_columns() | columns,
+      [&](const ipm::ColumnBatch& b) {
+        for_each_match(b, [&](std::size_t i) { fn(b, i); });
+      });
+}
+
 /// Durations of matching events (materializes the samples, not the
 /// events — use SummarySink when bounded memory matters).
 [[nodiscard]] std::vector<double> durations(const ipm::TraceSource& source,
                                             const EventFilter& filter);
+
+/// Per-event normalized cost in seconds per MiB (the Figure 6
+/// histogram axis, which makes mixed transfer sizes comparable).
+[[nodiscard]] std::vector<double> seconds_per_mib(
+    const ipm::TraceSource& source, const EventFilter& filter);
+
+/// Per-event achieved rate in MiB/s.
+[[nodiscard]] std::vector<double> rates_mib(const ipm::TraceSource& source,
+                                            const EventFilter& filter);
+
+/// Durations grouped by rank, each in issue order (feeds
+/// stats::sum_groups for per-task totals).
+[[nodiscard]] std::map<RankId, std::vector<double>> durations_by_rank(
+    const ipm::TraceSource& source, const EventFilter& filter);
+
+/// Flatten durations_by_rank in rank order into one vector with `k`
+/// entries per rank, checking each rank contributed exactly k.
+[[nodiscard]] std::vector<double> per_rank_ordered(
+    const ipm::TraceSource& source, const EventFilter& filter, std::size_t k);
 
 /// EventSink folding filter-matched durations into a StreamingSummary
 /// (count/extrema/moments/reservoir) — the bounded-memory analysis

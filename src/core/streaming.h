@@ -247,12 +247,8 @@ class StreamingSummary {
  public:
   StreamingSummary() : StreamingSummary(SummaryOptions{}) {}
   explicit StreamingSummary(const SummaryOptions& options)
-      : reservoir_(options.reservoir_capacity, options.reservoir_seed) {
-    if (options.quantile_bins > 0) {
-      quantile_hist_.emplace(BinScale::kLog10, options.quantile_hist_lo,
-                             options.quantile_hist_hi, options.quantile_bins);
-    }
-  }
+      : reservoir_(options.reservoir_capacity, options.reservoir_seed),
+        quantile_hist_(quantile_histogram_for(options)) {}
 
   void add(double x) {
     if (moments_.count() == 0) {
@@ -322,6 +318,17 @@ class StreamingSummary {
   [[nodiscard]] double histogram_quantile(double q) const;
 
  private:
+  /// The quantile histogram `options` asks for, if any. Built in the
+  /// member initializer, never emplaced into an engaged-or-not member:
+  /// GCC 12 reads emplace()'s reset of a fresh optional as a use of
+  /// uninitialized storage (-Wmaybe-uninitialized under sanitizers).
+  [[nodiscard]] static std::optional<Histogram> quantile_histogram_for(
+      const SummaryOptions& options) {
+    if (options.quantile_bins == 0) return std::nullopt;
+    return Histogram(BinScale::kLog10, options.quantile_hist_lo,
+                     options.quantile_hist_hi, options.quantile_bins);
+  }
+
   StreamingMoments moments_;
   ReservoirSampler reservoir_;
   std::optional<Histogram> quantile_hist_;

@@ -25,9 +25,6 @@ TraceDiagram::TraceDiagram(std::uint32_t ranks, double span, Options options) {
   ranks_per_row_ = static_cast<double>(ranks) / static_cast<double>(rows_);
 }
 
-TraceDiagram::TraceDiagram(const ipm::Trace& trace, Options options)
-    : TraceDiagram(ipm::MemoryTraceSource(trace), options) {}
-
 TraceDiagram::TraceDiagram(const ipm::TraceSource& source, Options options)
     : TraceDiagram(source.meta().ranks, source.time_span(), options) {
   source.for_each_columns(

@@ -22,7 +22,7 @@
 #include <span>
 #include <vector>
 
-#include "ipm/trace.h"
+#include "ipm/trace_event.h"
 
 namespace eio::ipm {
 

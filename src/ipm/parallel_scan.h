@@ -12,12 +12,14 @@
 // as its own ordered lane, so the pass is bounded by the slowest
 // member's merge chain rather than the sum of all of them.
 //
-// Decode: chunks are decoded straight out of one shared read-only mmap
-// of the file (every worker reads the same immutable pages — no locks,
-// no per-thread streams, no staging copies), falling back to
-// per-thread streams with single sized reads when the map is
-// unavailable. Folds receive decoded ColumnBatches restricted to a
-// column mask: unmasked columns are never decoded.
+// Decode: the scanner borrows a FileTraceSource's footer index and
+// its one read-only mmap of the file, and gives each worker a
+// ChunkReader over it — the same decoder a serial pass uses. Every
+// worker reads the same immutable pages (no locks, no per-thread
+// streams, no staging copies), falling back to per-thread streams with
+// single sized reads when the map is unavailable. Folds receive
+// decoded ColumnBatches restricted to a column mask: unmasked columns
+// are never decoded.
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
@@ -45,7 +47,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -59,7 +60,6 @@
 
 #include "common/jobs.h"
 #include "ipm/columns.h"
-#include "ipm/mapped_file.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 #include "ipm/trace_v3.h"
@@ -87,78 +87,42 @@ struct ScanOptions {
   std::size_t merge_window = 0;
 };
 
-/// Per-thread chunk decoder: borrows a shared read-only mapping (or
-/// falls back to its own seekable stream) plus a column scratch, so a
-/// worker's steady state allocates nothing.
-class ChunkReader {
- public:
-  /// `map` (may be null) must outlive the reader.
-  ChunkReader(const std::string& path, const MappedFile* map) : map_(map) {
-    if (map_ == nullptr) in_ = open_trace(path);
-  }
-
-  /// Decode one indexed chunk as a ColumnBatch with only the masked
-  /// columns materialized; spans stay valid until the next read.
-  [[nodiscard]] ColumnBatch read_columns(const TraceIndex& index,
-                                         std::size_t chunk, ColumnMask mask) {
-    const ChunkMeta& meta = index.chunks[chunk];
-    std::uint64_t byte_len = chunk_byte_length(index, chunk);
-    if (map_ != nullptr) {
-      // Zero-copy: the index validated offsets against the footer, and
-      // the footer against the file size, so this sub-span is in-bounds.
-      return decode_chunk_v3(map_->data() + meta.offset,
-                             static_cast<std::size_t>(byte_len), meta,
-                             scratch_, mask);
-    }
-    return read_chunk_v3(in_, meta, byte_len, raw_, scratch_, mask);
-  }
-
- private:
-  const MappedFile* map_;
-  std::ifstream in_;
-  std::vector<char> raw_;
-  ColumnScratch scratch_;
-};
-
 /// Map-reduce engine over one indexed (v3) trace file. Stateless
-/// between scans; safe to reuse and cheap to construct (the index is
-/// read once or borrowed from a FileTraceSource).
+/// between scans; safe to reuse and cheap to construct: it borrows the
+/// footer index and the read-only mapping of a FileTraceSource, so a
+/// file is opened and mapped once however many scans run over it.
 class ParallelTraceScanner {
  public:
-  /// Open `path` and read its footer index. Throws std::runtime_error
-  /// when the file cannot be opened or is not a v3 trace.
+  /// Open `path` as a FileTraceSource of the scanner's own. Throws
+  /// std::runtime_error when the file cannot be opened or is not a v3
+  /// trace.
   explicit ParallelTraceScanner(std::string path, ScanOptions options = {})
-      : path_(std::move(path)),
+      : ParallelTraceScanner(std::make_unique<const FileTraceSource>(
+                                 std::move(path)),
+                             options) {}
+
+  /// Borrow an indexed (v3) source's index and mapping; `source` must
+  /// outlive the scanner. Throws std::runtime_error for a TSV source.
+  explicit ParallelTraceScanner(const FileTraceSource& source,
+                                ScanOptions options = {})
+      : source_(&source),
         jobs_(resolve_jobs(options.jobs)),
         merge_window_(resolve_window(options, jobs_)) {
-    std::ifstream in = open_trace(path_);
-    if (sniff_format(in) != TraceFormat::kBinaryV3) {
+    if (!source.index()) {
       throw std::runtime_error("parallel scan needs an indexed (v3) trace: " +
-                               path_);
+                               source.path());
     }
-    index_ = read_index_v3(in);
-    open_map();
   }
+  /// A temporary source would not outlive the scanner.
+  ParallelTraceScanner(FileTraceSource&&, ScanOptions = {}) = delete;
 
-  /// Reuse an index already read by a FileTraceSource.
-  ParallelTraceScanner(std::string path, TraceIndex index,
-                       ScanOptions options = {})
-      : path_(std::move(path)),
-        index_(std::move(index)),
-        jobs_(resolve_jobs(options.jobs)),
-        merge_window_(resolve_window(options, jobs_)) {
-    open_map();
+  [[nodiscard]] const TraceIndex& index() const noexcept {
+    return *source_->index();
   }
-
-  [[nodiscard]] const TraceIndex& index() const noexcept { return index_; }
 
   /// Wall-clock span of the whole trace (max chunk end time) — free
   /// from the index, no event pass.
-  [[nodiscard]] double time_span() const noexcept {
-    double span = 0.0;
-    for (const ChunkMeta& c : index_.chunks) span = std::max(span, c.t_hi);
-    return span;
-  }
+  [[nodiscard]] double time_span() const { return source_->time_span(); }
 
   /// Map-reduce over the chunks `hint` admits (all chunks when null):
   ///
@@ -182,7 +146,7 @@ class ParallelTraceScanner {
         [this, &fold, mask](ChunkReader& reader, Partial& p,
                             std::size_t chunk) {
           OBS_SPAN("scan.fold_chunk");
-          fold(p, reader.read_columns(index_, chunk, mask));
+          fold(p, reader.read_columns(index(), chunk, mask));
         },
         1,
         [&merge](Partial& into, Partial& from, std::size_t) {
@@ -208,7 +172,7 @@ class ParallelTraceScanner {
     auto produce = [this, mask](ChunkReader& reader, Set& set,
                                 std::size_t chunk) {
       OBS_SPAN("scan.fold_chunk");
-      set.add_batch(reader.read_columns(index_, chunk, mask));
+      set.add_batch(reader.read_columns(index(), chunk, mask));
     };
     if constexpr (MergeLanes<Set>) {
       return scan_impl(make, produce, Set::kLanes,
@@ -248,7 +212,8 @@ class ParallelTraceScanner {
     // Hint-pruned chunks are skipped silently on the fast path; the
     // counter pair makes the pruning visible in --obs-summary.
     OBS_COUNTER_ADD("scan.chunks_scanned", picks.size());
-    OBS_COUNTER_ADD("scan.chunks_skipped", index_.chunks.size() - picks.size());
+    OBS_COUNTER_ADD("scan.chunks_skipped",
+                    index().chunks.size() - picks.size());
     if (picks.empty()) return make(std::size_t{0});
 
     const std::size_t n = picks.size();
@@ -399,19 +364,16 @@ class ParallelTraceScanner {
     return std::move(*result);
   }
 
-  /// Map the file once; every worker decodes from the same read-only
-  /// pages. A failed map (file vanished between index and scan) is not
-  /// fatal — readers fall back to per-thread streams.
-  void open_map() {
-    try {
-      map_ = std::make_unique<MappedFile>(path_);
-    } catch (const std::runtime_error&) {
-      map_ = nullptr;
-    }
+  ParallelTraceScanner(std::unique_ptr<const FileTraceSource> owned,
+                       ScanOptions options)
+      : ParallelTraceScanner(*owned, options) {
+    owned_ = std::move(owned);
   }
 
+  /// A worker's reader: every worker decodes from the source's one
+  /// read-only mapping (or, where the map failed, its own stream).
   [[nodiscard]] ChunkReader make_reader() const {
-    return ChunkReader(path_, map_.get());
+    return ChunkReader(source_->path(), source_->mapping());
   }
 
   [[nodiscard]] static std::size_t resolve_window(const ScanOptions& options,
@@ -422,18 +384,17 @@ class ParallelTraceScanner {
 
   [[nodiscard]] std::vector<std::size_t> admitted(const ChunkHint* hint) const {
     std::vector<std::size_t> picks;
-    picks.reserve(index_.chunks.size());
-    for (std::size_t i = 0; i < index_.chunks.size(); ++i) {
-      if (!hint || hint->admits(index_.chunks[i])) picks.push_back(i);
+    picks.reserve(index().chunks.size());
+    for (std::size_t i = 0; i < index().chunks.size(); ++i) {
+      if (!hint || hint->admits(index().chunks[i])) picks.push_back(i);
     }
     return picks;
   }
 
-  std::string path_;
-  TraceIndex index_;
+  std::unique_ptr<const FileTraceSource> owned_;  ///< path-opened only
+  const FileTraceSource* source_;
   std::size_t jobs_;
   std::size_t merge_window_;
-  std::unique_ptr<const MappedFile> map_;
 };
 
 }  // namespace eio::ipm

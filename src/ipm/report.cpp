@@ -65,10 +65,6 @@ JobReport JobReportAccumulator::report() const {
   return report;
 }
 
-JobReport summarize(const Trace& trace) {
-  return summarize(MemoryTraceSource(trace));
-}
-
 JobReport summarize(const TraceSource& source) {
   JobReportAccumulator acc(source.meta().experiment, source.meta().ranks);
   source.for_each_columns(kColStart | kColDuration | kColOp | kColRank |
@@ -109,12 +105,6 @@ void print_report(std::ostream& out, const JobReport& report) {
       << " / " << report.bytes_per_rank.max << "\n";
   out << "# busiest rank : " << report.busiest_rank << "\n";
   out << "###############################################################\n";
-}
-
-std::string report_text(const Trace& trace) {
-  std::ostringstream os;
-  print_report(os, summarize(trace));
-  return os.str();
 }
 
 std::string report_text(const TraceSource& source) {

@@ -86,8 +86,6 @@ class JobReportAccumulator final : public EventSink {
   std::vector<double> bytes_per_rank_;
 };
 
-/// Compute the summary from a materialized trace.
-[[nodiscard]] JobReport summarize(const Trace& trace);
 /// Compute the summary in one streaming pass (O(ranks) memory).
 [[nodiscard]] JobReport summarize(const TraceSource& source);
 
@@ -95,7 +93,6 @@ class JobReportAccumulator final : public EventSink {
 void print_report(std::ostream& out, const JobReport& report);
 
 /// Convenience: summarize + render to a string.
-[[nodiscard]] std::string report_text(const Trace& trace);
 [[nodiscard]] std::string report_text(const TraceSource& source);
 
 }  // namespace eio::ipm

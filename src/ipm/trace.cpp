@@ -1,10 +1,12 @@
-// Materializing wrappers over the streaming kernels in trace_stream.h.
-// All parsing, validation, and encoding lives there; a Trace is just
-// what you get when the visitor appends to a vector.
+// The in-memory Trace: its TraceSource pass and its serializations.
+// All parsing, validation and encoding lives in the streaming kernels
+// (trace_stream.h for TSV, trace_v3.h for v3); a Trace is what you get
+// when their rows are appended to a vector.
 #include "ipm/trace.h"
 
 #include <algorithm>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -19,10 +21,20 @@ Seconds Trace::span() const noexcept {
   return latest;
 }
 
+void Trace::for_each_columns(ColumnMask mask,
+                             const ColumnBatchVisitor& visit) const {
+  ColumnScratch scratch;
+  const std::span<const TraceEvent> rows(events_);
+  for (std::size_t i = 0; i < rows.size(); i += kDefaultBatchEvents) {
+    const std::size_t n = std::min(kDefaultBatchEvents, rows.size() - i);
+    visit(shred(rows.subspan(i, n), scratch, mask));
+  }
+}
+
 void Trace::merge(const Trace& other) {
   events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-  ranks_ = std::max(ranks_, other.ranks_);
-  if (experiment_.empty()) experiment_ = other.experiment_;
+  meta_.ranks = std::max(meta_.ranks, other.meta_.ranks);
+  if (meta_.experiment.empty()) meta_.experiment = other.meta_.experiment;
 }
 
 void Trace::sort_by_start() {
@@ -32,29 +44,22 @@ void Trace::sort_by_start() {
                    });
 }
 
-namespace {
-
-Trace materialize(std::istream& in,
-                  TraceMeta (*kernel)(std::istream&, const EventVisitor&)) {
-  Trace trace;
-  TraceMeta meta =
-      kernel(in, [&trace](const TraceEvent& e) { trace.add(e); });
-  trace.set_experiment(meta.experiment);
-  trace.set_ranks(meta.ranks);
-  return trace;
-}
-
-}  // namespace
-
 void Trace::write(std::ostream& out) const {
-  write_tsv_header(out, experiment_, ranks_, events_.size());
+  write_tsv_header(out, meta_.experiment, meta_.ranks, events_.size());
   for (const TraceEvent& e : events_) write_tsv_event(out, e);
 }
 
-Trace Trace::read(std::istream& in) { return materialize(in, stream_tsv); }
+Trace Trace::read(std::istream& in) {
+  Trace trace;
+  const TraceMeta meta =
+      stream_tsv(in, [&trace](const TraceEvent& e) { trace.add(e); });
+  trace.meta_.experiment = meta.experiment;
+  trace.meta_.ranks = meta.ranks;
+  return trace;
+}
 
 void Trace::write_binary_v3(std::ostream& out) const {
-  TraceWriterV3 writer(out, experiment_, ranks_);
+  TraceWriterV3 writer(out, meta_.experiment, meta_.ranks);
   for (const TraceEvent& e : events_) writer.add(e);
   writer.finish();
 }
@@ -63,7 +68,18 @@ Trace Trace::read_binary(std::istream& in) {
   if (sniff_format(in) != TraceFormat::kBinaryV3) {
     throw std::runtime_error("not a binary ipm-io trace (missing magic)");
   }
-  return materialize(in, stream_binary_v3);
+  const TraceIndex index = read_index_v3(in);
+  Trace trace(index.meta.experiment, index.meta.ranks);
+  std::vector<char> raw;
+  ColumnScratch scratch;
+  for (std::size_t i = 0; i < index.chunks.size(); ++i) {
+    const ColumnBatch batch = read_chunk_v3(
+        in, index.chunks[i], chunk_byte_length(index, i), raw, scratch);
+    for (std::size_t row = 0; row < batch.size(); ++row) {
+      trace.add(batch.event_at(row));
+    }
+  }
+  return trace;
 }
 
 void Trace::save(const std::string& path) const {
@@ -82,9 +98,7 @@ void Trace::save_binary_v3(const std::string& path) const {
 
 Trace Trace::load(const std::string& path) {
   std::ifstream in = open_trace(path);
-  return sniff_format(in) == TraceFormat::kTsv
-             ? materialize(in, stream_tsv)
-             : materialize(in, stream_binary_v3);
+  return sniff_format(in) == TraceFormat::kTsv ? read(in) : read_binary(in);
 }
 
 }  // namespace eio::ipm

@@ -1,12 +1,10 @@
-// IPM-I/O trace records and trace containers.
+// The in-memory trace: a job's collected events.
 //
-// IPM-I/O "collects timestamped trace entries containing the libc
-// call, its arguments, and its duration", associating events on the
-// same file through a table of open descriptors. TraceEvent carries
-// exactly that, plus the IPM region (phase) active when the call
-// completed. A Trace is the per-job collection, with a text
-// serialization for offline analysis and a merge operation for
-// combining per-rank or per-run traces.
+// A Trace is the per-job collection (the paper's full-trace capture
+// mode), with text and v3 serializations for offline analysis and a
+// merge operation for combining per-rank or per-run traces. It is a
+// TraceSource like a trace file, so every analysis reads it through
+// the same columnar pass.
 #pragma once
 
 #include <cstdint>
@@ -14,32 +12,19 @@
 #include <string>
 #include <vector>
 
-#include "common/ids.h"
-#include "common/units.h"
-#include "posix/hooks.h"
+#include "ipm/trace_event.h"
+#include "ipm/trace_source.h"
 
 namespace eio::ipm {
 
-/// One traced POSIX call.
-struct TraceEvent {
-  Seconds start = 0.0;
-  Seconds duration = 0.0;
-  posix::OpType op = posix::OpType::kRead;
-  RankId rank = 0;
-  FileId file = kInvalidFile;
-  Bytes offset = 0;
-  Bytes bytes = 0;
-  std::int32_t phase = 0;
-
-  [[nodiscard]] Seconds end() const noexcept { return start + duration; }
-};
-
 /// A job's collected events plus job-level metadata.
-class Trace {
+class Trace final : public TraceSource {
  public:
   Trace() = default;
-  Trace(std::string experiment, std::uint32_t ranks)
-      : experiment_(std::move(experiment)), ranks_(ranks) {}
+  Trace(std::string experiment, std::uint32_t ranks) {
+    meta_.experiment = std::move(experiment);
+    meta_.ranks = ranks;
+  }
 
   void add(const TraceEvent& event) { events_.push_back(event); }
 
@@ -49,14 +34,23 @@ class Trace {
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   [[nodiscard]] const std::string& experiment() const noexcept {
-    return experiment_;
+    return meta_.experiment;
   }
-  [[nodiscard]] std::uint32_t ranks() const noexcept { return ranks_; }
-  void set_ranks(std::uint32_t ranks) { ranks_ = ranks; }
-  void set_experiment(std::string name) { experiment_ = std::move(name); }
+  [[nodiscard]] std::uint32_t ranks() const noexcept { return meta_.ranks; }
+  void set_ranks(std::uint32_t ranks) { meta_.ranks = ranks; }
+  void set_experiment(std::string name) { meta_.experiment = std::move(name); }
 
   /// Wall-clock span covered by the trace (latest end time).
   [[nodiscard]] Seconds span() const noexcept;
+
+  // The TraceSource view. A pass shreds kDefaultBatchEvents rows at a
+  // time into scratch local to the pass, so memory stays bounded and
+  // concurrent const passes are safe.
+  [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
+  void for_each_columns(ColumnMask mask,
+                        const ColumnBatchVisitor& visit) const override;
+  [[nodiscard]] double time_span() const override { return span(); }
+  [[nodiscard]] std::uint64_t event_count() const override { return size(); }
 
   /// Append another trace's events (ranks must not overlap meaningfully;
   /// rank count becomes the max).
@@ -75,7 +69,8 @@ class Trace {
   /// chunked per-column delta/varint streams with optional RLE
   /// compression behind a footer index.
   void write_binary_v3(std::ostream& out) const;
-  /// Parse a stream produced by write_binary_v3(). Throws
+  /// Parse a seekable stream produced by write_binary_v3(): its footer
+  /// index, then every chunk through the one v3 chunk decoder. Throws
   /// std::runtime_error on truncated or corrupt input.
   [[nodiscard]] static Trace read_binary(std::istream& in);
 
@@ -88,8 +83,7 @@ class Trace {
   [[nodiscard]] static Trace load(const std::string& path);
 
  private:
-  std::string experiment_;
-  std::uint32_t ranks_ = 0;
+  TraceMeta meta_;  ///< experiment and ranks; declares no event count
   std::vector<TraceEvent> events_;
 };
 

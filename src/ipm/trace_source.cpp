@@ -1,7 +1,6 @@
 #include "ipm/trace_source.h"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 
 #include "common/check.h"
@@ -20,23 +19,34 @@ double TraceSource::time_span() const {
   return span;
 }
 
-MemoryTraceSource::MemoryTraceSource(const Trace& trace) : trace_(&trace) {
-  meta_.experiment = trace.experiment();
-  meta_.ranks = trace.ranks();
-  meta_.declared_events = trace.size();
-}
-
-void MemoryTraceSource::for_each_columns(
-    ColumnMask mask, const ColumnBatchVisitor& visit) const {
-  // One shred of the contiguous trace — a single columnar batch.
-  if (!trace_->empty()) {
-    visit(shred(std::span<const TraceEvent>(trace_->events()), scratch_, mask));
+ChunkReader::ChunkReader(const std::string& path) {
+  try {
+    owned_ = std::make_unique<MappedFile>(path);
+  } catch (const std::runtime_error&) {
+    in_ = open_trace(path);
+    return;
   }
+  map_ = owned_.get();
 }
 
-double MemoryTraceSource::time_span() const { return trace_->span(); }
+ChunkReader::ChunkReader(const std::string& path, const MappedFile* map)
+    : map_(map) {
+  if (map_ == nullptr) in_ = open_trace(path);
+}
 
-std::uint64_t MemoryTraceSource::event_count() const { return trace_->size(); }
+ColumnBatch ChunkReader::read_columns(const TraceIndex& index,
+                                      std::size_t chunk, ColumnMask mask) {
+  const ChunkMeta& meta = index.chunks[chunk];
+  const std::uint64_t byte_len = chunk_byte_length(index, chunk);
+  if (map_ != nullptr) {
+    // Zero-copy: the index validated offsets against the footer, and
+    // the footer against the file size, so this sub-span is in-bounds.
+    return decode_chunk_v3(map_->data() + meta.offset,
+                           static_cast<std::size_t>(byte_len), meta, scratch_,
+                           mask);
+  }
+  return read_chunk_v3(in_, meta, byte_len, raw_, scratch_, mask);
+}
 
 FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
   stream_ = open_trace(path_);
@@ -44,13 +54,8 @@ FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
   if (format_ == TraceFormat::kBinaryV3) {
     index_ = read_index_v3(stream_);
     meta_ = index_->meta;
-    // Prefer decoding chunks straight from page cache; a failed map
-    // is not fatal — passes fall back to the cached stream.
-    try {
-      map_ = std::make_unique<MappedFile>(path_);
-    } catch (const std::runtime_error&) {
-      map_ = nullptr;
-    }
+    stream_.close();
+    reader_.emplace(path_);
     return;
   }
   // TSV keeps no trailing index, so validating the header costs one
@@ -61,17 +66,30 @@ FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
   if (!meta_.declared_events) meta_.declared_events = counted;
 }
 
-std::istream& FileTraceSource::reset_stream() const {
+void FileTraceSource::for_each_columns(ColumnMask mask,
+                                       const ColumnBatchVisitor& visit) const {
+  for_each_columns_hinted(ChunkHint{}, mask, visit);
+}
+
+void FileTraceSource::for_each_columns_hinted(
+    const ChunkHint& hint, ColumnMask mask,
+    const ColumnBatchVisitor& visit) const {
+  if (index_) {
+    for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
+      if (!hint.admits(index_->chunks[i])) {
+        OBS_COUNTER_ADD("scan.chunks_skipped", 1);
+        continue;
+      }
+      OBS_COUNTER_ADD("scan.chunks_scanned", 1);
+      visit(reader_->read_columns(*index_, i, mask));
+    }
+    return;
+  }
   stream_.clear();
   stream_.seekg(0);
   EIO_CHECK_MSG(stream_.good(), "cannot rewind trace: " << path_);
-  return stream_;
-}
-
-void FileTraceSource::stream_tsv_pass(ColumnMask mask,
-                                      const ColumnBatchVisitor& visit) const {
   scratch_.clear();
-  (void)stream_tsv(reset_stream(), [&](const TraceEvent& e) {
+  (void)stream_tsv(stream_, [&](const TraceEvent& e) {
     scratch_.push_back(e);
     if (scratch_.size() == kDefaultBatchEvents) {
       visit(scratch_.view(mask));
@@ -79,54 +97,6 @@ void FileTraceSource::stream_tsv_pass(ColumnMask mask,
     }
   });
   if (scratch_.size() > 0) visit(scratch_.view(mask));
-}
-
-ColumnBatch FileTraceSource::decode_columns(std::size_t i,
-                                            ColumnMask mask) const {
-  const ChunkMeta& chunk = index_->chunks[i];
-  std::uint64_t byte_len = chunk_byte_length(*index_, i);
-  if (map_) {
-    // Zero-copy: the index validated offsets against the footer, and
-    // the footer against the file size, so this sub-span is in-bounds.
-    return decode_chunk_v3(map_->data() + chunk.offset,
-                           static_cast<std::size_t>(byte_len), chunk,
-                           scratch_, mask);
-  }
-  return read_chunk_v3(stream_, chunk, byte_len, raw_, scratch_, mask);
-}
-
-void FileTraceSource::scan_chunk_columns(
-    const ChunkHint* hint, ColumnMask mask,
-    const ColumnBatchVisitor& visit) const {
-  (void)reset_stream();
-  for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
-    const ChunkMeta& chunk = index_->chunks[i];
-    if (hint && !hint->admits(chunk)) {
-      OBS_COUNTER_ADD("scan.chunks_skipped", 1);
-      continue;
-    }
-    OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-    visit(decode_columns(i, mask));
-  }
-}
-
-void FileTraceSource::for_each_columns(ColumnMask mask,
-                                       const ColumnBatchVisitor& visit) const {
-  if (index_) {
-    scan_chunk_columns(nullptr, mask, visit);
-    return;
-  }
-  stream_tsv_pass(mask, visit);
-}
-
-void FileTraceSource::for_each_columns_hinted(
-    const ChunkHint& hint, ColumnMask mask,
-    const ColumnBatchVisitor& visit) const {
-  if (index_) {
-    scan_chunk_columns(&hint, mask, visit);
-    return;
-  }
-  stream_tsv_pass(mask, visit);
 }
 
 double FileTraceSource::time_span() const {

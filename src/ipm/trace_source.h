@@ -2,22 +2,24 @@
 //
 // Every consumer of a trace — eiotrace subcommands, the reporters, the
 // streaming accumulators in core — pulls events through this interface
-// instead of demanding a materialized std::vector<TraceEvent>. A
-// MemoryTraceSource adapts an in-memory Trace (so the batch paths stay
-// available and the streaming kernels can be validated against them);
-// a FileTraceSource replays a trace file on every pass, keeping memory
-// O(1) in the event count. For indexed (v3) files, a ChunkHint lets
-// the source skip whole chunks whose footer metadata cannot match,
-// turning filtered scans into selective reads.
+// instead of demanding a materialized std::vector<TraceEvent>. There
+// is one read path per backing store: an in-memory ipm::Trace is itself
+// a TraceSource (it shreds its rows per pass), and a FileTraceSource
+// replays a trace file on every pass, keeping memory O(1) in the event
+// count. A v3 file is read through exactly one decoder — its footer
+// index plus a ChunkReader, the same reader the chunk-parallel
+// ParallelTraceScanner gives each worker — and a ChunkHint lets the
+// source skip whole chunks whose footer metadata cannot match, turning
+// filtered scans into selective reads.
 //
 // One pass family is offered: for_each_columns(_hinted), one
-// ColumnBatch per run of consecutive events — a decoded chunk, a
-// kDefaultBatchEvents run of TSV rows, or the whole in-memory trace —
-// restricted to a ColumnMask. There is no per-event visitor: on v3
-// files unneeded columns are never decoded — and with the mmap path
-// the needed ones decode straight from page cache — while TSV and
-// in-memory sources shred their rows, so consumers see the identical
-// value sequence from any backing format.
+// ColumnBatch per run of consecutive events — a decoded chunk, or a
+// kDefaultBatchEvents run of TSV or in-memory rows — restricted to a
+// ColumnMask. There is no per-event visitor: on v3 files unneeded
+// columns are never decoded — and with the mmap path the needed ones
+// decode straight from page cache — while TSV and in-memory sources
+// shred their rows, so consumers see the identical value sequence from
+// any backing store.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +32,7 @@
 
 #include "ipm/columns.h"
 #include "ipm/mapped_file.h"
-#include "ipm/trace.h"
+#include "ipm/trace_event.h"
 #include "ipm/trace_stream.h"
 
 namespace eio::ipm {
@@ -135,32 +137,44 @@ class TraceSource {
   [[nodiscard]] virtual std::uint64_t event_count() const = 0;
 };
 
-/// Non-owning view over an in-memory Trace.
-class MemoryTraceSource final : public TraceSource {
+/// Decodes the indexed chunks of one v3 file: straight out of a
+/// read-only mapping when there is one, else through sized reads of
+/// its own stream into a reusable buffer. The column scratch is
+/// reused too, so a steady-state decode allocates nothing. One reader
+/// serves one thread; readers of the same file share its mapping.
+class ChunkReader {
  public:
-  explicit MemoryTraceSource(const Trace& trace);
+  /// Map `path` for this reader; when the map fails (not fatal), fall
+  /// back to sized reads through a stream of its own.
+  explicit ChunkReader(const std::string& path);
+  /// Decode from `map`, borrowed and outliving the reader; when null,
+  /// from a stream of its own over `path`.
+  ChunkReader(const std::string& path, const MappedFile* map);
 
-  [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each_columns(ColumnMask mask,
-                        const ColumnBatchVisitor& visit) const override;
-  [[nodiscard]] double time_span() const override;
-  [[nodiscard]] std::uint64_t event_count() const override;
+  /// Decode one indexed chunk as a ColumnBatch with only the masked
+  /// columns materialized; spans stay valid until the next read.
+  [[nodiscard]] ColumnBatch read_columns(const TraceIndex& index,
+                                         std::size_t chunk, ColumnMask mask);
+
+  /// The mapping this reader decodes from; null on the stream path.
+  [[nodiscard]] const MappedFile* mapping() const noexcept { return map_; }
 
  private:
-  const Trace* trace_;
-  TraceMeta meta_;
-  mutable ColumnScratch scratch_;  ///< shred target for columnar passes
+  std::unique_ptr<const MappedFile> owned_;  ///< set by the mapping ctor
+  const MappedFile* map_ = nullptr;
+  std::ifstream in_;
+  std::vector<char> raw_;
+  ColumnScratch scratch_;
 };
 
 /// Streams a trace file (TSV or binary v3) from disk on every pass.
 /// Holds only the header metadata — plus, for v3, the footer index,
-/// which the hinted passes use to skip chunks. The file is opened (and
-/// its format sniffed) exactly once; every pass rewinds the same
-/// seekable stream. A v3 file is additionally mmap'd when the platform
-/// allows, so its chunks decode zero-copy from page cache (sized reads
-/// through the stream into reusable buffers remain as the fallback). Passes mutate the cached stream and scratch buffers, so
-/// one FileTraceSource must not run concurrent passes —
-/// ParallelTraceScanner decodes through per-thread readers instead.
+/// which the hinted passes use to skip chunks, and one ChunkReader.
+/// The file is opened (and its format sniffed) exactly once, and a v3
+/// file mapped once: a ParallelTraceScanner built from the source
+/// borrows its index and mapping. Passes mutate the cached stream and
+/// the reader's scratch, so one FileTraceSource must not run
+/// concurrent passes — the scanner decodes through per-thread readers.
 class FileTraceSource final : public TraceSource {
  public:
   /// Opens the file once to sniff the format and cache metadata (for
@@ -183,34 +197,22 @@ class FileTraceSource final : public TraceSource {
   [[nodiscard]] const std::optional<TraceIndex>& index() const noexcept {
     return index_;
   }
+  /// The v3 file's read-only mapping, shared with scanners; null for
+  /// TSV files and where the map failed.
+  [[nodiscard]] const MappedFile* mapping() const noexcept {
+    return reader_ ? reader_->mapping() : nullptr;
+  }
   /// True when a v3 file decodes from an mmap (the zero-copy path).
-  [[nodiscard]] bool zero_copy() const noexcept { return map_ != nullptr; }
+  [[nodiscard]] bool zero_copy() const noexcept { return mapping() != nullptr; }
 
  private:
-  /// Rewind the cached stream for a fresh pass.
-  [[nodiscard]] std::istream& reset_stream() const;
-  /// Replay a TSV file through the cached stream, shredding
-  /// kDefaultBatchEvents rows per batch.
-  void stream_tsv_pass(ColumnMask mask, const ColumnBatchVisitor& visit) const;
-  /// Decode indexed chunk i as columns (mask-restricted). Spans are
-  /// valid until the next decode.
-  [[nodiscard]] ColumnBatch decode_columns(std::size_t i,
-                                           ColumnMask mask) const;
-  /// Decode the admitted indexed chunks in order, handing each decoded
-  /// batch to `visit` (all chunks when hint is null).
-  void scan_chunk_columns(const ChunkHint* hint, ColumnMask mask,
-                          const ColumnBatchVisitor& visit) const;
-
   std::string path_;
   TraceFormat format_;
   TraceMeta meta_;
   std::optional<TraceIndex> index_;
-  mutable std::ifstream stream_;
-  std::unique_ptr<const MappedFile> map_;  ///< v3 zero-copy image
-  // Per-pass scratch, reused so a pass costs zero steady-state
-  // allocations (one chunk's worth of bytes + decoded columns).
-  mutable std::vector<char> raw_;
-  mutable ColumnScratch scratch_;
+  mutable std::ifstream stream_;                ///< TSV passes
+  mutable std::optional<ChunkReader> reader_;   ///< v3 chunk decode
+  mutable ColumnScratch scratch_;               ///< TSV row shredding
 };
 
 }  // namespace eio::ipm

@@ -8,32 +8,23 @@
 //
 // Every reader throws std::runtime_error on malformed, truncated or
 // count-mismatched input — never a partial, silently-wrong trace.
-// Trace::read/read_binary/load are thin materializing wrappers over
-// these kernels; TraceSource streams from them without materializing.
+// TSV has one reader, stream_tsv; v3 has one, the footer index
+// (read_index_v3) plus the chunk decoder (decode_chunk_v3). Trace's
+// read/read_binary/load and FileTraceSource are built on them.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "ipm/trace.h"
+#include "ipm/trace_event.h"
 
 namespace eio::ipm {
 
 /// Per-event visitor used by all streaming readers.
 using EventVisitor = std::function<void(const TraceEvent&)>;
-
-/// Job-level metadata parsed from any format's header.
-struct TraceMeta {
-  std::string experiment;
-  std::uint32_t ranks = 0;
-  /// Total events, when the format declares it (TSV header field, v3
-  /// footer); validated against the events actually parsed.
-  std::optional<std::uint64_t> declared_events;
-};
 
 /// The serialization formats, as sniffed from leading magic bytes.
 enum class TraceFormat : std::uint8_t { kTsv, kBinaryV3 };

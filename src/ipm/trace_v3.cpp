@@ -413,60 +413,4 @@ ColumnBatch read_chunk_v3(std::istream& in, const ChunkMeta& chunk,
                          chunk, scratch, mask);
 }
 
-TraceMeta stream_binary_v3(std::istream& in, const EventVisitor& visit) {
-  TraceMeta meta = wire::get_header(in);
-  ColumnScratch scratch;
-  std::vector<char> payload;
-  std::uint64_t parsed = 0;
-  for (;;) {
-    auto record_start = static_cast<std::uint64_t>(in.tellg());
-    auto tag = wire::get<std::uint8_t>(in);
-    if (tag == wire::kChunkTag) {
-      auto count = wire::get_varint(in);
-      if (count > kMaxChunkEvents) {
-        throw std::runtime_error("corrupt v3 trace: absurd chunk event count");
-      }
-      for (int col = 0; col < kNumCols; ++col) {
-        ColHeader h;
-        auto enc = wire::get<std::uint8_t>(in);
-        h.rle = (enc & kRleFlag) != 0;
-        h.enc = enc & static_cast<std::uint8_t>(~kRleFlag);
-        h.enc_len = wire::get_varint(in);
-        h.raw_len = h.rle ? wire::get_varint(in) : h.enc_len;
-        check_col_header(col, h, count);
-        payload.resize(static_cast<std::size_t>(h.enc_len));
-        in.read(payload.data(), static_cast<std::streamsize>(h.enc_len));
-        if (static_cast<std::uint64_t>(in.gcount()) != h.enc_len) {
-          throw std::runtime_error("truncated v3 trace (column stream)");
-        }
-        decode_column(col, h, payload.data(), count, scratch);
-      }
-      ColumnBatch batch = batch_from_scratch(scratch, kColAll, count);
-      for (std::size_t i = 0; i < batch.size(); ++i) visit(batch.event_at(i));
-      parsed += count;
-      continue;
-    }
-    if (tag != wire::kFooterTag) {
-      throw std::runtime_error("corrupt v3 trace: bad chunk tag");
-    }
-    auto [chunks, total] = wire::get_footer(in);
-    if (parsed != total) {
-      throw std::runtime_error(
-          "truncated v3 trace: chunk events disagree with footer");
-    }
-    meta.declared_events = total;
-    // The trailer must be present and intact even on a sequential read
-    // — it is what distinguishes a complete file from one cut off
-    // exactly at a chunk boundary. Its footer pointer must also agree
-    // with where the footer was actually found, so a trailer patched
-    // to point past EOF (or anywhere else) is rejected on every path,
-    // not just the seeking one.
-    if (wire::get<std::uint64_t>(in) != record_start) {
-      throw std::runtime_error("corrupt v3 trace: footer offset out of bounds");
-    }
-    wire::check_magic(in, wire::kTrailerV3, "complete v3 trace trailer");
-    return meta;
-  }
-}
-
 }  // namespace eio::ipm

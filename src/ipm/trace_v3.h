@@ -104,13 +104,12 @@ class TraceWriterV3 final : public EventSink {
 };
 
 /// Read the footer index of a v3 trace from a seekable stream.
-/// Validates trailer magic, footer bounds and chunk-offset monotonicity.
+/// Validates the trailer magic and footer bounds, that the footer ends
+/// at the trailer, and that the chunk offsets tile the file from the
+/// header to the footer in increasing order — so decoding every chunk
+/// (each decode must consume its whole extent) reads every byte, and
+/// no proper prefix of a file, however it is cut, reads as complete.
 [[nodiscard]] TraceIndex read_index_v3(std::istream& in);
-
-/// Sequential reader: visit every event in stored order (decodes each
-/// chunk's columns, then re-rows them). Validates the footer totals and
-/// trailer, so a file cut at a chunk boundary still throws.
-TraceMeta stream_binary_v3(std::istream& in, const EventVisitor& visit);
 
 /// Decode one v3 chunk from an in-memory image (a mapped file region
 /// or a sized read). `data` must span exactly the chunk record —

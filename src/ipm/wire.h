@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "ipm/columns.h"
-#include "ipm/trace.h"
+#include "ipm/trace_event.h"
 #include "ipm/trace_stream.h"
 
 namespace eio::ipm::wire {
@@ -281,10 +281,14 @@ inline void write_footer(std::ostream& out,
   out.write(kTrailerV3, 8);
 }
 
-/// Read the footer index of a v3 trace from a seekable stream: validate the trailer magic and footer bounds, then check
-/// every chunk offset is in-bounds and strictly increasing (the sized
-/// chunk reads derive each chunk's byte length from the next offset,
-/// so out-of-order entries would alias chunk extents).
+/// Read the footer index of a v3 trace from a seekable stream: validate
+/// the trailer magic and footer bounds, that the footer body ends where
+/// the trailer begins, and that the first chunk starts where the header
+/// ends with every later offset in-bounds and strictly increasing (the
+/// sized chunk reads derive each chunk's byte length from the next
+/// offset, so out-of-order entries would alias chunk extents). Chunks
+/// thus tile the file between header and footer, and decoding each
+/// one exactly reads every byte of it.
 inline TraceIndex read_index(std::istream& in) {
   TraceIndex index;
   index.meta = get_header(in);
@@ -306,9 +310,17 @@ inline TraceIndex read_index(std::istream& in) {
     throw std::runtime_error("corrupt trace: footer tag mismatch");
   }
   auto [chunks, total] = get_footer(in);
+  if (static_cast<std::uint64_t>(in.tellg()) != file_size - 16) {
+    throw std::runtime_error("corrupt trace: footer does not end at trailer");
+  }
   index.chunks = std::move(chunks);
   index.meta.declared_events = total;
   index.footer_offset = footer_offset;
+  const std::uint64_t first =
+      index.chunks.empty() ? footer_offset : index.chunks.front().offset;
+  if (first != header_end) {
+    throw std::runtime_error("corrupt trace: chunks do not follow header");
+  }
   std::uint64_t prev = header_end;
   for (const ChunkMeta& c : index.chunks) {
     if (c.offset < prev || c.offset >= footer_offset) {

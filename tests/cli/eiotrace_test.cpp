@@ -467,8 +467,11 @@ TEST_F(EiotraceTest, ZeroMonitorStrideFailsBeforeWork) {
 TEST_F(EiotraceTest, OutOfRangeSizeValuesFailBeforeWork) {
   // Values the commands would narrow (or strtoull cannot hold) are
   // rejected while parsing, never wrapped: 4294967298 tasks is not 2.
+  // So are sizes and scales below what the analysis kernels accept.
   const std::string ost = "--ost-count must be an integer in [0, 65536]";
   const std::string u32 = " must be an integer in [0, 4294967295]";
+  const std::string hist_bins = "--bins must be at least 2";
+  const std::string bandwidth = "--bandwidth must be greater than 0";
   const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
       {{{"simulate", "--tasks=4294967298"}, "--tasks" + u32},
        {{"simulate", "--segments=4294967296"}, "--segments" + u32},
@@ -477,7 +480,16 @@ TEST_F(EiotraceTest, OutOfRangeSizeValuesFailBeforeWork) {
        {{"monitor", path_, "--ost-count=4294967295"}, ost},
        {{"analyze", path_, "--monitor", "--ost-count=65537"}, ost},
        {{"summary", path_, "--jobs=99999999999999999999999"},
-        "--jobs must be an integer in [0, 18446744073709551615]"}};
+        "--jobs must be an integer in [0, 18446744073709551615]"},
+       {{"histogram", path_, "--bins=0"}, hist_bins},
+       {{"histogram", path_, "--bins=1"}, hist_bins},
+       {{"analyze", path_, "--bins=0"}, hist_bins},
+       {{"rates", path_, "--bins=0"}, "--bins must be at least 1"},
+       {{"analyze", path_, "--rate-bins=0"}, "--rate-bins must be at least 1"},
+       {{"diagram", path_, "--rows=0"}, "--rows must be at least 1"},
+       {{"diagram", path_, "--cols=0"}, "--cols must be at least 1"},
+       {{"modes", path_, "--bandwidth=-1"}, bandwidth},
+       {{"modes", path_, "--bandwidth=0"}, bandwidth}};
   for (const auto& [args, needle] : cases) {
     auto [rc, out, err] = run(args);
     EXPECT_EQ(rc, 1) << args[0] << " " << args.back();

@@ -1,7 +1,11 @@
 // Equivalence tests: the streaming accumulators must reproduce the
 // materialized batch path — histogram bins, moments, quantiles, KS
 // inputs, rate series, reports — on seed traces from all three
-// workloads (IOR, MADbench, GCRM).
+// workloads (IOR, MADbench, GCRM). Where an analysis reads a trace,
+// the in-memory Trace pass, the same trace saved as v3 and read back
+// through a FileTraceSource, and (for mergeable kernels) a jobs-3
+// run_kernels scan must each agree with a reference computed row by
+// row in the test.
 #include "core/streaming.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <map>
 #include <span>
 #include <vector>
@@ -18,12 +23,15 @@
 
 #include "core/distribution.h"
 #include "core/histogram.h"
+#include "core/kernel.h"
 #include "core/ks.h"
+#include "core/parallel_analysis.h"
 #include "core/rate_series.h"
 #include "core/samples.h"
 #include "core/trace_diagram.h"
 #include "ipm/report.h"
 #include "ipm/trace_source.h"
+#include "ipm/trace_v3.h"
 #include "support/temp_path.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
@@ -31,8 +39,6 @@
 
 namespace eio::analysis {
 namespace {
-
-using ipm::MemoryTraceSource;
 
 ipm::Trace ior_trace() {
   workloads::IorConfig cfg;
@@ -64,6 +70,23 @@ ipm::Trace gcrm_trace() {
   return workloads::run_job(
              workloads::make_gcrm_job(lustre::MachineConfig::franklin(), cfg))
       .trace;
+}
+
+/// `t` saved as v3 in 64-event chunks (so a jobs-3 scan folds and
+/// merges many partials); returns the path.
+std::string save_v3(const ipm::Trace& t) {
+  const std::string path =
+      test::temp_path("eio_equiv_" + t.experiment() + ".v3");
+  std::ofstream out(path, std::ios::binary);
+  ipm::TraceWriterV3 writer(out, t.experiment(), t.ranks(),
+                            {.chunk_events = 64});
+  for (const ipm::TraceEvent& e : t.events()) writer.add(e);
+  writer.finish();
+  return path;
+}
+
+bool is_data_call(const ipm::TraceEvent& e) {
+  return e.op == posix::OpType::kRead || e.op == posix::OpType::kWrite;
 }
 
 const std::vector<ipm::Trace>& seed_traces() {
@@ -131,9 +154,8 @@ TEST(StreamingEquivalenceTest, HistogramBinsMatchFromSamples) {
       stats::Histogram batch = stats::Histogram::from_samples(d, scale, 40);
 
       // The streaming path: extrema pass, padded_range, fill pass —
-      // fed from a TraceSource, not the vector.
-      MemoryTraceSource source(t);
-      const std::vector<double> streamed_d = durations(source, write_filter);
+      // fed from a TraceSource pass, not the vector.
+      const std::vector<double> streamed_d = durations(t, write_filter);
       double lo = 0.0, hi = 0.0;
       std::size_t n = 0;
       for (double x : streamed_d) {
@@ -161,8 +183,7 @@ TEST(StreamingEquivalenceTest, ReservoirKeepsKsInputsExact) {
     auto batch = durations(t, f);
 
     SummarySink sink(f);
-    MemoryTraceSource source(t);
-    source.for_each_columns(
+    t.for_each_columns(
         sink.required_columns(),
         [&sink](const ipm::ColumnBatch& b) { sink.add_batch(b); });
     const stats::ReservoirSampler& r = sink.summary().reservoir();
@@ -194,23 +215,32 @@ TEST(StreamingEquivalenceTest, QuantilesMatchEmpiricalDistribution) {
 
 TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
   for (const ipm::Trace& t : seed_traces()) {
-    std::map<std::int32_t, std::vector<double>> batch;
+    std::map<std::int32_t, std::vector<double>> by_row;
     for (const ipm::TraceEvent& e : t.events()) {
-      if (EventFilter{}.matches(e)) batch[e.phase].push_back(e.duration);
+      if (is_data_call(e)) by_row[e.phase].push_back(e.duration);
     }
-    PhaseSummarySink sink{{}};
-    MemoryTraceSource source(t);
-    source.for_each_columns(
-        sink.required_columns(),
-        [&sink](const ipm::ColumnBatch& b) { sink.add_batch(b); });
-    ASSERT_EQ(sink.by_phase().size(), batch.size()) << t.experiment();
-    for (const auto& [phase, ds] : batch) {
-      auto it = sink.by_phase().find(phase);
-      ASSERT_NE(it, sink.by_phase().end()) << t.experiment();
-      stats::EmpiricalDistribution dist(ds);
-      EXPECT_EQ(it->second.count(), dist.size());
-      EXPECT_DOUBLE_EQ(it->second.median(), dist.median()) << t.experiment();
-      EXPECT_DOUBLE_EQ(it->second.quantile(0.95), dist.quantile(0.95));
+    const ipm::FileTraceSource file(save_v3(t));
+    auto fold = [](const ipm::TraceSource& source) {
+      PhaseSummarySink sink{{}};
+      source.for_each_columns(
+          sink.required_columns(),
+          [&sink](const ipm::ColumnBatch& b) { sink.add_batch(b); });
+      return sink;
+    };
+    const PhaseSummarySink parallel =
+        run_kernels(file, 3, hint_for({}), [](std::size_t chunk) {
+          return PhaseSummarySink({}, chunk_summary_options({}, chunk));
+        });
+    for (const PhaseSummarySink& sink : {fold(t), fold(file), parallel}) {
+      ASSERT_EQ(sink.by_phase().size(), by_row.size()) << t.experiment();
+      for (const auto& [phase, ds] : by_row) {
+        auto it = sink.by_phase().find(phase);
+        ASSERT_NE(it, sink.by_phase().end()) << t.experiment();
+        stats::EmpiricalDistribution dist(ds);
+        EXPECT_EQ(it->second.count(), dist.size());
+        EXPECT_DOUBLE_EQ(it->second.median(), dist.median()) << t.experiment();
+        EXPECT_DOUBLE_EQ(it->second.quantile(0.95), dist.quantile(0.95));
+      }
     }
   }
 }
@@ -218,21 +248,53 @@ TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
 TEST(StreamingEquivalenceTest, RateSeriesMatchesBatchAggregate) {
   for (const ipm::Trace& t : seed_traces()) {
     EventFilter f{.op = posix::OpType::kWrite};
-    TimeSeries batch = aggregate_rate(t, f, 64);
-    TimeSeries streamed = aggregate_rate(MemoryTraceSource(t), f, 64);
-    EXPECT_DOUBLE_EQ(streamed.t0, batch.t0);
-    EXPECT_DOUBLE_EQ(streamed.dt, batch.dt);
-    ASSERT_EQ(streamed.values.size(), batch.values.size());
-    for (std::size_t i = 0; i < batch.values.size(); ++i) {
-      EXPECT_DOUBLE_EQ(streamed.values[i], batch.values[i])
-          << t.experiment() << " bin " << i;
+    RateSeriesBuilder by_row(t.span(), 64);
+    for (const ipm::TraceEvent& e : t.events()) {
+      if (e.op == posix::OpType::kWrite) {
+        by_row.add(e.start, e.duration, e.bytes);
+      }
+    }
+    const TimeSeries& expected = by_row.series();
+    const ipm::FileTraceSource file(save_v3(t));
+    const TimeSeries parallel =
+        run_kernels(file, 3, hint_for(f), [&](std::size_t) {
+          return RateKernel(f, file.time_span(), 64);
+        }).series();
+    // Serial passes add in row order, bit for bit; merged chunk
+    // partials add per-chunk sums, equal up to rounding.
+    for (const auto& [series, tolerance] :
+         {std::pair{aggregate_rate(t, f, 64), 0.0},
+          std::pair{aggregate_rate(file, f, 64), 0.0},
+          std::pair{parallel, 1e-12}}) {
+      EXPECT_DOUBLE_EQ(series.t0, expected.t0);
+      EXPECT_DOUBLE_EQ(series.dt, expected.dt);
+      ASSERT_EQ(series.values.size(), expected.values.size());
+      for (std::size_t i = 0; i < expected.values.size(); ++i) {
+        EXPECT_NEAR(series.values[i], expected.values[i],
+                    tolerance * expected.values[i])
+            << t.experiment() << " bin " << i;
+      }
     }
   }
 }
 
 TEST(StreamingEquivalenceTest, ReportsMatchBatchSummarize) {
   for (const ipm::Trace& t : seed_traces()) {
-    EXPECT_EQ(ipm::report_text(MemoryTraceSource(t)), ipm::report_text(t))
+    std::map<posix::OpType, ipm::CallStats> by_row;
+    for (const ipm::TraceEvent& e : t.events()) {
+      ipm::CallStats& s = by_row[e.op];
+      ++s.count;
+      s.bytes += e.bytes;
+    }
+    const ipm::JobReport report = ipm::summarize(t);
+    EXPECT_DOUBLE_EQ(report.wall_time, t.span()) << t.experiment();
+    ASSERT_EQ(report.by_op.size(), by_row.size()) << t.experiment();
+    for (const auto& [op, s] : report.by_op) {
+      EXPECT_EQ(s.count, by_row[op].count) << posix::op_name(op);
+      EXPECT_EQ(s.bytes, by_row[op].bytes) << posix::op_name(op);
+    }
+    EXPECT_EQ(ipm::report_text(ipm::FileTraceSource(save_v3(t))),
+              ipm::report_text(t))
         << t.experiment();
   }
 }
@@ -240,23 +302,40 @@ TEST(StreamingEquivalenceTest, ReportsMatchBatchSummarize) {
 TEST(StreamingEquivalenceTest, TraceDiagramMatchesBatchRaster) {
   for (const ipm::Trace& t : seed_traces()) {
     TraceDiagram::Options opt{.max_rows = 16, .columns = 48};
-    TraceDiagram batch(t, opt);
-    TraceDiagram streamed(MemoryTraceSource(t), opt);
-    EXPECT_EQ(streamed.render_text(), batch.render_text()) << t.experiment();
+    // The raster folded one row per batch.
+    TraceDiagram by_row(t.ranks(), t.span(), opt);
+    ipm::ColumnScratch scratch;
+    for (const ipm::TraceEvent& e : t.events()) {
+      by_row.add_batch(ipm::shred({&e, 1}, scratch));
+    }
+    const std::string expected = by_row.render_text();
+    EXPECT_EQ(TraceDiagram(t, opt).render_text(), expected) << t.experiment();
+    const ipm::FileTraceSource file(save_v3(t));
+    EXPECT_EQ(TraceDiagram(file, opt).render_text(), expected)
+        << t.experiment();
   }
 }
 
 TEST(StreamingEquivalenceTest, V3FileRoundTripPreservesAnalysisInputs) {
   // The full pipeline: workload trace -> v3 file -> FileTraceSource ->
-  // streaming filter must yield the very vector the in-memory batch
-  // path computes.
+  // streaming filter must yield the very vector the rows hold, and so
+  // must the in-memory pass and a chunk-parallel summary's reservoir.
   for (const ipm::Trace& t : seed_traces()) {
-    std::string path = test::temp_path("eio_equiv_" + t.experiment() + ".bin");
-    t.save_binary_v3(path);
-    ipm::FileTraceSource source(path);
     EventFilter f{.op = posix::OpType::kWrite};
-    EXPECT_EQ(durations(source, f), durations(t, f)) << t.experiment();
-    std::remove(path.c_str());
+    std::vector<double> by_row;
+    for (const ipm::TraceEvent& e : t.events()) {
+      if (e.op == posix::OpType::kWrite) by_row.push_back(e.duration);
+    }
+    const ipm::FileTraceSource source(save_v3(t));
+    EXPECT_EQ(durations(t, f), by_row) << t.experiment();
+    EXPECT_EQ(durations(source, f), by_row) << t.experiment();
+    const SummarySink parallel =
+        run_kernels(source, 3, hint_for(f), [&](std::size_t chunk) {
+          return SummarySink(f, chunk_summary_options({}, chunk));
+        });
+    ASSERT_TRUE(parallel.summary().reservoir().exact()) << t.experiment();
+    EXPECT_EQ(parallel.summary().reservoir().samples(), by_row)
+        << t.experiment();
   }
 }
 
@@ -496,8 +575,9 @@ TEST(MergeKernelsTest, RateSeriesMergeMatchesSingleBuilder) {
     RateSeriesBuilder right(span, 64);
     const auto& events = t.events();
     for (std::size_t i = 0; i < events.size(); ++i) {
-      whole.add(events[i]);
-      (i < events.size() / 2 ? left : right).add(events[i]);
+      const ipm::TraceEvent& e = events[i];
+      whole.add(e.start, e.duration, e.bytes);
+      (i < events.size() / 2 ? left : right).add(e.start, e.duration, e.bytes);
     }
     left.merge(right);
     const TimeSeries& a = whole.series();

@@ -441,16 +441,22 @@ TEST(ParallelScanTest, BatchDispatchConcatenatesToEventOrder) {
   EXPECT_EQ(batched, per_event);
   EXPECT_GT(batches, 1u);  // one batch per v3 chunk
 
-  // An in-memory source hands out exactly one batch — the whole trace.
-  ipm::MemoryTraceSource memory(t);
-  batches = 0;
-  std::size_t total = 0;
-  memory.for_each_columns(ipm::kColStart, [&](const ipm::ColumnBatch& b) {
-    ++batches;
-    total += b.size();
+  // An in-memory trace shreds its rows, in order, at most
+  // kDefaultBatchEvents per batch, into the masked columns only.
+  constexpr std::size_t kBatch = ipm::TraceSource::kDefaultBatchEvents;
+  const ipm::Trace big = monotonic_trace(2 * kBatch + 17);
+  std::vector<std::size_t> sizes;
+  std::vector<double> starts;
+  big.for_each_columns(ipm::kColStart, [&](const ipm::ColumnBatch& b) {
+    sizes.push_back(b.size());
+    EXPECT_TRUE(b.rank.empty());
+    starts.insert(starts.end(), b.start.begin(), b.start.end());
   });
-  EXPECT_EQ(batches, 1u);
-  EXPECT_EQ(total, t.size());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{kBatch, kBatch, 17}));
+  ASSERT_EQ(starts.size(), big.size());
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    EXPECT_EQ(starts[i], big.events()[i].start);
+  }
   std::remove(path.c_str());
 }
 

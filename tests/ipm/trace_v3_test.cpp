@@ -283,6 +283,28 @@ TEST(TraceV3Test, FooterPointingPastEofThrows) {
   }
 }
 
+TEST(TraceV3Test, BytesOutsideTheChunksThrow) {
+  // The index must account for every byte: chunks tile the file from
+  // the header to the footer, and the footer ends at the trailer.
+  std::string bytes = v3_bytes(sample_trace(8), 4);
+  bytes.insert(bytes.size() - 16, 1, '\0');  // between footer and trailer
+  std::stringstream tail(bytes);
+  EXPECT_THROW((void)read_index_v3(tail), std::runtime_error);
+
+  // A chunkless file with a stray byte after its header, the trailer's
+  // footer pointer patched to match.
+  std::string empty = v3_bytes(Trace("empty", 2));
+  std::uint64_t footer = 0;
+  std::memcpy(&footer, empty.data() + empty.size() - 16, sizeof footer);
+  empty.insert(static_cast<std::size_t>(footer), 1, '\x7f');
+  ++footer;
+  std::memcpy(empty.data() + empty.size() - 16, &footer, sizeof footer);
+  std::stringstream gap(empty);
+  EXPECT_THROW((void)read_index_v3(gap), std::runtime_error);
+  std::stringstream gap2(empty);
+  EXPECT_THROW((void)Trace::read_binary(gap2), std::runtime_error);
+}
+
 /// Parse the column headers of the first chunk and return the byte
 /// offset of column `col`'s header (the encoding byte).
 std::size_t column_header_offset(const std::string& bytes,
