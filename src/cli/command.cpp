@@ -203,7 +203,8 @@ const std::vector<Command>& commands() {
        {{"filter", kFilterSpecs}, {"parallelism", kJobsSpecs}},
        true, cmd_phases},
       {"compare", "<traceA> <traceB>", "A vs B medians + KS distance",
-       {{"filter", kFilterSpecs}}, true, cmd_compare},
+       {{"filter", kFilterSpecs}, {"parallelism", kJobsSpecs}}, true,
+       cmd_compare},
       {"convert", "<trace> <out>",
        "rewrite as --format=tsv|v3 (default v3; same format = "
        "checked copy)",
@@ -301,7 +302,7 @@ std::string usage_text() {
      << "machine-readable output: summary/analyze/diagnose/monitor take "
         "--json\n"
      << "parallelism: summary/analyze/histogram/modes/rates/phases/"
-        "diagnose/patterns/simulate\n"
+        "diagnose/patterns/compare/simulate\n"
      << "             take --jobs=N\n"
      << "             (default: hardware concurrency; v3 traces scan "
         "chunk-parallel,\n"

@@ -17,6 +17,7 @@
 // diagnose, monitor) honor --json: one compact JSON document on
 // stdout, schema_version + fixed key order + %.9g floats via the
 // shared campaign::json_out emitters.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -375,24 +376,39 @@ int cmd_compare(CommandContext& ctx) {
   }
   ipm::FileTraceSource other(args.positional()[1]);
   analysis::EventFilter base = filter_from(args, ctx.es());
+  analysis::EventFilter wf = base, rf = base;
+  wf.op = posix::OpType::kWrite;
+  rf.op = posix::OpType::kRead;
+  // One fused scan per file collects both ops' durations; each sample
+  // is then sorted once and serves both its median and the KS test.
+  const ipm::ChunkHint hint =
+      ipm::ChunkHint::union_of(analysis::hint_for(wf), analysis::hint_for(rf));
+  auto samples = [&](const ipm::TraceSource& source) {
+    return analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
+      return analysis::KernelSet(analysis::DurationSamplesKernel(wf),
+                                 analysis::DurationSamplesKernel(rf));
+    });
+  };
   ctx.os() << "  op      A-median    B-median     B/A        KS-D     p-value\n";
-  for (posix::OpType op : {posix::OpType::kWrite, posix::OpType::kRead}) {
-    analysis::EventFilter f = base;
-    f.op = op;
-    auto a = analysis::durations(*ctx.source, f);
-    auto b = analysis::durations(other, f);
-    if (a.empty() || b.empty()) continue;
-    stats::KsResult ks = stats::ks_two_sample(a, b);
-    stats::EmpiricalDistribution da(std::move(a));
-    stats::EmpiricalDistribution db(std::move(b));
+  auto a = samples(*ctx.source);
+  auto b = samples(other);
+  auto row = [&ctx](posix::OpType op, std::vector<double>& sa,
+                    std::vector<double>& sb) {
+    if (sa.empty() || sb.empty()) return;
+    std::sort(sa.begin(), sa.end());
+    std::sort(sb.begin(), sb.end());
+    const stats::KsResult ks = stats::ks_two_sample_sorted(sa, sb);
+    const double ma = stats::quantile_sorted(sa, 0.5);
+    const double mb = stats::quantile_sorted(sb, 0.5);
     char line[160];
     std::snprintf(line, sizeof line,
                   "  %-6s %9.4f %11.4f %9.3f %11.4f %11.4f\n",
-                  posix::op_name(op), da.median(), db.median(),
-                  da.median() > 0 ? db.median() / da.median() : 0.0,
+                  posix::op_name(op), ma, mb, ma > 0 ? mb / ma : 0.0,
                   ks.statistic, ks.p_value);
     ctx.os() << line;
-  }
+  };
+  row(posix::OpType::kWrite, a.get<0>().samples(), b.get<0>().samples());
+  row(posix::OpType::kRead, a.get<1>().samples(), b.get<1>().samples());
   return 0;
 }
 

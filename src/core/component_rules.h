@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -26,10 +27,15 @@ inline constexpr double kStragglerGap = 1.5;   ///< slowest / 2nd-slowest
 
 /// OST class of a file: the creation-order round-robin, exact for
 /// single-stripe file-per-process layouts. Callers handle kInvalidFile
-/// and ost_count == 0.
+/// and ost_count == 0. A file id that fits 32 bits (every one in
+/// practice) takes the 32-bit modulo, several times cheaper per row
+/// than the 64-bit one.
 [[nodiscard]] inline std::uint32_t ost_class(FileId file,
                                              std::uint32_t ost_count) noexcept {
-  return static_cast<std::uint32_t>((file - 1) % ost_count);
+  const FileId id = file - 1;
+  return id <= std::numeric_limits<std::uint32_t>::max()
+             ? static_cast<std::uint32_t>(id) % ost_count
+             : static_cast<std::uint32_t>(id % ost_count);
 }
 
 struct DegradedOst {

@@ -32,14 +32,18 @@ double EmpiricalDistribution::max() const {
 }
 
 double EmpiricalDistribution::quantile(double q) const {
-  EIO_CHECK(!sorted_.empty());
+  return quantile_sorted(sorted_, q);
+}
+
+double quantile_sorted(std::span<const double> sorted, double q) {
+  EIO_CHECK(!sorted.empty());
   EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
-  if (sorted_.size() == 1) return sorted_[0];
-  double pos = q * static_cast<double>(sorted_.size() - 1);
+  if (sorted.size() == 1) return sorted[0];
+  double pos = q * static_cast<double>(sorted.size() - 1);
   auto lo = static_cast<std::size_t>(pos);
-  std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
+  std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double select_quantile(std::vector<double> samples, double q) {

@@ -122,6 +122,10 @@ void select_kth(T* v, std::size_t n, std::size_t k) {
 [[nodiscard]] double select_quantile_inplace(std::span<double> samples,
                                              double q);
 
+/// EmpiricalDistribution::quantile over a sample already sorted
+/// ascending (non-empty), for callers that sort once and reuse it.
+[[nodiscard]] double quantile_sorted(std::span<const double> sorted, double q);
+
 /// A sorted copy of a sample supporting quantile/CDF queries.
 class EmpiricalDistribution {
  public:

@@ -140,6 +140,36 @@ class HistogramKernel {
   std::vector<double> scratch_;
 };
 
+/// Durations of filter-matched events, every one kept (the samples,
+/// not the events): the exact input of a KS test or an exact median.
+/// Partials concatenate in stream order.
+class DurationSamplesKernel {
+ public:
+  explicit DurationSamplesKernel(EventFilter filter)
+      : filter_(std::move(filter)) {}
+
+  void add_batch(const ipm::ColumnBatch& batch) {
+    filter_.for_each_match(
+        batch, [&](std::size_t i) { samples_.push_back(batch.duration[i]); });
+  }
+
+  void merge(DurationSamplesKernel&& other) {
+    samples_.insert(samples_.end(), other.samples_.begin(),
+                    other.samples_.end());
+  }
+
+  [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
+    return filter_.required_columns() | ipm::kColDuration;
+  }
+
+  /// The samples, in stream order until the caller reorders them.
+  [[nodiscard]] std::vector<double>& samples() noexcept { return samples_; }
+
+ private:
+  EventFilter filter_;
+  std::vector<double> samples_;
+};
+
 /// Aggregate-rate time series of filter-matched transfers (the span
 /// must be fixed up front — from the chunk index or a prior pass —
 /// for partials to share binning and merge exactly).
@@ -174,6 +204,7 @@ static_assert(Kernel<SummarySink>);
 static_assert(Kernel<PhaseSummarySink>);
 static_assert(Kernel<HistogramKernel>);
 static_assert(Kernel<RateKernel>);
+static_assert(Kernel<DurationSamplesKernel>);
 static_assert(Kernel<KernelSet<SummarySink, HistogramKernel, RateKernel>>);
 
 }  // namespace eio::analysis

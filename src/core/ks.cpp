@@ -27,7 +27,12 @@ KsResult ks_two_sample(std::span<const double> a, std::span<const double> b) {
   std::vector<double> sb(b.begin(), b.end());
   std::sort(sa.begin(), sa.end());
   std::sort(sb.begin(), sb.end());
+  return ks_two_sample_sorted(sa, sb);
+}
 
+KsResult ks_two_sample_sorted(std::span<const double> sa,
+                              std::span<const double> sb) {
+  EIO_CHECK(!sa.empty() && !sb.empty());
   double d = 0.0;
   std::size_t i = 0, j = 0;
   auto na = static_cast<double>(sa.size());

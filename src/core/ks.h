@@ -21,6 +21,12 @@ struct KsResult {
 [[nodiscard]] KsResult ks_two_sample(std::span<const double> a,
                                      std::span<const double> b);
 
+/// ks_two_sample over samples already sorted ascending, for callers
+/// that compare one sample against many (or keep it sorted anyway):
+/// the same result without the two copies and sorts.
+[[nodiscard]] KsResult ks_two_sample_sorted(std::span<const double> sorted_a,
+                                            std::span<const double> sorted_b);
+
 /// Kolmogorov distribution survival function Q(λ) = 2 Σ (-1)^{j-1}
 /// exp(-2 j² λ²) — exposed for tests.
 [[nodiscard]] double kolmogorov_q(double lambda);

@@ -216,6 +216,15 @@ class ParallelTraceScanner {
                     index().chunks.size() - picks.size());
     if (picks.empty()) return make(std::size_t{0});
 
+    // Each lane's merges also nest one span of their own inside
+    // scan.merge_partial, so --obs-summary shows which member bounds
+    // the pass.
+    const std::vector<obs::MetricId> lane_spans = lane_span_ids(lanes);
+    auto merge_one = [&](Partial& into, Partial& from, std::size_t lane) {
+      obs::Span span(lane_spans[lane]);
+      merge_lane(into, from, lane);
+    };
+
     const std::size_t n = picks.size();
     const std::size_t workers = std::min(jobs_, n);
     if (workers <= 1) {
@@ -229,7 +238,7 @@ class ParallelTraceScanner {
         produce(reader, p, picks[k]);
         OBS_SPAN("scan.merge_partial");
         for (std::size_t lane = 0; lane < lanes; ++lane) {
-          merge_lane(result, p, lane);
+          merge_one(result, p, lane);
         }
       }
       return result;
@@ -321,7 +330,7 @@ class ParallelTraceScanner {
               lock.unlock();
               {
                 OBS_SPAN("scan.merge_partial");
-                merge_lane(*result, slot.partial, lane);
+                merge_one(*result, slot.partial, lane);
               }
               lock.lock();
               ++frontier[lane];
@@ -368,6 +377,21 @@ class ParallelTraceScanner {
                        ScanOptions options)
       : ParallelTraceScanner(*owned, options) {
     owned_ = std::move(owned);
+  }
+
+  /// Interned span names scan.merge.lane0, scan.merge.lane1, ... (one
+  /// lookup per lane per scan; nothing when obs is compiled out).
+  [[nodiscard]] static std::vector<obs::MetricId> lane_span_ids(
+      std::size_t lanes) {
+    std::vector<obs::MetricId> ids(lanes, 0);
+    if constexpr (obs::kCompiledIn) {
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        std::string name = "scan.merge.lane";
+        name += std::to_string(lane);
+        ids[lane] = obs::Registry::instance().span_id(name);
+      }
+    }
+    return ids;
   }
 
   /// A worker's reader: every worker decodes from the source's one

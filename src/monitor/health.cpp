@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 
@@ -17,7 +16,7 @@
 namespace eio::monitor {
 namespace {
 
-// A buffered marker row keeps its fault::Kind in one byte.
+// A segment marker keeps its fault::Kind in one byte.
 static_assert(std::is_same_v<std::underlying_type_t<fault::Kind>, std::uint8_t>);
 
 /// %.9g matches the binary formats' value fidelity: two streams that
@@ -66,133 +65,242 @@ HealthKernel::HealthKernel(HealthOptions options, std::size_t chunk)
 
 void HealthKernel::add_batch(const ipm::ColumnBatch& b) {
   if (!options_.enabled) return;
+  if (rooted_) {
+    // The same fold as a chunk partial, applied at once.
+    Segment batch;
+    fold(b, batch, 0);
+    apply(batch, consumed_);
+  } else {
+    fold(b, segment_, consumed_);
+  }
+  consumed_ += b.size();
+}
+
+void HealthKernel::Segment::append(const Segment& later, std::uint64_t offset) {
+  const std::size_t rows = duration.size();
+  const std::size_t ends_before = ends.size();
+  cls.insert(cls.end(), later.cls.begin(), later.cls.end());
+  duration.insert(duration.end(), later.duration.begin(), later.duration.end());
+  start.insert(start.end(), later.start.begin(), later.start.end());
+  op.insert(op.end(), later.op.begin(), later.op.end());
+  pos.reserve(pos.size() + later.pos.size());
+  for (std::uint64_t p : later.pos) pos.push_back(offset + p);
+  ends.insert(ends.end(), later.ends.begin(), later.ends.end());
+  for (Run run : later.runs) {
+    run.first += rows;
+    run.ends += ends_before;
+    runs.push_back(run);
+  }
+  for (Marker m : later.markers) {
+    m.before += rows;
+    m.pos += offset;
+    markers.push_back(m);
+  }
+}
+
+void HealthKernel::fold(const ipm::ColumnBatch& b, Segment& seg,
+                        std::uint64_t base) {
   // The admission filter reads only op and bytes, so rejected rows
   // (the common case on mixed traces) cost two column reads, and
   // admitted rows pass on only the columns the detectors read.
   const Bytes admit_bytes = options_.stripe_size / 4;
-  auto interesting = [&b, admit_bytes](std::size_t i) {
-    const auto op = static_cast<posix::OpType>(b.op[i]);
-    return op == posix::OpType::kFault ||
-           (is_data_op(op) && b.bytes[i] >= admit_bytes);
+  const bool classed = options_.ost_count != 0;
+  const bool drift = options_.drift_d > 0.0;
+  // Every array is sized for the whole batch up front and written
+  // through a cursor, then trimmed to the rows admitted.
+  const std::size_t first = seg.duration.size();
+  const std::size_t most = first + b.size();
+  auto room = [most](auto& v) {
+    if (v.capacity() < most) v.reserve(std::max(most, 2 * v.capacity()));
+    v.resize(most);
   };
-  if (!rooted_) {
-    // Size the replay buffer for the batch's admitted rows once (for a
-    // partial's first batch, exactly) instead of regrowing it.
-    std::size_t rows = buffered_.size();
-    for (std::size_t i = 0; i < b.size(); ++i) rows += interesting(i) ? 1 : 0;
-    if (rows > buffered_.capacity()) {
-      buffered_.reserve(std::max(rows, 2 * buffered_.capacity()));
-    }
-  }
+  if (classed) room(seg.cls);
+  room(seg.duration);
+  room(seg.start);
+  room(seg.pos);
+  if (drift) room(seg.op);
+  std::size_t rows = first;
+  Segment::Run* run = nullptr;  // the open run, if any
   for (std::size_t i = 0; i < b.size(); ++i) {
-    const std::uint64_t idx = consumed_++;
-    if (!interesting(i)) continue;
-    admit(b.start[i], b.duration[i], static_cast<posix::OpType>(b.op[i]),
-          b.rank[i], b.file[i], b.offset[i], b.phase[i], idx);
+    const auto op = static_cast<posix::OpType>(b.op[i]);
+    if (op == posix::OpType::kFault) {
+      // A marker's offset is its fault::Kind, whose underlying type is
+      // one byte, so the narrowing keeps the value on_marker() decodes.
+      seg.markers.push_back({b.start[i], b.duration[i], b.file[i], base + i,
+                             rows, b.rank[i],
+                             static_cast<std::uint8_t>(b.offset[i])});
+      continue;
+    }
+    if (!is_data_op(op) || b.bytes[i] < admit_bytes) continue;
+    const double start = b.start[i];
+    const double duration = b.duration[i];
+    const std::int32_t phase = b.phase[i];
+    if (run == nullptr || phase != run->phase) {
+      if (run != nullptr) close_run(seg);
+      run = &seg.runs.emplace_back(
+          Segment::Run{phase, rows, seg.ends.size(), start});
+    } else if (start < run->start) {
+      run->start = start;
+    }
+    const RankId rank = b.rank[i];
+    if (rank_end_.size() <= rank) {
+      rank_end_.resize(static_cast<std::size_t>(rank) + 1, -1.0);
+    }
+    const double end = start + duration;
+    double& latest = rank_end_[rank];
+    if (latest < 0.0) {
+      touched_.push_back(rank);
+      latest = end;
+    } else if (latest < end) {
+      latest = end;
+    }
+    if (classed) seg.cls[rows] = class_of(b.file[i]);
+    seg.duration[rows] = duration;
+    seg.start[rows] = start;
+    seg.pos[rows] = base + i;
+    if (drift) seg.op[rows] = b.op[i];
+    ++rows;
   }
+  if (run != nullptr) close_run(seg);
+  if (classed) seg.cls.resize(rows);
+  seg.duration.resize(rows);
+  seg.start.resize(rows);
+  seg.pos.resize(rows);
+  if (drift) seg.op.resize(rows);
 }
 
-void HealthKernel::admit(double start, double duration, posix::OpType op,
-                         RankId rank, FileId file, Bytes offset,
-                         std::int32_t phase, std::uint64_t idx) {
-  const bool is_marker = op == posix::OpType::kFault;
-  // A marker's offset is its fault::Kind, whose underlying type is
-  // one byte, so the narrowing keeps the value on_marker() decodes.
-  const auto kind = static_cast<std::uint8_t>(offset);
-  if (rooted_) {
-    if (is_marker) {
-      on_marker(kind, file, rank, start, duration, idx);
-    } else {
-      observe(start, duration, op, rank, phase, class_of(file), idx);
-    }
-    return;
+void HealthKernel::close_run(Segment& seg) {
+  for (RankId rank : touched_) {
+    seg.ends.emplace_back(rank, rank_end_[rank]);
+    rank_end_[rank] = -1.0;
   }
-  const std::uint64_t gap = idx - buffered_end_;
-  EIO_CHECK_MSG(gap <= std::numeric_limits<std::uint32_t>::max(),
-                "health monitor: more than 2^32 unadmitted rows in a row");
-  buffered_.push_back({start, duration, is_marker ? file : class_of(file),
-                       rank, static_cast<std::uint32_t>(gap), phase, op,
-                       kind});
-  buffered_end_ = idx + 1;
+  touched_.clear();
 }
 
 void HealthKernel::merge(HealthKernel&& rhs) {
   if (!options_.enabled) return;
-  const std::uint64_t base = consumed_;
   if (rooted_) {
-    std::uint64_t next = base;
-    for (const Pending& p : rhs.buffered_) {
-      const std::uint64_t idx = next + p.gap;
-      if (p.op == posix::OpType::kFault) {
-        on_marker(p.marker, p.subject, p.rank, p.start, p.duration, idx);
-      } else {
-        observe(p.start, p.duration, p.op, p.rank, p.phase,
-                static_cast<std::uint32_t>(p.subject), idx);
-      }
-      next = idx + 1;
-    }
-  } else if (!rhs.buffered_.empty()) {
-    // Appending: the first rhs row's gap also spans our unbuffered tail.
-    const std::uint64_t gap = base - buffered_end_ + rhs.buffered_.front().gap;
-    EIO_CHECK_MSG(gap <= std::numeric_limits<std::uint32_t>::max(),
-                  "health monitor: more than 2^32 unadmitted rows in a row");
-    const std::size_t first = buffered_.size();
-    buffered_.insert(buffered_.end(), rhs.buffered_.begin(),
-                     rhs.buffered_.end());
-    buffered_[first].gap = static_cast<std::uint32_t>(gap);
-    buffered_end_ = base + rhs.buffered_end_;
+    apply(rhs.segment_, consumed_);
+  } else {
+    segment_.append(rhs.segment_, consumed_);
   }
-  consumed_ = base + rhs.consumed_;
+  consumed_ += rhs.consumed_;
 }
 
-void HealthKernel::observe(double start, double duration, posix::OpType op,
-                           RankId rank, std::int32_t phase, std::uint32_t cls,
-                           std::uint64_t idx) {
-  last_time_ = start;
-  const double end_time = start + duration;
-
-  // Phase bookkeeping first: an admitted event with a later phase
-  // proves every earlier phase is barrier-complete, so close them.
-  // The close + map lookup only run on a phase transition; within a
-  // phase the cached pointer is current (transitions are the only
-  // place aggs are created, so no lower phase can appear in between).
-  if (cur_agg_ == nullptr || phase != cur_phase_) {
-    close_phases_below(phase, idx, start);
-    cur_agg_ = &phases_[phase];
-    cur_phase_ = phase;
-  }
-  cur_agg_->add(start, end_time, rank);
-  ++phase_events_;
-
-  // Degraded-OST sliding window.
-  if (options_.ost_count != 0) {
-    if (ring_class_.size() < options_.window) {
-      ring_class_.push_back(cls);
-      ring_duration_.push_back(duration);
+void HealthKernel::apply(const Segment& seg, std::uint64_t base) {
+  // Walk the segment's events in row order. Within one row the order is
+  // a serial pass's: phase close, window push, evaluation; a marker
+  // comes before the data row it precedes. Window rows only matter to
+  // evaluations, so they are pushed in bulk just before each one.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const std::size_t rows = seg.duration.size();
+  const std::size_t stride = options_.stride;
+  std::size_t due = stride - 1 - since_eval_;  // row completing a stride
+  std::size_t pushed = 0;
+  std::size_t run = 0;
+  std::size_t marker = 0;
+  for (;;) {
+    const std::size_t at_marker =
+        marker < seg.markers.size() ? seg.markers[marker].before : kNone;
+    const std::size_t at_run =
+        run < seg.runs.size() ? seg.runs[run].first : kNone;
+    const std::size_t at_eval = due < rows ? due : kNone;
+    const std::size_t at = std::min({at_marker, at_run, at_eval});
+    if (at == kNone) break;
+    if (at_marker == at) {
+      const Segment::Marker& m = seg.markers[marker++];
+      on_marker(m.kind, m.component, m.rank, m.time, m.detail, base + m.pos);
+    } else if (at_run == at) {
+      enter_run(seg, run++, base);
     } else {
-      ring_class_[ring_next_] = cls;
-      ring_duration_[ring_next_] = duration;
-      if (++ring_next_ == options_.window) ring_next_ = 0;
+      push_rows(seg, pushed, at + 1);
+      pushed = at + 1;
+      evaluate_windows(base + seg.pos[at], seg.start[at]);
+      due += stride;
     }
   }
+  push_rows(seg, pushed, rows);
+  since_eval_ = (since_eval_ + rows) % stride;
+  // The last admitted row sets the time a final evaluation reports: a
+  // marker after every data row already did.
+  if (rows > 0 && (seg.markers.empty() || seg.markers.back().before < rows)) {
+    last_time_ = seg.start[rows - 1];
+  }
+}
 
+void HealthKernel::enter_run(const Segment& seg, std::size_t r,
+                             std::uint64_t base) {
+  const Segment::Run& run = seg.runs[r];
+  // An admitted event with a later phase proves every earlier phase is
+  // barrier-complete, so close them. The close + map lookup only run on
+  // a phase transition; a run continuing the current phase (a batch or
+  // segment boundary inside it) joins the cached aggregate, which is
+  // current (transitions are the only place aggs are created, so no
+  // lower phase can appear in between).
+  if (cur_agg_ == nullptr || run.phase != cur_phase_) {
+    close_phases_below(run.phase, base + seg.pos[run.first],
+                       seg.start[run.first]);
+    cur_agg_ = &phases_[run.phase];
+    cur_phase_ = run.phase;
+  }
+  const bool last = r + 1 == seg.runs.size();
+  const std::size_t ends_end = last ? seg.ends.size() : seg.runs[r + 1].ends;
+  for (std::size_t e = run.ends; e < ends_end; ++e) {
+    cur_agg_->add(run.start, seg.ends[e].second, seg.ends[e].first);
+  }
+  const std::size_t rows_end =
+      last ? seg.duration.size() : seg.runs[r + 1].first;
+  phase_events_ += rows_end - run.first;
+}
+
+void HealthKernel::push_rows(const Segment& seg, std::size_t from,
+                             std::size_t to) {
+  if (from == to) return;
+  if (options_.ost_count != 0) {
+    // Fill the ring, then overwrite at the wrap cursor. Rows a later
+    // row of the same copy would overwrite are skipped (only the
+    // cursor moves past them).
+    const std::size_t window = options_.window;
+    std::size_t i = from;
+    if (ring_class_.size() < window) {
+      const std::size_t take = std::min(to - i, window - ring_class_.size());
+      ring_class_.insert(ring_class_.end(), seg.cls.begin() + i,
+                         seg.cls.begin() + i + take);
+      ring_duration_.insert(ring_duration_.end(), seg.duration.begin() + i,
+                            seg.duration.begin() + i + take);
+      i += take;
+    }
+    if (to - i > window) {
+      ring_next_ = (ring_next_ + (to - i - window)) % window;
+      i = to - window;
+    }
+    while (i < to) {
+      const std::size_t take = std::min(to - i, window - ring_next_);
+      std::copy_n(seg.cls.begin() + i, take, ring_class_.begin() + ring_next_);
+      std::copy_n(seg.duration.begin() + i, take,
+                  ring_duration_.begin() + ring_next_);
+      ring_next_ += take;
+      if (ring_next_ == window) ring_next_ = 0;
+      i += take;
+    }
+  }
   // Drift: per-op warm-up baseline, then a sliding current window.
   if (options_.drift_d > 0.0) {
-    DriftState& d = drift_[static_cast<std::uint8_t>(op)];
-    if (!d.frozen) {
-      d.baseline.push_back(duration);
-      if (d.baseline.size() >= options_.drift_window) d.frozen = true;
-    } else {
-      d.recent.push_back(duration);
-      if (d.recent.size() > options_.drift_window) d.recent.pop_front();
-      ++d.since_freeze;
+    for (std::size_t i = from; i < to; ++i) {
+      DriftState& d = drift_[seg.op[i]];
+      const double duration = seg.duration[i];
+      if (!d.frozen) {
+        d.baseline.push_back(duration);
+        if (d.baseline.size() >= options_.drift_window) {
+          d.frozen = true;
+          std::sort(d.baseline.begin(), d.baseline.end());
+        }
+      } else {
+        d.recent.push_back(duration);
+        if (d.recent.size() > options_.drift_window) d.recent.pop_front();
+        ++d.since_freeze;
+      }
     }
-  }
-
-  ++admitted_;
-  if (++since_eval_ >= options_.stride) {
-    since_eval_ = 0;
-    evaluate_windows(idx, start);
   }
 }
 
@@ -274,19 +382,19 @@ void HealthKernel::evaluate_straggler(std::uint64_t idx, double time) {
   // The post-hoc rule over the phases closed so far: at end of stream
   // the tally holds every phase, so online and post-hoc findings agree
   // on the rank by construction.
+  const auto v = straggler_.verdict(phase_events_);
   std::optional<std::uint64_t> firing;
-  double severity = 0.0;
-  std::string evidence;
-  if (const auto v = straggler_.verdict(phase_events_)) {
-    firing = v->rank;
-    severity = v->severity;
-    evidence = "rank " + std::to_string(v->rank) + ": slowest in " +
-               std::to_string(v->votes) + " of " + std::to_string(v->firing) +
-               " stretched phases (worst gap " + fmt(v->worst_gap) +
-               "x the second-slowest)";
-  }
+  if (v) firing = v->rank;
   score(IncidentKind::kStragglerRank, firing, straggler_.worst_gap(),
-        analysis::rules::kStragglerGap, severity, evidence, idx, time);
+        analysis::rules::kStragglerGap, v ? v->severity : 0.0,
+        [&v] {
+          return "rank " + std::to_string(v->rank) + ": slowest in " +
+                 std::to_string(v->votes) + " of " +
+                 std::to_string(v->firing) +
+                 " stretched phases (worst gap " + fmt(v->worst_gap) +
+                 "x the second-slowest)";
+        },
+        idx, time);
 }
 
 void HealthKernel::evaluate_windows(std::uint64_t idx, double time) {
@@ -298,79 +406,84 @@ void HealthKernel::evaluate_windows(std::uint64_t idx, double time) {
 
 void HealthKernel::evaluate_degraded(std::uint64_t idx, double time) {
   if (options_.ost_count == 0) return;
-  std::optional<std::uint64_t> firing;
-  double statistic = 0.0;
-  double severity = 0.0;
-  std::string evidence;
+  std::optional<analysis::rules::DegradedOst> v;
   const std::size_t rows = ring_class_.size();
   if (rows >= analysis::rules::kMinEvents) {
     // The diagnose rule over the sliding window. One counting sort
-    // buckets the ring by class into reused scratch (each class in
-    // ring order), and the rule selects medians in place.
+    // buckets the ring by class into scratch sized once (and again
+    // while the ring fills; each class in ring order), and the rule
+    // selects medians in place.
     const std::uint32_t osts = options_.ost_count;
+    if (class_spans_.empty()) {
+      class_start_.resize(std::size_t{osts} + 2);
+      class_fill_.resize(std::size_t{osts} + 1);
+      class_spans_.resize(osts);
+    }
+    if (by_class_.size() < rows) by_class_.resize(rows);  // the ring grew
     const std::uint32_t* cls = ring_class_.data();
     const double* dur = ring_duration_.data();
     auto bucket = [osts](std::uint32_t c) -> std::size_t {
       return std::min(c, osts);  // kNoClass -> the last bucket
     };
-    class_start_.assign(std::size_t{osts} + 2, 0);
     std::size_t* start = class_start_.data();
+    std::fill(class_start_.begin(), class_start_.end(), 0);
     for (std::size_t i = 0; i < rows; ++i) ++start[bucket(cls[i]) + 1];
     for (std::size_t b = 0; b <= osts; ++b) start[b + 1] += start[b];
-    by_class_.resize(rows);
-    class_fill_.assign(class_start_.begin(), class_start_.end() - 1);
     std::size_t* fill = class_fill_.data();
-    for (std::size_t i = 0; i < rows; ++i) by_class_[fill[bucket(cls[i])]++] = dur[i];
-    class_spans_.clear();
+    std::copy_n(start, osts + 1, fill);
+    double* sorted = by_class_.data();
+    for (std::size_t i = 0; i < rows; ++i) sorted[fill[bucket(cls[i])]++] = dur[i];
     for (std::uint32_t ost = 0; ost < osts; ++ost) {
-      class_spans_.emplace_back(by_class_.data() + start[ost],
-                                start[ost + 1] - start[ost]);
+      class_spans_[ost] = {sorted + start[ost], start[ost + 1] - start[ost]};
     }
-    if (const auto v = analysis::rules::degraded_ost(rows, class_spans_,
-                                                     degraded_scratch_)) {
-      firing = v->ost;
-      statistic = v->ratio;
-      severity = v->severity;
-      evidence = "OST " + std::to_string(v->ost) + ": class median runs " +
+    v = analysis::rules::degraded_ost(rows, class_spans_, degraded_scratch_);
+  }
+  std::optional<std::uint64_t> firing;
+  if (v) firing = v->ost;
+  score(IncidentKind::kDegradedOst, firing, v ? v->ratio : 0.0,
+        analysis::rules::kDegradedRatio, v ? v->severity : 0.0,
+        [&v, rows] {
+          return "OST " + std::to_string(v->ost) + ": class median runs " +
                  fmt(v->ratio) + "x the fleet median over the last " +
                  std::to_string(rows) + " bulk transfers (" +
                  std::to_string(v->events) + " events; runner-up at " +
                  fmt(v->runner_up) + "x)";
-    }
-  }
-  score(IncidentKind::kDegradedOst, firing, statistic,
-        analysis::rules::kDegradedRatio, severity, evidence, idx, time);
+        },
+        idx, time);
 }
 
 void HealthKernel::evaluate_drift(std::uint64_t idx, double time) {
   if (options_.drift_d <= 0.0) return;
   // Each op with a frozen baseline and a full, baseline-disjoint
   // current window gets its own KS test — one score() per op so the
-  // hysteresis tracks stay per-subject.
+  // hysteresis tracks stay per-subject. The baseline was sorted when
+  // it froze.
   for (auto& [op, d] : drift_) {
     if (!d.frozen || d.recent.size() < options_.drift_window) continue;
-    std::vector<double> current(d.recent.begin(), d.recent.end());
-    stats::KsResult ks = stats::ks_two_sample(d.baseline, current);
+    drift_current_.assign(d.recent.begin(), d.recent.end());
+    std::sort(drift_current_.begin(), drift_current_.end());
+    const stats::KsResult ks =
+        stats::ks_two_sample_sorted(d.baseline, drift_current_);
+    const bool fires = ks.statistic >= options_.drift_d;
     std::optional<std::uint64_t> firing;
-    double severity = 0.0;
-    std::string evidence;
-    if (ks.statistic >= options_.drift_d) {
-      firing = op;
-      severity = std::min(1.0, ks.statistic);
-      evidence = std::string(posix::op_name(static_cast<posix::OpType>(op))) +
-                 " durations: KS D = " + fmt(ks.statistic) +
-                 " vs the warm-up baseline (" +
-                 std::to_string(options_.drift_window) + " samples each)";
-    }
+    if (fires) firing = op;
     score(IncidentKind::kDistributionDrift, firing, ks.statistic,
-          options_.drift_d, severity, evidence, idx, time);
+          options_.drift_d, fires ? std::min(1.0, ks.statistic) : 0.0,
+          [&, op = op] {
+            return std::string(posix::op_name(static_cast<posix::OpType>(op))) +
+                   " durations: KS D = " + fmt(ks.statistic) +
+                   " vs the warm-up baseline (" +
+                   std::to_string(options_.drift_window) + " samples each)";
+          },
+          idx, time);
   }
 }
 
+template <typename Evidence>
 void HealthKernel::score(IncidentKind kind,
                          std::optional<std::uint64_t> firing, double statistic,
                          double threshold, double severity,
-                         const std::string& evidence, std::uint64_t idx,
+                         const Evidence& evidence, std::uint64_t idx,
                          double time) {
   const auto code = static_cast<std::uint8_t>(kind);
   if (firing) {
@@ -382,7 +495,7 @@ void HealthKernel::score(IncidentKind kind,
       inc.statistic = statistic;
       inc.threshold = threshold;
       inc.severity = severity;
-      inc.evidence = evidence;
+      inc.evidence = evidence();
       switch (kind) {
         case IncidentKind::kDegradedOst: ++counts_.degraded_ost; break;
         case IncidentKind::kStragglerRank: ++counts_.straggler_rank; break;
@@ -396,7 +509,7 @@ void HealthKernel::score(IncidentKind kind,
       if (statistic > inc.statistic) {
         inc.statistic = statistic;
         inc.severity = severity;
-        inc.evidence = evidence;
+        inc.evidence = evidence();
       }
     }
   }

@@ -29,10 +29,15 @@
 //
 // Determinism contract: incidents are a function of event content and
 // window boundaries alone — never of wall clock, thread count, or
-// backing format. HealthKernel models analysis::Kernel: the chunk-0
-// kernel is "rooted" and evaluates detectors as events stream through
-// it; later-chunk partials buffer the (rare) admissible events and
-// replay them, in stream order, when merged — so merging per-chunk
+// backing format. HealthKernel models analysis::Kernel. Its per-row
+// work is a parallel fold: any kernel reduces the admissible events of
+// a batch (bulk data calls and fault markers — most of a bulk-transfer
+// trace) to a Segment of window rows, phase runs and markers. Its
+// per-segment work is the ordered merge: the chunk-0 kernel is
+// "rooted" and applies each segment in stream order — phase closes at
+// run starts, markers at their positions, window rows copied into the
+// ring in bulk, an evaluation at each stride point. A rooted kernel's
+// own batches take the same fold-then-apply path, so merging per-chunk
 // partials in chunk order is value-identical to one serial pass, and
 // the incident log is byte-identical for any --jobs value and across
 // tsv/v3 encodings of the same values.
@@ -125,9 +130,11 @@ struct HealthOptions {
   std::size_t window = 2048;
   /// Admitted events between detector evaluations. Half the window:
   /// evaluations are 50%-overlapping slides, and the evaluation's
-  /// O(window) median selection amortizes to ~2 doubles per admitted
-  /// event — what keeps the monitored fused scan within a sliver of
-  /// the unmonitored one.
+  /// O(window) counting sort and median selection amortize to ~2
+  /// doubles per admitted event. The evaluations still run serially on
+  /// the ordered merge (about 3,000 of them on a 4 M-event bulk trace,
+  /// roughly 20 us each), so they bound how far a monitored pass
+  /// parallelizes.
   std::size_t stride = 1024;
   /// Per-op sample size of the frozen warm-up baseline and of the
   /// current window the KS drift test compares against it.
@@ -144,8 +151,8 @@ struct HealthOptions {
 /// analysis::Kernel; see the determinism contract above) and a capture
 /// sink. Construct with chunk 0 for the rooted, immediately-evaluating
 /// instance — the serial scan path and the live monitor of a
-/// simulated run — or chunk > 0 for a buffering partial that replays
-/// on merge.
+/// simulated run — or chunk > 0 for a partial that folds its rows into
+/// a segment the rooted kernel applies on merge.
 class HealthKernel final : public ipm::EventSink {
  public:
   HealthKernel() : HealthKernel(HealthOptions{}, 0) {}
@@ -154,7 +161,9 @@ class HealthKernel final : public ipm::EventSink {
   void add_batch(const ipm::ColumnBatch& b) override;
 
   /// Fold a later-stream partial into this one (kernel contract:
-  /// merging chunk partials in chunk order == one serial pass).
+  /// merging chunk partials in chunk order == one serial pass). A
+  /// rooted kernel applies the partial's segment; an unrooted one
+  /// appends it to its own.
   void merge(HealthKernel&& rhs);
 
   [[nodiscard]] ipm::ColumnMask required_columns() const noexcept {
@@ -182,7 +191,8 @@ class HealthKernel final : public ipm::EventSink {
 
  private:
   struct DriftState {
-    std::vector<double> baseline;  ///< frozen once it reaches drift_window
+    /// Frozen (and sorted) once it reaches drift_window.
+    std::vector<double> baseline;
     bool frozen = false;
     std::deque<double> recent;     ///< sliding current window
     std::uint64_t since_freeze = 0;
@@ -207,13 +217,58 @@ class HealthKernel final : public ipm::EventSink {
                : kNoClass;
   }
 
-  /// Route one admitted row: detectors now (rooted) or the replay
-  /// buffer (unrooted). `idx` is its stream index.
-  void admit(double start, double duration, posix::OpType op, RankId rank,
-             FileId file, Bytes offset, std::int32_t phase, std::uint64_t idx);
-  /// Feed an admitted data row to the detectors.
-  void observe(double start, double duration, posix::OpType op, RankId rank,
-               std::int32_t phase, std::uint32_t cls, std::uint64_t idx);
+  /// The admissible rows of a stream stretch, reduced by the fold to
+  /// what the ordered detectors read. Data rows keep their window
+  /// fields and their position; maximal same-phase runs of them carry
+  /// one sparse phase aggregate each; markers keep their place among
+  /// the data rows. Positions count every row (admitted or not) from
+  /// the start of the segment.
+  struct Segment {
+    struct Run {
+      std::int32_t phase = 0;
+      std::size_t first = 0;  ///< its first data row
+      std::size_t ends = 0;   ///< its first entry in `ends`
+      double start = 0.0;     ///< earliest start among its rows
+    };
+    struct Marker {
+      double time = 0.0;
+      double detail = 0.0;
+      std::uint64_t component = 0;
+      std::uint64_t pos = 0;
+      std::size_t before = 0;  ///< data rows that precede it
+      RankId rank = 0;
+      std::uint8_t kind = 0;
+    };
+    // Data rows, in stream order.
+    std::vector<std::uint32_t> cls;  ///< OST class (degraded-OST only)
+    std::vector<double> duration;
+    std::vector<double> start;
+    std::vector<std::uint64_t> pos;
+    std::vector<std::uint8_t> op;  ///< posix::OpType (drift only)
+    std::vector<Run> runs;
+    /// Latest completion per rank a run touched, runs back to back.
+    std::vector<std::pair<RankId, double>> ends;
+    std::vector<Marker> markers;
+
+    /// Append a later segment that starts `offset` rows after this one.
+    void append(const Segment& later, std::uint64_t offset);
+  };
+
+  /// Reduce the admissible rows of `b` into `seg`; `base` is the
+  /// position of b's first row in the segment.
+  void fold(const ipm::ColumnBatch& b, Segment& seg, std::uint64_t base);
+  /// Close the run the fold has open: its touched ranks' completions
+  /// move from the dense scratch into `seg.ends`.
+  void close_run(Segment& seg);
+  /// Run a segment starting at stream index `base` through the
+  /// detectors, in row order.
+  void apply(const Segment& seg, std::uint64_t base);
+  /// Enter run `r` of `seg`: close the phases it proves complete and
+  /// fold its aggregate into its phase.
+  void enter_run(const Segment& seg, std::size_t r, std::uint64_t base);
+  /// Copy data rows [from, to) of `seg` into the window ring and the
+  /// drift windows.
+  void push_rows(const Segment& seg, std::size_t from, std::size_t to);
   /// Feed a fault marker to the detectors. Marker encoding
   /// (fault/plan.h): file = component, offset = kind, duration =
   /// detail seconds; `kind` is the offset narrowed to fault::Kind's
@@ -228,9 +283,12 @@ class HealthKernel final : public ipm::EventSink {
 
   /// One evaluation outcome for `kind`: `firing` names the offending
   /// subject (nullopt = quiet). Applies hysteresis, opens/clears.
+  /// `evidence()` formats the record's one-liner; it runs only when the
+  /// record takes it (an incident opens, or its statistic rises).
+  template <typename Evidence>
   void score(IncidentKind kind, std::optional<std::uint64_t> firing,
              double statistic, double threshold, double severity,
-             const std::string& evidence, std::uint64_t idx, double time);
+             const Evidence& evidence, std::uint64_t idx, double time);
   Incident& open_incident(IncidentKind kind, std::uint64_t subject,
                           Track& track, std::uint64_t idx, double time);
   void clear_incident(Track& track, std::uint64_t idx, double time);
@@ -239,31 +297,17 @@ class HealthKernel final : public ipm::EventSink {
   bool rooted_ = true;
   bool finished_ = false;
   std::uint64_t consumed_ = 0;  ///< all rows seen (global index base)
-  std::uint64_t admitted_ = 0;
   std::uint64_t since_eval_ = 0;
   double last_time_ = 0.0;
 
-  /// One admissible row of an unrooted partial, reduced to the fields
-  /// observe() and on_marker() read (no bytes, the OST class computed
-  /// in the parallel fold, and the stream index as a 32-bit gap
-  /// instead of a 64-bit position): 40 bytes instead of 64 per row.
-  struct Pending {
-    double start;
-    double duration;
-    std::uint64_t subject;  ///< data row: OST class; marker: its file
-    RankId rank;
-    std::uint32_t gap;  ///< rows consumed since the previous buffered row
-    std::int32_t phase;
-    posix::OpType op;
-    std::uint8_t marker;  ///< fault::Kind of a marker row (its offset)
-  };
-  static_assert(sizeof(Pending) == 40);
-
-  /// Buffered admissible rows of an unrooted partial, replayed in
-  /// stream order on merge.
-  std::vector<Pending> buffered_;
-  /// consumed_ just after the last buffered row (the gap's origin).
-  std::uint64_t buffered_end_ = 0;
+  /// An unrooted partial's rows since its start (a rooted kernel folds
+  /// each batch into a segment of its own and applies it at once).
+  Segment segment_;
+  /// Fold scratch for the open run: latest completion by rank (-1 =
+  /// untouched) and the ranks it touched, so closing a run costs its
+  /// rows, not the rank count.
+  std::vector<double> rank_end_;
+  std::vector<RankId> touched_;
 
   // --- degraded-OST sliding window: class id and duration per
   // admitted row, as two parallel arrays (kNoClass rows count toward
@@ -272,12 +316,11 @@ class HealthKernel final : public ipm::EventSink {
   std::vector<std::uint32_t> ring_class_;
   std::vector<double> ring_duration_;
   std::size_t ring_next_ = 0;
-  // Evaluation scratch, reused so the stride-periodic evaluation
-  // allocates only while a buffer is still growing: the ring's
-  // durations counting-sorted by class (class c owns
-  // by_class_[class_start_[c], class_start_[c + 1]), in ring order;
-  // kNoClass rows fill a last bucket no median reads), one span per
-  // class over it, and the rule's median scratch.
+  // Evaluation scratch, sized once the ring is full so later
+  // evaluations do not allocate: the ring's durations counting-sorted by class
+  // (class c owns by_class_[class_start_[c], class_start_[c + 1]), in
+  // ring order; kNoClass rows fill a last bucket no median reads), one
+  // span per class over it, and the rule's median scratch.
   std::vector<double> by_class_;
   std::vector<std::size_t> class_start_;
   std::vector<std::size_t> class_fill_;
@@ -293,8 +336,10 @@ class HealthKernel final : public ipm::EventSink {
   std::uint64_t phase_events_ = 0;
   analysis::rules::StragglerTally straggler_;
 
-  // --- per-op drift state (key: posix::OpType code).
+  // --- per-op drift state (key: posix::OpType code), and the sorted
+  // current window a KS test reads.
   std::map<std::uint8_t, DriftState> drift_;
+  std::vector<double> drift_current_;
 
   std::map<std::pair<std::uint8_t, std::uint64_t>, Track> tracks_;
   std::vector<Incident> incidents_;

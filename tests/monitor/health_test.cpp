@@ -178,9 +178,9 @@ TEST(HealthKernelTest, InjectedMarkersOpenAndClear) {
 /// The merge contract: split any stream into chunks, merge partials in
 /// chunk order, and the incident log is byte-identical to one serial
 /// pass — this is what makes --jobs=N deterministic. Unadmitted rows
-/// between buffered ones and markers inside later chunks check the
-/// stream indices a replay recovers; merging later partials into each
-/// other before the root (right to left) checks appending buffers.
+/// between admitted ones and markers inside later chunks check the
+/// stream indices a segment keeps; merging later partials into each
+/// other before the root (right to left) checks appending segments.
 TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
   std::vector<TraceEvent> stream;
   stream.push_back(marker(0.0, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.2));
@@ -239,9 +239,123 @@ TEST(HealthKernelTest, ChunkedMergeMatchesSerialByteForByte) {
   }
 }
 
+/// A fixed, library-independent duration jitter in [0, 1).
+double jitter(std::size_t i) {
+  return static_cast<double>((i * 2654435761u) % 1000u) / 1000.0;
+}
+
+/// Counts line + incident JSONL + rows consumed: everything a kernel
+/// reports.
+std::string render(const HealthKernel& k) {
+  const Counts& c = k.counts();
+  std::ostringstream out;
+  out << c.windows_evaluated << ' ' << c.phases_evaluated << ' '
+      << c.incidents_opened << ' ' << c.incidents_cleared << ' '
+      << c.degraded_ost << ' ' << c.straggler_rank << ' ' << c.drift << ' '
+      << c.injected << ' ' << k.events_consumed() << '\n';
+  write_incidents_jsonl(out, k.incidents());
+  return out.str();
+}
+
+/// A stream whose events land on the edges of 1-, 2-, 7- and 64-row
+/// chunks: markers at rows 49k and 64k (the first row of those chunks),
+/// phase changes at rows 14k and 64k + 1 (the first data row after a
+/// 64-row edge), one phase step backwards, unadmitted rows and rows
+/// without a file id between them, a slow OST class and a late rank.
+std::vector<TraceEvent> edge_stream() {
+  std::vector<TraceEvent> rows;
+  std::int32_t phase = 0;
+  int markers = 0;
+  for (std::size_t j = 0; j < 900; ++j) {
+    const double t = 0.01 * static_cast<double>(j);
+    if (j % 64 == 0 || j % 49 == 0) {
+      switch (markers++ % 5) {
+        case 0: rows.push_back(marker(t, fault::Kind::kOstDegraded, 5, kInvalidRank, 0.25)); break;
+        case 1: rows.push_back(marker(t, fault::Kind::kStall, 0, static_cast<RankId>(j % 8), 0.1)); break;
+        case 2: rows.push_back(marker(t, fault::Kind::kOstRestored, 5, kInvalidRank, 0.0)); break;
+        case 3: rows.push_back(marker(t, fault::Kind::kRetry, 1, static_cast<RankId>(j % 8), 0.2)); break;
+        default: rows.push_back(marker(t, fault::Kind::kStragglerStall, 0, 3, 0.3)); break;
+      }
+      continue;
+    }
+    if (j % 14 == 0 || j % 64 == 1) ++phase;
+    if (j == 301) phase -= 2;
+    const auto rank = static_cast<RankId>(j % 8);
+    const FileId file = j % 11 == 0 ? kInvalidFile : 1 + j % 8;
+    const double d = (file == 6 ? 0.05 : 0.01) * (1.0 + jitter(j)) *
+                     (rank == 3 ? 3.0 : 1.0);
+    TraceEvent e = bulk(t, d, j % 3 == 0 ? OpType::kRead : OpType::kWrite,
+                        rank, file, phase);
+    if (j % 5 == 2) e.bytes = 4 * KiB;  // below the admission threshold
+    rows.push_back(e);
+  }
+  return rows;
+}
+
+/// Segments at adversarial boundaries: any chunking, merged left to
+/// right or right to left, and the stream as one batch, report exactly
+/// what a rooted kernel fed one row per batch does — with a stride
+/// that does not divide the window, a window larger than the chunks,
+/// and drift on.
+TEST(HealthKernelTest, SegmentsAtChunkEdgesMatchOneRowBatches) {
+  const std::vector<TraceEvent> stream = edge_stream();
+  std::vector<HealthOptions> variants;
+  HealthOptions opt = small_options();
+  opt.window = 100;
+  opt.stride = 24;
+  variants.push_back(opt);
+  opt.drift_d = 0.3;
+  opt.drift_window = 16;
+  variants.push_back(opt);
+  opt = small_options();
+  opt.window = 32;
+  opt.stride = 7;
+  variants.push_back(opt);
+
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const HealthOptions& o = variants[v];
+    HealthKernel rows(o, 0);
+    for (const TraceEvent& e : stream) feed(rows, e);
+    rows.finish();
+    const std::string want = render(rows);
+    EXPECT_GE(rows.incidents().size(), 3u) << "variant " << v;
+    EXPECT_GT(rows.counts().phases_evaluated, 0u) << "variant " << v;
+
+    HealthKernel whole(o, 0);
+    feed(whole, stream);
+    whole.finish();
+    EXPECT_EQ(render(whole), want) << "variant " << v << " one batch";
+
+    for (std::size_t chunk : {1u, 2u, 7u, 64u}) {
+      for (bool right_to_left : {false, true}) {
+        std::vector<HealthKernel> parts;
+        for (std::size_t at = 0; at < stream.size(); at += chunk) {
+          parts.emplace_back(o, parts.size());
+          const std::size_t n = std::min(chunk, stream.size() - at);
+          feed(parts.back(), std::span<const TraceEvent>(stream).subspan(at, n));
+        }
+        if (right_to_left) {
+          for (std::size_t c = parts.size() - 1; c > 1; --c) {
+            parts[c - 1].merge(std::move(parts[c]));
+          }
+          if (parts.size() > 1) parts[0].merge(std::move(parts[1]));
+        } else {
+          for (std::size_t c = 1; c < parts.size(); ++c) {
+            parts[0].merge(std::move(parts[c]));
+          }
+        }
+        parts[0].finish();
+        EXPECT_EQ(render(parts[0]), want)
+            << "variant " << v << " chunk " << chunk
+            << " right_to_left " << right_to_left;
+      }
+    }
+  }
+}
+
 /// Counts line + incident JSONL of a serial pass over `stream`, after
-/// checking that a 3-chunk partial merge (the replay path) gives the
-/// same bytes.
+/// checking that a 3-chunk partial merge (segments applied by the
+/// rooted kernel) gives the same bytes.
 std::string monitored(const HealthOptions& opt,
                       const std::vector<TraceEvent>& stream) {
   auto render = [](const HealthKernel& k) {
@@ -266,11 +380,6 @@ std::string monitored(const HealthOptions& opt,
   const std::string bytes = render(serial);
   EXPECT_EQ(bytes, render(parts[0])) << "chunked merge differs";
   return bytes;
-}
-
-/// A fixed, library-independent duration jitter in [0, 1).
-double jitter(std::size_t i) {
-  return static_cast<double>((i * 2654435761u) % 1000u) / 1000.0;
 }
 
 // The evaluation pins below are exact: whatever selection routine

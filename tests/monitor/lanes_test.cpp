@@ -128,7 +128,7 @@ TEST(MonitorLanesTest, AnalyzeMonitorIsByteIdenticalAcrossJobsAndFormats) {
   const std::string tsv = test::temp_path("slow_ost.tsv");
   slow_ost_trace().save(tsv);
   // Default detector cadence, then one fine enough that evaluations
-  // and incidents fall inside replayed (non-root) partials.
+  // and incidents fall inside the segments of non-root partials.
   for (const std::vector<std::string>& extra :
        {std::vector<std::string>{},
         std::vector<std::string>{"--stride=32", "--window=128"}}) {
