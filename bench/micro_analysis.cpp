@@ -185,8 +185,7 @@ PathResult run_materialized(const std::string& path, std::size_t events) {
 
 /// The same three-pass bundle through the columnar batch API: each
 /// pass names the columns it reads, so a v3 source decodes only those
-/// (zero-copy from the mmap when available) and never materializes
-/// TraceEvent rows at all.
+/// and never materializes TraceEvent rows at all.
 PathResult run_batched_columns(const std::string& path, std::size_t events) {
   double t0 = now_seconds();
   ipm::FileTraceSource source(path);

@@ -3,7 +3,7 @@
 //
 // run_kernels is the one place that chooses. Handed an indexed
 // FileTraceSource, it builds a ParallelTraceScanner over the source
-// (borrowing its index and mapping) and hands it the kernel factory (a
+// (borrowing its index and path) and hands it the kernel factory (a
 // summary sink, streaming histogram, rate builder — or a KernelSet
 // fusing several): one kernel per chunk, folded by worker threads and
 // merged in chunk order. A TSV file or an in-memory Trace gets one

@@ -67,9 +67,8 @@ struct ColumnScratch {
 };
 
 /// One decoded run of consecutive events, as parallel column spans.
-/// Spans alias a ColumnScratch (or, for raw v3 file columns, the
-/// decoder's scratch filled straight from the mapped file) and are
-/// valid until the next decode into the same scratch.
+/// Spans alias a ColumnScratch (for a v3 chunk, the decoder's scratch)
+/// and are valid until the next decode into the same scratch.
 struct ColumnBatch {
   std::size_t events = 0;
   std::span<const double> start;

@@ -13,13 +13,11 @@
 // member's merge chain rather than the sum of all of them.
 //
 // Decode: the scanner borrows a FileTraceSource's footer index and
-// its one read-only mmap of the file, and gives each worker a
-// ChunkReader over it — the same decoder a serial pass uses. Every
-// worker reads the same immutable pages (no locks, no per-thread
-// streams, no staging copies), falling back to per-thread streams with
-// single sized reads when the map is unavailable. Folds receive
-// decoded ColumnBatches restricted to a column mask: unmasked columns
-// are never decoded.
+// path, and gives each worker a ChunkReader of its own — the same
+// decoder a serial pass uses: one sized read of a chunk into a buffer
+// the reader reuses, no locks, nothing shared. Folds receive decoded
+// ColumnBatches restricted to a column mask: unmasked columns are
+// never decoded.
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c (per-chunk reservoir seeds come from the chunk index), and
@@ -37,16 +35,18 @@
 // Memory contract: workers may run at most merge_window chunks ahead
 // of the slowest lane's frontier (a partial leaves the window once
 // every lane has consumed it and it is freed), so at most merge_window + 1
-// partials — the result included — and O(jobs) chunk buffers are
-// live: peak memory stays O(chunk), never O(events). The mmap adds
-// address space, not resident memory; pages are faulted in as decoded
-// and evictable at any time.
+// partials — the result included — and one read buffer per worker are
+// live: the read buffers hold O(jobs x largest chunk) bytes, and peak
+// memory stays O(chunk), never O(events) or O(file size). A file
+// truncated under a running scan throws std::runtime_error from the
+// read of the first chunk it no longer holds.
 #pragma once
 
 #include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -89,29 +89,25 @@ struct ScanOptions {
 
 /// Map-reduce engine over one indexed (v3) trace file. Stateless
 /// between scans; safe to reuse and cheap to construct: it borrows the
-/// footer index and the read-only mapping of a FileTraceSource, so a
-/// file is opened and mapped once however many scans run over it.
+/// footer index and path of a FileTraceSource, so a file's index is
+/// read once however many scans run over it.
 class ParallelTraceScanner {
  public:
   /// Open `path` as a FileTraceSource of the scanner's own. Throws
   /// std::runtime_error when the file cannot be opened or is not a v3
-  /// trace.
+  /// trace — the format is sniffed first, so a TSV file is refused
+  /// before any of its rows is parsed.
   explicit ParallelTraceScanner(std::string path, ScanOptions options = {})
-      : ParallelTraceScanner(std::make_unique<const FileTraceSource>(
-                                 std::move(path)),
-                             options) {}
+      : ParallelTraceScanner(open_indexed(std::move(path)), options) {}
 
-  /// Borrow an indexed (v3) source's index and mapping; `source` must
+  /// Borrow an indexed (v3) source's index and path; `source` must
   /// outlive the scanner. Throws std::runtime_error for a TSV source.
   explicit ParallelTraceScanner(const FileTraceSource& source,
                                 ScanOptions options = {})
       : source_(&source),
         jobs_(resolve_jobs(options.jobs)),
         merge_window_(resolve_window(options, jobs_)) {
-    if (!source.index()) {
-      throw std::runtime_error("parallel scan needs an indexed (v3) trace: " +
-                               source.path());
-    }
+    if (!source.index()) throw not_indexed(source.path());
   }
   /// A temporary source would not outlive the scanner.
   ParallelTraceScanner(FileTraceSource&&, ScanOptions = {}) = delete;
@@ -131,9 +127,9 @@ class ParallelTraceScanner {
   ///   merge(into, std::move(from))         (ascending chunk order)
   ///
   /// The fold's batch holds only the `mask` columns: the rest are
-  /// never decoded (and with the mmap path never copied). Returns the
-  /// merged Partial; make(0) when no chunk is admitted. The first
-  /// worker exception is rethrown after the pool drains.
+  /// never decoded. Returns the merged Partial; make(0) when no chunk
+  /// is admitted. The first worker exception is rethrown after the
+  /// pool drains.
   template <typename Make, typename Fold, typename Merge>
   [[nodiscard]] auto scan_columns(const Make& make, const Fold& fold,
                                   const Merge& merge,
@@ -394,10 +390,22 @@ class ParallelTraceScanner {
     return ids;
   }
 
-  /// A worker's reader: every worker decodes from the source's one
-  /// read-only mapping (or, where the map failed, its own stream).
+  /// A worker's reader, with a stream and read buffer of its own.
   [[nodiscard]] ChunkReader make_reader() const {
-    return ChunkReader(source_->path(), source_->mapping());
+    return ChunkReader(source_->path());
+  }
+
+  [[nodiscard]] static std::runtime_error not_indexed(const std::string& path) {
+    return std::runtime_error("parallel scan needs an indexed (v3) trace: " +
+                              path);
+  }
+
+  /// A FileTraceSource over `path` once its first bytes sniff as v3.
+  [[nodiscard]] static std::unique_ptr<const FileTraceSource> open_indexed(
+      std::string path) {
+    std::ifstream in = open_trace(path);
+    if (sniff_format(in) != TraceFormat::kBinaryV3) throw not_indexed(path);
+    return std::make_unique<const FileTraceSource>(std::move(path));
   }
 
   [[nodiscard]] static std::size_t resolve_window(const ScanOptions& options,

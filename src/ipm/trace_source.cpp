@@ -19,33 +19,12 @@ double TraceSource::time_span() const {
   return span;
 }
 
-ChunkReader::ChunkReader(const std::string& path) {
-  try {
-    owned_ = std::make_unique<MappedFile>(path);
-  } catch (const std::runtime_error&) {
-    in_ = open_trace(path);
-    return;
-  }
-  map_ = owned_.get();
-}
-
-ChunkReader::ChunkReader(const std::string& path, const MappedFile* map)
-    : map_(map) {
-  if (map_ == nullptr) in_ = open_trace(path);
-}
+ChunkReader::ChunkReader(const std::string& path) : in_(open_trace(path)) {}
 
 ColumnBatch ChunkReader::read_columns(const TraceIndex& index,
                                       std::size_t chunk, ColumnMask mask) {
-  const ChunkMeta& meta = index.chunks[chunk];
-  const std::uint64_t byte_len = chunk_byte_length(index, chunk);
-  if (map_ != nullptr) {
-    // Zero-copy: the index validated offsets against the footer, and
-    // the footer against the file size, so this sub-span is in-bounds.
-    return decode_chunk_v3(map_->data() + meta.offset,
-                           static_cast<std::size_t>(byte_len), meta, scratch_,
-                           mask);
-  }
-  return read_chunk_v3(in_, meta, byte_len, raw_, scratch_, mask);
+  return read_chunk_v3(in_, index.chunks[chunk],
+                       chunk_byte_length(index, chunk), raw_, scratch_, mask);
 }
 
 FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {

@@ -16,22 +16,20 @@
 // ColumnBatch per run of consecutive events — a decoded chunk, or a
 // kDefaultBatchEvents run of TSV or in-memory rows — restricted to a
 // ColumnMask. There is no per-event visitor: on v3 files unneeded
-// columns are never decoded — and with the mmap path the needed ones
-// decode straight from page cache — while TSV and in-memory sources
-// shred their rows, so consumers see the identical value sequence from
-// any backing store.
+// columns are never decoded — each chunk is read into a buffer the
+// reader reuses, so a pass holds one chunk, never the file — while TSV
+// and in-memory sources shred their rows, so consumers see the
+// identical value sequence from any backing store.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ipm/columns.h"
-#include "ipm/mapped_file.h"
 #include "ipm/trace_event.h"
 #include "ipm/trace_stream.h"
 
@@ -137,31 +135,25 @@ class TraceSource {
   [[nodiscard]] virtual std::uint64_t event_count() const = 0;
 };
 
-/// Decodes the indexed chunks of one v3 file: straight out of a
-/// read-only mapping when there is one, else through sized reads of
-/// its own stream into a reusable buffer. The column scratch is
-/// reused too, so a steady-state decode allocates nothing. One reader
-/// serves one thread; readers of the same file share its mapping.
+/// Decodes the indexed chunks of one v3 file: each chunk is read with
+/// one sized read into a buffer the reader reuses, then decoded from
+/// it. The column scratch is reused too, so a steady-state decode
+/// allocates nothing and a reader holds O(largest chunk) whatever the
+/// file size. One reader serves one thread.
 class ChunkReader {
  public:
-  /// Map `path` for this reader; when the map fails (not fatal), fall
-  /// back to sized reads through a stream of its own.
+  /// Open `path` for this reader. Throws std::runtime_error when it
+  /// cannot be opened.
   explicit ChunkReader(const std::string& path);
-  /// Decode from `map`, borrowed and outliving the reader; when null,
-  /// from a stream of its own over `path`.
-  ChunkReader(const std::string& path, const MappedFile* map);
 
   /// Decode one indexed chunk as a ColumnBatch with only the masked
-  /// columns materialized; spans stay valid until the next read.
+  /// columns materialized; spans stay valid until the next read. A
+  /// chunk the file no longer holds in full (say, it was truncated
+  /// after the index was read) throws std::runtime_error.
   [[nodiscard]] ColumnBatch read_columns(const TraceIndex& index,
                                          std::size_t chunk, ColumnMask mask);
 
-  /// The mapping this reader decodes from; null on the stream path.
-  [[nodiscard]] const MappedFile* mapping() const noexcept { return map_; }
-
  private:
-  std::unique_ptr<const MappedFile> owned_;  ///< set by the mapping ctor
-  const MappedFile* map_ = nullptr;
   std::ifstream in_;
   std::vector<char> raw_;
   ColumnScratch scratch_;
@@ -170,11 +162,11 @@ class ChunkReader {
 /// Streams a trace file (TSV or binary v3) from disk on every pass.
 /// Holds only the header metadata — plus, for v3, the footer index,
 /// which the hinted passes use to skip chunks, and one ChunkReader.
-/// The file is opened (and its format sniffed) exactly once, and a v3
-/// file mapped once: a ParallelTraceScanner built from the source
-/// borrows its index and mapping. Passes mutate the cached stream and
-/// the reader's scratch, so one FileTraceSource must not run
-/// concurrent passes — the scanner decodes through per-thread readers.
+/// The format is sniffed and the metadata read once: a
+/// ParallelTraceScanner built from the source borrows its index and
+/// path. Passes mutate the cached stream and the reader's buffers, so
+/// one FileTraceSource must not run concurrent passes — the scanner
+/// decodes through per-thread readers.
 class FileTraceSource final : public TraceSource {
  public:
   /// Opens the file once to sniff the format and cache metadata (for
@@ -197,13 +189,6 @@ class FileTraceSource final : public TraceSource {
   [[nodiscard]] const std::optional<TraceIndex>& index() const noexcept {
     return index_;
   }
-  /// The v3 file's read-only mapping, shared with scanners; null for
-  /// TSV files and where the map failed.
-  [[nodiscard]] const MappedFile* mapping() const noexcept {
-    return reader_ ? reader_->mapping() : nullptr;
-  }
-  /// True when a v3 file decodes from an mmap (the zero-copy path).
-  [[nodiscard]] bool zero_copy() const noexcept { return mapping() != nullptr; }
 
  private:
   std::string path_;

@@ -437,8 +437,8 @@ TraceIndex read_index_v3(std::istream& in) {
 ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
                             const ChunkMeta& chunk, ColumnScratch& scratch,
                             ColumnMask mask) {
-  // The v3 decode chokepoint shared by the serial, parallel and mmap
-  // scan paths — counters are work-proportional, identical at any
+  // The v3 decode chokepoint shared by the serial and parallel scan
+  // paths — counters are work-proportional, identical at any
   // --jobs value.
   OBS_SPAN("v3.decode_chunk");
   OBS_COUNTER_ADD("v3.chunks_decoded", 1);

@@ -1,5 +1,5 @@
 // Binary trace format v3: columnar chunks, per-column compression,
-// zero-copy decode.
+// selective decode.
 //
 // A v3 file is a chunk container — "IPMIOB3\n" header, tagged chunks,
 // footer index of ChunkMeta records, 16-byte trailer ("IPM3IDX\n") —
@@ -24,9 +24,10 @@
 // The explicit length prefix on every column is what buys selective
 // decode: a reader hands decode_chunk_v3 a ColumnMask and unneeded
 // columns are skipped in O(1), so a summary scan touching op + bytes +
-// duration never parses ranks, files, offsets or phases. Combined with
-// the mmap path (see mapped_file.h) a v3 scan decodes columns straight
-// from the page cache with no read() syscalls and no staging copies.
+// duration never parses ranks, files, offsets or phases. Readers pull
+// each chunk with one sized read into a buffer they reuse
+// (read_chunk_v3), so a scan holds one chunk per reader, never the
+// file.
 //
 // Error contract: truncated or corrupt input — short column
 // stream, bad compression header, footer past EOF, wrong trailer —
@@ -111,9 +112,9 @@ class TraceWriterV3 final : public EventSink {
 /// no proper prefix of a file, however it is cut, reads as complete.
 [[nodiscard]] TraceIndex read_index_v3(std::istream& in);
 
-/// Decode one v3 chunk from an in-memory image (a mapped file region
-/// or a sized read). `data` must span exactly the chunk record —
-/// tag byte through last column payload (see chunk_byte_length); the
+/// Decode one v3 chunk from an in-memory image (a sized read of it).
+/// `data` must span exactly the chunk record — tag byte through last
+/// column payload (see chunk_byte_length); the
 /// decode must consume every byte or it throws. Only the masked
 /// columns are materialized (into `scratch`); the rest are skipped via
 /// their length prefixes. The returned spans alias `scratch` and stay
@@ -122,9 +123,10 @@ ColumnBatch decode_chunk_v3(const char* data, std::size_t len,
                             const ChunkMeta& chunk, ColumnScratch& scratch,
                             ColumnMask mask = kColAll);
 
-/// Stream-fallback chunk decode: seek to chunk.offset, pull byte_len
-/// bytes into `raw`, then decode_chunk_v3 from memory — for platforms
-/// (or callers) without an mmap.
+/// The chunk read every v3 reader uses: seek to chunk.offset, pull
+/// byte_len bytes into `raw` (reused across calls, so it grows to the
+/// largest chunk read), then decode_chunk_v3 from it. A short read —
+/// the file ends inside the chunk — throws std::runtime_error.
 ColumnBatch read_chunk_v3(std::istream& in, const ChunkMeta& chunk,
                           std::uint64_t byte_len, std::vector<char>& raw,
                           ColumnScratch& scratch, ColumnMask mask = kColAll);

@@ -99,7 +99,7 @@ inline std::int64_t unzigzag(std::uint64_t v) {
 }
 
 /// Bounds-checked cursor over an in-memory image — decode hot paths
-/// work on bytes already read (or mapped), paying zero istream calls.
+/// work on bytes already read, paying zero istream calls.
 struct ByteReader {
   const char* p;
   const char* end;

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <numeric>
@@ -520,26 +521,82 @@ TEST(ParallelScanTest, ScanColumnsDecodesOnlyTheMaskedColumns) {
   std::remove(path.c_str());
 }
 
-TEST(ParallelScanTest, ChunkReaderStreamFallbackMatchesMmap) {
-  const ipm::Trace t = monotonic_trace(600);
-  const std::string path = write_v3_chunked(t, 128, "fallback");
+TEST(ParallelScanTest, ChunkReaderChunksMatchTheWrittenTrace) {
+  // Chunks read out of order, short last chunk first, so the reused
+  // read buffer changes size between decodes.
+  const ipm::Trace& t = seed_traces()[0];
+  constexpr std::size_t kChunk = 128;
+  const std::string path = write_v3_chunked(t, kChunk, "reader");
   std::ifstream in(path, std::ios::binary);
   (void)ipm::sniff_format(in);
   const ipm::TraceIndex index = ipm::read_index_v3(in);
+  ASSERT_GT(index.chunks.size(), 2u);
 
-  const ipm::MappedFile map(path);
-  ipm::ChunkReader mapped(path, &map);
-  ipm::ChunkReader streamed(path, nullptr);
-  for (std::size_t c = 0; c < index.chunks.size(); ++c) {
-    const ipm::ColumnBatch a = mapped.read_columns(index, c, ipm::kColAll);
-    const ipm::ColumnBatch b = streamed.read_columns(index, c, ipm::kColAll);
-    ASSERT_EQ(a.size(), b.size()) << "chunk " << c;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.start[i], b.start[i]);
-      EXPECT_EQ(a.bytes[i], b.bytes[i]);
-      EXPECT_EQ(a.phase[i], b.phase[i]);
+  ipm::ChunkReader reader(path);
+  for (std::size_t c = index.chunks.size(); c-- > 0;) {
+    const ipm::ColumnBatch b = reader.read_columns(index, c, ipm::kColAll);
+    const std::size_t lo = c * kChunk;
+    ASSERT_EQ(b.size(), std::min(kChunk, t.size() - lo)) << "chunk " << c;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      const ipm::TraceEvent& e = t.events()[lo + i];
+      EXPECT_EQ(b.start[i], e.start);
+      EXPECT_EQ(b.duration[i], e.duration);
+      EXPECT_EQ(b.op[i], static_cast<std::uint8_t>(e.op));
+      EXPECT_EQ(b.rank[i], e.rank);
+      EXPECT_EQ(b.file[i], e.file);
+      EXPECT_EQ(b.offset[i], e.offset);
+      EXPECT_EQ(b.bytes[i], e.bytes);
+      EXPECT_EQ(b.phase[i], e.phase);
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST(ParallelScanTest, ScannerRefusesATsvPathBeforeParsingIt) {
+  // A TSV whose last row is malformed: parsing it would throw the row
+  // error, so the v3 error proves the format was sniffed first.
+  const std::string path = test::temp_path("eio_pscan_bad_row.tsv");
+  monotonic_trace(100).save(path);
+  std::ofstream(path, std::ios::app) << "garbage row here\n";
+  EXPECT_THROW(ipm::FileTraceSource source(path), std::runtime_error);
+  try {
+    ipm::ParallelTraceScanner scanner(path);
+    ADD_FAILURE() << "a TSV path was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "parallel scan needs an indexed (v3) trace"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TruncatedTraceTest, TruncationUnderAnOpenSourceThrows) {
+  // The index is read while the file is whole; every later read of a
+  // chunk past the cut must throw, serially and from the worker pool.
+  const std::string path = write_v3_chunked(seed_traces()[0], 64, "truncated");
+  const ipm::FileTraceSource source(path);
+  ASSERT_GT(source.index()->chunks.size(), 4u);
+  ASSERT_GT(std::filesystem::file_size(path), 4096u);
+  std::filesystem::resize_file(path, 4096);
+
+  const auto expect_truncated = [](const auto& pass) {
+    try {
+      pass();
+      ADD_FAILURE() << "a truncated trace scanned as complete";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated v3 trace"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_truncated([&] {
+    source.for_each_columns(ipm::kColAll, [](const ipm::ColumnBatch&) {});
+  });
+  expect_truncated([&] {
+    (void)summary_of(ipm::ParallelTraceScanner(source, {.jobs = 3}),
+                     EventFilter{});
+  });
   std::remove(path.c_str());
 }
 

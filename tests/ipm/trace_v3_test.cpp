@@ -1,5 +1,5 @@
 // Binary v3 format: columnar round-trips, byte-exact re-encoding,
-// selective (masked) decode, the RLE codec, the mmap zero-copy path,
+// selective (masked) decode, the RLE codec, the buffered chunk reader,
 // and the corrupt/truncated-input sweep — every damaged input must
 // throw std::runtime_error, never crash or parse as complete.
 #include "ipm/trace_v3.h"
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "ipm/mapped_file.h"
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
@@ -380,30 +379,54 @@ TEST(TraceV3Test, CorruptCompressionHeaderThrows) {
   EXPECT_GE(compressed_cols, 4);  // rank, file, offset, bytes at minimum
 }
 
-TEST(TraceV3Test, MappedFileRejectsEmptyAndMissingFiles) {
+TEST(TraceV3Test, ReadersRejectEmptyAndMissingFiles) {
   const std::string missing = test::temp_path("eio_v3_nonexistent");
-  EXPECT_THROW(MappedFile map(missing), std::runtime_error);
+  EXPECT_THROW(ChunkReader reader(missing), std::runtime_error);
+  EXPECT_THROW(FileTraceSource source(missing), std::runtime_error);
 
   const std::string empty = test::temp_path("eio_v3_empty");
   { std::ofstream out(empty, std::ios::binary); }
-  EXPECT_THROW(MappedFile map(empty), std::runtime_error);
-  // The sniffer also refuses a zero-length trace outright.
+  // The sniffer refuses a zero-length trace outright, and a reader
+  // finds no chunk in it.
   EXPECT_THROW(FileTraceSource source(empty), std::runtime_error);
+  TraceIndex one_chunk;
+  one_chunk.chunks.push_back(ChunkMeta{.offset = 8, .events = 1});
+  one_chunk.footer_offset = 64;
+  ChunkReader reader(empty);
+  EXPECT_THROW((void)reader.read_columns(one_chunk, 0, kColAll),
+               std::runtime_error);
   std::remove(empty.c_str());
 }
 
-TEST(TraceV3Test, MappedFileContentsMatchStreamRead) {
-  Trace t = sample_trace(20);
-  const std::string path = test::temp_path("eio_v3_map.bin");
-  t.save_binary_v3(path);
-  std::string bytes = v3_bytes(t);
-  MappedFile map(path);
-  ASSERT_EQ(map.size(), bytes.size());
-  EXPECT_EQ(std::memcmp(map.data(), bytes.data(), bytes.size()), 0);
+TEST(TraceV3Test, ChunkReaderChunksMatchTheWrittenTrace) {
+  const Trace t = sample_trace(20);
+  constexpr std::size_t kChunk = 7;
+  const std::string path = test::temp_path("eio_v3_reader.bin");
+  std::ofstream(path, std::ios::binary) << v3_bytes(t, kChunk);
+  const FileTraceSource source(path);
+  const TraceIndex& index = *source.index();
+  ASSERT_EQ(index.chunks.size(), 3u);
+
+  ChunkReader reader(path);
+  for (std::size_t c = 0; c < index.chunks.size(); ++c) {
+    const ColumnBatch b = reader.read_columns(index, c, kColAll);
+    ASSERT_EQ(b.size(), std::min(kChunk, t.size() - c * kChunk));
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      const TraceEvent& e = t.events()[c * kChunk + i];
+      EXPECT_EQ(b.start[i], e.start);
+      EXPECT_EQ(b.duration[i], e.duration);
+      EXPECT_EQ(b.op[i], static_cast<std::uint8_t>(e.op));
+      EXPECT_EQ(b.rank[i], e.rank);
+      EXPECT_EQ(b.file[i], e.file);
+      EXPECT_EQ(b.offset[i], e.offset);
+      EXPECT_EQ(b.bytes[i], e.bytes);
+      EXPECT_EQ(b.phase[i], e.phase);
+    }
+  }
   std::remove(path.c_str());
 }
 
-TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
+TEST(TraceV3Test, FileTraceSourceReplaysTsvAndV3Alike) {
   Trace t = sample_trace(40);
   const std::string tsv = test::temp_path("eio_v3_src.tsv");
   const std::string v3 = test::temp_path("eio_v3_src_v3.bin");
@@ -414,8 +437,6 @@ TEST(TraceV3Test, FileTraceSourceUsesZeroCopyForV3) {
   FileTraceSource v3_source(v3);
   EXPECT_EQ(tsv_source.format(), TraceFormat::kTsv);
   EXPECT_EQ(v3_source.format(), TraceFormat::kBinaryV3);
-  EXPECT_FALSE(tsv_source.zero_copy());  // mmap is a v3-only path
-  EXPECT_EQ(v3_source.zero_copy(), MappedFile::mmap_supported());
 
   // Both formats replay the identical event sequence.
   std::vector<double> tsv_starts, v3_starts;
