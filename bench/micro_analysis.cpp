@@ -279,10 +279,9 @@ PathResult run_fused(const std::string& path, std::size_t events,
   const double span = scanner.time_span();
 
   auto fused = scanner.scan_kernels(
-      [&](std::size_t chunk) {
+      [&](std::size_t) {
         return analysis::KernelSet(
-            analysis::SummarySink(kWrites,
-                                  analysis::chunk_summary_options({}, chunk)),
+            analysis::SummarySink(kWrites),
             analysis::HistogramKernel(
                 kWrites, {.scale = stats::BinScale::kLinear, .bins = 40}),
             analysis::RateKernel(kWrites, span, 100));
@@ -320,8 +319,7 @@ PathResult run_fused_monitored(const std::string& path, std::size_t events,
   auto fused = scanner.scan_kernels(
       [&](std::size_t chunk) {
         return analysis::KernelSet(
-            analysis::SummarySink(kWrites,
-                                  analysis::chunk_summary_options({}, chunk)),
+            analysis::SummarySink(kWrites),
             analysis::HistogramKernel(
                 kWrites, {.scale = stats::BinScale::kLinear, .bins = 40}),
             analysis::RateKernel(kWrites, span, 100),
@@ -416,7 +414,7 @@ PathResult run_kernel_reservoir_skip_gap(std::size_t n) {
 PathResult run_kernel_reservoir_skip_gap_batch(std::size_t n) {
   return run_kernel(n, [](std::span<const double> xs) {
     stats::ReservoirSampler r(1024, 42);
-    r.absorb(xs);
+    r.add_batch(xs);
     return r.samples()[0];
   });
 }

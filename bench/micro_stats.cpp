@@ -143,7 +143,7 @@ void BM_ReservoirSkipGapBatch(benchmark::State& state) {
   auto samples = lognormal_sample(static_cast<std::size_t>(state.range(0)), 8);
   for (auto _ : state) {
     stats::ReservoirSampler r(1024, 42);
-    r.absorb(samples);
+    r.add_batch(samples);
     benchmark::DoNotOptimize(r.samples().data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -58,17 +58,14 @@ int cmd_summary(CommandContext& ctx) {
   wf.op = posix::OpType::kWrite;
   rf.op = posix::OpType::kRead;
   // One fused scan feeds both per-op summaries; the hint union still
-  // skips chunks containing neither op. Per-chunk substream seeds keep
-  // the result identical to the former scan-per-op output (a chunk
-  // without, say, writes folds an empty write partial, and empty
-  // partials merge as no-ops).
+  // skips chunks containing neither op (a chunk without, say, writes
+  // folds an empty write partial, and empty partials merge as no-ops).
   const ipm::ChunkHint hint =
       ipm::ChunkHint::union_of(analysis::hint_for(wf), analysis::hint_for(rf));
   auto merged =
-      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
-        stats::SummaryOptions opts = analysis::chunk_summary_options({}, chunk);
-        return analysis::KernelSet(analysis::SummarySink(wf, opts),
-                                   analysis::SummarySink(rf, opts));
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
+        return analysis::KernelSet(analysis::SummarySink(wf),
+                                   analysis::SummarySink(rf));
       });
   if (ctx.json()) {
     json::Writer w(ctx.os());
@@ -120,9 +117,8 @@ int cmd_modes(CommandContext& ctx) {
   analysis::EventFilter filter = filter_from(args, ctx.es());
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   auto merged =
-      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
-        return analysis::SummarySink(filter,
-                                     analysis::chunk_summary_options({}, chunk));
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
+        return analysis::SummarySink(filter);
       });
   const stats::StreamingSummary& s = merged.summary();
   if (s.empty()) {
@@ -259,9 +255,8 @@ int cmd_phases(CommandContext& ctx) {
   analysis::EventFilter base = filter_from(args, ctx.es());
   const ipm::ChunkHint hint = analysis::hint_for(base);
   auto merged =
-      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
-        return analysis::PhaseSummarySink(
-            base, analysis::chunk_summary_options({}, chunk));
+      analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
+        return analysis::PhaseSummarySink(base);
       });
   const auto& by_phase = merged.by_phase();
   if (by_phase.empty()) {
@@ -300,10 +295,9 @@ int cmd_analyze(CommandContext& ctx) {
                          analysis::hint_for(base));
   auto merged =
       analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t chunk) {
-        stats::SummaryOptions opts = analysis::chunk_summary_options({}, chunk);
         return analysis::KernelSet(
-            analysis::SummarySink(wf, opts), analysis::SummarySink(rf, opts),
-            analysis::PhaseSummarySink(base, opts),
+            analysis::SummarySink(wf), analysis::SummarySink(rf),
+            analysis::PhaseSummarySink(base),
             analysis::HistogramKernel(base, {.scale = scale, .bins = bins}),
             analysis::RateKernel(base, span, rate_bins),
             monitor::HealthKernel(mopt, chunk));

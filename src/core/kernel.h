@@ -37,8 +37,9 @@ namespace eio::analysis {
 ///    batches instead of a file's chunks);
 ///  * merge(rhs) folds a partial computed over a LATER stream segment
 ///    into this one, and merging chunk partials in stream order equals
-///    one serial pass (exactly where the kernel is exact, in
-///    distribution otherwise — see ReservoirSampler);
+///    one serial pass (a reservoir's exact partials continue its one
+///    sampling stream — see ReservoirSampler::merge; moments agree to
+///    FP-merge rounding);
 ///  * required_columns() covers every column add_batch reads.
 template <typename K>
 concept Kernel = requires(K k, K rhs, const K ck, const ipm::ColumnBatch& b) {

@@ -10,32 +10,21 @@
 // serial columnar pass into the factory's chunk-0 kernel. Results are
 // deterministic in the scanner contract's sense — identical for every
 // jobs value — and match the serial streaming path exactly wherever
-// the underlying kernel merges exactly (counts, extrema, histogram
-// bins, rate bins, reservoirs below capacity). Moments match to
-// FP-merge rounding; quantiles past reservoir capacity are served by
-// the merged-exact histogram mode (see
-// StreamingSummary::histogram_quantile).
+// the underlying kernel merges exactly: counts, extrema, histogram
+// bins, rate bins and reservoirs. A reservoir's chunk partials are
+// exact (a chunk matches at most chunk_events rows, far below the
+// capacity), so merging them in chunk order continues one sampling
+// stream in row order (see ReservoirSampler::merge): a sample past
+// capacity does not depend on chunking, jobs or format. Moments match
+// to FP-merge rounding.
 #pragma once
 
 #include <cstddef>
 
-#include "common/rng.h"
 #include "core/kernel.h"
-#include "core/streaming.h"
 #include "ipm/parallel_scan.h"
 
 namespace eio::analysis {
-
-/// Summary options for one chunk of a parallel scan: chunk c's
-/// reservoir draws from substream_seed(base seed, c), so the sample is
-/// a function of the trace and options alone — never of worker
-/// scheduling. Serial (non-indexed) passes use chunk 0.
-[[nodiscard]] inline stats::SummaryOptions chunk_summary_options(
-    const stats::SummaryOptions& base, std::size_t chunk) {
-  stats::SummaryOptions per_chunk = base;
-  per_chunk.reservoir_seed = rng::substream_seed(base.reservoir_seed, chunk);
-  return per_chunk;
-}
 
 // A KernelSet must keep exposing its members as merge lanes, or the
 // scanner would silently merge the whole set as one lane.

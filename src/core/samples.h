@@ -217,10 +217,10 @@ class PhaseSummarySink final : public ipm::EventSink {
     return filter_.required_columns() | ipm::kColPhase | ipm::kColDuration;
   }
 
-  /// Fold another sink's per-phase summaries into this one. Phases
-  /// absent here adopt the other side's summary (reservoir substream
-  /// included), so the merged map is independent of how phases were
-  /// split across partials.
+  /// Fold another sink's per-phase summaries into this one. A phase
+  /// absent here starts from an empty summary and merges the other
+  /// side's into it, so every phase's reservoir continues one sampling
+  /// stream however the phases were split across partials.
   void merge(const PhaseSummarySink& other);
 
   [[nodiscard]] const std::map<std::int32_t, stats::StreamingSummary>&

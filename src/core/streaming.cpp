@@ -69,20 +69,19 @@ void ReservoirSampler::merge(const ReservoirSampler& other) {
                 "reservoir merge needs matching capacities: "
                     << capacity_ << " vs " << other.capacity_);
   if (other.seen_ == 0) return;
-  if (seen_ == 0) {
-    // Adopt the other side wholesale, substream included, so merging
-    // into a fresh reservoir reproduces the other exactly.
-    *this = other;
+  if (other.exact()) {
+    // The other side still holds every value it saw, in stream order,
+    // so this sampler continues over it (identical to per-element
+    // add()s), also when it is empty: the merged sample is the one a
+    // serial pass with this sampler's seed draws, whatever the other
+    // side's seed. Chunk-sized partials always take this path.
+    add_batch(other.samples_);
     return;
   }
-  if (other.exact()) {
-    // The other side still holds every value it saw, in stream order —
-    // so this sampler continues over it via the absorb() contract
-    // (identical to per-element add()s). While the combined count fits
-    // the capacity this is a pure concatenation (the merged sample is
-    // the exact combined stream); past capacity the skip-gap machinery
-    // takes over. Chunk-sized partials always take this path.
-    absorb(other.samples_);
+  if (seen_ == 0) {
+    // Nothing here to weigh against an overflowed other side: adopt it
+    // wholesale, substream included.
+    *this = other;
     return;
   }
   // Weighted draw: fill each output slot from side A with probability
@@ -126,11 +125,6 @@ void StreamingSummary::merge(const StreamingSummary& other) {
   }
   moments_.merge(other.moments_);
   reservoir_.merge(other.reservoir_);
-  if (quantile_hist_) {
-    EIO_CHECK_MSG(other.quantile_hist_.has_value(),
-                  "summary merge mixes quantile-histogram modes");
-    quantile_hist_->merge(*other.quantile_hist_);
-  }
 }
 
 double StreamingSummary::min() const {
@@ -146,27 +140,6 @@ double StreamingSummary::max() const {
 double StreamingSummary::quantile(double q) const {
   EIO_CHECK(!empty());
   return select_quantile(reservoir_.samples(), q);
-}
-
-double StreamingSummary::histogram_quantile(double q) const {
-  EIO_CHECK(!empty());
-  EIO_CHECK_MSG(quantile_hist_.has_value(),
-                "histogram quantile mode is off (quantile_bins == 0)");
-  EIO_CHECK_MSG(q >= 0.0 && q <= 1.0, "quantile out of range: " << q);
-  const Histogram& h = *quantile_hist_;
-  // 1-based rank of the order statistic x_(⌈qN⌉); q = 0 maps to the
-  // minimum. Out-of-range samples were clamped into the edge bins, so
-  // total() == N and the cumulative walk always terminates.
-  std::uint64_t n = h.total();
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < h.bin_count(); ++b) {
-    cumulative += h.count(b);
-    if (cumulative >= rank) return h.bin_center(b);
-  }
-  return h.bin_center(h.bin_count() - 1);
 }
 
 }  // namespace eio::stats

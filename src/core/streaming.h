@@ -24,13 +24,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/distribution.h"
-#include "core/histogram.h"
 
 namespace eio::stats {
 
@@ -93,14 +91,11 @@ class StreamingMoments {
 ///   prod_{i=1..s+1} (t + i - capacity) / (t + i) <= V
 /// after t records, reproducing Algorithm R's marginal acceptance
 /// probability capacity/(t+1) while consuming zero randomness for the
-/// skipped records. The pending gap is carried in skip_, so add(),
-/// add_batch() and absorb() share one draw sequence: feeding the same
-/// stream in any chunking yields bit-identical samples.
-///
-/// NOTE: the draw sequence differs from the pre-Algorithm-X sampler
-/// (one index draw per record), so sampled quantiles past capacity
-/// differ run-to-run across versions — deterministically so within a
-/// version. The exact regime (seen() <= capacity) is unchanged.
+/// skipped records. The pending gap is carried in skip_, so add() and
+/// add_batch() share one draw sequence: feeding the same stream in any
+/// chunking yields bit-identical samples. Which sample a given version
+/// draws past capacity is a versioned contract (DESIGN.md §5l); the
+/// exact regime never moves.
 class ReservoirSampler {
  public:
   explicit ReservoirSampler(std::size_t capacity = kDefaultCapacity,
@@ -121,8 +116,8 @@ class ReservoirSampler {
       ++seen_;
       samples_.push_back(x);
       // Draw the first gap the moment the exact regime ends, so the
-      // serial, batched and absorb() paths leave the boundary with the
-      // same pending state.
+      // serial and batched paths leave the boundary with the same
+      // pending state.
       if (samples_.size() == capacity_) next_gap();
       return;
     }
@@ -161,24 +156,18 @@ class ReservoirSampler {
     }
   }
 
-  /// Continue this sampler over a tail of the stream, exactly: the
-  /// contract is absorb(tail) == add(x) for each x of tail in order.
-  /// Because the pending gap spans call boundaries, absorbing a stream
-  /// piecewise in any chunking equals one serial pass.
-  void absorb(std::span<const double> tail) { add_batch(tail); }
-
-  /// Fold another reservoir (same capacity) into this one. When the
-  /// other side is exact its sample IS its substream, so this sampler
-  /// absorb()s it — a pure concatenation while the combined seen()
-  /// fits the capacity (the merged sample equals the serial one
-  /// element for element when merges follow stream order), the skip-
-  /// gap continuation past it. When the other side has itself
-  /// overflowed, each output slot draws from one side with probability
+  /// Fold another reservoir (same capacity) holding a LATER segment of
+  /// the stream into this one. When the other side is exact its sample
+  /// IS its segment, in stream order, so this sampler continues over it
+  /// with add_batch() — also when this side is empty. Merging exact
+  /// partials in stream order therefore draws exactly the sample of one
+  /// serial pass with this sampler's seed, however the stream was cut.
+  /// An overflowed other side is adopted wholesale by an empty sampler;
+  /// otherwise each output slot draws from one side with probability
   /// proportional to that side's remaining stream weight (the weighted
   /// Algorithm-R merge), so every stream element keeps an equal chance
-  /// of surviving; the pending gap is then re-drawn for the combined
-  /// count. Draws come from this reservoir's substream, so the result
-  /// is deterministic in (seeds, merge order).
+  /// of surviving, and the pending gap is re-drawn for the combined
+  /// count. That weighted path is deterministic in (seeds, merge order).
   void merge(const ReservoirSampler& other);
 
   [[nodiscard]] std::uint64_t seen() const noexcept { return seen_; }
@@ -224,20 +213,11 @@ class ReservoirSampler {
 };
 
 /// Knobs for StreamingSummary (at namespace scope so it can be a
-/// defaulted constructor argument).
+/// defaulted constructor argument). Every summary samples with the
+/// ReservoirSampler default seed, so the partials of one scan continue
+/// one stream.
 struct SummaryOptions {
   std::size_t reservoir_capacity = ReservoirSampler::kDefaultCapacity;
-  std::uint64_t reservoir_seed = 0x9E3779B97F4A7C15ULL;
-  /// When > 0, the summary also feeds a fixed-range log10 histogram
-  /// and histogram_quantile() becomes available — the merged-quantile
-  /// mode for parallel scans, where reservoirs past capacity merge
-  /// stochastically but histogram bins merge exactly. Error is bounded
-  /// by the width of the bin holding the requested order statistic.
-  std::size_t quantile_bins = 0;
-  /// Fixed histogram range (seconds); samples outside clamp to the
-  /// edge bins. The defaults cover 1 ns .. ~28 h per event.
-  double quantile_hist_lo = 1e-9;
-  double quantile_hist_hi = 1e5;
 };
 
 /// The standard per-stream bundle: count, extrema, incremental
@@ -247,8 +227,7 @@ class StreamingSummary {
  public:
   StreamingSummary() : StreamingSummary(SummaryOptions{}) {}
   explicit StreamingSummary(const SummaryOptions& options)
-      : reservoir_(options.reservoir_capacity, options.reservoir_seed),
-        quantile_hist_(quantile_histogram_for(options)) {}
+      : reservoir_(options.reservoir_capacity) {}
 
   void add(double x) {
     if (moments_.count() == 0) {
@@ -260,7 +239,6 @@ class StreamingSummary {
     }
     moments_.add(x);
     reservoir_.add(x);
-    if (quantile_hist_) quantile_hist_->add(x);
   }
 
   /// Fold a dense sample span (a decoded column) in index order —
@@ -284,13 +262,12 @@ class StreamingSummary {
     }
     moments_.add_batch(xs);
     reservoir_.add_batch(xs);
-    if (quantile_hist_) quantile_hist_->add_all(xs);
   }
 
-  /// Fold another summary into this one: counts/extrema/moments and
-  /// the quantile histogram merge exactly; the reservoir merges per
-  /// ReservoirSampler::merge (exact below capacity). Partials must be
-  /// merged in stream order for reservoir exactness to carry over.
+  /// Fold another summary into this one: counts and extrema merge
+  /// exactly, moments to FP-merge rounding; the reservoir merges per
+  /// ReservoirSampler::merge. Partials must be merged in stream order
+  /// for the merged sample to equal the serial one.
   void merge(const StreamingSummary& other);
 
   [[nodiscard]] std::size_t count() const noexcept { return moments_.count(); }
@@ -305,33 +282,9 @@ class StreamingSummary {
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }
 
-  /// The fixed-range quantile histogram (present iff quantile_bins > 0).
-  [[nodiscard]] const std::optional<Histogram>& quantile_histogram()
-      const noexcept {
-    return quantile_hist_;
-  }
-  /// Quantile from the histogram: the center of the bin holding the
-  /// rank-⌈qN⌉ sample, so |estimate - exact order statistic| is at
-  /// most that bin's width (bins merge exactly, so this is the
-  /// merge-stable quantile past reservoir capacity). Requires
-  /// quantile_bins > 0 and a non-empty stream.
-  [[nodiscard]] double histogram_quantile(double q) const;
-
  private:
-  /// The quantile histogram `options` asks for, if any. Built in the
-  /// member initializer, never emplaced into an engaged-or-not member:
-  /// GCC 12 reads emplace()'s reset of a fresh optional as a use of
-  /// uninitialized storage (-Wmaybe-uninitialized under sanitizers).
-  [[nodiscard]] static std::optional<Histogram> quantile_histogram_for(
-      const SummaryOptions& options) {
-    if (options.quantile_bins == 0) return std::nullopt;
-    return Histogram(BinScale::kLog10, options.quantile_hist_lo,
-                     options.quantile_hist_hi, options.quantile_bins);
-  }
-
   StreamingMoments moments_;
   ReservoirSampler reservoir_;
-  std::optional<Histogram> quantile_hist_;
   double min_ = 0.0;
   double max_ = 0.0;
 };

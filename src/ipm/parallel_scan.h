@@ -20,13 +20,12 @@
 // never decoded.
 //
 // Determinism contract: the partial built for chunk c depends only on
-// chunk c (per-chunk reservoir seeds come from the chunk index), and
-// every merge lane consumes partials strictly in chunk order 0, 1, 2,
-// ... regardless of which worker folded what first or which thread
-// runs the merge. A lane is one KernelSet member (or the whole partial
-// for any other type), and members share no state, so each member
-// sees exactly the merge sequence of a serial pass no matter how far
-// the lanes drift apart. A scan is therefore byte-identical for every
+// chunk c and its index, and every merge lane consumes partials
+// strictly in chunk order 0, 1, 2, ... regardless of which worker
+// folded what first or which thread runs the merge. A lane is one
+// KernelSet member (or the whole partial for any other type), and
+// members share no state, so each member sees exactly the merge
+// sequence of a serial pass no matter how far the lanes drift apart. A scan is therefore byte-identical for every
 // jobs value, including jobs=1 — "--jobs 1 == serial" holds by
 // construction, not by tolerance. Column order equals event order, so
 // a fold sees the identical value sequence as a serial pass over the
@@ -122,7 +121,7 @@ class ParallelTraceScanner {
 
   /// Map-reduce over the chunks `hint` admits (all chunks when null):
   ///
-  ///   make(chunk_index)       -> Partial   (fresh, possibly seeded)
+  ///   make(chunk_index)       -> Partial   (fresh)
   ///   fold(partial, batch)                 (one ColumnBatch = one chunk)
   ///   merge(into, std::move(from))         (ascending chunk order)
   ///

@@ -49,10 +49,11 @@ namespace eio::ipm {
 
 /// Streaming v3 writer; usable directly as a capture sink, so the
 /// monitor can emit an indexed trace file without ever materializing
-/// the event list. Chunk boundaries fix the per-chunk reservoir
-/// substreams of chunk-partial analysis, so the default chunk size is
-/// part of the output contract: chunks hold exactly chunk_events rows
-/// (the last one fewer) whatever the sizes of the batches fed in.
+/// the event list. Chunks hold exactly chunk_events rows (the last one
+/// fewer) whatever the sizes of the batches fed in. Analysis output
+/// does not depend on chunk_events while a chunk matches at most the
+/// reservoir capacity (65,536 rows) of any one sample; past that, its
+/// partials merge by weighted draws.
 class TraceWriterV3 final : public EventSink {
  public:
   struct Options {

@@ -27,9 +27,7 @@ stats::Histogram make_latency_histogram() {
 }
 
 /// Quantile from exact histogram bins: center of the bin holding the
-/// rank-ceil(q*N) sample (same convention as
-/// stats::StreamingSummary::histogram_quantile), clamped to the exact
-/// sample range [min, max]. A bin center (or the lo/hi edge for
+/// rank-ceil(q*N) sample, clamped to the exact sample range [min, max]. A bin center (or the lo/hi edge for
 /// under/overflow) can lie outside the samples it stands for — a
 /// single 1.06 s span would otherwise report p95 = 1.33 s.
 double histogram_quantile(const stats::Histogram& h, std::size_t n, double q,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -701,6 +702,85 @@ TEST_F(EiotraceTest, AnalyzeIsByteIdenticalAcrossJobsAndFormats) {
     EXPECT_EQ(out2, base) << v3 << " " << jobs;
   }
   std::remove(v3.c_str());
+}
+
+TEST_F(EiotraceTest, SampledAnswersPastCapacityAreIdenticalAcrossFormats) {
+  // Past the 65,536-sample reservoir capacity every answer is drawn
+  // from a sample, and that sample must be the one of a serial pass
+  // whatever the storage: TSV, default v3 or 64-event-chunk v3, at any
+  // --jobs. The first 4,096 rows hold only phase-0 reads, so a write
+  // or phase-1 sample first appears in a later chunk.
+  constexpr std::size_t kLead = 4096;
+  constexpr std::size_t kPairs = 66000;
+  ipm::Trace t("past-capacity", 16);
+  rng::Stream r(29);
+  // Values rounded to the TSV's 9 significant digits, so the TSV and
+  // the v3 files written from this trace hold the same doubles.
+  auto tsv_exact = [](double x) {
+    char digits[32];
+    std::snprintf(digits, sizeof digits, "%.9g", x);
+    return std::strtod(digits, nullptr);
+  };
+  auto add = [&](OpType op, std::int32_t phase, double start) {
+    ipm::TraceEvent e;
+    e.start = tsv_exact(start);
+    // Two modes, so the sampled KDE and quantiles are sensitive to
+    // which rows the sample keeps.
+    e.duration = tsv_exact(r.chance(0.4) ? r.lognormal(-3.0, 0.5)
+                                         : r.lognormal(0.0, 0.3));
+    e.op = op;
+    e.rank = static_cast<RankId>(t.size() % 16);
+    e.file = 1;
+    e.offset = static_cast<Bytes>(t.size()) * MiB;
+    e.bytes = MiB;
+    e.phase = phase;
+    t.add(e);
+  };
+  for (std::size_t i = 0; i < kLead; ++i) {
+    add(OpType::kRead, 0, 1e-3 * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const double start = 10.0 + 1e-3 * static_cast<double>(i);
+    add(OpType::kWrite, 1, start);
+    add(OpType::kRead, 1, start);
+  }
+
+  const std::string tsv = test::temp_path("past_capacity.tsv");
+  const std::string v3 = test::temp_path("past_capacity.v3");
+  const std::string v3_64 = test::temp_path("past_capacity_64.v3");
+  t.save(tsv);
+  t.save_binary_v3(v3);
+  {
+    std::ofstream out(v3_64, std::ios::binary);
+    ipm::TraceWriterV3 w(out, t.experiment(), t.ranks(), {.chunk_events = 64});
+    for (const ipm::TraceEvent& e : t.events()) w.add(e);
+    w.finish();
+  }
+
+  const std::vector<std::vector<std::string>> commands = {
+      {"summary", "--json"},
+      {"modes", "--op=write"},
+      {"modes", "--op=write", "--log"},
+      {"phases"},
+      {"analyze", "--json"},
+  };
+  for (const auto& cmd : commands) {
+    std::string base;
+    for (const std::string& file : {tsv, v3, v3_64}) {
+      for (const char* jobs : {"--jobs=1", "--jobs=3"}) {
+        // A TSV pass is one serial stream at any --jobs value; one run
+        // of it is the reference and keeps the test's wall time short.
+        if (file == tsv && !base.empty()) continue;
+        std::vector<std::string> args{cmd[0], file, jobs};
+        args.insert(args.end(), cmd.begin() + 1, cmd.end());
+        auto [rc, out, err] = run(args);
+        ASSERT_EQ(rc, 0) << cmd[0] << ": " << err;
+        if (base.empty()) base = out;
+        EXPECT_EQ(out, base) << cmd[0] << " " << file << " " << jobs;
+      }
+    }
+  }
+  for (const std::string& file : {tsv, v3, v3_64}) std::remove(file.c_str());
 }
 
 TEST_F(EiotraceTest, AnalyzeEmptyFilterFails) {

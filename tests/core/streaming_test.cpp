@@ -228,9 +228,8 @@ TEST(StreamingEquivalenceTest, PhaseSummariesMatchDurationsByPhase) {
       return sink;
     };
     const PhaseSummarySink parallel =
-        run_kernels(file, 3, hint_for({}), [](std::size_t chunk) {
-          return PhaseSummarySink({}, chunk_summary_options({}, chunk));
-        });
+        run_kernels(file, 3, hint_for({}),
+                    [](std::size_t) { return PhaseSummarySink({}); });
     for (const PhaseSummarySink& sink : {fold(t), fold(file), parallel}) {
       ASSERT_EQ(sink.by_phase().size(), by_row.size()) << t.experiment();
       for (const auto& [phase, ds] : by_row) {
@@ -330,9 +329,8 @@ TEST(StreamingEquivalenceTest, V3FileRoundTripPreservesAnalysisInputs) {
     EXPECT_EQ(durations(t, f), by_row) << t.experiment();
     EXPECT_EQ(durations(source, f), by_row) << t.experiment();
     const SummarySink parallel =
-        run_kernels(source, 3, hint_for(f), [&](std::size_t chunk) {
-          return SummarySink(f, chunk_summary_options({}, chunk));
-        });
+        run_kernels(source, 3, hint_for(f),
+                    [&](std::size_t) { return SummarySink(f); });
     ASSERT_TRUE(parallel.summary().reservoir().exact()) << t.experiment();
     EXPECT_EQ(parallel.summary().reservoir().samples(), by_row)
         << t.experiment();
@@ -372,7 +370,7 @@ TEST(MergeKernelsTest, ReservoirMergeConcatenatesBelowCapacity) {
 TEST(MergeKernelsTest, ReservoirExactContinuationMatchesSerialAdds) {
   // Past capacity, merging an *exact* partial absorbs its buffer with
   // the same skip-gap draw sequence serial adds would have used — so
-  // the merged sample is bit-identical to serial (the absorb()
+  // the merged sample is bit-identical to serial (the add_batch()
   // exactness contract).
   constexpr std::size_t kCap = 64;
   std::vector<double> stream(1060);
@@ -394,10 +392,44 @@ TEST(MergeKernelsTest, ReservoirExactContinuationMatchesSerialAdds) {
   EXPECT_EQ(head.samples(), serial.samples());
 }
 
+TEST(MergeKernelsTest, ReservoirMergeOfExactPartialsIsOneStream) {
+  // A scan's accumulator starts empty, and its first partials may be
+  // empty too (chunks with no matching row). Merging exact partials in
+  // stream order, past capacity, must still draw exactly the sample of
+  // one serial add_batch pass with the accumulator's seed, whatever
+  // the partials' own seeds: the first non-empty partial is continued,
+  // not adopted.
+  constexpr std::size_t kCap = 64;
+  std::vector<double> stream(3000);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i] = std::cos(0.37 * static_cast<double>(i)) + 1.5;
+  }
+  stats::ReservoirSampler serial(kCap);
+  serial.add_batch(stream);
+  ASSERT_FALSE(serial.exact());
+
+  const std::size_t sizes[] = {0, 0, 0, 17, 0, 47, 64, 1, 63, 0, 40};
+  stats::ReservoirSampler merged(kCap);
+  std::size_t at = 0, part_index = 0;
+  auto merge_part = [&](std::size_t n) {
+    stats::ReservoirSampler part(
+        kCap, rng::substream_seed(0x9E3779B97F4A7C15ULL, part_index++));
+    part.add_batch(std::span<const double>(stream).subspan(at, n));
+    ASSERT_TRUE(part.exact());
+    merged.merge(part);
+    at += n;
+  };
+  for (std::size_t n : sizes) merge_part(n);
+  while (at < stream.size()) merge_part(std::min(kCap, stream.size() - at));
+
+  EXPECT_EQ(merged.seen(), serial.seen());
+  EXPECT_EQ(merged.samples(), serial.samples());
+}
+
 TEST(MergeKernelsTest, ReservoirAbsorbMatchesPerElementAdds) {
-  // The absorb() contract itself: absorb(span) is defined to equal
-  // per-element add() of the same values, for any interleaving with
-  // add() calls and regardless of where the pending skip gap lands.
+  // The add_batch() contract itself: add_batch(span) equals per-element
+  // add() of the same values, for any interleaving with add() calls and
+  // regardless of where the pending skip gap lands.
   constexpr std::size_t kCap = 32;
   std::vector<double> stream(4096);
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -407,15 +439,15 @@ TEST(MergeKernelsTest, ReservoirAbsorbMatchesPerElementAdds) {
   for (double x : stream) serial.add(x);
 
   stats::ReservoirSampler absorbed(kCap, 1234);
-  absorbed.absorb(stream);
+  absorbed.add_batch(stream);
   EXPECT_EQ(absorbed.seen(), serial.seen());
   EXPECT_EQ(absorbed.samples(), serial.samples());
 }
 
 TEST(MergeKernelsTest, ReservoirPiecewiseAbsorbMatchesOneSerialPass) {
-  // Absorbing a stream in arbitrary uneven pieces — the skip gap
+  // Folding a stream in arbitrary uneven pieces — the skip gap
   // spanning piece boundaries — equals one serial pass. This is what
-  // the exact-side merge path and the columnar add_batch path rely on.
+  // the exact-side merge path and the columnar scan path rely on.
   constexpr std::size_t kCap = 48;
   std::vector<double> stream(5000);
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -428,17 +460,17 @@ TEST(MergeKernelsTest, ReservoirPiecewiseAbsorbMatchesOneSerialPass) {
   const std::size_t cuts[] = {1, 7, 40, 48, 49, 513, 2000, 4999, 5000};
   std::size_t at = 0;
   for (std::size_t cut : cuts) {
-    pieced.absorb(std::span<const double>(stream).subspan(at, cut - at));
+    pieced.add_batch(std::span<const double>(stream).subspan(at, cut - at));
     at = cut;
   }
   EXPECT_EQ(pieced.seen(), serial.seen());
   EXPECT_EQ(pieced.samples(), serial.samples());
 
-  // Interleaving single adds with absorbs must land on the same
+  // Interleaving single adds with batches must land on the same
   // sequence too.
   stats::ReservoirSampler mixed(kCap, 99);
   for (std::size_t i = 0; i < 100; ++i) mixed.add(stream[i]);
-  mixed.absorb(std::span<const double>(stream).subspan(100, 3000));
+  mixed.add_batch(std::span<const double>(stream).subspan(100, 3000));
   for (std::size_t i = 3100; i < stream.size(); ++i) mixed.add(stream[i]);
   EXPECT_EQ(mixed.samples(), serial.samples());
 }
@@ -467,7 +499,7 @@ TEST(MergeKernelsTest, ReservoirSkipGapIsSeedStableAndUnbiased) {
   std::size_t early = 0, total = 0;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
     stats::ReservoirSampler r(kCap, seed);
-    r.absorb(stream);
+    r.add_batch(stream);
     EXPECT_EQ(r.seen(), stream.size());
     EXPECT_EQ(r.samples().size(), kCap);
     for (double x : r.samples()) early += x < 5000.0 ? 1 : 0;
@@ -510,35 +542,41 @@ TEST(MergeKernelsTest, ReservoirWeightedMergeIsDeterministicAndBalanced) {
 }
 
 TEST(MergeKernelsTest, SummaryMergeMatchesSerialStream) {
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::StreamingSummary serial;
-    for (double x : d) serial.add(x);
+  // Chunk partials merged in stream order equal one serial pass: at the
+  // default capacity the sample is the stream itself, and at a small
+  // one (past capacity on every seed trace) the partials continue one
+  // sampling stream, so the sample matches element for element.
+  for (const std::size_t capacity :
+       {stats::ReservoirSampler::kDefaultCapacity, std::size_t{64}}) {
+    const stats::SummaryOptions opt{.reservoir_capacity = capacity};
+    for (const ipm::Trace& t : seed_traces()) {
+      auto d = durations(t, {});
+      stats::StreamingSummary serial(opt);
+      for (double x : d) serial.add(x);
 
-    stats::StreamingSummary merged;
-    const std::size_t chunk = 128;
-    for (std::size_t i = 0; i < d.size(); i += chunk) {
-      stats::SummaryOptions opt;
-      opt.reservoir_seed = rng::substream_seed(opt.reservoir_seed, i / chunk);
-      stats::StreamingSummary part(opt);
-      for (std::size_t j = i; j < std::min(i + chunk, d.size()); ++j) {
-        part.add(d[j]);
+      stats::StreamingSummary merged(opt);
+      const std::size_t chunk = 48;  // exact partials at both capacities
+      for (std::size_t i = 0; i < d.size(); i += chunk) {
+        stats::StreamingSummary part(opt);
+        for (std::size_t j = i; j < std::min(i + chunk, d.size()); ++j) {
+          part.add(d[j]);
+        }
+        merged.merge(part);
       }
-      merged.merge(part);
-    }
 
-    EXPECT_EQ(merged.count(), serial.count()) << t.experiment();
-    EXPECT_DOUBLE_EQ(merged.min(), serial.min());
-    EXPECT_DOUBLE_EQ(merged.max(), serial.max());
-    stats::Moments a = serial.moments();
-    stats::Moments b = merged.moments();
-    EXPECT_NEAR(b.mean, a.mean, 1e-12 * std::abs(a.mean));
-    EXPECT_NEAR(b.variance, a.variance, 1e-9 * std::abs(a.variance));
-    // Below reservoir capacity the merged sample is the stream itself,
-    // so order statistics match exactly, not approximately.
-    for (double q : {0.25, 0.5, 0.95}) {
-      EXPECT_DOUBLE_EQ(merged.quantile(q), serial.quantile(q))
-          << t.experiment() << " q=" << q;
+      EXPECT_EQ(merged.count(), serial.count()) << t.experiment();
+      EXPECT_DOUBLE_EQ(merged.min(), serial.min());
+      EXPECT_DOUBLE_EQ(merged.max(), serial.max());
+      stats::Moments a = serial.moments();
+      stats::Moments b = merged.moments();
+      EXPECT_NEAR(b.mean, a.mean, 1e-12 * std::abs(a.mean));
+      EXPECT_NEAR(b.variance, a.variance, 1e-9 * std::abs(a.variance));
+      EXPECT_EQ(merged.reservoir().samples(), serial.reservoir().samples())
+          << t.experiment() << " capacity=" << capacity;
+      for (double q : {0.25, 0.5, 0.95}) {
+        EXPECT_DOUBLE_EQ(merged.quantile(q), serial.quantile(q))
+            << t.experiment() << " q=" << q;
+      }
     }
   }
 }
@@ -591,67 +629,6 @@ TEST(MergeKernelsTest, RateSeriesMergeMatchesSingleBuilder) {
       EXPECT_NEAR(b.values[i], a.values[i],
                   1e-9 * std::max(std::abs(a.values[i]), 1.0))
           << t.experiment() << " bin " << i;
-    }
-  }
-}
-
-TEST(MergeKernelsTest, HistogramQuantileWithinOneBinOfExact) {
-  // The merged-quantile mode: the histogram estimate must land within
-  // the width of the bin holding the exact order statistic.
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::SummaryOptions opt;
-    opt.quantile_bins = 256;
-    stats::StreamingSummary serial(opt);
-    for (double x : d) serial.add(x);
-    ASSERT_TRUE(serial.quantile_histogram().has_value());
-    const stats::Histogram& h = *serial.quantile_histogram();
-    EXPECT_EQ(h.total(), d.size());
-
-    std::vector<double> sorted = d;
-    std::sort(sorted.begin(), sorted.end());
-    for (double q : {0.05, 0.25, 0.5, 0.75, 0.95, 0.99}) {
-      auto rank = static_cast<std::size_t>(
-          std::ceil(q * static_cast<double>(sorted.size())));
-      if (rank == 0) rank = 1;
-      const double exact = sorted[rank - 1];
-      const double estimate = serial.histogram_quantile(q);
-      const double bound = h.bin_width(h.bin_index(exact));
-      EXPECT_NEAR(estimate, exact, bound)
-          << t.experiment() << " q=" << q;
-    }
-  }
-}
-
-TEST(MergeKernelsTest, HistogramQuantileIsMergeStable) {
-  // Unlike reservoir quantiles, histogram quantiles survive chunked
-  // merging bit-identically: bins are integers and merge exactly.
-  for (const ipm::Trace& t : seed_traces()) {
-    auto d = durations(t, {});
-    stats::SummaryOptions opt;
-    opt.quantile_bins = 256;
-    stats::StreamingSummary serial(opt);
-    for (double x : d) serial.add(x);
-
-    stats::StreamingSummary merged(opt);
-    const std::size_t chunk = 97;  // deliberately not a divisor
-    for (std::size_t i = 0; i < d.size(); i += chunk) {
-      stats::SummaryOptions part_opt = opt;
-      part_opt.reservoir_seed =
-          rng::substream_seed(opt.reservoir_seed, i / chunk);
-      stats::StreamingSummary part(part_opt);
-      for (std::size_t j = i; j < std::min(i + chunk, d.size()); ++j) {
-        part.add(d[j]);
-      }
-      merged.merge(part);
-    }
-    ASSERT_EQ(merged.quantile_histogram()->counts(),
-              serial.quantile_histogram()->counts())
-        << t.experiment();
-    for (double q : {0.05, 0.5, 0.95}) {
-      EXPECT_DOUBLE_EQ(merged.histogram_quantile(q),
-                       serial.histogram_quantile(q))
-          << t.experiment() << " q=" << q;
     }
   }
 }

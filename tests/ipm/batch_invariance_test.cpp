@@ -74,7 +74,7 @@ std::string summary_state(const stats::StreamingSummary& s) {
       << hex(m.skewness) << ' ' << hex(m.kurtosis_excess);
   if (!s.empty()) {
     out << ' ' << hex(s.min()) << ' ' << hex(s.max()) << ' '
-        << hex(s.median()) << ' ' << hex(s.histogram_quantile(0.95));
+        << hex(s.median());
   }
   for (double x : s.reservoir().samples()) out << ' ' << hex(x);
   return out.str();
@@ -88,8 +88,7 @@ std::map<std::string, std::string> states_after(std::size_t batch_events) {
   std::filesystem::create_directories(dir);
 
   // Small reservoirs, so sampling past capacity is part of the state.
-  const stats::SummaryOptions small{.reservoir_capacity = 64,
-                                    .quantile_bins = 40};
+  const stats::SummaryOptions small{.reservoir_capacity = 64};
   monitor::HealthOptions health_options;
   health_options.ost_count = 48;
 

@@ -134,9 +134,7 @@ stats::StreamingSummary summary_of(const ipm::ParallelTraceScanner& scanner,
   const ipm::ChunkHint hint = hint_for(filter);
   return scanner
       .scan_kernels(
-          [&](std::size_t chunk) {
-            return SummarySink(filter, chunk_summary_options({}, chunk));
-          },
+          [&](std::size_t) { return SummarySink(filter); },
           &hint)
       .summary();
 }
@@ -146,9 +144,7 @@ std::map<std::int32_t, stats::StreamingSummary> phases_of(
   const ipm::ChunkHint hint = hint_for(filter);
   return scanner
       .scan_kernels(
-          [&](std::size_t chunk) {
-            return PhaseSummarySink(filter, chunk_summary_options({}, chunk));
-          },
+          [&](std::size_t) { return PhaseSummarySink(filter); },
           &hint)
       .by_phase();
 }
@@ -650,10 +646,9 @@ TEST(ParallelScanTest, FusedKernelSetMatchesIndividualScans) {
     const ipm::ChunkHint hint =
         ipm::ChunkHint::union_of(hint_for(writes), hint_for(reads));
     auto fused = scanner.scan_kernels(
-        [&](std::size_t chunk) {
+        [&](std::size_t) {
           return KernelSet(
-              SummarySink(writes, chunk_summary_options({}, chunk)),
-              SummarySink(reads, chunk_summary_options({}, chunk)),
+              SummarySink(writes), SummarySink(reads),
               HistogramKernel(writes,
                               {.scale = stats::BinScale::kLog10, .bins = 40}),
               RateKernel(writes, span, 64));
@@ -694,10 +689,9 @@ TEST(ParallelScanTest, FusedKernelSetIsJobsInvariant) {
     const double span = scanner.time_span();
     const ipm::ChunkHint hint = hint_for(writes);
     return scanner.scan_kernels(
-        [&](std::size_t chunk) {
+        [&](std::size_t) {
           return KernelSet(
-              SummarySink(writes, chunk_summary_options({}, chunk)),
-              HistogramKernel(writes, {.bins = 40}),
+              SummarySink(writes), HistogramKernel(writes, {.bins = 40}),
               RateKernel(writes, span, 64));
         },
         &hint);

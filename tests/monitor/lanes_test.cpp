@@ -89,10 +89,9 @@ std::string analyze_bundle(const std::string& trace, ipm::ScanOptions scan,
   wf.op = posix::OpType::kWrite;
   rf.op = posix::OpType::kRead;
   auto merged = scanner.scan_kernels([&](std::size_t chunk) {
-    stats::SummaryOptions opts = analysis::chunk_summary_options({}, chunk);
     return analysis::KernelSet(
-        analysis::SummarySink(wf, opts), analysis::SummarySink(rf, opts),
-        analysis::PhaseSummarySink(base, opts),
+        analysis::SummarySink(wf), analysis::SummarySink(rf),
+        analysis::PhaseSummarySink(base),
         analysis::HistogramKernel(base, {.bins = 40}),
         analysis::RateKernel(base, span, 100), HealthKernel(mopt, chunk));
   });
