@@ -53,6 +53,7 @@
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
+#include "ipm/trace_v3.h"
 #include "monitor/health.h"
 
 namespace {

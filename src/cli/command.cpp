@@ -304,9 +304,8 @@ std::string usage_text() {
      << "parallelism: summary/analyze/histogram/modes/rates/phases/"
         "diagnose/patterns/compare/simulate\n"
      << "             take --jobs=N\n"
-     << "             (default: hardware concurrency; v3 traces scan "
-        "chunk-parallel,\n"
-     << "             TSV traces stream serially)\n";
+     << "             (default: hardware concurrency; TSV and v3 traces "
+        "scan chunk-parallel)\n";
   return os.str();
 }
 

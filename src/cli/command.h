@@ -16,17 +16,17 @@
 #include "cli/options.h"
 
 namespace eio::ipm {
-class TraceSource;
+class FileTraceSource;
 }
 
 namespace eio::cli {
 
 /// Everything a command handler needs: parsed flags + positionals, the
-/// trace source (commands with needs_trace; nullptr otherwise), and
-/// the invocation's streams.
+/// trace file source (commands with needs_trace; nullptr otherwise),
+/// and the invocation's streams.
 struct CommandContext {
   Parsed args;
-  const ipm::TraceSource* source = nullptr;
+  const ipm::FileTraceSource* source = nullptr;
   std::ostream* out = nullptr;
   std::ostream* err = nullptr;
 

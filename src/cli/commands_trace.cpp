@@ -6,9 +6,9 @@
 // event copy).
 //
 // Each analysis subcommand builds a kernel (or KernelSet) factory and
-// hands it to analysis::run_kernels: exactly ONE trace scan per
-// invocation — chunk-parallel on indexed (v3) files, one serial
-// columnar pass otherwise — no matter how many statistics it fuses.
+// hands it to analysis::run_kernels: exactly ONE chunk-parallel trace
+// scan per invocation, TSV or v3, no matter how many statistics it
+// fuses.
 // diagnose's eight detectors are one such kernel; the two of them the
 // online monitor also runs (degraded OST, straggler rank) are written
 // once, in core/component_rules.
@@ -153,8 +153,8 @@ int cmd_rates(CommandContext& ctx) {
   const Parsed& args = ctx.args;
   auto bins = args.get_size("bins", 100);
   analysis::EventFilter filter = filter_from(args, ctx.es());
-  // Indexed traces answer the span from the chunk index (free); only
-  // non-indexed formats pay a span pass before the single fold scan.
+  // The span comes from the chunk index, so the fold scan is the one
+  // pass.
   const double span = source.time_span();
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   auto merged =
@@ -407,7 +407,7 @@ int cmd_compare(CommandContext& ctx) {
 }
 
 int cmd_convert(CommandContext& ctx) {
-  const ipm::TraceSource& source = *ctx.source;
+  const ipm::FileTraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
   std::ostream& out = ctx.os();
   std::ostream& err = ctx.es();
@@ -438,16 +438,15 @@ int cmd_convert(CommandContext& ctx) {
   // Converting a file to the format it is already in is a checked
   // no-op: decode every event once to prove the file is intact, then
   // copy the bytes verbatim — never a silent re-encode.
-  const auto* file = dynamic_cast<const ipm::FileTraceSource*>(&source);
-  if (file != nullptr && fmt == format_label(file->format())) {
+  if (fmt == format_label(source.format())) {
     std::uint64_t checked = 0;
     source.for_each_columns(ipm::kColAll,
                             [&checked](const ipm::ColumnBatch& b) {
                               checked += b.size();
                             });
-    std::ifstream in(file->path(), std::ios::binary);
+    std::ifstream in(source.path(), std::ios::binary);
     if (!in.good()) {
-      err << "eiotrace: cannot open for copying: " << file->path() << "\n";
+      err << "eiotrace: cannot open for copying: " << source.path() << "\n";
       return 2;
     }
     ipm::PendingFile copy(target);

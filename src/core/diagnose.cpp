@@ -7,6 +7,7 @@
 #include "core/distribution.h"
 #include "core/kernel.h"
 #include "core/modes.h"
+#include "core/parallel_analysis.h"
 #include "core/streaming.h"
 #include "ipm/trace_source.h"
 
@@ -364,11 +365,9 @@ const char* finding_name(FindingCode code) noexcept {
 
 std::vector<Finding> diagnose(const ipm::TraceSource& source,
                               const DiagnoserOptions& options) {
-  DiagnoseKernel kernel(options);
-  source.for_each_columns(
-      kernel.required_columns(),
-      [&kernel](const ipm::ColumnBatch& b) { kernel.add_batch(b); });
-  return kernel.finish();
+  return run_kernels(source, 1, ipm::ChunkHint{},
+                     [&](std::size_t) { return DiagnoseKernel(options); })
+      .finish();
 }
 
 }  // namespace eio::analysis

@@ -131,8 +131,8 @@ class DiagnoseKernel {
   std::map<std::int32_t, rules::PhaseEnds> phases_;
 };
 
-/// Run every detector over the trace in one serial pass; findings
-/// sorted by severity.
+/// Run every detector over the trace in one pass on one thread
+/// (run_kernels with jobs = 1); findings sorted by severity.
 [[nodiscard]] std::vector<Finding> diagnose(const ipm::TraceSource& source,
                                             const DiagnoserOptions& options = {});
 

@@ -4,9 +4,9 @@
 // (a) consume a decoded column batch densely, (b) merge with a partial
 // fold of a disjoint stream segment, and (c) name the columns it
 // reads. That triple is the Kernel concept; anything modeling it can
-// ride ParallelTraceScanner's chunk map-reduce (see
-// ParallelTraceScanner::scan_kernels) or the serial columnar pass of
-// analysis::run_kernels.
+// ride ParallelTraceScanner's chunk map-reduce over any trace source
+// (ParallelTraceScanner::scan_kernels, which analysis::run_kernels
+// calls).
 //
 // KernelSet composes kernels so ONE decode of each chunk feeds all of
 // them — the fused pass that collapses eiotrace's historical

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/kernel.h"
+#include "core/parallel_analysis.h"
 #include "ipm/trace_source.h"
 
 namespace eio::analysis {
@@ -132,11 +133,9 @@ std::vector<StreamPattern> PatternsKernel::finish() {
 }
 
 std::vector<StreamPattern> detect_patterns(const ipm::TraceSource& source) {
-  PatternsKernel kernel;
-  source.for_each_columns(
-      kernel.required_columns(),
-      [&kernel](const ipm::ColumnBatch& b) { kernel.add_batch(b); });
-  return kernel.finish();
+  return run_kernels(source, 1, ipm::ChunkHint{},
+                     [](std::size_t) { return PatternsKernel(); })
+      .finish();
 }
 
 std::vector<FsHint> derive_hints(const std::vector<StreamPattern>& patterns) {

@@ -101,7 +101,7 @@ class PatternsKernel {
 };
 
 /// Classify every (rank, file, op) stream with enough accesses, in
-/// one serial pass.
+/// one pass on one thread (run_kernels with jobs = 1).
 [[nodiscard]] std::vector<StreamPattern> detect_patterns(
     const ipm::TraceSource& source);
 

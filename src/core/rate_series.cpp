@@ -39,8 +39,8 @@ void RateSeriesBuilder::merge(const RateSeriesBuilder& other) {
 
 TimeSeries aggregate_rate(const ipm::TraceSource& source,
                           const EventFilter& filter, std::size_t bins) {
-  // Span comes from *all* events; indexed sources answer time_span()
-  // from chunk metadata, so only the folding pass below touches events.
+  // Span comes from *all* events, read from the chunk index, so only
+  // the folding pass below touches events.
   RateSeriesBuilder builder(source.time_span(), bins);
   filter.for_each_match(
       source, ipm::kColStart | ipm::kColDuration | ipm::kColBytes,

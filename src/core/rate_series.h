@@ -73,8 +73,8 @@ class RateSeriesBuilder {
 
 /// Aggregate data rate (bytes/s) of matching events over the job.
 /// `bins` partitions [0, source.time_span()] — the span of all events,
-/// matched or not (free from an index, else one pass); one more pass
-/// folds the matching events. O(bins) memory.
+/// matched or not, free from the chunk index; one pass folds the
+/// matching events. O(bins) memory.
 [[nodiscard]] TimeSeries aggregate_rate(const ipm::TraceSource& source,
                                         const EventFilter& filter,
                                         std::size_t bins);

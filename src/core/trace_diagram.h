@@ -30,9 +30,8 @@ class TraceDiagram {
   /// O(rows * columns), independent of the event count.
   TraceDiagram(std::uint32_t ranks, double span, Options options);
 
-  /// Build from a trace: rows from its rank count, the span from
-  /// source.time_span() (the footer of an indexed file, else one
-  /// pass), then one pass to rasterize.
+  /// Build from a trace: rows from its rank count, the span from its
+  /// chunk index (source.time_span()), then one pass to rasterize.
   TraceDiagram(const ipm::TraceSource& source, Options options);
 
   /// Fold a batch into the raster (reads start, duration, op, rank).

@@ -1,10 +1,10 @@
-// Chunk-parallel map-reduce over indexed (v3) traces.
+// Chunk-parallel map-reduce over any trace source.
 //
 // The paper's premise — ensembles are mergeable statistics, not event
 // sequences — makes trace analysis embarrassingly parallel over
 // indexed chunks: every chunk folds into a bounded partial (moments,
 // histogram bins, reservoir, rate bins), and partials merge. The
-// ParallelTraceScanner partitions a file's TraceIndex across a worker
+// ParallelTraceScanner partitions a source's TraceIndex across a worker
 // pool (the same claim-by-index pattern as
 // workloads::ParallelEnsembleRunner), decodes chunks concurrently,
 // folds each chunk into its own partial, and merges partials in
@@ -12,12 +12,11 @@
 // as its own ordered lane, so the pass is bounded by the slowest
 // member's merge chain rather than the sum of all of them.
 //
-// Decode: the scanner borrows a FileTraceSource's footer index and
-// path, and gives each worker a ChunkReader of its own — the same
-// decoder a serial pass uses: one sized read of a chunk into a buffer
-// the reader reuses, no locks, nothing shared. Folds receive decoded
-// ColumnBatches restricted to a column mask: unmasked columns are
-// never decoded.
+// Decode: the scanner borrows a source and gives each worker a
+// ChunkCursor of its own for the source's decode_chunk (for a file,
+// one sized read into a buffer the cursor reuses): no locks, nothing
+// shared. Folds receive ColumnBatches restricted to a column mask:
+// unmasked v3 columns are never decoded.
 //
 // Determinism contract: the partial built for chunk c depends only on
 // chunk c and its index, and every merge lane consumes partials
@@ -25,9 +24,10 @@
 // folded what first or which thread runs the merge. A lane is one
 // KernelSet member (or the whole partial for any other type), and
 // members share no state, so each member sees exactly the merge
-// sequence of a serial pass no matter how far the lanes drift apart. A scan is therefore byte-identical for every
-// jobs value, including jobs=1 — "--jobs 1 == serial" holds by
-// construction, not by tolerance. Column order equals event order, so
+// sequence of a serial pass no matter how far the lanes drift apart.
+// A scan is therefore byte-identical for every jobs value, including
+// jobs=1 — "--jobs 1 == serial" holds by construction, not by
+// tolerance. Column order equals event order, so
 // a fold sees the identical value sequence as a serial pass over the
 // same trace.
 //
@@ -45,12 +45,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -60,8 +57,6 @@
 #include "common/jobs.h"
 #include "ipm/columns.h"
 #include "ipm/trace_source.h"
-#include "ipm/trace_stream.h"
-#include "ipm/trace_v3.h"
 #include "obs/registry.h"
 
 namespace eio::ipm {
@@ -86,34 +81,30 @@ struct ScanOptions {
   std::size_t merge_window = 0;
 };
 
-/// Map-reduce engine over one indexed (v3) trace file. Stateless
-/// between scans; safe to reuse and cheap to construct: it borrows the
-/// footer index and path of a FileTraceSource, so a file's index is
-/// read once however many scans run over it.
+/// Map-reduce engine over one trace source. Stateless between scans;
+/// safe to reuse and cheap to construct: it borrows the source, so a
+/// file's index is read once however many scans run over it.
 class ParallelTraceScanner {
  public:
-  /// Open `path` as a FileTraceSource of the scanner's own. Throws
-  /// std::runtime_error when the file cannot be opened or is not a v3
-  /// trace — the format is sniffed first, so a TSV file is refused
-  /// before any of its rows is parsed.
+  /// Open `path` (TSV or v3) as a FileTraceSource of the scanner's
+  /// own. Throws std::runtime_error when the file cannot be opened or
+  /// indexed.
   explicit ParallelTraceScanner(std::string path, ScanOptions options = {})
-      : ParallelTraceScanner(open_indexed(std::move(path)), options) {}
+      : owned_(std::make_unique<const FileTraceSource>(std::move(path))),
+        source_(owned_.get()),
+        jobs_(resolve_jobs(options.jobs)),
+        merge_window_(resolve_window(options, jobs_)) {}
 
-  /// Borrow an indexed (v3) source's index and path; `source` must
-  /// outlive the scanner. Throws std::runtime_error for a TSV source.
-  explicit ParallelTraceScanner(const FileTraceSource& source,
+  /// Borrow a source; it must outlive the scanner.
+  explicit ParallelTraceScanner(const TraceSource& source,
                                 ScanOptions options = {})
       : source_(&source),
         jobs_(resolve_jobs(options.jobs)),
-        merge_window_(resolve_window(options, jobs_)) {
-    if (!source.index()) throw not_indexed(source.path());
-  }
+        merge_window_(resolve_window(options, jobs_)) {}
   /// A temporary source would not outlive the scanner.
-  ParallelTraceScanner(FileTraceSource&&, ScanOptions = {}) = delete;
+  ParallelTraceScanner(const TraceSource&&, ScanOptions = {}) = delete;
 
-  [[nodiscard]] const TraceIndex& index() const noexcept {
-    return *source_->index();
-  }
+  [[nodiscard]] const TraceIndex& index() const { return source_->index(); }
 
   /// Wall-clock span of the whole trace (max chunk end time) — free
   /// from the index, no event pass.
@@ -138,10 +129,10 @@ class ParallelTraceScanner {
     using Partial = std::invoke_result_t<Make, std::size_t>;
     return scan_impl(
         make,
-        [this, &fold, mask](ChunkReader& reader, Partial& p,
+        [this, &fold, mask](ChunkCursor& cursor, Partial& p,
                             std::size_t chunk) {
           OBS_SPAN("scan.fold_chunk");
-          fold(p, reader.read_columns(index(), chunk, mask));
+          fold(p, source_->decode_chunk(chunk, mask, cursor));
         },
         1,
         [&merge](Partial& into, Partial& from, std::size_t) {
@@ -164,10 +155,10 @@ class ParallelTraceScanner {
       -> std::invoke_result_t<Make, std::size_t> {
     using Set = std::invoke_result_t<Make, std::size_t>;
     const ColumnMask mask = make(std::size_t{0}).required_columns();
-    auto produce = [this, mask](ChunkReader& reader, Set& set,
+    auto produce = [this, mask](ChunkCursor& cursor, Set& set,
                                 std::size_t chunk) {
       OBS_SPAN("scan.fold_chunk");
-      set.add_batch(reader.read_columns(index(), chunk, mask));
+      set.add_batch(source_->decode_chunk(chunk, mask, cursor));
     };
     if constexpr (MergeLanes<Set>) {
       return scan_impl(make, produce, Set::kLanes,
@@ -185,7 +176,7 @@ class ParallelTraceScanner {
   }
 
  private:
-  /// The shared pool/merge machinery. produce(reader, partial, chunk)
+  /// The shared pool/merge machinery. produce(cursor, partial, chunk)
   /// decodes + folds one chunk however the public entry point decided;
   /// merge_lane(into, from, lane) folds lane `lane` of a later partial
   /// into the result, consuming only that lane of `from`.
@@ -225,12 +216,12 @@ class ParallelTraceScanner {
     if (workers <= 1) {
       // Same per-chunk partial + ordered lane merges as the parallel
       // path, on one thread — the determinism contract's base case.
-      ChunkReader reader = make_reader();
+      ChunkCursor cursor;
       Partial result = make(picks[0]);
-      produce(reader, result, picks[0]);
+      produce(cursor, result, picks[0]);
       for (std::size_t k = 1; k < n; ++k) {
         Partial p = make(picks[k]);
-        produce(reader, p, picks[k]);
+        produce(cursor, p, picks[k]);
         OBS_SPAN("scan.merge_partial");
         for (std::size_t lane = 0; lane < lanes; ++lane) {
           merge_one(result, p, lane);
@@ -300,15 +291,14 @@ class ParallelTraceScanner {
     auto participate = [&](bool worker) {
       std::unique_lock<std::mutex> lock(mu, std::defer_lock);
       try {
-        std::optional<ChunkReader> reader;
-        if (worker) reader.emplace(make_reader());
+        ChunkCursor cursor;
         lock.lock();
         while (!error && !finished()) {
           if (worker && may_fold()) {
             const std::size_t k = claimed++;
             lock.unlock();
             Partial p = make(picks[k]);
-            produce(*reader, p, picks[k]);
+            produce(cursor, p, picks[k]);
             lock.lock();
             auto it = ready.emplace(k, Slot{std::move(p), lanes}).first;
             if (k == 0) {
@@ -368,12 +358,6 @@ class ParallelTraceScanner {
     return std::move(*result);
   }
 
-  ParallelTraceScanner(std::unique_ptr<const FileTraceSource> owned,
-                       ScanOptions options)
-      : ParallelTraceScanner(*owned, options) {
-    owned_ = std::move(owned);
-  }
-
   /// Interned span names scan.merge.lane0, scan.merge.lane1, ... (one
   /// lookup per lane per scan; nothing when obs is compiled out).
   [[nodiscard]] static std::vector<obs::MetricId> lane_span_ids(
@@ -387,24 +371,6 @@ class ParallelTraceScanner {
       }
     }
     return ids;
-  }
-
-  /// A worker's reader, with a stream and read buffer of its own.
-  [[nodiscard]] ChunkReader make_reader() const {
-    return ChunkReader(source_->path());
-  }
-
-  [[nodiscard]] static std::runtime_error not_indexed(const std::string& path) {
-    return std::runtime_error("parallel scan needs an indexed (v3) trace: " +
-                              path);
-  }
-
-  /// A FileTraceSource over `path` once its first bytes sniff as v3.
-  [[nodiscard]] static std::unique_ptr<const FileTraceSource> open_indexed(
-      std::string path) {
-    std::ifstream in = open_trace(path);
-    if (sniff_format(in) != TraceFormat::kBinaryV3) throw not_indexed(path);
-    return std::make_unique<const FileTraceSource>(std::move(path));
   }
 
   [[nodiscard]] static std::size_t resolve_window(const ScanOptions& options,
@@ -423,7 +389,7 @@ class ParallelTraceScanner {
   }
 
   std::unique_ptr<const FileTraceSource> owned_;  ///< path-opened only
-  const FileTraceSource* source_;
+  const TraceSource* source_;
   std::size_t jobs_;
   std::size_t merge_window_;
 };

@@ -1,4 +1,5 @@
-// The in-memory Trace: its TraceSource pass and its serializations.
+// The in-memory Trace: its chunk index, its chunks and its
+// serializations.
 // All parsing, validation and encoding lives in the streaming kernels
 // (trace_stream.h for TSV, trace_v3.h for v3); a Trace is what you get
 // when their rows are appended to a vector.
@@ -12,29 +13,31 @@
 #include "common/check.h"
 #include "ipm/trace_stream.h"
 #include "ipm/trace_v3.h"
+#include "ipm/wire.h"
 
 namespace eio::ipm {
 
-Seconds Trace::span() const noexcept {
-  Seconds latest = 0.0;
-  for (const TraceEvent& e : events_) latest = std::max(latest, e.end());
-  return latest;
+void Trace::add(const TraceEvent& event) {
+  events_.push_back(event);
+  index_row(events_.size() - 1);
 }
 
-void Trace::for_each_columns(ColumnMask mask,
-                             const ColumnBatchVisitor& visit) const {
-  ColumnScratch scratch;
-  const std::span<const TraceEvent> rows(events_);
-  for (std::size_t i = 0; i < rows.size(); i += kDefaultBatchEvents) {
-    const std::size_t n = std::min(kDefaultBatchEvents, rows.size() - i);
-    visit(shred(rows.subspan(i, n), scratch, mask));
-  }
+void Trace::index_row(std::size_t row) {
+  if (row % kDefaultBatchEvents == 0) index_.chunks.emplace_back();
+  wire::fold_into(index_.chunks.back(), events_[row]);
+}
+
+ColumnBatch Trace::decode_chunk(std::size_t chunk, ColumnMask mask,
+                                ChunkCursor& cursor) const {
+  const std::size_t first = chunk * kDefaultBatchEvents;
+  const std::size_t n = std::min(kDefaultBatchEvents, events_.size() - first);
+  return shred(std::span(events_).subspan(first, n), cursor.scratch, mask);
 }
 
 void Trace::merge(const Trace& other) {
-  events_.insert(events_.end(), other.events_.begin(), other.events_.end());
-  meta_.ranks = std::max(meta_.ranks, other.meta_.ranks);
-  if (meta_.experiment.empty()) meta_.experiment = other.meta_.experiment;
+  for (const TraceEvent& e : other.events_) add(e);
+  set_ranks(std::max(ranks(), other.ranks()));
+  if (experiment().empty()) set_experiment(other.experiment());
 }
 
 void Trace::sort_by_start() {
@@ -42,24 +45,28 @@ void Trace::sort_by_start() {
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.start < b.start;
                    });
+  index_.chunks.clear();
+  for (std::size_t row = 0; row < events_.size(); ++row) index_row(row);
 }
 
 void Trace::write(std::ostream& out) const {
-  write_tsv_header(out, meta_.experiment, meta_.ranks, events_.size());
+  write_tsv_header(out, experiment(), ranks(), events_.size());
   for (const TraceEvent& e : events_) write_tsv_event(out, e);
 }
 
 Trace Trace::read(std::istream& in) {
   Trace trace;
   const TraceMeta meta =
-      stream_tsv(in, [&trace](const TraceEvent& e) { trace.add(e); });
-  trace.meta_.experiment = meta.experiment;
-  trace.meta_.ranks = meta.ranks;
+      stream_tsv(in, [&trace](const TraceEvent& e, std::uint64_t) {
+        trace.add(e);
+      });
+  trace.set_experiment(meta.experiment);
+  trace.set_ranks(meta.ranks);
   return trace;
 }
 
 void Trace::write_binary_v3(std::ostream& out) const {
-  TraceWriterV3 writer(out, meta_.experiment, meta_.ranks);
+  TraceWriterV3 writer(out, experiment(), ranks());
   for (const TraceEvent& e : events_) writer.add(e);
   writer.finish();
 }

@@ -4,7 +4,7 @@
 // mode), with text and v3 serializations for offline analysis and a
 // merge operation for combining per-rank or per-run traces. It is a
 // TraceSource like a trace file, so every analysis reads it through
-// the same columnar pass.
+// the same chunked pass.
 #pragma once
 
 #include <cstdint>
@@ -22,11 +22,11 @@ class Trace final : public TraceSource {
  public:
   Trace() = default;
   Trace(std::string experiment, std::uint32_t ranks) {
-    meta_.experiment = std::move(experiment);
-    meta_.ranks = ranks;
+    index_.meta.experiment = std::move(experiment);
+    index_.meta.ranks = ranks;
   }
 
-  void add(const TraceEvent& event) { events_.push_back(event); }
+  void add(const TraceEvent& event);
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
@@ -34,26 +34,25 @@ class Trace final : public TraceSource {
   [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
   [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
   [[nodiscard]] const std::string& experiment() const noexcept {
-    return meta_.experiment;
+    return index_.meta.experiment;
   }
-  [[nodiscard]] std::uint32_t ranks() const noexcept { return meta_.ranks; }
-  void set_ranks(std::uint32_t ranks) { meta_.ranks = ranks; }
-  void set_experiment(std::string name) { meta_.experiment = std::move(name); }
+  [[nodiscard]] std::uint32_t ranks() const noexcept { return meta().ranks; }
+  void set_ranks(std::uint32_t ranks) { index_.meta.ranks = ranks; }
+  void set_experiment(std::string name) {
+    index_.meta.experiment = std::move(name);
+  }
 
   /// Wall-clock span covered by the trace (latest end time).
-  [[nodiscard]] Seconds span() const noexcept;
+  [[nodiscard]] Seconds span() const { return time_span(); }
 
-  // The TraceSource view. A pass shreds kDefaultBatchEvents rows at a
-  // time into scratch local to the pass, so memory stays bounded and
-  // concurrent const passes are safe.
-  [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each_columns(ColumnMask mask,
-                        const ColumnBatchVisitor& visit) const override;
-  [[nodiscard]] double time_span() const override { return span(); }
-  [[nodiscard]] std::uint64_t event_count() const override { return size(); }
+  // The TraceSource view: chunk c shreds rows [c, c + 1) x
+  // kDefaultBatchEvents into the cursor's scratch.
+  [[nodiscard]] const TraceIndex& index() const override { return index_; }
+  [[nodiscard]] ColumnBatch decode_chunk(std::size_t chunk, ColumnMask mask,
+                                         ChunkCursor& cursor) const override;
 
   /// Append another trace's events (ranks must not overlap meaningfully;
-  /// rank count becomes the max).
+  /// rank count becomes the max). `other` must not be this trace.
   void merge(const Trace& other);
 
   /// Sort events by start time (stable within equal timestamps).
@@ -83,7 +82,11 @@ class Trace final : public TraceSource {
   [[nodiscard]] static Trace load(const std::string& path);
 
  private:
-  TraceMeta meta_;  ///< experiment and ranks; declares no event count
+  /// Fold row `row` into the index (a chunk per kDefaultBatchEvents).
+  void index_row(std::size_t row);
+
+  /// Experiment and ranks (no declared event count) plus the chunks.
+  TraceIndex index_;
   std::vector<TraceEvent> events_;
 };
 

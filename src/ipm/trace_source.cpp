@@ -1,94 +1,69 @@
 #include "ipm/trace_source.h"
 
 #include <algorithm>
-#include <stdexcept>
 
-#include "common/check.h"
 #include "ipm/trace_v3.h"
+#include "ipm/wire.h"
 #include "obs/registry.h"
 
 namespace eio::ipm {
 
+void TraceSource::for_each_columns_hinted(
+    const ChunkHint& hint, ColumnMask mask,
+    const ColumnBatchVisitor& visit) const {
+  const std::vector<ChunkMeta>& chunks = index().chunks;
+  ChunkCursor cursor;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    if (!hint.admits(chunks[c])) {
+      OBS_COUNTER_ADD("scan.chunks_skipped", 1);
+      continue;
+    }
+    OBS_COUNTER_ADD("scan.chunks_scanned", 1);
+    visit(decode_chunk(c, mask, cursor));
+  }
+}
+
 double TraceSource::time_span() const {
   double span = 0.0;
-  for_each_columns(kColStart | kColDuration, [&span](const ColumnBatch& b) {
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      span = std::max(span, b.start[i] + b.duration[i]);
-    }
-  });
+  for (const ChunkMeta& c : index().chunks) span = std::max(span, c.t_hi);
   return span;
 }
 
-ChunkReader::ChunkReader(const std::string& path) : in_(open_trace(path)) {}
-
-ColumnBatch ChunkReader::read_columns(const TraceIndex& index,
-                                      std::size_t chunk, ColumnMask mask) {
-  return read_chunk_v3(in_, index.chunks[chunk],
-                       chunk_byte_length(index, chunk), raw_, scratch_, mask);
+std::uint64_t TraceSource::event_count() const {
+  std::uint64_t events = 0;
+  for (const ChunkMeta& c : index().chunks) events += c.events;
+  return events;
 }
 
 FileTraceSource::FileTraceSource(std::string path) : path_(std::move(path)) {
-  stream_ = open_trace(path_);
-  format_ = sniff_format(stream_);
+  std::ifstream in = open_trace(path_);
+  format_ = sniff_format(in);
   if (format_ == TraceFormat::kBinaryV3) {
-    index_ = read_index_v3(stream_);
-    meta_ = index_->meta;
-    stream_.close();
-    reader_.emplace(path_);
+    index_ = read_index_v3(in);
     return;
   }
-  // TSV keeps no trailing index, so validating the header costs one
-  // pass; the constructor pays it once and meta() stays cheap
-  // thereafter.
-  std::uint64_t counted = 0;
-  meta_ = stream_tsv(stream_, [&counted](const TraceEvent&) { ++counted; });
-  if (!meta_.declared_events) meta_.declared_events = counted;
-}
-
-void FileTraceSource::for_each_columns(ColumnMask mask,
-                                       const ColumnBatchVisitor& visit) const {
-  for_each_columns_hinted(ChunkHint{}, mask, visit);
-}
-
-void FileTraceSource::for_each_columns_hinted(
-    const ChunkHint& hint, ColumnMask mask,
-    const ColumnBatchVisitor& visit) const {
-  if (index_) {
-    for (std::size_t i = 0; i < index_->chunks.size(); ++i) {
-      if (!hint.admits(index_->chunks[i])) {
-        OBS_COUNTER_ADD("scan.chunks_skipped", 1);
-        continue;
-      }
-      OBS_COUNTER_ADD("scan.chunks_scanned", 1);
-      visit(reader_->read_columns(*index_, i, mask));
+  // One pass indexes a TSV file: every kDefaultBatchEvents-th row's
+  // offset starts a chunk, and every row folds into its chunk's meta.
+  std::uint64_t rows = 0;
+  index_.meta = stream_tsv(in, [&](const TraceEvent& e, std::uint64_t at) {
+    if (rows++ % kDefaultBatchEvents == 0) {
+      index_.chunks.push_back(ChunkMeta{.offset = at});
     }
-    return;
-  }
-  stream_.clear();
-  stream_.seekg(0);
-  EIO_CHECK_MSG(stream_.good(), "cannot rewind trace: " << path_);
-  scratch_.clear();
-  (void)stream_tsv(stream_, [&](const TraceEvent& e) {
-    scratch_.push_back(e);
-    if (scratch_.size() == kDefaultBatchEvents) {
-      visit(scratch_.view(mask));
-      scratch_.clear();
-    }
+    wire::fold_into(index_.chunks.back(), e);
   });
-  if (scratch_.size() > 0) visit(scratch_.view(mask));
+  if (!index_.meta.declared_events) index_.meta.declared_events = rows;
+  in.clear();
+  in.seekg(0, std::ios::end);
+  index_.footer_offset = static_cast<std::uint64_t>(in.tellg());
 }
 
-double FileTraceSource::time_span() const {
-  if (!index_) return TraceSource::time_span();
-  double span = 0.0;
-  for (const ChunkMeta& c : index_->chunks) span = std::max(span, c.t_hi);
-  return span;
-}
-
-std::uint64_t FileTraceSource::event_count() const {
-  // Both backing formats declare their count (TSV via the header field,
-  // v3 via the footer), and the constructor validated it.
-  return meta_.declared_events.value_or(0);
+ColumnBatch FileTraceSource::decode_chunk(std::size_t chunk, ColumnMask mask,
+                                          ChunkCursor& cursor) const {
+  if (!cursor.in.is_open()) cursor.in = open_trace(path_);
+  const auto read = format_ == TraceFormat::kBinaryV3 ? read_chunk_v3
+                                                      : read_chunk_tsv;
+  return read(cursor.in, index_.chunks[chunk], chunk_byte_length(index_, chunk),
+              cursor.raw, cursor.scratch, mask);
 }
 
 }  // namespace eio::ipm

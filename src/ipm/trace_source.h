@@ -2,24 +2,21 @@
 //
 // Every consumer of a trace — eiotrace subcommands, the reporters, the
 // streaming accumulators in core — pulls events through this interface
-// instead of demanding a materialized std::vector<TraceEvent>. There
-// is one read path per backing store: an in-memory ipm::Trace is itself
-// a TraceSource (it shreds its rows per pass), and a FileTraceSource
-// replays a trace file on every pass, keeping memory O(1) in the event
-// count. A v3 file is read through exactly one decoder — its footer
-// index plus a ChunkReader, the same reader the chunk-parallel
-// ParallelTraceScanner gives each worker — and a ChunkHint lets the
-// source skip whole chunks whose footer metadata cannot match, turning
-// filtered scans into selective reads.
+// instead of demanding a materialized std::vector<TraceEvent>. Every
+// source is chunked and indexed: a TraceIndex (one ChunkMeta per
+// chunk) plus decode_chunk into a caller's ChunkCursor. A v3 file's
+// index is its footer; a TSV file is indexed by one pass when opened
+// (every 4,096th row's offset); an in-memory ipm::Trace indexes rows
+// as they arrive. File sources hold only the index: O(1) memory in
+// the event count.
 //
-// One pass family is offered: for_each_columns(_hinted), one
-// ColumnBatch per run of consecutive events — a decoded chunk, or a
-// kDefaultBatchEvents run of TSV or in-memory rows — restricted to a
-// ColumnMask. There is no per-event visitor: on v3 files unneeded
-// columns are never decoded — each chunk is read into a buffer the
-// reader reuses, so a pass holds one chunk, never the file — while TSV
-// and in-memory sources shred their rows, so consumers see the
-// identical value sequence from any backing store.
+// The rest is written once over those two: for_each_columns(_hinted)
+// (one ColumnBatch per chunk a ChunkHint admits, masked columns only),
+// time_span() and event_count(). ParallelTraceScanner reads any source
+// the same way, one cursor per worker, so concurrent scans are safe.
+// TSV and in-memory rows are shredded into the shape a v3 chunk
+// decodes to, so consumers see the identical value sequence from any
+// backing store.
 #pragma once
 
 #include <algorithm>
@@ -98,106 +95,89 @@ struct ChunkHint {
   }
 };
 
-/// Abstract multi-pass event stream with job metadata.
+/// One reader's decode state, reused across the chunks it reads: a
+/// file source opens `in` on its first read and reads each chunk into
+/// `raw`; every source decodes into `scratch`. A cursor serves one
+/// thread and one source, so a steady-state decode allocates nothing
+/// and a reader holds O(largest chunk) whatever the trace size.
+struct ChunkCursor {
+  std::ifstream in;
+  std::vector<char> raw;
+  ColumnScratch scratch;
+};
+
+/// A chunked, indexed, multi-pass event stream with job metadata.
 class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Events buffered per batch when a backing format has no natural
-  /// chunking (matches the v3 writer's default chunk size).
+  /// Rows per chunk of a TSV file or an in-memory trace (and the v3
+  /// writer's default), and per capture batch.
   static constexpr std::size_t kDefaultBatchEvents = 4096;
+
+  /// The chunk index: job metadata plus one ChunkMeta per chunk, in
+  /// event order.
+  [[nodiscard]] virtual const TraceIndex& index() const = 0;
+
+  /// Decode chunk `chunk` as a ColumnBatch with (at least) the masked
+  /// columns materialized; its spans alias `cursor` and stay valid
+  /// until the cursor's next decode. Throws std::runtime_error when a
+  /// file no longer holds the chunk in full (say, it was truncated
+  /// after the index was read).
+  [[nodiscard]] virtual ColumnBatch decode_chunk(std::size_t chunk,
+                                                 ColumnMask mask,
+                                                 ChunkCursor& cursor) const = 0;
 
   /// Job-level metadata (experiment name, rank count, event count when
   /// the backing format declares it).
-  [[nodiscard]] virtual const TraceMeta& meta() const = 0;
+  [[nodiscard]] const TraceMeta& meta() const { return index().meta; }
 
-  /// Visit every event as columnar batches with (at least) the masked
-  /// columns materialized. May be called repeatedly; each call replays
-  /// the full stream. Column order is event order.
-  virtual void for_each_columns(ColumnMask mask,
-                                const ColumnBatchVisitor& visit) const = 0;
-
-  /// Visit the batches of chunks a hint admits — a superset of the
-  /// matching events, so visitors still filter exactly. Default: full
-  /// scan (exact for any source).
-  virtual void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
-                                       const ColumnBatchVisitor& visit) const {
-    (void)hint;
-    for_each_columns(mask, visit);
+  /// Visit every event as columnar batches, one per chunk, with (at
+  /// least) the masked columns materialized. May be called repeatedly;
+  /// each call replays the full stream. Column order is event order.
+  void for_each_columns(ColumnMask mask,
+                        const ColumnBatchVisitor& visit) const {
+    for_each_columns_hinted(ChunkHint{}, mask, visit);
   }
 
+  /// Visit the batches of chunks a hint admits — a superset of the
+  /// matching events, so visitors still filter exactly.
+  void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
+                               const ColumnBatchVisitor& visit) const;
+
   /// Wall-clock span covered by the stream (latest event end time; 0
-  /// when empty) — the batch Trace::span() semantics. Default: one
-  /// pass; indexed sources answer from chunk metadata.
-  [[nodiscard]] virtual double time_span() const;
+  /// when empty) — the batch Trace::span() semantics, read from the
+  /// chunk index.
+  [[nodiscard]] double time_span() const;
 
   /// Total events.
-  [[nodiscard]] virtual std::uint64_t event_count() const = 0;
+  [[nodiscard]] std::uint64_t event_count() const;
 };
 
-/// Decodes the indexed chunks of one v3 file: each chunk is read with
-/// one sized read into a buffer the reader reuses, then decoded from
-/// it. The column scratch is reused too, so a steady-state decode
-/// allocates nothing and a reader holds O(largest chunk) whatever the
-/// file size. One reader serves one thread.
-class ChunkReader {
- public:
-  /// Open `path` for this reader. Throws std::runtime_error when it
-  /// cannot be opened.
-  explicit ChunkReader(const std::string& path);
-
-  /// Decode one indexed chunk as a ColumnBatch with only the masked
-  /// columns materialized; spans stay valid until the next read. A
-  /// chunk the file no longer holds in full (say, it was truncated
-  /// after the index was read) throws std::runtime_error.
-  [[nodiscard]] ColumnBatch read_columns(const TraceIndex& index,
-                                         std::size_t chunk, ColumnMask mask);
-
- private:
-  std::ifstream in_;
-  std::vector<char> raw_;
-  ColumnScratch scratch_;
-};
-
-/// Streams a trace file (TSV or binary v3) from disk on every pass.
-/// Holds only the header metadata — plus, for v3, the footer index,
-/// which the hinted passes use to skip chunks, and one ChunkReader.
-/// The format is sniffed and the metadata read once: a
-/// ParallelTraceScanner built from the source borrows its index and
-/// path. Passes mutate the cached stream and the reader's buffers, so
-/// one FileTraceSource must not run concurrent passes — the scanner
-/// decodes through per-thread readers.
+/// Streams a trace file (TSV or binary v3) from disk on every pass,
+/// holding only its chunk index: a v3 file's footer, or the one pass
+/// that indexes a TSV file when it is opened (which also checks every
+/// row and the declared count, so a bad file fails here, before any
+/// pass).
 class FileTraceSource final : public TraceSource {
  public:
-  /// Opens the file once to sniff the format and cache metadata (for
+  /// Opens the file once to sniff the format and build the index (for
   /// v3 this reads just header + footer, not the events). Throws
-  /// std::runtime_error if unreadable, unrecognized or in a retired
-  /// binary format.
+  /// std::runtime_error if unreadable, unrecognized, malformed or in a
+  /// retired binary format.
   explicit FileTraceSource(std::string path);
 
-  [[nodiscard]] const TraceMeta& meta() const override { return meta_; }
-  void for_each_columns(ColumnMask mask,
-                        const ColumnBatchVisitor& visit) const override;
-  void for_each_columns_hinted(const ChunkHint& hint, ColumnMask mask,
-                               const ColumnBatchVisitor& visit) const override;
-  [[nodiscard]] double time_span() const override;
-  [[nodiscard]] std::uint64_t event_count() const override;
+  [[nodiscard]] const TraceIndex& index() const override { return index_; }
+  [[nodiscard]] ColumnBatch decode_chunk(std::size_t chunk, ColumnMask mask,
+                                         ChunkCursor& cursor) const override;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] TraceFormat format() const noexcept { return format_; }
-  /// The footer index; nullopt for TSV files.
-  [[nodiscard]] const std::optional<TraceIndex>& index() const noexcept {
-    return index_;
-  }
 
  private:
   std::string path_;
   TraceFormat format_;
-  TraceMeta meta_;
-  std::optional<TraceIndex> index_;
-  mutable std::ifstream stream_;                ///< TSV passes
-  mutable std::optional<ChunkReader> reader_;   ///< v3 chunk decode
-  mutable ColumnScratch scratch_;               ///< TSV row shredding
+  TraceIndex index_;
 };
 
 }  // namespace eio::ipm

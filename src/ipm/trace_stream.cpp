@@ -4,6 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -18,16 +19,22 @@ namespace eio::ipm {
 
 namespace {
 
-[[nodiscard]] posix::OpType op_from_name(const std::string& name) {
+[[nodiscard]] std::optional<posix::OpType> op_from_name(std::string_view name) {
   using posix::OpType;
-  if (name == "open") return OpType::kOpen;
-  if (name == "close") return OpType::kClose;
-  if (name == "seek") return OpType::kSeek;
-  if (name == "read") return OpType::kRead;
-  if (name == "write") return OpType::kWrite;
-  if (name == "fsync") return OpType::kFsync;
-  if (name == "fault") return OpType::kFault;
-  throw std::runtime_error("unknown op name in trace: " + name);
+  for (OpType op : {OpType::kOpen, OpType::kClose, OpType::kSeek, OpType::kRead,
+                    OpType::kWrite, OpType::kFsync, OpType::kFault}) {
+    if (name == posix::op_name(op)) return op;
+  }
+  return std::nullopt;
+}
+
+[[noreturn]] void malformed(std::string_view row) {
+  throw std::runtime_error("malformed trace row: " + std::string(row));
+}
+
+/// Field separators within a row (write_tsv_event writes one tab).
+[[nodiscard]] bool is_blank(char c) noexcept {
+  return c == '\t' || c == ' ' || c == '\r';
 }
 
 }  // namespace
@@ -60,11 +67,42 @@ TraceFormat sniff_format(std::istream& in) {
   throw std::runtime_error("not an ipm-io trace (unrecognized magic)");
 }
 
+TraceEvent parse_tsv_row(std::string_view row) {
+  const char* p = row.data();
+  const char* const end = p + row.size();
+  auto field = [&p, end] {
+    while (p != end && is_blank(*p)) ++p;
+    const char* from = p;
+    while (p != end && !is_blank(*p)) ++p;
+    return std::string_view(from, static_cast<std::size_t>(p - from));
+  };
+  auto number = [&](auto& value) {
+    const std::string_view f = field();
+    const char* const last = f.data() + f.size();
+    const auto [stop, ec] = std::from_chars(f.data(), last, value);
+    if (ec != std::errc{} || stop != last) malformed(row);
+  };
+  TraceEvent e;
+  number(e.start);
+  number(e.duration);
+  const std::optional<posix::OpType> op = op_from_name(field());
+  if (!op) malformed(row);
+  e.op = *op;
+  number(e.rank);
+  number(e.file);
+  number(e.offset);
+  number(e.bytes);
+  number(e.phase);
+  if (!field().empty()) malformed(row);
+  return e;
+}
+
 TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit) {
   std::string line;
   if (!std::getline(in, line) || line.rfind(wire::kTsvMagic, 0) != 0) {
     throw std::runtime_error("not an ipm-io trace (missing magic)");
   }
+  std::uint64_t offset = line.size() + 1;
   TraceMeta meta;
   {
     std::istringstream header(line);
@@ -82,19 +120,14 @@ TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit) {
   if (!std::getline(in, line)) {
     throw std::runtime_error("trace missing column header");
   }
+  offset += line.size() + 1;
   std::uint64_t parsed = 0;
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream row(line);
-    TraceEvent e;
-    std::string op;
-    if (!(row >> e.start >> e.duration >> op >> e.rank >> e.file >> e.offset >>
-          e.bytes >> e.phase)) {
-      throw std::runtime_error("malformed trace row: " + line);
+    if (!line.empty()) {
+      visit(parse_tsv_row(line), offset);
+      ++parsed;
     }
-    e.op = op_from_name(op);
-    visit(e);
-    ++parsed;
+    offset += line.size() + 1;
   }
   if (meta.declared_events && parsed != *meta.declared_events) {
     std::ostringstream os;
@@ -103,6 +136,28 @@ TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit) {
     throw std::runtime_error(os.str());
   }
   return meta;
+}
+
+ColumnBatch read_chunk_tsv(std::istream& in, const ChunkMeta& chunk,
+                           std::uint64_t byte_len, std::vector<char>& raw,
+                           ColumnScratch& scratch, ColumnMask mask) {
+  in.clear();
+  in.seekg(static_cast<std::streamoff>(chunk.offset));
+  raw.resize(byte_len);
+  in.read(raw.data(), static_cast<std::streamsize>(byte_len));
+  if (static_cast<std::uint64_t>(in.gcount()) != byte_len) {
+    throw std::runtime_error("truncated TSV trace (chunk body)");
+  }
+  scratch.clear();
+  for (std::string_view rest(raw.data(), raw.size()); !rest.empty();) {
+    const std::size_t stop = std::min(rest.find('\n'), rest.size());
+    if (stop > 0) scratch.push_back(parse_tsv_row(rest.substr(0, stop)));
+    rest.remove_prefix(std::min(stop + 1, rest.size()));
+  }
+  if (scratch.size() != chunk.events) {
+    throw std::runtime_error("corrupt TSV trace: chunk row count mismatch");
+  }
+  return scratch.view(mask);
 }
 
 void write_tsv_header(std::ostream& out, const std::string& experiment,

@@ -1,5 +1,5 @@
 // Streaming trace serialization: format sniffing, the TSV kernels and
-// the chunk index shared with binary v3 (see trace_v3.h).
+// the chunk index every trace source has (see trace_v3.h for v3).
 //
 // Two on-disk formats share one event schema: TSV ("# ipm-io-trace
 // v1"), human-readable with one event per line, and the columnar,
@@ -8,23 +8,28 @@
 //
 // Every reader throws std::runtime_error on malformed, truncated or
 // count-mismatched input — never a partial, silently-wrong trace.
-// TSV has one reader, stream_tsv; v3 has one, the footer index
-// (read_index_v3) plus the chunk decoder (decode_chunk_v3). Trace's
-// read/read_binary/load and FileTraceSource are built on them.
+// Both formats read through a chunk index: v3's footer
+// (read_index_v3, then decode_chunk_v3 per chunk), or one stream_tsv
+// pass over a TSV file (then read_chunk_tsv per chunk); every TSV row
+// goes through parse_tsv_row. Trace's read/read_binary/load and
+// FileTraceSource are built on them.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "ipm/columns.h"
 #include "ipm/trace_event.h"
 
 namespace eio::ipm {
 
-/// Per-event visitor used by all streaming readers.
-using EventVisitor = std::function<void(const TraceEvent&)>;
+/// Per-row visitor of the TSV reader: the event and the byte offset
+/// of its row in the stream.
+using EventVisitor = std::function<void(const TraceEvent&, std::uint64_t)>;
 
 /// The serialization formats, as sniffed from leading magic bytes.
 enum class TraceFormat : std::uint8_t { kTsv, kBinaryV3 };
@@ -38,9 +43,17 @@ enum class TraceFormat : std::uint8_t { kTsv, kBinaryV3 };
 /// is a retired binary format (v1/v2).
 [[nodiscard]] TraceFormat sniff_format(std::istream& in);
 
-/// Streaming TSV reader: parse the header, call `visit` once per event
-/// in stored order, and return the metadata. Throws std::runtime_error
-/// on any malformed, truncated, or count-mismatched input.
+/// Parse one TSV row, its text without the line break: eight fields
+/// separated by blanks, as write_tsv_event writes them, read with
+/// std::from_chars. Throws std::runtime_error("malformed trace row:
+/// <row>") when a field is missing or is not a value of its column
+/// (a number in range, or an op name), or when anything but blanks
+/// follows the last field.
+[[nodiscard]] TraceEvent parse_tsv_row(std::string_view row);
+
+/// The TSV reader: parse the header, call `visit` once per row in
+/// stored order, and return the metadata. Throws std::runtime_error on
+/// any malformed, truncated, or count-mismatched input.
 TraceMeta stream_tsv(std::istream& in, const EventVisitor& visit);
 
 /// Significant digits of the time columns in TSV rows: each is
@@ -68,20 +81,30 @@ struct ChunkMeta {
   std::uint64_t data_bytes = 0; ///< read+write payload bytes in the chunk
 };
 
-/// The footer index of a v3 trace.
+/// The chunk index of a trace: the footer of a v3 file, the one pass
+/// over a TSV file, or what an in-memory Trace keeps as rows arrive.
 struct TraceIndex {
-  TraceMeta meta;  ///< declared_events always set (footer total)
+  TraceMeta meta;  ///< declared_events set for files (footer or rows)
   std::vector<ChunkMeta> chunks;
-  /// Stream offset of the footer tag byte (chunks end here). Zero for
-  /// indexes not produced by read_index_v3 (e.g. default-constructed).
+  /// Stream offset where the chunks end: the footer tag byte of a v3
+  /// file, the end of a TSV file's rows. Zero for an in-memory index.
   std::uint64_t footer_offset = 0;
 };
 
-/// Exact on-disk byte length of chunk `i` (tag byte through last
-/// event), derived from consecutive index offsets — chunks are written
-/// back to back, so chunk i ends where chunk i+1 (or the footer)
-/// begins. Requires an index from read_index_v3 (footer_offset set).
+/// Exact on-disk byte length of chunk `i` (for v3, tag byte through
+/// last event), derived from consecutive index offsets — chunks are
+/// stored back to back, so chunk i ends where chunk i+1 (or the
+/// footer, or the end of the rows) begins. Requires a file's index
+/// (footer_offset set).
 [[nodiscard]] std::uint64_t chunk_byte_length(const TraceIndex& index,
                                               std::size_t i);
+
+/// The TSV twin of read_chunk_v3: seek to chunk.offset, pull byte_len
+/// bytes into `raw` (reused across calls), and parse its rows into
+/// `scratch`. A short read, or a row count other than chunk.events,
+/// throws std::runtime_error.
+ColumnBatch read_chunk_tsv(std::istream& in, const ChunkMeta& chunk,
+                           std::uint64_t byte_len, std::vector<char>& raw,
+                           ColumnScratch& scratch, ColumnMask mask = kColAll);
 
 }  // namespace eio::ipm

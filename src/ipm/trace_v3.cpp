@@ -385,7 +385,7 @@ void TraceWriterV3::write_chunk(const ColumnBatch& rows) {
   const std::size_t n = rows.size();
   ChunkMeta meta;
   meta.offset = static_cast<std::uint64_t>(out_->tellp());
-  for (std::size_t i = 0; i < n; ++i) wire::fold_into(meta, rows, i);
+  for (std::size_t i = 0; i < n; ++i) wire::fold_into(meta, rows.event_at(i));
   wire::put<std::uint8_t>(*out_, wire::kChunkTag);
   wire::put_varint(*out_, n);
 

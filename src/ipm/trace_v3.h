@@ -43,6 +43,7 @@
 
 #include "ipm/columns.h"
 #include "ipm/sink.h"
+#include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
 
 namespace eio::ipm {
@@ -57,7 +58,9 @@ namespace eio::ipm {
 class TraceWriterV3 final : public EventSink {
  public:
   struct Options {
-    std::size_t chunk_events = 4096;  ///< events buffered per chunk
+    /// Events per chunk; the default is the chunk of a TSV or
+    /// in-memory source, so every format shares one chunk layout.
+    std::size_t chunk_events = TraceSource::kDefaultBatchEvents;
     bool compress = true;  ///< RLE columns when it shrinks the payload
   };
 

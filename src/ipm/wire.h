@@ -171,30 +171,26 @@ inline void check_magic(std::istream& in, const char (&magic)[8],
   }
 }
 
-/// Fold row i of an all-column batch into a chunk's footer metadata.
-inline void fold_into(ChunkMeta& meta, const ColumnBatch& b, std::size_t i) {
-  const RankId rank = b.rank[i];
-  const std::int32_t phase = b.phase[i];
-  const double start = b.start[i];
-  const double end = start + b.duration[i];
+/// Fold one row into a chunk's index metadata.
+inline void fold_into(ChunkMeta& meta, const TraceEvent& e) {
+  const double end = e.start + e.duration;
   if (meta.events == 0) {
-    meta.rank_lo = meta.rank_hi = rank;
-    meta.phase_lo = meta.phase_hi = phase;
-    meta.t_lo = start;
+    meta.rank_lo = meta.rank_hi = e.rank;
+    meta.phase_lo = meta.phase_hi = e.phase;
+    meta.t_lo = e.start;
     meta.t_hi = end;
   } else {
-    meta.rank_lo = std::min(meta.rank_lo, rank);
-    meta.rank_hi = std::max(meta.rank_hi, rank);
-    meta.phase_lo = std::min(meta.phase_lo, phase);
-    meta.phase_hi = std::max(meta.phase_hi, phase);
-    meta.t_lo = std::min(meta.t_lo, start);
+    meta.rank_lo = std::min(meta.rank_lo, e.rank);
+    meta.rank_hi = std::max(meta.rank_hi, e.rank);
+    meta.phase_lo = std::min(meta.phase_lo, e.phase);
+    meta.phase_hi = std::max(meta.phase_hi, e.phase);
+    meta.t_lo = std::min(meta.t_lo, e.start);
     meta.t_hi = std::max(meta.t_hi, end);
   }
   ++meta.events;
-  const auto op = static_cast<posix::OpType>(b.op[i]);
-  meta.op_mask |= 1u << static_cast<unsigned>(op);
-  if (op == posix::OpType::kRead || op == posix::OpType::kWrite) {
-    meta.data_bytes += b.bytes[i];
+  meta.op_mask |= 1u << static_cast<unsigned>(e.op);
+  if (e.op == posix::OpType::kRead || e.op == posix::OpType::kWrite) {
+    meta.data_bytes += e.bytes;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -163,6 +164,29 @@ TEST_F(EiotraceTest, BadOpFails) {
   auto [rc, out, err] = run({"histogram", path_, "--op=chmod"});
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find("unknown op"), std::string::npos);
+}
+
+TEST_F(EiotraceTest, MalformedOrMiscountedTsvFailsOnOpen) {
+  // Opening a TSV indexes every row, so a bad row or a count the header
+  // does not declare fails before any output: exit 2, empty stdout.
+  std::ostringstream text;
+  fixture_trace().write(text);
+  const std::string rows = text.str();
+  const std::string bad = test::temp_path("eiotrace_bad.tsv");
+  for (const auto& [body, why] :
+       {std::pair{rows + "1.0\t0.5\tchmod\t0\t1\t0\t4096\t0\n",
+                  std::string("malformed trace row")},
+        std::pair{rows.substr(0, rows.rfind('\n', rows.size() - 2) + 1),
+                  std::string("header declares")}}) {
+    std::ofstream(bad, std::ios::binary) << body;
+    for (const char* cmd : {"summary", "analyze"}) {
+      auto [rc, out, err] = run({cmd, bad, "--json", "--jobs=3"});
+      EXPECT_EQ(rc, 2) << cmd;
+      EXPECT_TRUE(out.empty()) << cmd << ": " << out;
+      EXPECT_NE(err.find(why), std::string::npos) << cmd << ": " << err;
+    }
+  }
+  std::remove(bad.c_str());
 }
 
 TEST_F(EiotraceTest, ModesFindsTheCluster) {
@@ -768,9 +792,6 @@ TEST_F(EiotraceTest, SampledAnswersPastCapacityAreIdenticalAcrossFormats) {
     std::string base;
     for (const std::string& file : {tsv, v3, v3_64}) {
       for (const char* jobs : {"--jobs=1", "--jobs=3"}) {
-        // A TSV pass is one serial stream at any --jobs value; one run
-        // of it is the reference and keeps the test's wall time short.
-        if (file == tsv && !base.empty()) continue;
         std::vector<std::string> args{cmd[0], file, jobs};
         args.insert(args.end(), cmd.begin() + 1, cmd.end());
         auto [rc, out, err] = run(args);
@@ -799,7 +820,7 @@ TEST_F(EiotraceTest, EveryAnalysisSubcommandScansTheTraceExactlyOnce) {
   const std::string v3 = write_chunked("one_scan");
   const std::size_t chunks = [&] {
     ipm::FileTraceSource source(v3);
-    return source.index()->chunks.size();
+    return source.index().chunks.size();
   }();
   ASSERT_GE(chunks, 5u);
 

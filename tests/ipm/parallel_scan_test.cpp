@@ -33,6 +33,7 @@
 #include "ipm/trace.h"
 #include "ipm/trace_source.h"
 #include "ipm/trace_stream.h"
+#include "ipm/trace_v3.h"
 #include "support/temp_path.h"
 #include "workloads/gcrm.h"
 #include "workloads/ior.h"
@@ -174,12 +175,6 @@ TimeSeries rate_of(const ipm::ParallelTraceScanner& scanner,
 }
 
 TEST(ParallelScanTest, ScannerRejectsNonV3Files) {
-  const ipm::Trace t = monotonic_trace(100);
-  std::string path = test::temp_path("eio_pscan_tsv.trace");
-  t.save(path);
-  EXPECT_THROW(ipm::ParallelTraceScanner scanner(path), std::runtime_error);
-  std::remove(path.c_str());
-
   // A retired v2 file is rejected by its magic alone.
   const std::string v2 = test::temp_path("eio_pscan_retired.v2");
   std::ofstream(v2, std::ios::binary) << "IPMIOB2\njunk after the magic";
@@ -189,6 +184,64 @@ TEST(ParallelScanTest, ScannerRejectsNonV3Files) {
   EXPECT_THROW(ipm::ParallelTraceScanner scanner(
                    test::temp_path("eio_pscan_missing.v3")),
                std::runtime_error);
+}
+
+TEST(ParallelScanTest, TsvScanMatchesV3ForEveryJobsValue) {
+  // A TSV path scans chunk-parallel, 4,096 rows per chunk, like the v3
+  // file holding the same values (the TSV read back, so both hold its
+  // 9-digit doubles): the same merged summary, histogram and rates at
+  // any jobs value.
+  constexpr std::size_t kEvents = 5 * ipm::TraceSource::kDefaultBatchEvents + 123;
+  ipm::Trace t("tsv-chunks", 8);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    ipm::TraceEvent e;
+    e.start = 0.01 * static_cast<double>(i);
+    e.duration = 1e-3 * static_cast<double>(1 + (i * 7919) % 1000);
+    e.op = i % 3 == 0 ? posix::OpType::kRead : posix::OpType::kWrite;
+    e.rank = static_cast<RankId>(i % 8);
+    e.file = 1;
+    e.offset = static_cast<Bytes>(i) * 4096;
+    e.bytes = 4096 * (1 + i % 4);
+    e.phase = static_cast<std::int32_t>(i / 5000);
+    t.add(e);
+  }
+  const std::string tsv = test::temp_path("eio_pscan_chunked.tsv");
+  const std::string v3 = test::temp_path("eio_pscan_chunked_twin.v3");
+  t.save(tsv);
+  ipm::Trace::load(tsv).save_binary_v3(v3);
+
+  const EventFilter writes{.op = posix::OpType::kWrite};
+  ipm::ParallelTraceScanner reference(v3, {.jobs = 1});
+  ASSERT_GT(reference.index().chunks.size(), 4u);
+  const stats::StreamingSummary base = summary_of(reference, writes);
+  const auto base_hist =
+      histogram_of(reference, writes, stats::BinScale::kLog10, 40);
+  const TimeSeries base_rate = rate_of(reference, writes, 64);
+  ASSERT_TRUE(base_hist.has_value());
+
+  for (std::size_t jobs : {1, 4}) {
+    ipm::ParallelTraceScanner scanner(tsv, {.jobs = jobs});
+    ASSERT_EQ(scanner.index().chunks.size(), reference.index().chunks.size());
+    EXPECT_EQ(scanner.time_span(), reference.time_span());
+    const stats::StreamingSummary s = summary_of(scanner, writes);
+    EXPECT_EQ(s.count(), base.count()) << "jobs " << jobs;
+    EXPECT_EQ(s.moments().mean, base.moments().mean) << "jobs " << jobs;
+    EXPECT_EQ(s.moments().variance, base.moments().variance);
+    EXPECT_EQ(s.reservoir().samples(), base.reservoir().samples());
+
+    const auto h = histogram_of(scanner, writes, stats::BinScale::kLog10, 40);
+    ASSERT_TRUE(h.has_value());
+    EXPECT_EQ(h->counts(), base_hist->counts()) << "jobs " << jobs;
+    EXPECT_EQ(h->lo(), base_hist->lo());
+    EXPECT_EQ(h->hi(), base_hist->hi());
+
+    const TimeSeries r = rate_of(scanner, writes, 64);
+    EXPECT_EQ(r.t0, base_rate.t0);
+    EXPECT_EQ(r.dt, base_rate.dt);
+    EXPECT_EQ(r.values, base_rate.values) << "jobs " << jobs;
+  }
+  std::remove(tsv.c_str());
+  std::remove(v3.c_str());
 }
 
 TEST(ParallelScanTest, ChunkHintAdmitsTimeWindows) {
@@ -523,14 +576,13 @@ TEST(ParallelScanTest, ChunkReaderChunksMatchTheWrittenTrace) {
   const ipm::Trace& t = seed_traces()[0];
   constexpr std::size_t kChunk = 128;
   const std::string path = write_v3_chunked(t, kChunk, "reader");
-  std::ifstream in(path, std::ios::binary);
-  (void)ipm::sniff_format(in);
-  const ipm::TraceIndex index = ipm::read_index_v3(in);
+  const ipm::FileTraceSource source(path);
+  const ipm::TraceIndex& index = source.index();
   ASSERT_GT(index.chunks.size(), 2u);
 
-  ipm::ChunkReader reader(path);
+  ipm::ChunkCursor cursor;
   for (std::size_t c = index.chunks.size(); c-- > 0;) {
-    const ipm::ColumnBatch b = reader.read_columns(index, c, ipm::kColAll);
+    const ipm::ColumnBatch b = source.decode_chunk(c, ipm::kColAll, cursor);
     const std::size_t lo = c * kChunk;
     ASSERT_EQ(b.size(), std::min(kChunk, t.size() - lo)) << "chunk " << c;
     for (std::size_t i = 0; i < b.size(); ++i) {
@@ -548,23 +600,31 @@ TEST(ParallelScanTest, ChunkReaderChunksMatchTheWrittenTrace) {
   std::remove(path.c_str());
 }
 
-TEST(ParallelScanTest, ScannerRefusesATsvPathBeforeParsingIt) {
-  // A TSV whose last row is malformed: parsing it would throw the row
-  // error, so the v3 error proves the format was sniffed first.
+TEST(ParallelScanTest, ScannerRejectsAMalformedTsvRowOnOpen) {
+  // Opening a TSV indexes it, which parses every row: a malformed last
+  // row fails the open, before any scan.
   const std::string path = test::temp_path("eio_pscan_bad_row.tsv");
   monotonic_trace(100).save(path);
   std::ofstream(path, std::ios::app) << "garbage row here\n";
   EXPECT_THROW(ipm::FileTraceSource source(path), std::runtime_error);
   try {
     ipm::ParallelTraceScanner scanner(path);
-    ADD_FAILURE() << "a TSV path was accepted";
+    ADD_FAILURE() << "a malformed TSV was accepted";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "parallel scan needs an indexed (v3) trace"),
-              std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()), "malformed trace row: garbage row here");
   }
   std::remove(path.c_str());
+}
+
+/// Run `pass` and expect it to throw a runtime_error naming `what`.
+template <typename Pass>
+void expect_truncated(const Pass& pass, const std::string& what) {
+  try {
+    pass();
+    ADD_FAILURE() << "a truncated trace scanned as complete";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
 }
 
 TEST(TruncatedTraceTest, TruncationUnderAnOpenSourceThrows) {
@@ -572,27 +632,44 @@ TEST(TruncatedTraceTest, TruncationUnderAnOpenSourceThrows) {
   // chunk past the cut must throw, serially and from the worker pool.
   const std::string path = write_v3_chunked(seed_traces()[0], 64, "truncated");
   const ipm::FileTraceSource source(path);
-  ASSERT_GT(source.index()->chunks.size(), 4u);
+  ASSERT_GT(source.index().chunks.size(), 4u);
   ASSERT_GT(std::filesystem::file_size(path), 4096u);
   std::filesystem::resize_file(path, 4096);
 
-  const auto expect_truncated = [](const auto& pass) {
-    try {
-      pass();
-      ADD_FAILURE() << "a truncated trace scanned as complete";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("truncated v3 trace"),
-                std::string::npos)
-          << e.what();
-    }
-  };
-  expect_truncated([&] {
-    source.for_each_columns(ipm::kColAll, [](const ipm::ColumnBatch&) {});
-  });
-  expect_truncated([&] {
-    (void)summary_of(ipm::ParallelTraceScanner(source, {.jobs = 3}),
-                     EventFilter{});
-  });
+  expect_truncated(
+      [&] {
+        source.for_each_columns(ipm::kColAll, [](const ipm::ColumnBatch&) {});
+      },
+      "truncated v3 trace");
+  expect_truncated(
+      [&] {
+        (void)summary_of(ipm::ParallelTraceScanner(source, {.jobs = 3}),
+                         EventFilter{});
+      },
+      "truncated v3 trace");
+  std::remove(path.c_str());
+}
+
+TEST(TruncatedTraceTest, TsvTruncationUnderAnOpenSourceThrows) {
+  // A TSV is indexed while whole; a chunk read past the cut throws,
+  // serially and from the worker pool, instead of yielding fewer rows.
+  const std::string path = test::temp_path("eio_pscan_truncated.tsv");
+  monotonic_trace(5 * ipm::TraceSource::kDefaultBatchEvents).save(path);
+  const ipm::FileTraceSource source(path);
+  ASSERT_GT(source.index().chunks.size(), 4u);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+
+  expect_truncated(
+      [&] {
+        source.for_each_columns(ipm::kColAll, [](const ipm::ColumnBatch&) {});
+      },
+      "truncated TSV trace");
+  expect_truncated(
+      [&] {
+        (void)summary_of(ipm::ParallelTraceScanner(source, {.jobs = 3}),
+                         EventFilter{});
+      },
+      "truncated TSV trace");
   std::remove(path.c_str());
 }
 

@@ -1,11 +1,13 @@
 // Format-level behaviour shared by the two trace encodings (TSV and
 // binary v3): format sniffing, the rejection of retired binary
-// formats, FileTraceSource metadata, chunk-hint admission, and the
-// capture-side sinks.
+// formats, FileTraceSource metadata, chunk-hint admission, the TSV
+// row parser, and the capture-side sinks.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -142,6 +144,110 @@ TEST(TraceFormatTest, TsvRowsMatchTheIostreamFormatting) {
     write_tsv_event(got, e);
     EXPECT_EQ(got.str(), want.str());
   }
+}
+
+/// One row as write_tsv_event writes it, without its line break.
+std::string tsv_row(const TraceEvent& e) {
+  std::ostringstream out;
+  write_tsv_event(out, e);
+  std::string row = out.str();
+  row.pop_back();
+  return row;
+}
+
+/// `x` at the 9 significant digits a TSV row keeps.
+double tsv_rounded(double x) {
+  char digits[32];
+  std::snprintf(digits, sizeof digits, "%.9g", x);
+  return std::strtod(digits, nullptr);
+}
+
+TEST(TsvRowParserTest, WrittenRowsRoundTripBitForBit) {
+  std::vector<double> values = tsv_edge_values();
+  // 9-digit values in the subnormal range, where a parser that flags
+  // underflow would reject what the writer wrote.
+  for (double x : {4.94065646e-324, 1.23456789e-310, -2.22507386e-308,
+                   9.99999999e-321}) {
+    values.push_back(x);
+  }
+  const std::int32_t phases[] = {-2147483647 - 1, -7, 0, 2147483647};
+  std::size_t i = 0;
+  for (double x : values) {
+    TraceEvent e = make_event(tsv_rounded(x), tsv_rounded(-x / 3.0),
+                              posix::OpType::kFault, 4294967295u,
+                              18446744073709551615ull, phases[i++ % 4]);
+    e.file = 18446744073709551615ull;
+    e.offset = 18446744073709551615ull;
+    for (posix::OpType op :
+         {posix::OpType::kOpen, posix::OpType::kClose, posix::OpType::kSeek,
+          posix::OpType::kRead, posix::OpType::kWrite, posix::OpType::kFsync,
+          posix::OpType::kFault}) {
+      e.op = op;
+      const std::string row = tsv_row(e);
+      const TraceEvent back = parse_tsv_row(row);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.start),
+                std::bit_cast<std::uint64_t>(e.start))
+          << row;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.duration),
+                std::bit_cast<std::uint64_t>(e.duration))
+          << row;
+      EXPECT_EQ(back.op, e.op) << row;
+      EXPECT_EQ(back.rank, e.rank) << row;
+      EXPECT_EQ(back.file, e.file) << row;
+      EXPECT_EQ(back.offset, e.offset) << row;
+      EXPECT_EQ(back.bytes, e.bytes) << row;
+      EXPECT_EQ(back.phase, e.phase) << row;
+    }
+  }
+}
+
+TEST(TsvRowParserTest, MalformedRowsAreRejected) {
+  const std::string good = tsv_row(make_event(1.5, 0.25, posix::OpType::kWrite,
+                                              3, 4096, -2));
+  ASSERT_NO_THROW((void)parse_tsv_row(good));
+  for (const std::string& row : {
+           std::string("1.5\t0.25\twrite\t3\t1\t123456789\t4096"),  // no phase
+           std::string("1.5\t0.25\twrite"),                          // fields cut
+           std::string(""),
+           std::string("1.5\t0.25\tchmod\t3\t1\t123456789\t4096\t-2"),  // op
+           std::string("1.5\tfast\twrite\t3\t1\t123456789\t4096\t-2"),
+           std::string("1.5\t0.25\twrite\tthree\t1\t123456789\t4096\t-2"),
+           std::string("1.5x\t0.25\twrite\t3\t1\t123456789\t4096\t-2"),
+           std::string("1.5\t0.25\twrite\t-3\t1\t123456789\t4096\t-2"),
+           std::string("1.5\t0.25\twrite\t4294967296\t1\t1\t4096\t-2"),
+           good + "\textra",
+       }) {
+    try {
+      (void)parse_tsv_row(row);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "malformed trace row: " + row);
+    }
+  }
+}
+
+TEST(TsvRowParserTest, DeclaredCountMismatchFailsTheOpen) {
+  // The constructor's indexing pass counts the rows, so a file whose
+  // header declares another count never reaches a pass.
+  Trace t = sample_trace(5);
+  std::ostringstream text;
+  t.write(text);
+  const std::string rows = text.str();
+  const std::string path = test::temp_path("eio_count_mismatch.tsv");
+  for (const std::string& body :
+       {rows.substr(0, rows.rfind('\n', rows.size() - 2) + 1),  // one short
+        rows + tsv_row(t.events()[0]) + "\n"}) {                // one over
+    std::ofstream(path, std::ios::binary) << body;
+    try {
+      FileTraceSource source(path);
+      ADD_FAILURE() << "a miscounted TSV opened";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("header declares 5 events"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceFormatTest, SniffRejectsUnknownMagic) {

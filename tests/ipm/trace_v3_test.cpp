@@ -381,7 +381,7 @@ TEST(TraceV3Test, CorruptCompressionHeaderThrows) {
 
 TEST(TraceV3Test, ReadersRejectEmptyAndMissingFiles) {
   const std::string missing = test::temp_path("eio_v3_nonexistent");
-  EXPECT_THROW(ChunkReader reader(missing), std::runtime_error);
+  EXPECT_THROW((void)open_trace(missing), std::runtime_error);
   EXPECT_THROW(FileTraceSource source(missing), std::runtime_error);
 
   const std::string empty = test::temp_path("eio_v3_empty");
@@ -389,11 +389,11 @@ TEST(TraceV3Test, ReadersRejectEmptyAndMissingFiles) {
   // The sniffer refuses a zero-length trace outright, and a reader
   // finds no chunk in it.
   EXPECT_THROW(FileTraceSource source(empty), std::runtime_error);
-  TraceIndex one_chunk;
-  one_chunk.chunks.push_back(ChunkMeta{.offset = 8, .events = 1});
-  one_chunk.footer_offset = 64;
-  ChunkReader reader(empty);
-  EXPECT_THROW((void)reader.read_columns(one_chunk, 0, kColAll),
+  std::ifstream in = open_trace(empty);
+  std::vector<char> raw;
+  ColumnScratch scratch;
+  EXPECT_THROW((void)read_chunk_v3(in, ChunkMeta{.offset = 8, .events = 1},
+                                   56, raw, scratch),
                std::runtime_error);
   std::remove(empty.c_str());
 }
@@ -404,12 +404,12 @@ TEST(TraceV3Test, ChunkReaderChunksMatchTheWrittenTrace) {
   const std::string path = test::temp_path("eio_v3_reader.bin");
   std::ofstream(path, std::ios::binary) << v3_bytes(t, kChunk);
   const FileTraceSource source(path);
-  const TraceIndex& index = *source.index();
+  const TraceIndex& index = source.index();
   ASSERT_EQ(index.chunks.size(), 3u);
 
-  ChunkReader reader(path);
+  ChunkCursor cursor;
   for (std::size_t c = 0; c < index.chunks.size(); ++c) {
-    const ColumnBatch b = reader.read_columns(index, c, kColAll);
+    const ColumnBatch b = source.decode_chunk(c, kColAll, cursor);
     ASSERT_EQ(b.size(), std::min(kChunk, t.size() - c * kChunk));
     for (std::size_t i = 0; i < b.size(); ++i) {
       const TraceEvent& e = t.events()[c * kChunk + i];
@@ -469,8 +469,7 @@ TEST(TraceV3Test, HintedScanSkipsNonMatchingChunks) {
 
   FileTraceSource source(path);
   EXPECT_EQ(source.format(), TraceFormat::kBinaryV3);
-  ASSERT_TRUE(source.index().has_value());
-  ASSERT_EQ(source.index()->chunks.size(), 2u);
+  ASSERT_EQ(source.index().chunks.size(), 2u);
 
   auto visited = [&source](const ChunkHint& hint) {
     std::size_t n = 0;

@@ -139,8 +139,8 @@ TEST(MonitorLanesTest, AnalyzeMonitorIsByteIdenticalAcrossJobsAndFormats) {
       EXPECT_EQ(got.first, reference.first) << "jobs=" << jobs;
       EXPECT_EQ(got.second, reference.second) << "jobs=" << jobs;
     }
-    // The serial TSV pass sees one partial, not 73: the incident log
-    // must still match the chunk-parallel one byte for byte.
+    // The TSV scan merges 4,096-row chunk partials, not the v3 copy's
+    // 73: the incident log must still match byte for byte.
     EXPECT_EQ(analyze_cli(tsv, 1, extra).second, reference.second);
   }
   std::remove(v3.c_str());
