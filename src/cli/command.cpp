@@ -16,8 +16,7 @@ namespace {
 // composed into each command's group list by the registry below.
 
 constexpr OptionSpec kFilterSpecs[] = {
-    {"op", OptKind::kString, "any",
-     "event filter: write|read|open|close|seek|fsync"},
+    {"op", OptKind::kOp, "any", "event filter"},
     {"phase", OptKind::kDouble, "", "keep only this phase label"},
     {"min-bytes", OptKind::kDouble, "0", "minimum transfer size (bytes)"},
     {"max-bytes", OptKind::kDouble, "", "maximum transfer size (bytes)"},
@@ -253,6 +252,10 @@ std::string usage_for(const std::string& command) {
         case OptKind::kSize: left += "=N"; break;
         case OptKind::kOutFile: left += "=FILE"; break;
         case OptKind::kOutDir: left += "=DIR"; break;
+        case OptKind::kOp:
+          left += '=';
+          left += op_choices();
+          break;
       }
       os << "  " << left;
       if (left.size() >= 20) os << ' ';
@@ -308,7 +311,5 @@ std::string usage_text() {
         "scan chunk-parallel)\n";
   return os.str();
 }
-
-std::string usage_text(const std::string& command) { return usage_for(command); }
 
 }  // namespace eio::cli

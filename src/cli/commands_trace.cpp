@@ -53,7 +53,7 @@ int cmd_report(CommandContext& ctx) {
 int cmd_summary(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
-  analysis::EventFilter base = filter_from(args, ctx.es());
+  analysis::EventFilter base = filter_from(args);
   analysis::EventFilter wf = base, rf = base;
   wf.op = posix::OpType::kWrite;
   rf.op = posix::OpType::kRead;
@@ -89,7 +89,7 @@ int cmd_summary(CommandContext& ctx) {
 int cmd_histogram(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
-  analysis::EventFilter filter = filter_from(args, ctx.es());
+  analysis::EventFilter filter = filter_from(args);
   bool log = args.has("log");
   auto bins = args.get_size("bins", 40);
   stats::BinScale scale =
@@ -114,7 +114,7 @@ int cmd_histogram(CommandContext& ctx) {
 int cmd_modes(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
-  analysis::EventFilter filter = filter_from(args, ctx.es());
+  analysis::EventFilter filter = filter_from(args);
   const ipm::ChunkHint hint = analysis::hint_for(filter);
   auto merged =
       analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
@@ -152,7 +152,7 @@ int cmd_rates(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
   auto bins = args.get_size("bins", 100);
-  analysis::EventFilter filter = filter_from(args, ctx.es());
+  analysis::EventFilter filter = filter_from(args);
   // The span comes from the chunk index, so the fold scan is the one
   // pass.
   const double span = source.time_span();
@@ -252,7 +252,7 @@ int cmd_monitor(CommandContext& ctx) {
 int cmd_phases(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
-  analysis::EventFilter base = filter_from(args, ctx.es());
+  analysis::EventFilter base = filter_from(args);
   const ipm::ChunkHint hint = analysis::hint_for(base);
   auto merged =
       analysis::run_kernels(source, ctx.jobs(), hint, [&](std::size_t) {
@@ -270,7 +270,7 @@ int cmd_phases(CommandContext& ctx) {
 int cmd_analyze(CommandContext& ctx) {
   const ipm::TraceSource& source = *ctx.source;
   const Parsed& args = ctx.args;
-  analysis::EventFilter base = filter_from(args, ctx.es());
+  analysis::EventFilter base = filter_from(args);
   analysis::EventFilter wf = base, rf = base;
   wf.op = posix::OpType::kWrite;
   rf.op = posix::OpType::kRead;
@@ -369,7 +369,7 @@ int cmd_compare(CommandContext& ctx) {
     return 1;
   }
   ipm::FileTraceSource other(args.positional()[1]);
-  analysis::EventFilter base = filter_from(args, ctx.es());
+  analysis::EventFilter base = filter_from(args);
   analysis::EventFilter wf = base, rf = base;
   wf.op = posix::OpType::kWrite;
   rf.op = posix::OpType::kRead;

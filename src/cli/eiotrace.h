@@ -25,9 +25,4 @@ int run_eiotrace(const std::vector<std::string>& args, std::ostream& out,
 /// The usage text (for tests and --help).
 [[nodiscard]] std::string usage_text();
 
-/// Per-subcommand usage: the command's operands, summary, and option
-/// table (names, defaults, help), generated from the same declarative
-/// tables the parser runs on. Unknown commands get the global usage.
-[[nodiscard]] std::string usage_text(const std::string& command);
-
 }  // namespace eio::cli

@@ -3,33 +3,16 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
-#include <stdexcept>
 
 #include "common/units.h"
 #include "core/ascii_chart.h"
 
 namespace eio::cli {
 
-namespace {
-
-std::optional<posix::OpType> parse_op(const std::string& name,
-                                      std::ostream& err) {
-  if (name.empty() || name == "any") return std::nullopt;
-  if (name == "write") return posix::OpType::kWrite;
-  if (name == "read") return posix::OpType::kRead;
-  if (name == "open") return posix::OpType::kOpen;
-  if (name == "close") return posix::OpType::kClose;
-  if (name == "seek") return posix::OpType::kSeek;
-  if (name == "fsync") return posix::OpType::kFsync;
-  err << "eiotrace: unknown op '" << name << "'\n";
-  throw std::invalid_argument("bad op");
-}
-
-}  // namespace
-
-analysis::EventFilter filter_from(const Parsed& args, std::ostream& err) {
+analysis::EventFilter filter_from(const Parsed& args) {
   analysis::EventFilter f;
-  f.op = parse_op(args.get("op", ""), err);
+  // The parser has already refused any other --op value (OptKind::kOp).
+  f.op = posix::op_from_name(args.get("op", "any"));
   if (args.has("phase")) {
     f.phase = static_cast<std::int32_t>(args.get_double("phase", 0));
   }

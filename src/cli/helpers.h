@@ -20,9 +20,8 @@
 namespace eio::cli {
 
 /// Build an event filter from the common --op/--phase/--min-bytes/...
-/// flags. Throws std::invalid_argument (after printing) on a bad --op.
-[[nodiscard]] analysis::EventFilter filter_from(const Parsed& args,
-                                                std::ostream& err);
+/// flags (the parser has validated --op).
+[[nodiscard]] analysis::EventFilter filter_from(const Parsed& args);
 
 // Shared table/chart renderers, so the standalone subcommands and the
 // fused `analyze` bundle print identical sections.

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <system_error>
 
+#include "posix/hooks.h"
+
 namespace eio::cli {
 
 const OptionSpec* find_spec(std::span<const OptionGroup> groups,
@@ -20,24 +22,31 @@ const OptionSpec* find_spec(std::span<const OptionGroup> groups,
   return nullptr;
 }
 
-bool valid_value(OptKind kind, const std::string& value) {
-  if (value.empty()) return false;
+std::string op_choices() { return "any|" + posix::op_names(); }
+
+std::string value_error(OptKind kind, const std::string& value) {
   char* end = nullptr;
   switch (kind) {
     case OptKind::kFlag:
     case OptKind::kString:
     case OptKind::kOutFile:
     case OptKind::kOutDir:
-      return true;
+      return value.empty() ? "expects a value" : "";
     case OptKind::kDouble:
-      std::strtod(value.c_str(), &end);
-      return end != nullptr && *end == '\0';
+      if (!value.empty()) std::strtod(value.c_str(), &end);
+      return end != nullptr && *end == '\0' ? "" : "expects a number";
     case OptKind::kSize:
-      if (value[0] == '-') return false;
-      std::strtoull(value.c_str(), &end, 10);
-      return end != nullptr && *end == '\0';
+      if (!value.empty() && value[0] != '-') {
+        std::strtoull(value.c_str(), &end, 10);
+      }
+      return end != nullptr && *end == '\0'
+                 ? ""
+                 : "expects a non-negative integer";
+    case OptKind::kOp:
+      if (value == "any" || posix::op_from_name(value)) return "";
+      return std::string("expects ") += op_choices();
   }
-  return false;
+  return "";
 }
 
 std::optional<int> parse_args(const std::string& command,
@@ -74,11 +83,9 @@ std::optional<int> parse_args(const std::string& command,
       err << "eiotrace: --" << name << " needs a value\n" << usage;
       return 1;
     }
-    if (!valid_value(spec->kind, value)) {
-      err << "eiotrace: bad value '" << value << "' for --" << name
-          << (spec->kind == OptKind::kSize ? " (expects a non-negative integer)"
-                                           : " (expects a number)")
-          << "\n" << usage;
+    if (const std::string why = value_error(spec->kind, value); !why.empty()) {
+      err << "eiotrace: bad value '" << value << "' for --" << name << " ("
+          << why << ")\n";
       return 1;
     }
     if (spec->kind == OptKind::kSize) {

@@ -29,6 +29,7 @@ enum class OptKind : std::uint8_t {
   kSize,    ///< non-negative integer (validated at parse time)
   kOutFile, ///< output file: its directory must exist and be writable
   kOutDir,  ///< output directory: must exist and be writable
+  kOp,      ///< "any" or a posix::op_name (validated at parse time)
 };
 
 /// No lower bound: the default OptionSpec::min.
@@ -92,12 +93,17 @@ class Parsed {
 [[nodiscard]] const OptionSpec* find_spec(std::span<const OptionGroup> groups,
                                           std::string_view name);
 
-[[nodiscard]] bool valid_value(OptKind kind, const std::string& value);
+/// The values --op takes: "any" or a posix::op_name, joined by '|'.
+[[nodiscard]] std::string op_choices();
+
+/// What a value of `kind` must look like ("expects a number"), or empty
+/// when `value` is one.
+[[nodiscard]] std::string value_error(OptKind kind, const std::string& value);
 
 /// Parse `raw[skip..]` against the command's option groups. Both
-/// --name=value and --name value forms are accepted. Unknown flags and
-/// malformed values print `usage` to `err` and yield exit code 1
-/// (wrapped in the optional); a kSize value outside its spec's
+/// --name=value and --name value forms are accepted. Unknown flags print
+/// `usage` to `err` and yield exit code 1 (wrapped in the optional); a
+/// malformed value (value_error), a kSize value outside its spec's
 /// [min, max] (or past 64 bits), a kDouble value below its spec's min
 /// and a non-finite kDouble value yield 1 after one line naming the
 /// flag and what it accepts. nullopt means success.

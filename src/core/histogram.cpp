@@ -102,16 +102,6 @@ double Histogram::bin_width(std::size_t bin) const {
   return bin_upper(bin) - bin_lower(bin);
 }
 
-std::vector<double> Histogram::density() const {
-  std::vector<double> d(counts_.size(), 0.0);
-  if (total_ == 0) return d;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    d[i] = static_cast<double>(counts_[i]) /
-           (static_cast<double>(total_) * bin_width(i));
-  }
-  return d;
-}
-
 void Histogram::merge(const Histogram& other) {
   EIO_CHECK_MSG(other.scale_ == scale_ && other.counts_.size() == counts_.size() &&
                     other.lo_ == lo_ && other.hi_ == hi_,

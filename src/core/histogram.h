@@ -3,8 +3,7 @@
 // The paper's central artifact is the histogram of per-event I/O times
 // (Figures 1c, 2, 4c/f, 5b, 6c/f/i/l), drawn with either linear bins
 // (IOR) or log-spaced bins rendered log-log (MADbench, GCRM). Both
-// binnings share this class; a normalized view provides the empirical
-// probability density used for the order-statistics analysis.
+// binnings share this class.
 #pragma once
 
 #include <algorithm>
@@ -100,9 +99,6 @@ class Histogram {
         bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
     return static_cast<std::size_t>(bin);
   }
-
-  /// Normalized density: count / (total * bin_width) — integrates to ~1.
-  [[nodiscard]] std::vector<double> density() const;
 
   /// Counts as a vector (for rendering/CSV).
   [[nodiscard]] const std::vector<std::uint64_t>& counts() const noexcept {

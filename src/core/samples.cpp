@@ -6,8 +6,7 @@
 namespace eio::analysis {
 
 ipm::ColumnMask EventFilter::required_columns() const noexcept {
-  ipm::ColumnMask mask = 0;
-  if (data_calls_only || op) mask |= ipm::kColOp;
+  ipm::ColumnMask mask = ipm::kColOp;
   if (phase) mask |= ipm::kColPhase;
   if (rank) mask |= ipm::kColRank;
   if (min_bytes > 0 || max_bytes) mask |= ipm::kColBytes;
@@ -25,7 +24,7 @@ ipm::ChunkHint hint_for(const EventFilter& filter) {
   hint.rank = filter.rank;
   hint.t_lo = filter.t_lo;
   hint.t_hi = filter.t_hi;
-  if (!filter.op && filter.data_calls_only) {
+  if (!filter.op) {
     // No single-op pin, but the filter still rejects everything except
     // reads and writes — chunks containing neither can be skipped.
     hint.op_mask = (1u << static_cast<unsigned>(posix::OpType::kRead)) |

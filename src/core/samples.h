@@ -18,14 +18,14 @@
 
 namespace eio::analysis {
 
-/// Predicate over trace events; unset fields match everything.
+/// Predicate over trace events; unset fields match everything, except
+/// that an unset op keeps only the data calls (reads and writes).
 struct EventFilter {
-  std::optional<posix::OpType> op;
+  std::optional<posix::OpType> op;          ///< the one op to keep
   std::optional<std::int32_t> phase;
   std::optional<RankId> rank;
   Bytes min_bytes = 0;                      ///< inclusive
   std::optional<Bytes> max_bytes;           ///< inclusive
-  bool data_calls_only = true;              ///< keep only read/write
   /// Wall-clock window: keep events whose [start, end] interval
   /// intersects [t_lo, t_hi]. Maps onto the chunk index's time span,
   /// so windowed scans skip whole chunks.
@@ -39,16 +39,15 @@ struct EventFilter {
 
   /// The predicate over row i of a ColumnBatch, reading only the
   /// required_columns() spans. Inline: it runs once per event inside
-  /// every scan loop, and with the common pins (op/data_calls_only)
-  /// the compiler folds the unset-field branches away at the call site.
+  /// every scan loop, and with the common op pin the compiler folds
+  /// the unset-field branches away at the call site.
   [[nodiscard]] bool matches_at(const ipm::ColumnBatch& b,
                                 std::size_t i) const {
     using posix::OpType;
-    if (data_calls_only) {
-      auto code = static_cast<OpType>(b.op[i]);
-      if (code != OpType::kRead && code != OpType::kWrite) return false;
+    const auto code = static_cast<OpType>(b.op[i]);
+    if (op ? code != *op : code != OpType::kRead && code != OpType::kWrite) {
+      return false;
     }
-    if (op && static_cast<OpType>(b.op[i]) != *op) return false;
     if (phase && b.phase[i] != *phase) return false;
     if (rank && b.rank[i] != *rank) return false;
     if (min_bytes > 0 && b.bytes[i] < min_bytes) return false;
@@ -58,8 +57,8 @@ struct EventFilter {
     return true;
   }
 
-  /// True when only the op pin / data_calls_only default constrain the
-  /// predicate — the shape every CLI subcommand produces. matches_at
+  /// True when only the op pin (or its read/write default) constrains
+  /// the predicate — the shape every CLI subcommand produces. matches_at
   /// then reduces to one opcode compare per row.
   [[nodiscard]] bool op_only() const noexcept {
     return !phase && !rank && min_bytes == 0 && !max_bytes && !t_lo && !t_hi;
@@ -77,26 +76,17 @@ struct EventFilter {
     const std::size_t n = b.size();
     if (op_only()) {
       if (op) {
-        // A pin outside read/write contradicts data_calls_only and
-        // matches nothing — same as matches_at row by row.
-        if (data_calls_only && *op != OpType::kRead && *op != OpType::kWrite) {
-          return;
-        }
         const auto code = static_cast<std::uint8_t>(*op);
         for (std::size_t i = 0; i < n; ++i) {
           if (b.op[i] == code) fn(i);
         }
         return;
       }
-      if (data_calls_only) {
-        const auto rd = static_cast<std::uint8_t>(OpType::kRead);
-        const auto wr = static_cast<std::uint8_t>(OpType::kWrite);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (b.op[i] == rd || b.op[i] == wr) fn(i);
-        }
-        return;
+      const auto rd = static_cast<std::uint8_t>(OpType::kRead);
+      const auto wr = static_cast<std::uint8_t>(OpType::kWrite);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (b.op[i] == rd || b.op[i] == wr) fn(i);
       }
-      for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
     for (std::size_t i = 0; i < n; ++i) {

@@ -60,10 +60,6 @@ ReservoirSampler::ReservoirSampler(std::size_t capacity, std::uint64_t seed)
   EIO_CHECK_MSG(capacity >= 1, "reservoir needs capacity >= 1");
 }
 
-EmpiricalDistribution ReservoirSampler::distribution() const {
-  return EmpiricalDistribution(samples_);
-}
-
 void ReservoirSampler::merge(const ReservoirSampler& other) {
   EIO_CHECK_MSG(capacity_ == other.capacity_,
                 "reservoir merge needs matching capacities: "

@@ -178,9 +178,6 @@ class ReservoirSampler {
     return samples_;
   }
 
-  /// Sorted-copy view for quantile/CDF/KS queries.
-  [[nodiscard]] EmpiricalDistribution distribution() const;
-
  private:
   /// Draw the next skip gap (Vitter's Algorithm X search): one uniform
   /// V in (0, 1], then the smallest s whose cumulative skip

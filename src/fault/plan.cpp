@@ -50,17 +50,6 @@ void write_number(std::ostream& os, double v) {
 
 }  // namespace
 
-const char* kind_name(Kind kind) noexcept {
-  switch (kind) {
-    case Kind::kOstDegraded: return "ost-degraded";
-    case Kind::kOstRestored: return "ost-restored";
-    case Kind::kStall: return "stall";
-    case Kind::kRetry: return "retry";
-    case Kind::kStragglerStall: return "straggler-stall";
-  }
-  return "?";
-}
-
 Plan plan_from_json(const json::Value& v) {
   Plan plan;
   const json::Object& root = v.as_object();

@@ -100,8 +100,6 @@ enum class Kind : std::uint8_t {
   kStragglerStall = 4, ///< straggler rank charged its slowdown lag
 };
 
-[[nodiscard]] const char* kind_name(Kind kind) noexcept;
-
 /// One injected fault, as surfaced to observability: markers become
 /// OpType::kFault trace events (file = component, offset = kind,
 /// duration = detail seconds) so they flow through every trace format

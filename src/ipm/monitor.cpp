@@ -6,8 +6,6 @@
 
 namespace eio::ipm {
 
-Monitor::Monitor() : Monitor(Config{}) {}
-
 Monitor::Monitor(Config config) : config_(config) {
   if (config_.mode == Mode::kTrace || config_.mode == Mode::kBoth) {
     sinks_.push_back(&trace_sink_);

@@ -51,7 +51,6 @@ class Monitor final : public posix::IoObserver {
     bool record_metadata_calls = true;     ///< include open/close/seek/fsync
   };
 
-  Monitor();
   explicit Monitor(Config config);
   ~Monitor() override;
 

@@ -34,14 +34,6 @@ void Profile::observe(posix::OpType op, Bytes bytes, Seconds duration) {
   ++total_;
 }
 
-void Profile::merge(const Profile& other) {
-  for (const auto& [key, bins] : other.cells_) {
-    auto& mine = cells_[key];
-    for (std::size_t i = 0; i < bins.size(); ++i) mine[i] += bins[i];
-  }
-  total_ += other.total_;
-}
-
 std::uint64_t Profile::count(posix::OpType op) const {
   std::uint64_t n = 0;
   for (const auto& [key, bins] : cells_) {
@@ -61,17 +53,6 @@ std::vector<Profile::WeightedSample> Profile::distribution(posix::OpType op) con
   for (int i = 0; i < DurationBins::kBinCount; ++i) {
     if (merged[static_cast<std::size_t>(i)] == 0) continue;
     out.push_back({DurationBins::center(i), merged[static_cast<std::size_t>(i)]});
-  }
-  return out;
-}
-
-std::vector<Profile::WeightedSample> Profile::distribution(Key key) const {
-  std::vector<WeightedSample> out;
-  auto it = cells_.find(key);
-  if (it == cells_.end()) return out;
-  for (int i = 0; i < DurationBins::kBinCount; ++i) {
-    std::uint64_t c = it->second[static_cast<std::size_t>(i)];
-    if (c != 0) out.push_back({DurationBins::center(i), c});
   }
   return out;
 }

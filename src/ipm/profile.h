@@ -56,9 +56,6 @@ class Profile {
   /// Record one call.
   void observe(posix::OpType op, Bytes bytes, Seconds duration);
 
-  /// Merge another profile (e.g. from another rank or run).
-  void merge(const Profile& other);
-
   /// Total events recorded.
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
 
@@ -74,9 +71,6 @@ class Profile {
   /// Reconstruct the duration distribution of an op type as weighted
   /// bin centers (all size buckets combined).
   [[nodiscard]] std::vector<WeightedSample> distribution(posix::OpType op) const;
-
-  /// Reconstruct for one (op, size bucket) cell.
-  [[nodiscard]] std::vector<WeightedSample> distribution(Key key) const;
 
   /// Approximate mean duration of an op from histogram contents.
   [[nodiscard]] Seconds approximate_mean(posix::OpType op) const;

@@ -34,21 +34,6 @@ ColumnBatch Trace::decode_chunk(std::size_t chunk, ColumnMask mask,
   return shred(std::span(events_).subspan(first, n), cursor.scratch, mask);
 }
 
-void Trace::merge(const Trace& other) {
-  for (const TraceEvent& e : other.events_) add(e);
-  set_ranks(std::max(ranks(), other.ranks()));
-  if (experiment().empty()) set_experiment(other.experiment());
-}
-
-void Trace::sort_by_start() {
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.start < b.start;
-                   });
-  index_.chunks.clear();
-  for (std::size_t row = 0; row < events_.size(); ++row) index_row(row);
-}
-
 void Trace::write(std::ostream& out) const {
   write_tsv_header(out, experiment(), ranks(), events_.size());
   for (const TraceEvent& e : events_) write_tsv_event(out, e);

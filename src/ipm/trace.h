@@ -1,8 +1,7 @@
 // The in-memory trace: a job's collected events.
 //
 // A Trace is the per-job collection (the paper's full-trace capture
-// mode), with text and v3 serializations for offline analysis and a
-// merge operation for combining per-rank or per-run traces. It is a
+// mode), with text and v3 serializations for offline analysis. It is a
 // TraceSource like a trace file, so every analysis reads it through
 // the same chunked pass.
 #pragma once
@@ -50,13 +49,6 @@ class Trace final : public TraceSource {
   [[nodiscard]] const TraceIndex& index() const override { return index_; }
   [[nodiscard]] ColumnBatch decode_chunk(std::size_t chunk, ColumnMask mask,
                                          ChunkCursor& cursor) const override;
-
-  /// Append another trace's events (ranks must not overlap meaningfully;
-  /// rank count becomes the max). `other` must not be this trace.
-  void merge(const Trace& other);
-
-  /// Sort events by start time (stable within equal timestamps).
-  void sort_by_start();
 
   /// Serialize as a TSV stream (header line + one event per line).
   void write(std::ostream& out) const;

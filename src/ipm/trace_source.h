@@ -40,8 +40,8 @@ struct ChunkHint {
   std::optional<posix::OpType> op;
   /// Op *set* pre-filter: when nonzero, a chunk is skipped unless it
   /// contains at least one op whose bit (1 << op) is set. Generalizes
-  /// the single-op pin for multi-op scans (e.g. data_calls_only keeps
-  /// read|write; a fused write+read summary pass unions both pins).
+  /// the single-op pin for multi-op scans (e.g. a filter with no op pin
+  /// keeps read|write; a fused write+read summary pass unions both pins).
   /// 0 means unconstrained.
   std::uint32_t op_mask = 0;
   std::optional<std::int32_t> phase;

@@ -19,15 +19,6 @@ namespace eio::ipm {
 
 namespace {
 
-[[nodiscard]] std::optional<posix::OpType> op_from_name(std::string_view name) {
-  using posix::OpType;
-  for (OpType op : {OpType::kOpen, OpType::kClose, OpType::kSeek, OpType::kRead,
-                    OpType::kWrite, OpType::kFsync, OpType::kFault}) {
-    if (name == posix::op_name(op)) return op;
-  }
-  return std::nullopt;
-}
-
 [[noreturn]] void malformed(std::string_view row) {
   throw std::runtime_error("malformed trace row: " + std::string(row));
 }
@@ -85,7 +76,7 @@ TraceEvent parse_tsv_row(std::string_view row) {
   TraceEvent e;
   number(e.start);
   number(e.duration);
-  const std::optional<posix::OpType> op = op_from_name(field());
+  const std::optional<posix::OpType> op = posix::op_from_name(field());
   if (!op) malformed(row);
   e.op = *op;
   number(e.rank);

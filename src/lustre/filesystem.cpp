@@ -143,50 +143,18 @@ void Filesystem::write_impl(NodeId node, RankId rank, FileId file, Bytes offset,
   const bool locky = f.shared && !aligned;
   if (locky) f.saw_unaligned = true;
 
-  // --- write-back absorption ---
-  // Aligned (or private) writes may land in the client cache up to a
-  // per-task quota of the node's dirty ceiling; unaligned shared-file
-  // writes are forced write-through by extent-lock semantics.
-  Bytes absorbed = 0;
-  if (machine_.write_absorb_limit > 0 && !locky) {
-    Bytes quota = machine_.write_absorb_limit /
-                  std::max<std::uint32_t>(machine_.tasks_per_node, 1);
-    Bytes free = machine_.write_absorb_limit > n.dirty
-                     ? machine_.write_absorb_limit - n.dirty
-                     : 0;
-    absorbed = std::min({length, quota, free});
-  }
-  Bytes sync_part = length - absorbed;
-  Seconds absorb_time =
-      absorbed > 0 ? static_cast<double>(absorbed) / machine_.absorb_bandwidth : 0.0;
-
-  if (absorbed > 0) {
-    n.dirty += absorbed;
-    stats_.bytes_absorbed += absorbed;
-    OBS_COUNTER_ADD("fs.bytes_absorbed", absorbed);
-    start_drain(node, file, offset, absorbed);
-  }
-
-  if (sync_part == 0) {
-    engine_.schedule_in(absorb_time + machine_.syscall_latency,
-                        [this, file, done = std::move(done)]() mutable {
-                          files_.at(file).last_write_done = engine_.now();
-                          if (done) done();
-                        });
-    return;
-  }
-
-  // --- synchronous remainder ---
+  // Unaligned shared-file writes pay read-modify-write bytes and a lock
+  // round trip per stripe boundary crossed.
   double inflation = 1.0;
-  Seconds pre_delay = absorb_time;
+  Seconds pre_delay = 0.0;
   if (locky) {
     inflation += machine_.rmw_inflation;
     double crossings =
         static_cast<double>(f.layout.boundaries_crossed(offset, length)) + 1.0;
-    pre_delay += machine_.lock_latency_per_boundary * crossings *
-                 n.noise.noise(machine_.service_noise_sigma);
+    pre_delay = machine_.lock_latency_per_boundary * crossings *
+                n.noise.noise(machine_.service_noise_sigma);
   }
-  start_sync_write(node, file, offset + absorbed, sync_part, pre_delay, inflation,
+  start_sync_write(node, file, offset, length, pre_delay, inflation,
                    std::move(done));
 }
 
@@ -252,36 +220,6 @@ void Filesystem::start_sync_write(NodeId node, FileId file, Bytes offset,
   }
 }
 
-void Filesystem::start_drain(NodeId node, FileId file, Bytes offset, Bytes bytes) {
-  NodeState& n = nodes_[node];
-  const FileState& f = files_.at(file);
-  ++n.drains;
-  sim::FlowSpec spec;
-  spec.node = node;
-  spec.bytes = bytes;
-  spec.osts = f.layout.osts_for_extent(offset, std::max<Bytes>(bytes, 1));
-  // Write-out streams compete for the client's stream tokens like any
-  // other transfer; a serialized client serializes its drains too.
-  spec.scheduled = true;
-  spec.on_complete = [this, node, bytes](sim::FlowId) { finish_drain(node, bytes); };
-  network_.start_flow(std::move(spec));
-}
-
-void Filesystem::finish_drain(NodeId node, Bytes bytes) {
-  NodeState& n = nodes_[node];
-  EIO_CHECK(n.dirty >= bytes);
-  EIO_CHECK(n.drains > 0);
-  n.dirty -= bytes;
-  --n.drains;
-  if (n.drains == 0) {
-    auto waiters = std::move(n.flush_waiters);
-    n.flush_waiters.clear();
-    for (auto& w : waiters) {
-      if (w) w();
-    }
-  }
-}
-
 void Filesystem::start_background() {
   if (!machine_.background.enabled || background_active_) return;
   background_active_ = true;
@@ -326,19 +264,6 @@ void Filesystem::background_arrival() {
                 static_cast<double>(std::max<Bytes>(bg.mean_request, 1));
   Seconds gap = background_rng_.exponential(1.0 / std::max(rate, 1e-9));
   background_event_ = engine_.schedule_in(gap, [this] { background_arrival(); });
-}
-
-void Filesystem::flush(NodeId node, IoCallback done) {
-  EIO_CHECK(node < nodes_.size());
-  NodeState& n = nodes_[node];
-  if (n.drains == 0) {
-    engine_.schedule_in(machine_.syscall_latency,
-                        [done = std::move(done)]() mutable {
-                          if (done) done();
-                        });
-  } else {
-    n.flush_waiters.push_back(std::move(done));
-  }
 }
 
 void Filesystem::read(NodeId node, RankId rank, FileId file, Bytes offset,
@@ -441,11 +366,6 @@ void Filesystem::small_io(NodeId node, const FileState& f, bool is_write,
   });
 }
 
-Bytes Filesystem::dirty(NodeId node) const {
-  EIO_CHECK(node < nodes_.size());
-  return nodes_[node].dirty;
-}
-
 Bytes Filesystem::expire_residue(const NodeState& n) const {
   std::vector<Reclaim>& q = n.reclaims;
   while (n.reclaim_head < q.size() &&
@@ -472,7 +392,7 @@ Bytes Filesystem::residue(NodeId node) const {
 bool Filesystem::under_pressure(NodeId node, FileId file) const {
   EIO_CHECK(node < nodes_.size());
   const NodeState& n = nodes_[node];
-  Bytes load = n.dirty + expire_residue(n) + n.sync_in_flight;
+  Bytes load = expire_residue(n) + n.sync_in_flight;
   if (load >= machine_.pressure_threshold) return true;
   auto it = files_.find(file);
   if (it == files_.end()) return false;

@@ -6,9 +6,8 @@
 // read/write requests into flows with the cost-model features the
 // paper's case studies hinge on:
 //
-//  * write-back absorption up to a per-node dirty ceiling (the initial
-//    fast plateau of Figure 1(b)), with background drain flows and the
-//    memory pressure that arms the read-ahead defect;
+//  * client cache residue of completed writes: the memory pressure
+//    that arms the read-ahead defect;
 //  * the strided read-ahead bug (Figures 4–5): strided reads recognized
 //    on the 3rd match are serviced as 4 KiB page reads when the client
 //    is under dirty-memory pressure, progressively worse per match;
@@ -61,7 +60,6 @@ struct FilesystemStats {
   std::uint64_t degraded_reads = 0;
   Bytes bytes_written = 0;
   Bytes bytes_read = 0;
-  Bytes bytes_absorbed = 0;
 };
 
 /// Facade over the simulated storage system.
@@ -92,7 +90,7 @@ class Filesystem {
   [[nodiscard]] Bytes size(FileId file) const;
 
   /// Write `length` bytes at `offset`; `done` fires when the call would
-  /// return to the application (absorbed into cache or fully drained).
+  /// return to the application (the data has reached the OSTs).
   /// `rank` identifies the issuing process (per-process read-ahead
   /// streams; the node is the Lustre client).
   void write(NodeId node, RankId rank, FileId file, Bytes offset, Bytes length,
@@ -101,9 +99,6 @@ class Filesystem {
   /// Read `length` bytes at `offset`.
   void read(NodeId node, RankId rank, FileId file, Bytes offset, Bytes length,
             IoCallback done);
-
-  /// Wait for every outstanding background drain from `node`.
-  void flush(NodeId node, IoCallback done);
 
   /// Start the other-jobs interference stream (no-op unless
   /// machine.background.enabled). Runs until stop_background().
@@ -117,14 +112,11 @@ class Filesystem {
     return background_bytes_;
   }
 
-  /// Dirty (absorbed, not yet drained) bytes on a node.
-  [[nodiscard]] Bytes dirty(NodeId node) const;
-
   /// Cached-page residue of recently completed writes on a node.
   [[nodiscard]] Bytes residue(NodeId node) const;
 
   /// True when the node's client memory is under enough pressure to arm
-  /// the read-ahead defect for reads of `file`: dirty/residue load on
+  /// the read-ahead defect for reads of `file`: residue/in-flight load on
   /// the node, or the job still interleaving writes into the file.
   [[nodiscard]] bool under_pressure(NodeId node, FileId file) const;
 
@@ -161,7 +153,6 @@ class Filesystem {
   };
 
   struct NodeState {
-    Bytes dirty = 0;                ///< absorbed bytes not yet drained
     /// Residue of completed writes, and their pending reclaims in key
     /// order (oldest first from reclaim_head). Expired entries are
     /// retired lazily by expire_residue(), so queries stay logically
@@ -170,8 +161,6 @@ class Filesystem {
     mutable std::vector<Reclaim> reclaims;
     mutable std::size_t reclaim_head = 0;
     Bytes sync_in_flight = 0;       ///< bytes in synchronous write flows
-    std::uint32_t drains = 0;       ///< active background drain flows
-    std::vector<IoCallback> flush_waiters;
     rng::Stream noise;
     rng::Stream straggler;
     rng::Stream readahead;
@@ -186,12 +175,10 @@ class Filesystem {
                   Bytes length, IoCallback done);
   void read_impl(NodeId node, RankId rank, FileId file, Bytes offset,
                  Bytes length, IoCallback done);
-  void start_drain(NodeId node, FileId file, Bytes offset, Bytes bytes);
   void start_sync_write(NodeId node, FileId file, Bytes offset, Bytes length,
                         Seconds pre_delay, double inflation, IoCallback done);
   void small_io(NodeId node, const FileState& f, bool is_write, Bytes length,
                 IoCallback done);
-  void finish_drain(NodeId node, Bytes bytes);
   /// Retire the node's reclaims whose key has passed; returns the
   /// residue that remains.
   Bytes expire_residue(const NodeState& n) const;

@@ -53,15 +53,12 @@ struct MachineConfig {
   // --- client I/O scheduler (source of the Fig. 1c harmonics) ---
   sim::ConcurrencyPolicy node_policy = sim::ConcurrencyPolicy::franklin_mix();
 
-  // --- client write-back cache ---
-  // Shared-file extents are effectively write-through on these systems
-  // (extent-lock callbacks flush aggressively), so absorption is off by
-  // default; the knob exists for private-file studies and tests.
-  Bytes write_absorb_limit = 0;          ///< per-node dirty ceiling (0 = off)
-  Rate absorb_bandwidth = 240.0 * MiB;   ///< page-cache ingest rate
-  /// Pages of a completed write linger in the client cache before
-  /// reclaim; this *residue* is the memory pressure that arms the
-  /// read-ahead defect during MADbench's interleaved middle phase.
+  // --- client page cache ---
+  /// Writes are write-through (extent-lock callbacks flush shared-file
+  /// extents aggressively on these systems), but the pages of a
+  /// completed write linger in the client cache before reclaim; this
+  /// *residue* is the memory pressure that arms the read-ahead defect
+  /// during MADbench's interleaved middle phase.
   Bytes dirty_residue_cap = 160 * MiB;   ///< residue credited per write
   Seconds dirty_residue_ttl = 18.0;      ///< reclaim delay
   Bytes pressure_threshold = 64 * MiB;   ///< residue+in-flight ⇒ pressure

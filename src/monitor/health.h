@@ -140,10 +140,10 @@ struct HealthOptions {
   /// current window the KS drift test compares against it.
   std::size_t drift_window = 256;
   /// KS D at/above which drift fires; <= 0 disables the detector (the
-  /// default: phase-structured workloads — write-back absorption, per-
-  /// segment ramps — legitimately shift their duration distribution
-  /// after warm-up, so drift-vs-baseline is an opt-in assertion that
-  /// the workload is supposed to be stationary).
+  /// default: phase-structured workloads — per-segment ramps, read
+  /// phases after write phases — legitimately shift their duration
+  /// distribution after warm-up, so drift-vs-baseline is an opt-in
+  /// assertion that the workload is supposed to be stationary).
   double drift_d = 0.0;
 };
 

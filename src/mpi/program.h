@@ -38,7 +38,7 @@ struct Open {
   bool create = true;
 };
 
-/// close(slot) — flushes the node's outstanding write-back data.
+/// close(slot).
 struct Close {
   FileSlot slot = 0;
 };
@@ -59,11 +59,6 @@ struct Read {
 struct Write {
   FileSlot slot = 0;
   Bytes bytes = 0;
-};
-
-/// fsync(slot).
-struct Fsync {
-  FileSlot slot = 0;
 };
 
 /// MPI_Barrier over all ranks in the job.
@@ -91,7 +86,7 @@ struct Gather {
 
 /// One program step.
 using Op = std::variant<op::Open, op::Close, op::Seek, op::Read, op::Write,
-                        op::Fsync, op::Barrier, op::Compute, op::Phase, op::Gather>;
+                        op::Barrier, op::Compute, op::Phase, op::Gather>;
 
 // A 2,560-rank GCRM job holds about 200k ops: keep them three words.
 static_assert(sizeof(Op) <= 24, "mpi::Op grew past 24 bytes");
@@ -122,10 +117,6 @@ class Program {
   }
   Program& write(FileSlot slot, Bytes bytes) {
     ops_.emplace_back(op::Write{slot, bytes});
-    return *this;
-  }
-  Program& fsync(FileSlot slot) {
-    ops_.emplace_back(op::Fsync{slot});
     return *this;
   }
   Program& barrier() {

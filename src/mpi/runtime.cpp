@@ -111,11 +111,6 @@ void Runtime::run_op(RankId rank, const Program& program, const Op& operation) {
           issue_data_op(rank, slot(rank, o.slot), o.bytes, /*is_write=*/false);
         } else if constexpr (std::is_same_v<T, op::Write>) {
           issue_data_op(rank, slot(rank, o.slot), o.bytes, /*is_write=*/true);
-        } else if constexpr (std::is_same_v<T, op::Fsync>) {
-          io_.fsync(rank, slot(rank, o.slot), [this, rank](int rc) {
-            EIO_CHECK(rc == 0);
-            advance(rank);
-          });
         } else if constexpr (std::is_same_v<T, op::Barrier>) {
           arrive_barrier(rank);
         } else if constexpr (std::is_same_v<T, op::Compute>) {

@@ -37,11 +37,6 @@ std::string fixed(double v, int digits = 3) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& out,
-                        const std::vector<NamedSpan>& spans) {
-  write_chrome_trace(out, spans, {});
-}
-
 void write_chrome_trace(std::ostream& out, const std::vector<NamedSpan>& spans,
                         const std::vector<NamedInstant>& instants) {
   // Group per tid, then rebuild each thread's B/E stream with an

@@ -35,11 +35,9 @@ inline constexpr int kMetricsSchemaVersion = 1;
 /// Write `spans` as Chrome trace-event JSON. Spans from one thread are
 /// emitted as properly nested, balanced B/E pairs in non-decreasing
 /// timestamp order (ties broken by nesting depth, so Perfetto never
-/// sees an E before its B).
-void write_chrome_trace(std::ostream& out, const std::vector<NamedSpan>& spans);
-
-/// As above, plus instant events (ph:"i") — monitor incidents and
-/// other point-in-time marks, rendered by Perfetto as timeline ticks.
+/// sees an E before its B). `instants` become instant events (ph:"i")
+/// — monitor incidents and other point-in-time marks, rendered by
+/// Perfetto as timeline ticks.
 void write_chrome_trace(std::ostream& out, const std::vector<NamedSpan>& spans,
                         const std::vector<NamedInstant>& instants);
 

@@ -166,16 +166,6 @@ void Registry::counter_add(MetricId id, std::uint64_t delta) {
       .fetch_add(delta, std::memory_order_relaxed);
 }
 
-void Registry::gauge_add(MetricId id, std::int64_t delta) {
-  Shard& s = local_shard();
-  if (id >= s.gauges.size()) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.gauges.resize(id + 1, 0);
-  }
-  std::atomic_ref<std::int64_t>(s.gauges[id])
-      .fetch_add(delta, std::memory_order_relaxed);
-}
-
 void Registry::gauge_set(MetricId id, std::int64_t value) {
   Shard& s = local_shard();
   if (id >= s.gauges.size()) {

@@ -165,9 +165,8 @@ class Registry {
 
   /// Lock-free on the hot path (per-thread shard, relaxed atomic_ref).
   void counter_add(MetricId id, std::uint64_t delta);
-  /// Gauges sum across threads: add/sub track shared totals (queue
-  /// depths); set() from a single thread records an absolute value.
-  void gauge_add(MetricId id, std::int64_t delta);
+  /// Gauges sum across threads; set() from a single thread records an
+  /// absolute value.
   void gauge_set(MetricId id, std::int64_t value);
 
   /// Record one completed span: appends a SpanRecord and folds the
@@ -278,7 +277,6 @@ inline void record_instant(std::string_view name) {
 // is compiled out, yet still cost nothing.
 #define OBS_SPAN(name) ((void)0)
 #define OBS_COUNTER_ADD(name, delta) ((void)sizeof(delta))
-#define OBS_GAUGE_ADD(name, delta) ((void)sizeof(delta))
 #define OBS_GAUGE_SET(name, value) ((void)sizeof(value))
 
 #else
@@ -299,16 +297,6 @@ inline void record_instant(std::string_view name) {
           ::eio::obs::Registry::instance().counter_id(name);               \
       ::eio::obs::Registry::instance().counter_add(                        \
           eio_obs_cid, static_cast<std::uint64_t>(delta));                 \
-    }                                                                      \
-  } while (0)
-
-#define OBS_GAUGE_ADD(name, delta)                                         \
-  do {                                                                     \
-    if (::eio::obs::enabled()) {                                           \
-      static const ::eio::obs::MetricId eio_obs_gid =                      \
-          ::eio::obs::Registry::instance().gauge_id(name);                 \
-      ::eio::obs::Registry::instance().gauge_add(                          \
-          eio_obs_gid, static_cast<std::int64_t>(delta));                  \
     }                                                                      \
   } while (0)
 

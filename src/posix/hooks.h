@@ -8,6 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "common/ids.h"
 #include "common/units.h"
@@ -27,6 +30,13 @@ enum class OpType : std::uint8_t {
 
 /// Printable name of an op ("write", "read", ...).
 [[nodiscard]] const char* op_name(OpType op) noexcept;
+
+/// The op op_name() prints as `name`; nullopt for any other string.
+/// The one name-to-op table: trace parsers and the CLI read it.
+[[nodiscard]] std::optional<OpType> op_from_name(std::string_view name) noexcept;
+
+/// Every op name in enum order, joined by '|' ("open|close|...").
+[[nodiscard]] std::string op_names();
 
 /// One completed POSIX call, as seen by an interposed tracer.
 struct CallRecord {

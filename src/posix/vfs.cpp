@@ -19,6 +19,23 @@ const char* op_name(OpType op) noexcept {
   return "?";
 }
 
+std::optional<OpType> op_from_name(std::string_view name) noexcept {
+  for (int i = 0; i <= static_cast<int>(OpType::kFault); ++i) {
+    const auto op = static_cast<OpType>(i);
+    if (name == op_name(op)) return op;
+  }
+  return std::nullopt;
+}
+
+std::string op_names() {
+  std::string names;
+  for (int i = 0; i <= static_cast<int>(OpType::kFault); ++i) {
+    if (i > 0) names += '|';
+    names += op_name(static_cast<OpType>(i));
+  }
+  return names;
+}
+
 PosixIo::PosixIo(sim::RunContext& run, lustre::Filesystem& fs,
                  std::uint32_t tasks_per_node, fault::Injector* injector)
     : engine_(run.engine()),
@@ -99,9 +116,10 @@ void PosixIo::close(RankId rank, Fd fd, StatusCallback done) {
   }
   FileId file = of->file;
   fds_.erase(key(rank, fd));
-  // close() flushes this node's outstanding write-back data; this is
-  // where deferred/aggregated work becomes visible in run time.
-  fs_.flush(node_of(rank), [this, rank, fd, file, start, done = std::move(done)]() mutable {
+  // Writes are write-through, so close() has nothing to flush: it
+  // costs one syscall latency, like open and lseek.
+  engine_.schedule_in(fs_.syscall_latency(), [this, rank, fd, file, start,
+                                              done = std::move(done)]() mutable {
     notify({rank, OpType::kClose, fd, file, 0, 0, start, engine_.now() - start});
     done(0);
   });
@@ -137,8 +155,8 @@ void PosixIo::lseek(RankId rank, Fd fd, std::int64_t offset, Whence whence,
       });
 }
 
-void PosixIo::data_op(RankId rank, Fd fd, Bytes count, Bytes offset, bool advance,
-                      bool is_write, SizeCallback done) {
+void PosixIo::data_op(RankId rank, Fd fd, Bytes count, bool is_write,
+                      SizeCallback done) {
   Seconds start = engine_.now();
   OpenFile* of = find(rank, fd);
   if (of == nullptr) {
@@ -146,12 +164,13 @@ void PosixIo::data_op(RankId rank, Fd fd, Bytes count, Bytes offset, bool advanc
     return;
   }
   FileId file = of->file;
+  Bytes offset = of->position;
   Bytes actual = count;
   if (!is_write) {
     Bytes size = fs_.size(file);
     actual = offset >= size ? 0 : std::min(count, size - offset);
   }
-  if (advance) of->position = offset + actual;
+  of->position = offset + actual;
 
   auto finish = [this, rank, fd, file, offset, actual, start, is_write,
                  done = std::move(done)]() mutable {
@@ -196,42 +215,11 @@ void PosixIo::data_op(RankId rank, Fd fd, Bytes count, Bytes offset, bool advanc
 }
 
 void PosixIo::read(RankId rank, Fd fd, Bytes count, SizeCallback done) {
-  OpenFile* of = find(rank, fd);
-  Bytes offset = of != nullptr ? of->position : 0;
-  data_op(rank, fd, count, offset, /*advance=*/true, /*is_write=*/false,
-          std::move(done));
+  data_op(rank, fd, count, /*is_write=*/false, std::move(done));
 }
 
 void PosixIo::write(RankId rank, Fd fd, Bytes count, SizeCallback done) {
-  OpenFile* of = find(rank, fd);
-  Bytes offset = of != nullptr ? of->position : 0;
-  data_op(rank, fd, count, offset, /*advance=*/true, /*is_write=*/true,
-          std::move(done));
-}
-
-void PosixIo::pread(RankId rank, Fd fd, Bytes count, Bytes offset, SizeCallback done) {
-  data_op(rank, fd, count, offset, /*advance=*/false, /*is_write=*/false,
-          std::move(done));
-}
-
-void PosixIo::pwrite(RankId rank, Fd fd, Bytes count, Bytes offset,
-                     SizeCallback done) {
-  data_op(rank, fd, count, offset, /*advance=*/false, /*is_write=*/true,
-          std::move(done));
-}
-
-void PosixIo::fsync(RankId rank, Fd fd, StatusCallback done) {
-  Seconds start = engine_.now();
-  OpenFile* of = find(rank, fd);
-  if (of == nullptr) {
-    engine_.schedule_in(fs_.syscall_latency(), [done = std::move(done)]() mutable { done(-1); });
-    return;
-  }
-  FileId file = of->file;
-  fs_.flush(node_of(rank), [this, rank, fd, file, start, done = std::move(done)]() mutable {
-    notify({rank, OpType::kFsync, fd, file, 0, 0, start, engine_.now() - start});
-    done(0);
-  });
+  data_op(rank, fd, count, /*is_write=*/true, std::move(done));
 }
 
 }  // namespace eio::posix

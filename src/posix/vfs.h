@@ -66,9 +66,6 @@ class PosixIo {
   void lseek(RankId rank, Fd fd, std::int64_t offset, Whence whence, SizeCallback done);
   void read(RankId rank, Fd fd, Bytes count, SizeCallback done);
   void write(RankId rank, Fd fd, Bytes count, SizeCallback done);
-  void pread(RankId rank, Fd fd, Bytes count, Bytes offset, SizeCallback done);
-  void pwrite(RankId rank, Fd fd, Bytes count, Bytes offset, SizeCallback done);
-  void fsync(RankId rank, Fd fd, StatusCallback done);
 
   /// Register a call observer (not owned). Observers fire on completion.
   void add_observer(IoObserver* observer);
@@ -103,8 +100,8 @@ class PosixIo {
   }
   OpenFile* find(RankId rank, Fd fd);
   void notify(const CallRecord& record);
-  void data_op(RankId rank, Fd fd, Bytes count, Bytes offset, bool advance,
-               bool is_write, SizeCallback done);
+  void data_op(RankId rank, Fd fd, Bytes count, bool is_write,
+               SizeCallback done);
 
   sim::Engine& engine_;
   lustre::Filesystem& fs_;

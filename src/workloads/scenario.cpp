@@ -154,25 +154,12 @@ void check_fault_targets(const json::Value& faults,
 
 }  // namespace
 
-const char* workload_kind_name(WorkloadKind kind) noexcept {
-  switch (kind) {
-    case WorkloadKind::kIor: return "ior";
-    case WorkloadKind::kMadbench: return "madbench";
-    case WorkloadKind::kGcrm: return "gcrm";
-  }
-  return "?";
-}
-
 lustre::MachineConfig machine_preset(const std::string& name) {
   if (name == "franklin") return lustre::MachineConfig::franklin();
   if (name == "franklin-patched") return lustre::MachineConfig::franklin_patched();
   if (name == "jaguar") return lustre::MachineConfig::jaguar();
-  throw std::invalid_argument("unknown machine '" + name + "' (" +
-                              machine_preset_names() + ")");
-}
-
-const char* machine_preset_names() noexcept {
-  return "franklin|franklin-patched|jaguar";
+  throw std::invalid_argument("unknown machine '" + name +
+                              "' (franklin|franklin-patched|jaguar)");
 }
 
 JobSpec ScenarioBuilder::job() const {

@@ -29,15 +29,10 @@ inline constexpr int kScenarioSchemaVersion = 1;
 /// The workloads a scenario can name.
 enum class WorkloadKind : std::uint8_t { kIor, kMadbench, kGcrm };
 
-[[nodiscard]] const char* workload_kind_name(WorkloadKind kind) noexcept;
-
 /// Machine preset by name. Throws std::invalid_argument naming the
 /// valid presets on an unknown name (the CLI turns that into its
 /// uniform bad-value error).
 [[nodiscard]] lustre::MachineConfig machine_preset(const std::string& name);
-
-/// The names machine_preset accepts, for usage/error text.
-[[nodiscard]] const char* machine_preset_names() noexcept;
 
 /// Fluent assembly of one experiment. Defaults: IOR with IorConfig
 /// defaults on franklin, 1 run, no background load, empty fault plan.

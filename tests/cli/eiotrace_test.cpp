@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli/command.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "ipm/trace.h"
@@ -162,8 +163,33 @@ TEST_F(EiotraceTest, HistogramEmptyFilterFails) {
 
 TEST_F(EiotraceTest, BadOpFails) {
   auto [rc, out, err] = run({"histogram", path_, "--op=chmod"});
-  EXPECT_EQ(rc, 2);
-  EXPECT_NE(err.find("unknown op"), std::string::npos);
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(err.find("bad value 'chmod' for --op"), std::string::npos);
+}
+
+// --op takes exactly the trace format's op names: fault markers are
+// ops like any other, a bad value is refused at parse time with one
+// line, like any other bad flag value, and the help lists the names.
+TEST_F(EiotraceTest, OpFilterTakesEveryTraceOpName) {
+  const std::string slow_ost =
+      std::string(EIO_SOURCE_DIR) + "/tests/cli/fixtures/slow_ost.v3";
+  auto [rc, out, err] = run({"histogram", slow_ost, "--op=fault"});
+  EXPECT_EQ(rc, 0) << err;
+  EXPECT_NE(out.find('#'), std::string::npos);
+
+  auto [rc2, out2, err2] = run({"histogram", slow_ost, "--op=bogus"});
+  EXPECT_EQ(rc2, 1);
+  EXPECT_TRUE(out2.empty());
+  EXPECT_EQ(std::count(err2.begin(), err2.end(), '\n'), 1) << err2;
+  EXPECT_NE(err2.find("open|close|seek|read|write|fsync|fault"),
+            std::string::npos)
+      << err2;
+
+  auto [rc3, out3, err3] = run({"help", "histogram"});
+  EXPECT_EQ(rc3, 0);
+  EXPECT_NE(out3.find("--op=any|open|close|seek|read|write|fsync|fault"),
+            std::string::npos)
+      << out3;
 }
 
 TEST_F(EiotraceTest, MalformedOrMiscountedTsvFailsOnOpen) {
@@ -580,18 +606,18 @@ TEST_F(EiotraceTest, MissingFlagValueFails) {
 }
 
 TEST_F(EiotraceTest, PerCommandUsageIsGeneratedFromTheOptionTables) {
-  std::string diag = usage_text("diagnose");
+  std::string diag = usage_for("diagnose");
   EXPECT_NE(diag.find("usage: eiotrace diagnose"), std::string::npos);
   EXPECT_NE(diag.find("--ost-count"), std::string::npos);
   EXPECT_NE(diag.find("--fair-share-mibs"), std::string::npos);
-  std::string sim = usage_text("simulate");
+  std::string sim = usage_for("simulate");
   EXPECT_NE(sim.find("--scenario"), std::string::npos);
   EXPECT_NE(sim.find("--machine"), std::string::npos);
   EXPECT_NE(sim.find("default franklin"), std::string::npos);
   // Every flag a command parses appears in its usage; unknown commands
   // fall back to the global text.
-  EXPECT_EQ(usage_text("frobnicate"), usage_text());
-  std::string modes = usage_text("modes");
+  EXPECT_EQ(usage_for("frobnicate"), usage_text());
+  std::string modes = usage_for("modes");
   EXPECT_NE(modes.find("--bandwidth"), std::string::npos);
   EXPECT_NE(modes.find("--op"), std::string::npos);
   EXPECT_NE(modes.find("--jobs"), std::string::npos);

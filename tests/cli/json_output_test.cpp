@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/command.h"
 #include "cli/eiotrace.h"
 #include "common/json.h"
 #include "common/rng.h"
@@ -177,7 +178,7 @@ TEST(CampaignRegistryTest, UsageListsCampaignCommands) {
   std::string usage = usage_text();
   EXPECT_NE(usage.find("campaign <manifest>"), std::string::npos);
   EXPECT_NE(usage.find("campaign-worker"), std::string::npos);
-  std::string campaign = usage_text("campaign");
+  std::string campaign = usage_for("campaign");
   EXPECT_NE(campaign.find("--workers=N"), std::string::npos);
   EXPECT_NE(campaign.find("--plan-only"), std::string::npos);
   EXPECT_NE(campaign.find("--inject-crash-run=N"), std::string::npos);
@@ -185,11 +186,11 @@ TEST(CampaignRegistryTest, UsageListsCampaignCommands) {
 
 TEST(CampaignRegistryTest, JsonFlagListedExactlyOnTheContractCommands) {
   for (const char* cmd : {"summary", "analyze", "diagnose", "monitor"}) {
-    EXPECT_NE(usage_text(cmd).find("--json"), std::string::npos) << cmd;
+    EXPECT_NE(usage_for(cmd).find("--json"), std::string::npos) << cmd;
   }
   for (const char* cmd : {"histogram", "modes", "rates", "phases", "compare",
                           "convert", "report", "diagram", "patterns"}) {
-    EXPECT_EQ(usage_text(cmd).find("--json"), std::string::npos) << cmd;
+    EXPECT_EQ(usage_for(cmd).find("--json"), std::string::npos) << cmd;
   }
 }
 

@@ -59,8 +59,8 @@ TEST(SamplesTest, FilterByPhaseAndBytes) {
 TEST(SamplesTest, DataCallsOnlyByDefault) {
   auto all = durations(sample_trace(), {});
   EXPECT_EQ(all.size(), 5u);  // seek excluded
-  auto with_meta = durations(sample_trace(), {.data_calls_only = false});
-  EXPECT_EQ(with_meta.size(), 6u);
+  auto seeks = durations(sample_trace(), {.op = OpType::kSeek});
+  EXPECT_EQ(seeks.size(), 1u);
 }
 
 TEST(SamplesTest, FilterByRank) {

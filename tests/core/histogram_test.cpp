@@ -70,21 +70,6 @@ TEST(HistogramTest, InvalidConstruction) {
   EXPECT_THROW(Histogram(BinScale::kLinear, 5.0, 5.0, 4), std::logic_error);
 }
 
-TEST(HistogramTest, DensityIntegratesToOne) {
-  std::vector<double> samples;
-  for (int i = 0; i < 1000; ++i) samples.push_back(0.001 * i * i);
-  for (BinScale scale : {BinScale::kLinear, BinScale::kLog10}) {
-    Histogram h = Histogram::from_samples(
-        std::span<const double>(samples.data() + 1, samples.size() - 1), scale, 40);
-    auto d = h.density();
-    double integral = 0.0;
-    for (std::size_t b = 0; b < h.bin_count(); ++b) {
-      integral += d[b] * h.bin_width(b);
-    }
-    EXPECT_NEAR(integral, 1.0, 1e-9);
-  }
-}
-
 TEST(HistogramTest, FromSamplesContainsAllSamples) {
   std::vector<double> samples{1.0, 2.0, 3.0, 4.0, 100.0};
   Histogram h = Histogram::from_samples(samples, BinScale::kLinear, 16);

@@ -19,7 +19,6 @@ lustre::MachineConfig quiet_machine() {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = sim::ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;
   m.straggler_probability = 0.0;
@@ -51,7 +50,7 @@ struct Env {
 
 TEST(MonitorTest, TraceModeRecordsAllCalls) {
   Env env;
-  Monitor monitor;
+  Monitor monitor(Monitor::Config{});
   monitor.attach(env.io);
   env.run_small_job();
   // open, write, seek, read, close.
@@ -91,7 +90,7 @@ TEST(MonitorTest, MetadataCallsCanBeExcluded) {
 
 TEST(MonitorTest, PhaseTagsSubsequentEvents) {
   Env env;
-  Monitor monitor;
+  Monitor monitor(Monitor::Config{});
   monitor.attach(env.io);
   monitor.set_phase(0, 42);
   env.run_small_job();
@@ -105,7 +104,7 @@ TEST(MonitorTest, PhaseTagsSubsequentEvents) {
 
 TEST(MonitorTest, PhaseDefaultsToZeroForUntaggedRanks) {
   Env env;
-  Monitor monitor;
+  Monitor monitor(Monitor::Config{});
   monitor.attach(env.io);
   monitor.set_phase(2, 9);  // a different rank
   env.run_small_job(0);
@@ -124,7 +123,7 @@ TEST(MonitorTest, OverheadAccountingScalesWithEvents) {
 
 TEST(MonitorTest, DetachStopsRecording) {
   Env env;
-  Monitor monitor;
+  Monitor monitor(Monitor::Config{});
   monitor.attach(env.io);
   env.run_small_job();
   std::size_t before = monitor.trace().size();
@@ -135,7 +134,7 @@ TEST(MonitorTest, DetachStopsRecording) {
 
 TEST(MonitorTest, DoubleAttachThrows) {
   Env env;
-  Monitor monitor;
+  Monitor monitor(Monitor::Config{});
   monitor.attach(env.io);
   EXPECT_THROW(monitor.attach(env.io), std::logic_error);
 }

@@ -69,25 +69,14 @@ TEST(ProfileTest, ApproximateMeanWithinBinResolution) {
   EXPECT_LT(mean, 2.0 * 1.35);
 }
 
-TEST(ProfileTest, MergeAddsCells) {
-  Profile a, b;
-  a.observe(OpType::kWrite, 100, 1.0);
-  b.observe(OpType::kWrite, 100, 1.0);
-  b.observe(OpType::kRead, 200, 2.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.count(OpType::kWrite), 2u);
-  EXPECT_EQ(a.count(OpType::kRead), 1u);
-}
-
 TEST(ProfileTest, CellsSeparateSizeBuckets) {
   Profile p;
   p.observe(OpType::kWrite, 1 * 1024, 1.0);
   p.observe(OpType::kWrite, 1024 * 1024, 1.0);
   EXPECT_EQ(p.cells().size(), 2u);
-  auto d = p.distribution(Profile::Key{OpType::kWrite, Profile::size_bucket(1024)});
-  ASSERT_EQ(d.size(), 1u);
-  EXPECT_EQ(d[0].count, 1u);
+  const auto& bins =
+      p.cells().at(Profile::Key{OpType::kWrite, Profile::size_bucket(1024)});
+  EXPECT_EQ(bins[static_cast<std::size_t>(DurationBins::index(1.0))], 1u);
 }
 
 TEST(ProfileTest, EmptyDistribution) {

@@ -78,28 +78,6 @@ TEST(TraceTest, ReadRejectsUnknownOp) {
   EXPECT_THROW((void)Trace::read(ss), std::runtime_error);
 }
 
-TEST(TraceTest, MergeCombinesEventsAndRanks) {
-  Trace a("a", 4);
-  a.add(make_event(0, 1, posix::OpType::kWrite, 0, 10));
-  Trace b("b", 16);
-  b.add(make_event(5, 1, posix::OpType::kRead, 9, 10));
-  a.merge(b);
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(a.ranks(), 16u);
-  EXPECT_EQ(a.experiment(), "a");
-}
-
-TEST(TraceTest, SortByStartIsStable) {
-  Trace t("s", 2);
-  t.add(make_event(2.0, 1, posix::OpType::kWrite, 0, 1));
-  t.add(make_event(1.0, 1, posix::OpType::kRead, 1, 2));
-  t.add(make_event(1.0, 1, posix::OpType::kRead, 1, 3));
-  t.sort_by_start();
-  EXPECT_EQ(t.events()[0].bytes, 2u);
-  EXPECT_EQ(t.events()[1].bytes, 3u);
-  EXPECT_EQ(t.events()[2].bytes, 1u);
-}
-
 TEST(TraceTest, SaveLoadFileRoundTrip) {
   Trace t("file-io", 2);
   t.add(make_event(0.5, 0.25, posix::OpType::kFsync, 1, 0));

@@ -19,7 +19,6 @@ MachineConfig quiet_machine() {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = sim::ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;
   m.read_efficiency = 0.5;
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;

@@ -26,7 +26,6 @@ MachineConfig quiet_machine() {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = sim::ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;
   m.read_efficiency = 0.5;
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;
@@ -165,33 +164,6 @@ TEST(FilesystemTest, StatsCountBytesAndOps) {
   EXPECT_EQ(s.reads, 1u);
   EXPECT_EQ(s.bytes_written, 10 * MiB);
   EXPECT_EQ(s.bytes_read, 4 * MiB);
-}
-
-TEST(FilesystemTest, FlushWithNoDrainsCompletesImmediately) {
-  Fs f(quiet_machine());
-  bool done = false;
-  f.fs.flush(0, [&] { done = true; });
-  f.engine.run();
-  EXPECT_TRUE(done);
-}
-
-TEST(FilesystemTest, AbsorbedWritesReturnFastAndDrainInBackground) {
-  MachineConfig m = quiet_machine();
-  m.write_absorb_limit = 64 * MiB;  // quota per task: 16 MiB
-  m.absorb_bandwidth = 1024.0 * MiB;
-  Fs f(m, 1);
-  FileId a = f.fs.create("a", {.stripe_count = 4});
-  Seconds start = f.engine.now();
-  Seconds write_done = -1.0;
-  f.fs.write(0, 0, a, 0, 16 * MiB, [&] { write_done = f.engine.now(); });
-  bool flushed = false;
-  f.fs.flush(0, [&] { flushed = true; });
-  f.engine.run();
-  // The call returned at memcpy speed, far faster than the drain.
-  EXPECT_NEAR(write_done - start, 16.0 / 1024.0, 1e-3);
-  EXPECT_TRUE(flushed);
-  EXPECT_EQ(f.fs.dirty(0), 0u);  // drained by the end
-  EXPECT_EQ(f.fs.stats().bytes_absorbed, 16 * MiB);
 }
 
 TEST(FilesystemTest, WriteLeavesResidueThatExpires) {

@@ -22,7 +22,6 @@ lustre::MachineConfig quiet_machine() {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = sim::ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;
   m.straggler_probability = 0.0;
@@ -203,9 +202,9 @@ TEST(RuntimeTest, EmptyProgramFinishesImmediately) {
 
 TEST(RuntimeTest, ProgramBuilderComposes) {
   Program p;
-  p.open(1, "x").seek(1, 5).write(1, 10).read(1, 10).fsync(1).barrier()
+  p.open(1, "x").seek(1, 5).write(1, 10).read(1, 10).barrier()
       .compute(1.0).phase(3).gather(2, 100).close(1);
-  EXPECT_EQ(p.size(), 10u);
+  EXPECT_EQ(p.size(), 9u);
   EXPECT_FALSE(p.empty());
 }
 

@@ -21,7 +21,6 @@ lustre::MachineConfig tiny_machine() {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = sim::ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;
   m.straggler_probability = 0.0;
@@ -37,13 +36,14 @@ struct Recorder : IoObserver {
 };
 
 struct Env {
-  sim::RunContext run{tiny_machine().seed};
+  sim::RunContext run;
   sim::Engine& engine = run.engine();
   lustre::Filesystem fs;
   PosixIo io;
   Recorder recorder;
 
-  Env() : fs(run, tiny_machine(), 2), io(run, fs, 4) {
+  explicit Env(const lustre::MachineConfig& m = tiny_machine())
+      : run(m.seed), fs(run, m, 2), io(run, fs, 4) {
     io.add_observer(&recorder);
   }
 
@@ -137,22 +137,6 @@ TEST(VfsTest, ReadClampsAtEof) {
   EXPECT_EQ(got, 0);  // at EOF
 }
 
-TEST(VfsTest, PreadPwriteDoNotMovePosition) {
-  Env env;
-  Fd fd = env.open_now(0, "f", kCreate);
-  env.io.pwrite(0, fd, 2 * MiB, 10 * MiB, [](std::int64_t) {});
-  env.engine.run();
-  EXPECT_EQ(env.fs.size(env.fs.lookup("f")), 12 * MiB);
-  std::int64_t got = -1;
-  env.io.pread(0, fd, 1 * MiB, 10 * MiB, [&](std::int64_t n) { got = n; });
-  env.engine.run();
-  EXPECT_EQ(got, static_cast<std::int64_t>(1 * MiB));
-  // Position is still 0: a plain write lands at the file start.
-  env.io.write(0, fd, 1 * MiB, [](std::int64_t) {});
-  env.engine.run();
-  EXPECT_EQ(env.fs.size(env.fs.lookup("f")), 12 * MiB);
-}
-
 TEST(VfsTest, OperationsOnBadFdFail) {
   Env env;
   std::int64_t n = 0;
@@ -223,13 +207,35 @@ TEST(VfsTest, NodeMappingFollowsTasksPerNode) {
   EXPECT_EQ(env.io.node_of(7), 1u);
 }
 
-TEST(VfsTest, FsyncWaitsForDrains) {
-  Env env;
+// Writes are write-through, so close() has nothing to wait for: it
+// completes exactly one syscall latency after it is issued and emits
+// one close record of that duration.
+TEST(VfsTest, CloseCostsOneSyscallLatency) {
+  lustre::MachineConfig m = tiny_machine();
+  m.syscall_latency = us(2.0);
+  Env env(m);
   Fd fd = env.open_now(0, "f", kCreate);
+  env.io.write(0, fd, 4 * MiB, [](std::int64_t) {});
+  env.engine.run();
+  env.recorder.calls.clear();
+
+  const Seconds issued = env.engine.now();
+  Seconds completed = -1.0;
   int rc = -2;
-  env.io.fsync(0, fd, [&](int v) { rc = v; });
+  env.io.close(0, fd, [&](int v) {
+    rc = v;
+    completed = env.engine.now();
+  });
   env.engine.run();
   EXPECT_EQ(rc, 0);
+  // Exact up to the rounding of the absolute clock.
+  EXPECT_NEAR(completed - issued, m.syscall_latency, 1e-12);
+  ASSERT_EQ(env.recorder.calls.size(), 1u);
+  const CallRecord& c = env.recorder.calls[0];
+  EXPECT_EQ(c.op, OpType::kClose);
+  EXPECT_EQ(c.fd, fd);
+  EXPECT_DOUBLE_EQ(c.start, issued);
+  EXPECT_NEAR(c.duration, m.syscall_latency, 1e-12);
 }
 
 }  // namespace

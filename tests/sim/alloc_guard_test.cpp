@@ -145,7 +145,6 @@ TEST(AllocGuardTest, LustrePosixDataOpPathIsAllocationFree) {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;  // no background drains: pure sync path
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;
   m.straggler_probability = 0.0;
@@ -164,24 +163,30 @@ TEST(AllocGuardTest, LustrePosixDataOpPathIsAllocationFree) {
   ASSERT_GE(fd, 0);
 
   std::size_t completions = 0;
+  // lseek moves the position when it is issued, so each data op right
+  // after it acts at extent i.
+  auto seek_to = [&](int i) {
+    posix.lseek(0, fd, static_cast<std::int64_t>(i) * 4 * MiB,
+                posix::Whence::kSet, [](std::int64_t) {});
+  };
   auto churn = [&]() -> std::size_t {
     std::size_t ops = 0;
     for (int round = 0; round < 50; ++round) {
       for (int i = 0; i < 4; ++i) {
-        posix.pwrite(0, fd, 4 * MiB, static_cast<Bytes>(i) * 4 * MiB,
-                     [&completions](std::int64_t n) {
-                       ASSERT_GT(n, 0);
-                       ++completions;
-                     });
+        seek_to(i);
+        posix.write(0, fd, 4 * MiB, [&completions](std::int64_t n) {
+          ASSERT_GT(n, 0);
+          ++completions;
+        });
         ++ops;
       }
       run.engine().run();
       for (int i = 0; i < 4; ++i) {
-        posix.pread(0, fd, 4 * MiB, static_cast<Bytes>(i) * 4 * MiB,
-                    [&completions](std::int64_t n) {
-                      ASSERT_GT(n, 0);
-                      ++completions;
-                    });
+        seek_to(i);
+        posix.read(0, fd, 4 * MiB, [&completions](std::int64_t n) {
+          ASSERT_GT(n, 0);
+          ++completions;
+        });
         ++ops;
       }
       run.engine().run();
@@ -212,7 +217,6 @@ TEST(AllocGuardTest, ResidueReclaimQueueIsAllocationFree) {
   m.ost_bandwidth = 100.0 * MiB;
   m.node_policy = ConcurrencyPolicy::fixed(4);
   m.contention = {};
-  m.write_absorb_limit = 0;
   m.strided_readahead_bug = false;
   m.service_noise_sigma = 0.0;
   m.straggler_probability = 0.0;
