@@ -356,16 +356,13 @@ void TraceWriterV3::add_batch(const ColumnBatch& batch) {
 }
 
 void TraceWriterV3::write_column(std::uint8_t base_enc) {
-  if (options_.compress) {
-    rle_compress(col_buf_, rle_buf_);
-    if (rle_buf_.size() < col_buf_.size()) {
-      wire::put<std::uint8_t>(*out_, base_enc | kRleFlag);
-      wire::put_varint(*out_, rle_buf_.size());
-      wire::put_varint(*out_, col_buf_.size());
-      out_->write(rle_buf_.data(),
-                  static_cast<std::streamsize>(rle_buf_.size()));
-      return;
-    }
+  rle_compress(col_buf_, rle_buf_);
+  if (rle_buf_.size() < col_buf_.size()) {
+    wire::put<std::uint8_t>(*out_, base_enc | kRleFlag);
+    wire::put_varint(*out_, rle_buf_.size());
+    wire::put_varint(*out_, col_buf_.size());
+    out_->write(rle_buf_.data(), static_cast<std::streamsize>(rle_buf_.size()));
+    return;
   }
   wire::put<std::uint8_t>(*out_, base_enc);
   wire::put_varint(*out_, col_buf_.size());

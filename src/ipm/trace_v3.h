@@ -61,7 +61,6 @@ class TraceWriterV3 final : public EventSink {
     /// Events per chunk; the default is the chunk of a TSV or
     /// in-memory source, so every format shares one chunk layout.
     std::size_t chunk_events = TraceSource::kDefaultBatchEvents;
-    bool compress = true;  ///< RLE columns when it shrinks the payload
   };
 
   TraceWriterV3(std::ostream& out, std::string experiment,

@@ -1,5 +1,6 @@
 #include "workloads/scenario.h"
 
+#include <cmath>
 #include <fstream>
 #include <initializer_list>
 #include <sstream>
@@ -28,6 +29,44 @@ void reject_unknown_keys(const json::Object& o,
   }
 }
 
+[[noreturn]] void out_of_range(const std::string& path, double value,
+                               const std::string& allowed) {
+  std::ostringstream msg;
+  msg << "scenario: " << path << " = " << value
+      << " is out of range (allowed: " << allowed << ")";
+  throw std::runtime_error(msg.str());
+}
+
+/// The count `key` of workload `w`, or `fallback` when absent. A count
+/// is an integer from `min` (the bound the workload itself asserts) to
+/// 2^32 - 1, so the narrowing below is exact.
+[[nodiscard]] std::uint32_t count_or(const json::Value& w, const char* key,
+                                     std::uint32_t fallback,
+                                     std::uint32_t min) {
+  if (!w.has(key)) return fallback;
+  const double v = w.at(key).as_number();
+  constexpr double kMax = 4294967295.0;
+  if (!(v >= min && v <= kMax && v == std::floor(v))) {
+    out_of_range(std::string("workload.") + key, v,
+                 "an integer from " + std::to_string(min) + " to 4294967295");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+/// The size in MiB `key` of workload `w` as bytes, or `fallback` when
+/// absent: finite, greater than 0, and a whole byte count that fits.
+[[nodiscard]] Bytes mib_or(const json::Value& w, const char* key,
+                           Bytes fallback) {
+  if (!w.has(key)) return fallback;
+  const double v = w.at(key).as_number();
+  const double bytes = v * static_cast<double>(MiB);
+  if (!(bytes >= 1.0 && bytes < 18446744073709551616.0)) {
+    out_of_range(std::string("workload.") + key, v,
+                 "a size in MiB above 0: at least 1 byte, below 2^64 bytes");
+  }
+  return static_cast<Bytes>(bytes);
+}
+
 [[nodiscard]] IorConfig ior_from_json(const json::Value& w) {
   reject_unknown_keys(w.as_object(),
                       {"kind", "tasks", "block_mib", "segments",
@@ -36,22 +75,22 @@ void reject_unknown_keys(const json::Object& o,
                        "fpp_stripe_count", "file_name"},
                       "workload (ior)");
   IorConfig cfg;
-  cfg.tasks = static_cast<std::uint32_t>(
-      w.number_or("tasks", static_cast<double>(cfg.tasks)));
-  cfg.block_size = static_cast<Bytes>(
-      w.number_or("block_mib", to_mib(cfg.block_size)) *
-      static_cast<double>(MiB));
-  cfg.segments = static_cast<std::uint32_t>(
-      w.number_or("segments", static_cast<double>(cfg.segments)));
-  cfg.calls_per_block = static_cast<std::uint32_t>(
-      w.number_or("calls_per_block", static_cast<double>(cfg.calls_per_block)));
-  cfg.stripe_count = static_cast<std::uint32_t>(
-      w.number_or("stripe_count", static_cast<double>(cfg.stripe_count)));
+  cfg.tasks = count_or(w, "tasks", cfg.tasks, 1);
+  cfg.block_size = mib_or(w, "block_mib", cfg.block_size);
+  cfg.segments = count_or(w, "segments", cfg.segments, 1);
+  cfg.calls_per_block = count_or(w, "calls_per_block", cfg.calls_per_block, 1);
+  if (cfg.block_size % cfg.calls_per_block != 0) {
+    throw std::runtime_error(
+        "scenario: workload.block_mib (" + std::to_string(cfg.block_size) +
+        " bytes) does not divide into calls_per_block = " +
+        std::to_string(cfg.calls_per_block) + " equal calls");
+  }
+  cfg.stripe_count = count_or(w, "stripe_count", cfg.stripe_count, 0);
   cfg.read_back = w.bool_or("read_back", cfg.read_back);
   cfg.random_offsets = w.bool_or("random_offsets", cfg.random_offsets);
   cfg.file_per_process = w.bool_or("file_per_process", cfg.file_per_process);
-  cfg.fpp_stripe_count = static_cast<std::uint32_t>(w.number_or(
-      "fpp_stripe_count", static_cast<double>(cfg.fpp_stripe_count)));
+  cfg.fpp_stripe_count =
+      count_or(w, "fpp_stripe_count", cfg.fpp_stripe_count, 0);
   cfg.file_name = w.string_or("file_name", cfg.file_name);
   return cfg;
 }
@@ -63,23 +102,13 @@ void reject_unknown_keys(const json::Object& o,
                        "cb_nodes", "file_name"},
                       "workload (madbench)");
   MadbenchConfig cfg;
-  cfg.tasks = static_cast<std::uint32_t>(
-      w.number_or("tasks", static_cast<double>(cfg.tasks)));
-  if (w.has("matrix_mib")) {
-    cfg.matrix_bytes = static_cast<Bytes>(w.at("matrix_mib").as_number() *
-                                          static_cast<double>(MiB));
-  }
-  cfg.matrices = static_cast<std::uint32_t>(
-      w.number_or("matrices", static_cast<double>(cfg.matrices)));
-  if (w.has("alignment_mib")) {
-    cfg.alignment = static_cast<Bytes>(w.at("alignment_mib").as_number() *
-                                       static_cast<double>(MiB));
-  }
-  cfg.stripe_count = static_cast<std::uint32_t>(
-      w.number_or("stripe_count", static_cast<double>(cfg.stripe_count)));
+  cfg.tasks = count_or(w, "tasks", cfg.tasks, 1);
+  cfg.matrix_bytes = mib_or(w, "matrix_mib", cfg.matrix_bytes);
+  cfg.matrices = count_or(w, "matrices", cfg.matrices, 1);
+  cfg.alignment = mib_or(w, "alignment_mib", cfg.alignment);
+  cfg.stripe_count = count_or(w, "stripe_count", cfg.stripe_count, 0);
   cfg.collective_io = w.bool_or("collective_io", cfg.collective_io);
-  cfg.cb_nodes = static_cast<std::uint32_t>(
-      w.number_or("cb_nodes", static_cast<double>(cfg.cb_nodes)));
+  cfg.cb_nodes = count_or(w, "cb_nodes", cfg.cb_nodes, 0);
   cfg.file_name = w.string_or("file_name", cfg.file_name);
   return cfg;
 }
@@ -104,12 +133,17 @@ void reject_unknown_keys(const json::Object& o,
         "scenario: unknown gcrm preset '" + preset +
         "' (baseline|collective|aligned|optimized)");
   }
-  cfg.tasks = static_cast<std::uint32_t>(
-      w.number_or("tasks", static_cast<double>(cfg.tasks)));
-  cfg.io_tasks = static_cast<std::uint32_t>(
-      w.number_or("io_tasks", static_cast<double>(cfg.io_tasks)));
-  cfg.stripe_count = static_cast<std::uint32_t>(
-      w.number_or("stripe_count", static_cast<double>(cfg.stripe_count)));
+  cfg.tasks = count_or(w, "tasks", cfg.tasks, 1);
+  // Only a collective preset uses io_tasks; there it must divide tasks.
+  cfg.io_tasks =
+      count_or(w, "io_tasks", cfg.io_tasks, cfg.collective_buffering ? 1 : 0);
+  if (cfg.collective_buffering && cfg.tasks % cfg.io_tasks != 0) {
+    throw std::runtime_error("scenario: workload.io_tasks = " +
+                             std::to_string(cfg.io_tasks) +
+                             " does not divide workload.tasks = " +
+                             std::to_string(cfg.tasks));
+  }
+  cfg.stripe_count = count_or(w, "stripe_count", cfg.stripe_count, 0);
   cfg.file_name = w.string_or("file_name", cfg.file_name);
   return cfg;
 }
@@ -121,13 +155,6 @@ void reject_unknown_keys(const json::Object& o,
 void check_fault_targets(const json::Value& faults,
                          const lustre::MachineConfig& machine,
                          std::uint32_t tasks) {
-  auto out_of_range = [](const std::string& path, double value,
-                         const std::string& allowed) {
-    std::ostringstream msg;
-    msg << "scenario: " << path << " = " << value
-        << " is out of range (allowed: " << allowed << ")";
-    throw std::runtime_error(msg.str());
-  };
   if (faults.has("slow_osts")) {
     const json::Array& slow = faults.at("slow_osts").as_array();
     for (std::size_t i = 0; i < slow.size(); ++i) {

@@ -687,6 +687,42 @@ TEST_F(EiotraceTest, SimulateRejectsFaultTargetsOutsideTheJob) {
   std::remove(scen.c_str());
 }
 
+TEST_F(EiotraceTest, SimulateRejectsBadWorkloadNumbers) {
+  // Workload numbers used to be narrowed unchecked: 4.5 tasks ran 4, a
+  // negative count was undefined behaviour, and a count or size below
+  // the workload's own bound printed output, then aborted with exit 2.
+  struct Case {
+    const char* workload;
+    const char* message;
+  };
+  std::string scen = test::temp_path("bad-number.json");
+  for (const Case& c : {
+           Case{R"({"kind": "ior", "tasks": 4.5, "block_mib": 4, "segments": 1})",
+                "workload.tasks = 4.5 is out of range"},
+           Case{R"({"kind": "ior", "tasks": 8, "block_mib": -1, "segments": 1})",
+                "workload.block_mib = -1 is out of range"},
+           Case{R"({"kind": "ior", "tasks": 8, "block_mib": 4, "segments": 0})",
+                "workload.segments = 0 is out of range"},
+           Case{R"({"kind": "ior", "tasks": -3, "block_mib": 4, "segments": 1})",
+                "workload.tasks = -3 is out of range"},
+           Case{R"({"kind": "gcrm", "tasks": 0})",
+                "workload.tasks = 0 is out of range"},
+           Case{R"({"kind": "ior", "tasks": 8, "block_mib": 1,
+                    "calls_per_block": 3})",
+                "does not divide into calls_per_block = 3"},
+           Case{R"({"kind": "gcrm", "preset": "collective", "tasks": 100,
+                    "io_tasks": 80})",
+                "workload.io_tasks = 80 does not divide workload.tasks = 100"},
+       }) {
+    std::ofstream(scen) << R"({"schema_version": 1, "workload": )"
+                        << c.workload << "}";
+    auto [rc, out, err] = run({"simulate", "--scenario=" + scen});
+    EXPECT_EQ(rc, 1) << c.workload;
+    expect_one_line_error(out, err, c.message);
+  }
+  std::remove(scen.c_str());
+}
+
 TEST_F(EiotraceTest, SimulateScenarioConflictsWithWorkloadFlags) {
   auto [rc, out, err] = run({"simulate", "--scenario=x.json", "--tasks=4"});
   EXPECT_EQ(rc, 1);

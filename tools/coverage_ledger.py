@@ -91,13 +91,14 @@ KEPT = [
     (r"^eio::ipm::Trace::save_binary_v3\(",
      "perfbench/gcrm_sim.cpp saves its v3 trace with it"),
     (r"^eio::ipm::Trace::(load|read_binary)\(",
-     "examples/madbench_study.cpp and bench/micro_analysis.cpp load traces"),
+     "examples/madbench_study.cpp reloads its trace with load; "
+     "read_binary is load's v3 branch, which tests reach"),
     (r"^eio::stats::ReservoirSampler::merge\(",
      "weighted merge: campaign roll-ups can reach it (ROADMAP item 4)"),
     (r"^eio::stats::StreamingHistogram::add\(",
      "a v3 chunk of more than exact_capacity matching rows (the format "
-     "allows any chunk size) fills through it; bench/micro_stats.cpp "
-     "times it"),
+     "allows any chunk size) fills through it; "
+     "tests/core/histogram_test.cpp fills past capacity through it"),
     (r"^eio::monitor::HealthKernel::Segment::append\(",
      "kernel contract: partials merge in any grouping, not only into "
      "chunk 0's (DESIGN.md, health kernel; tests merge right to left)"),
